@@ -15,13 +15,17 @@ coefficient support:
   finite window and promotes the periodic pattern
   (``certify_circle_sphere_gamma_loop``);
 * circle x projective space: the same loop without the parity split;
-* sphere x sphere: all four parity quadrants of the support must have both
-  coordinate projections unbounded;
+* sphere x sphere: each of the four parity quadrants must hold one support
+  term with infinitely many members of the quadrant's parities on both axes;
 * ``sufficient_product``: the one-axis-at-a-time sufficient test.  It can
   return SufficientOnly or Inconclusive but never refutes.
 
-The gamma loop only needs to reach the stabilization bound of the support:
-past it, no derived set changes.
+The sweep over gamma visits checkpoints only: 0, v + 1 for each l-singleton
+v, and the stabilization bound (1 + the largest l-singleton), or
+``gamma_max`` when that is larger.  A tail set changes only where a singleton
+drops out, so one check per checkpoint decides every gamma up to the next
+one, and past the bound no derived set changes.  The cost follows the number
+of distinct l-singletons, not their size.
 """
 
 from __future__ import annotations
@@ -75,6 +79,9 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One checked condition.  In a gamma sweep, ``gamma`` is a checkpoint and
+    the entry covers every gamma from it up to the next checkpoint."""
+
     condition: str
     outcome: bool
     gamma: Optional[int] = None
@@ -89,7 +96,11 @@ class ParityDeficit:
 
 @dataclass(frozen=True)
 class QuadrantDeficit:
-    """A parity quadrant whose k- or l-projection stays bounded."""
+    """A parity quadrant with no term unbounded on both axes.
+
+    ``axis`` names the bounded projection ("k" or "l"), or is "joint" when
+    both projections are unbounded but through different terms.
+    """
 
     k_parity: str
     l_parity: str
@@ -148,6 +159,14 @@ def certify_sphere(support: SupportSet1D, m: int) -> Certificate:
     return Certificate("sphere", Verdict.SPD, "sphere-parity-count", tuple(trace))
 
 
+# (support, gamma, parity) -> (tail set, whether it meets every class, missed class)
+TailCheck = Callable[
+    [SupportSet2D, int, Parity], tuple[SupportSet1D, bool, Optional[ProgressionWitness]]
+]
+
+_WINDOW_LABEL = "tail frequency set ({parity}) certifies on the circle"
+
+
 def _gamma_upper(support: SupportSet2D, gamma_max: Optional[int]) -> int:
     upper = stabilization_bound(support)
     if gamma_max is not None:
@@ -157,29 +176,63 @@ def _gamma_upper(support: SupportSet2D, gamma_max: Optional[int]) -> int:
     return upper
 
 
+def _sweep(
+    support: SupportSet2D,
+    space: str,
+    method: str,
+    parities: tuple[Parity, ...],
+    gamma_max: Optional[int],
+    tail_set: TailCheck,
+    label: str,
+) -> Certificate:
+    """Run a tail-set check over the gamma checkpoints of the support.
+
+    The checkpoints are 0, v + 1 for every l-singleton v, and the upper end of
+    the sweep (the stabilization bound, or ``gamma_max`` past it).  A
+    singleton drops out of the tail exactly when gamma passes its value and
+    progressions contribute whatever gamma is, so each tail set is constant
+    from one checkpoint up to the next: checking the checkpoint decides the
+    whole interval, with the same witness.  The first failure met walking the
+    checkpoints upwards (parities in the given order) is the first failing
+    (gamma, parity) of the per-integer sweep.  Every v + 1 is at most the
+    stabilization bound, so no checkpoint lies past the upper end.  Each trace
+    entry covers gamma from its checkpoint up to the next one; ``label``
+    formats its condition.
+    """
+    upper = _gamma_upper(support, gamma_max)
+    dropouts = {lt.base + 1 for _, lt in support.terms if not lt.is_progression}
+    trace = []
+    for gamma in sorted({0, upper} | dropouts):
+        for parity in parities:
+            derived, ok, witness = tail_set(support, gamma, parity)
+            trace.append(TraceEntry(label.format(parity=parity), ok, gamma))
+            if not ok:
+                return Certificate(
+                    space,
+                    Verdict.NOT_SPD,
+                    method,
+                    tuple(trace),
+                    GammaFailure(gamma, parity, witness, empty=derived.is_empty),
+                )
+    return Certificate(space, Verdict.SPD, method, tuple(trace))
+
+
 def certify_circle_sphere(
     support: SupportSet2D, m: int, gamma_max: Optional[int] = None
 ) -> Certificate:
     """Product characterization via term-by-term derived parity tail sets."""
     _check_dim(m)
-    upper = _gamma_upper(support, gamma_max)
-    trace = []
-    for gamma in range(upper + 1):
-        for parity in ("odd", "even"):
-            derived, _ = derived_parity_tail_set(support, gamma, parity)
-            ok, witness = meets_every_progression(derived)
-            trace.append(
-                TraceEntry(f"derived {parity} tail set meets every residue class", ok, gamma)
-            )
-            if not ok:
-                return Certificate(
-                    "circle_sphere",
-                    Verdict.NOT_SPD,
-                    "product-parity-tail-sets",
-                    tuple(trace),
-                    GammaFailure(gamma, parity, witness, empty=derived.is_empty),
-                )
-    return Certificate("circle_sphere", Verdict.SPD, "product-parity-tail-sets", tuple(trace))
+    return _sweep(
+        support, "circle_sphere", "product-parity-tail-sets", ("odd", "even"), gamma_max,
+        _derived_tail_set, "derived {parity} tail set meets every residue class",
+    )
+
+
+def _derived_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
+    """Tail check of the tail-set route: frequencies derived term by term."""
+    derived, _ = derived_parity_tail_set(support, gamma, parity)
+    ok, witness = meets_every_progression(derived)
+    return derived, ok, witness
 
 
 def _first_tail_member(term: Term1D, gamma: int) -> int:
@@ -246,34 +299,12 @@ def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> Su
     return _promote_periodic(k_parts, ok)
 
 
-def _gamma_loop(
-    support: SupportSet2D,
-    space: str,
-    method: str,
-    parities: tuple[Parity, ...],
-    gamma_max: Optional[int],
-) -> Certificate:
-    upper = _gamma_upper(support, gamma_max)
-    trace = []
-    for gamma in range(upper + 1):
-        for parity in parities:
-            freq = _tail_frequency_set(support, gamma, parity)
-            sub = certify_circle(freq)
-            label = "any" if parity == "any" else parity
-            trace.append(
-                TraceEntry(f"tail frequency set ({label}) certifies on the circle",
-                           sub.verdict is Verdict.SPD, gamma)
-            )
-            if sub.verdict is not Verdict.SPD:
-                witness = sub.counterexample
-                return Certificate(
-                    space,
-                    Verdict.NOT_SPD,
-                    method,
-                    tuple(trace),
-                    GammaFailure(gamma, parity, witness, empty=freq.is_empty),
-                )
-    return Certificate(space, Verdict.SPD, method, tuple(trace))
+def _window_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
+    """Tail check of the gamma-loop route: the frequency set read off the
+    section window, decided by the circle certifier."""
+    freq = _tail_frequency_set(support, gamma, parity)
+    sub = certify_circle(freq)
+    return freq, sub.verdict is Verdict.SPD, sub.counterexample
 
 
 def certify_circle_sphere_gamma_loop(
@@ -285,7 +316,10 @@ def certify_circle_sphere_gamma_loop(
     can be cross-checked against each other.
     """
     _check_dim(m)
-    return _gamma_loop(support, "circle_sphere", "product-gamma-loop", ("odd", "even"), gamma_max)
+    return _sweep(
+        support, "circle_sphere", "product-gamma-loop", ("odd", "even"), gamma_max,
+        _window_tail_set, _WINDOW_LABEL,
+    )
 
 
 def certify_circle_tph(
@@ -297,7 +331,10 @@ def certify_circle_tph(
             f"wrong certifier for space kind {space.kind!r}; "
             "spheres keep the parity split, use the circle_sphere certifiers"
         )
-    return _gamma_loop(support, "circle_tph", "tph-tail-sets", ("any",), gamma_max)
+    return _sweep(
+        support, "circle_tph", "tph-tail-sets", ("any",), gamma_max,
+        _window_tail_set, _WINDOW_LABEL,
+    )
 
 
 def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
@@ -347,35 +384,51 @@ def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
 def certify_two_spheres(support: SupportSet2D, m: int, big_m: int) -> Certificate:
     """S^m x S^M characterization over the four parity quadrants.
 
-    A quadrant passes when the support's restriction to it has unbounded k-
-    and l-projections; unboundedness of a projection is read coordinatewise.
+    A quadrant passes when one support term holds infinitely many members of
+    the quadrant's parities on both axes, so that the support restricted to
+    the quadrant holds a sequence with both coordinates going to infinity.
+    Unbounded projections supplied by different terms are not enough: signed
+    point sets that cancel the low degrees on each axis null such a form.
+    A failing quadrant reports the bounded projection, or ``axis="joint"``
+    when both projections are unbounded but no single term supplies both.
     """
     _check_dim(m)
     _check_dim(big_m, "M")
-    trace = [TraceEntry("quadrant unboundedness read through coordinate projections", True)]
+    trace = [TraceEntry("a single term has both projections unbounded in the quadrant", True)]
     for k_parity in ("even", "odd"):
         for l_parity in ("even", "odd"):
-            k_unbounded = any(
-                term_has_parity_member(lt, l_parity) and term_has_infinite_parity(kt, k_parity)
-                for kt, lt in support.terms
-            )
-            l_unbounded = any(
-                term_has_parity_member(kt, k_parity) and term_has_infinite_parity(lt, l_parity)
+            joint = any(
+                term_has_infinite_parity(kt, k_parity) and term_has_infinite_parity(lt, l_parity)
                 for kt, lt in support.terms
             )
             trace.append(
                 TraceEntry(
-                    f"quadrant ({k_parity} k, {l_parity} l) has both projections unbounded",
-                    k_unbounded and l_unbounded,
+                    f"quadrant ({k_parity} k, {l_parity} l) has a term unbounded on both axes",
+                    joint,
                 )
             )
-            if not (k_unbounded and l_unbounded):
-                axis = "k" if not k_unbounded else "l"
+            if not joint:
                 return Certificate(
                     "sphere_sphere",
                     Verdict.NOT_SPD,
                     "two-spheres-quadrants",
                     tuple(trace),
-                    QuadrantDeficit(k_parity, l_parity, axis),
+                    QuadrantDeficit(k_parity, l_parity, _bounded_axis(support, k_parity, l_parity)),
                 )
     return Certificate("sphere_sphere", Verdict.SPD, "two-spheres-quadrants", tuple(trace))
+
+
+def _bounded_axis(support: SupportSet2D, k_parity: Parity, l_parity: Parity) -> str:
+    """Which projection of a failing quadrant stays bounded: "k", "l", or
+    "joint" when both are unbounded through different terms."""
+    k_unbounded = any(
+        term_has_parity_member(lt, l_parity) and term_has_infinite_parity(kt, k_parity)
+        for kt, lt in support.terms
+    )
+    if not k_unbounded:
+        return "k"
+    l_unbounded = any(
+        term_has_parity_member(kt, k_parity) and term_has_infinite_parity(lt, l_parity)
+        for kt, lt in support.terms
+    )
+    return "joint" if l_unbounded else "l"

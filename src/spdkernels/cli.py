@@ -58,6 +58,11 @@ class SpecFile:
     seed: int
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans load as Python bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _term_from_dict(data, where: str) -> Term1D:
     if not isinstance(data, dict) or "type" not in data:
         raise SpecFileError(where, "term must be an object with a 'type' field")
@@ -66,16 +71,16 @@ def _term_from_dict(data, where: str) -> Term1D:
         if set(data) != {"type", "value"}:
             raise SpecFileError(where, "singleton terms take exactly {'type', 'value'}")
         value = data["value"]
-        if not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             raise SpecFileError(f"{where}.value", "must be an integer >= 0")
         return Term1D(value, 0)
     if kind == "prog":
         if set(data) != {"type", "base", "step"}:
             raise SpecFileError(where, "progression terms take exactly {'type', 'base', 'step'}")
         base, step = data["base"], data["step"]
-        if not isinstance(base, int) or base < 0:
+        if not _is_int(base) or base < 0:
             raise SpecFileError(f"{where}.base", "must be an integer >= 0")
-        if not isinstance(step, int) or step < 1:
+        if not _is_int(step) or step < 1:
             raise SpecFileError(f"{where}.step", "must be an integer >= 1")
         return Term1D(base, step)
     raise SpecFileError(f"{where}.type", f"unknown term type {kind!r}")
@@ -180,10 +185,11 @@ def parse_spec_dict(data: dict) -> SpecFile:
     if not isinstance(trunc, dict) or set(trunc) - {"kmax", "lmax"}:
         raise SpecFileError("truncation", "takes {'kmax', 'lmax'}")
     kmax, lmax = trunc.get("kmax", 60), trunc.get("lmax", 60)
-    if not isinstance(kmax, int) or not isinstance(lmax, int) or kmax < 0 or lmax < 0:
-        raise SpecFileError("truncation", "bounds must be integers >= 0")
+    for name, bound in (("kmax", kmax), ("lmax", lmax)):
+        if not _is_int(bound) or bound < 0:
+            raise SpecFileError(f"truncation.{name}", "must be an integer >= 0")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise SpecFileError("seed", "must be an integer")
     try:
         spec = KernelSpec(space, support, scheme, (kmax, lmax))
@@ -311,7 +317,10 @@ def _describe_counterexample(ce) -> str:
     if isinstance(ce, ParityDeficit):
         return f"only finitely many {ce.parity} degrees"
     if isinstance(ce, QuadrantDeficit):
-        return f"quadrant ({ce.k_parity} k, {ce.l_parity} l) has a bounded {ce.axis}-projection"
+        quadrant = f"quadrant ({ce.k_parity} k, {ce.l_parity} l)"
+        if ce.axis == "joint":
+            return f"{quadrant} has no term unbounded on both axes"
+        return f"{quadrant} has a bounded {ce.axis}-projection"
     if isinstance(ce, GammaFailure):
         if ce.empty:
             return f"gamma={ce.gamma} {ce.parity}-set empty"

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NotApplicableError
-from .orthopoly import circle_table, gegenbauer_table, jacobi_table
+from .orthopoly import MAX_DEGREE, circle_table, gegenbauer_table, jacobi_table
 from .supportsets import Parity, SupportSet1D, SupportSet2D, one
 
 __all__ = [
@@ -189,9 +189,17 @@ class KernelSpec:
             raise ValueError("product spaces need a two-axis support")
         if not self.space.is_product and not isinstance(self.support, SupportSet1D):
             raise ValueError("single spaces need a one-axis support")
+        # Checked here, before coefficient_matrix can allocate (kmax+1) x (lmax+1)
+        # entries for degrees the polynomial tables would refuse anyway.
         kmax, lmax = self.truncation
+        if type(kmax) is not int or type(lmax) is not int:
+            raise ValueError(f"truncation bounds must be integers, got {self.truncation!r}")
         if kmax < 0 or lmax < 0:
             raise ValueError(f"truncation bounds must be >= 0, got {self.truncation}")
+        if max(kmax, lmax) > MAX_DEGREE:
+            raise ValueError(
+                f"truncation bounds must be <= {MAX_DEGREE}, got {self.truncation}"
+            )
 
     @property
     def kmax(self) -> int:

@@ -1,5 +1,8 @@
 """Exact combinatorial certifiers and agreement between the two product routes."""
 
+import time
+
+import numpy as np
 import pytest
 
 from conftest import (
@@ -27,10 +30,15 @@ from spdkernels import (
     certify_two_spheres,
     circle_tph_space,
     derived_parity_tail_set,
+    gegenbauer_table,
+    meets_every_progression,
     one,
     prog,
+    stabilization_bound,
     sufficient_product,
 )
+from spdkernels.certify import _tail_frequency_set
+from test_acceptance import ALL_FIXED_2D
 
 
 # --- circle ---------------------------------------------------------------------
@@ -309,3 +317,154 @@ def test_full_line_times_parity_classes():
         assert quick.verdict is Verdict.SUFFICIENT_ONLY
     exact = certify_circle_sphere(support, m=2)
     assert exact.verdict is Verdict.SPD
+
+
+# --- the checkpointed sweep against a per-integer walk ---------------------------------
+
+def _derived_check(support, gamma, parity):
+    derived, _ = derived_parity_tail_set(support, gamma, parity)
+    ok, witness = meets_every_progression(derived)
+    return ok, witness, derived.is_empty
+
+
+def _window_check(support, gamma, parity):
+    freq = _tail_frequency_set(support, gamma, parity)
+    cert = certify_circle(freq)
+    return cert.verdict is Verdict.SPD, cert.counterexample, freq.is_empty
+
+
+def per_integer_reference(support, parities, gamma_max, check=_derived_check):
+    """Walk every integer gamma up to the sweep's upper end, one at a time.
+
+    Returns None when every tail set passes, else the first failing
+    (gamma, parity, witness, empty)."""
+    upper = stabilization_bound(support)
+    if gamma_max is not None:
+        upper = max(upper, gamma_max)
+    for gamma in range(upper + 1):
+        for parity in parities:
+            ok, witness, empty = check(support, gamma, parity)
+            if not ok:
+                return gamma, parity, witness, empty
+    return None
+
+
+def _failure(cert):
+    ce = cert.counterexample
+    if cert.verdict is Verdict.SPD:
+        return None
+    return ce.gamma, ce.parity, ce.witness, ce.empty
+
+
+def test_sweep_matches_per_integer_reference():
+    # The window route reads its frequency set off a promoted periodic window,
+    # whose missed class can differ from the one found on the derived set
+    # (both are sound), so its witness is compared with the per-integer walk
+    # of its own tail check.
+    space = circle_tph_space("real_proj", 2)
+    supports = list(ALL_FIXED_2D) + [s for s, _, _ in LATE_FAILURES] + battery_2d(seed=2024, count=80)
+    failures = 0
+    for support in supports:
+        bound = stabilization_bound(support)
+        for gamma_max in (None, bound // 2, bound, 3 * bound):
+            want = per_integer_reference(support, ("odd", "even"), gamma_max)
+            failures += want is not None
+            assert _failure(certify_circle_sphere(support, 2, gamma_max)) == want, support
+            loop = _failure(certify_circle_sphere_gamma_loop(support, 2, gamma_max))
+            assert loop == per_integer_reference(support, ("odd", "even"), gamma_max, _window_check)
+            assert (loop is None) == (want is None), support
+            if want is not None:
+                assert (loop[0], loop[1], loop[3]) == (want[0], want[1], want[3]), support
+
+            want_any = per_integer_reference(support, ("any",), gamma_max)
+            tph = _failure(certify_circle_tph(support, space, gamma_max))
+            assert tph == per_integer_reference(support, ("any",), gamma_max, _window_check)
+            assert (tph is None) == (want_any is None), support
+            if want_any is not None:
+                assert (tph[0], tph[1], tph[3]) == (want_any[0], want_any[1], want_any[3])
+    assert failures > 0
+
+
+def _deep_product_support(v, verdict, parity):
+    """A complete core plus the l-singleton v: NotSPD supports first fail at
+    (v + 1, parity), since only v completes that parity's tail."""
+    extras = [(prog(1, 3), one(5)), (prog(2, 4), one(8))]
+    if verdict == "SPD":
+        core = [(prog(0, 1), prog(0, 2)), (prog(0, 1), prog(1, 2))]
+    else:
+        core = [
+            (prog(0, 1), prog(int(parity == "even"), 2)),
+            (prog(1, 2), prog(int(parity == "odd"), 2)),
+        ]
+    return SupportSet2D(tuple(core + extras + [(prog(0, 1), one(v))]))
+
+
+def test_sweep_cost_follows_distinct_singletons():
+    space = circle_tph_space("complex_proj", 4)
+    v = 10**9 + 1
+    for verdict in ("SPD", "NotSPD"):
+        support = _deep_product_support(v, verdict, "odd")
+        singles = {lt.base for _, lt in support.terms if not lt.is_progression}
+        routes = (
+            (lambda: certify_circle_sphere(support, 2), 2),
+            (lambda: certify_circle_sphere_gamma_loop(support, 2), 2),
+            (lambda: certify_circle_tph(support, space), 1),
+        )
+        for run, n_parities in routes:
+            start = time.perf_counter()
+            cert = run()
+            assert time.perf_counter() - start < 1.0
+            assert len(cert.trace) <= n_parities * (len(singles) + 2)
+        sweep = certify_circle_sphere(support, 2)
+        if verdict == "SPD":
+            assert sweep.verdict is Verdict.SPD
+        else:
+            ce = sweep.counterexample
+            assert (ce.gamma, ce.parity) == (v + 1, "odd")
+
+
+# --- two spheres: one term must be unbounded on both axes -------------------------------
+
+L_SHAPE = SupportSet2D((
+    (prog(0, 1), one(0)), (prog(0, 1), one(1)),
+    (one(0), prog(0, 1)), (one(1), prog(0, 1)),
+))
+
+
+def test_two_spheres_l_shape_is_not_spd():
+    # both projections of every quadrant are unbounded, but through different terms
+    cert = certify_two_spheres(L_SHAPE, 2, 2)
+    assert cert.verdict is Verdict.NOT_SPD
+    assert cert.counterexample == QuadrantDeficit("even", "even", "joint")
+
+
+def _two_sphere_form(support, r=0.8, K=40, seed=11):
+    """c'Gc and its scale c'diag(G)c on S^2 x S^2 for 16 signed points whose
+    weights cancel degrees 0 and 1 on each axis."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(4, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    xs = np.array([u[0], -u[0], u[1], -u[1]])
+    ys = np.array([u[2], -u[2], u[3], -u[3]])
+    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    px = np.repeat(xs, 4, axis=0)
+    py = np.tile(ys, (4, 1))
+    c = np.repeat(sign, 4) * np.tile(sign, 4)
+    t = np.clip(px @ px.T, -1.0, 1.0).ravel()
+    s = np.clip(py @ py.T, -1.0, 1.0).ravel()
+    coeffs = np.array([
+        [r ** (k + l) if support.contains(k, l) else 0.0 for l in range(K + 1)]
+        for k in range(K + 1)
+    ])
+    gram = np.einsum(
+        "kp,kl,lp->p", gegenbauer_table(K, 2, t), coeffs, gegenbauer_table(K, 2, s)
+    ).reshape(16, 16)
+    return float(c @ gram @ c), float(c @ (np.diag(gram) * c))
+
+
+def test_two_spheres_l_shape_has_a_null_vector():
+    form, scale = _two_sphere_form(L_SHAPE)
+    assert abs(form) <= 1e-10 * scale
+    # the same points do not null the full support, so the zero is the support's
+    full, full_scale = _two_sphere_form(SupportSet2D(((prog(0, 1), prog(0, 1)),)))
+    assert full > 1e-3 * full_scale

@@ -311,3 +311,31 @@ def test_crosscheck_report_structure(tmp_path):
     assert report["tail_sets"]["verdict"] == "NotSPD"
     assert report["gamma_loop"]["verdict"] == "NotSPD"
     assert set(report["sufficient"]) == {"circle-outer", "sphere-outer"}
+
+
+# --- JSON booleans are not integers ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"support": [{"type": "prog", "base": True, "step": True}]}, "support[0].base"),
+        ({"support": [{"type": "prog", "base": 0, "step": True}]}, "support[0].step"),
+        ({"support": [{"type": "one", "value": False}]}, "support[0].value"),
+        ({"truncation": {"kmax": True, "lmax": 4}}, "truncation.kmax"),
+        ({"truncation": {"kmax": 4, "lmax": False}}, "truncation.lmax"),
+        ({"seed": False}, "seed"),
+    ],
+)
+def test_json_booleans_are_refused(tmp_path, capsys, changes, field):
+    path = write_spec(tmp_path, dict(EVENS_CIRCLE, **changes))
+    assert main(["certify", path]) == 64
+    assert f"spec error: {field}:" in capsys.readouterr().err
+
+
+def test_truncation_past_the_degree_cap_exit_sixtyfour(tmp_path, capsys):
+    from spdkernels.orthopoly import MAX_DEGREE
+
+    cap = MAX_DEGREE + 1
+    path = write_spec(tmp_path, dict(FULL_PRODUCT, truncation={"kmax": cap, "lmax": cap}))
+    assert main(["certify", path]) == 64
+    assert "truncation" in capsys.readouterr().err

@@ -311,3 +311,14 @@ def test_parity_split_sums_to_marginal_total():
             spec, 0, "odd", t
         )
         assert abs(split - total) <= 1e-12 * max(1.0, abs(total))
+
+
+def test_truncation_validated_at_construction():
+    from spdkernels.orthopoly import MAX_DEGREE
+
+    cap = MAX_DEGREE + 1
+    for trunc in ((cap, cap), (cap, 0), (0, cap), (True, 4), (4.0, 4), (-1, 4)):
+        with pytest.raises(ValueError, match="truncation"):
+            KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), trunc)
+    spec = KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), (MAX_DEGREE, 0))
+    assert spec.kmax == MAX_DEGREE
