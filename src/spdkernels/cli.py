@@ -96,6 +96,11 @@ def _space_from_dict(data) -> SpaceDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("space", "must be an object with a 'kind' field")
     kind = data["kind"]
+    for name in ("m", "d"):
+        if name in data and not _is_int(data[name]):
+            raise SpecFileError(f"space.{name}", "must be an integer")
+    if "family" in data and not isinstance(data["family"], str):
+        raise SpecFileError("space.family", "must be a string")
     try:
         if kind == "circle":
             return SpaceDescriptor("circle")
@@ -140,23 +145,30 @@ def _support_to_list(support) -> list:
     return [_term_to_dict(t) for t in support.terms]
 
 
+def _scheme_number(data: dict, name: str, default: float) -> float:
+    """A JSON number (not a boolean, not a string) as a float."""
+    value = data.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecFileError(f"scheme.{name}", "must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SpecFileError(f"scheme.{name}", "is too large for a float") from exc
+
+
 def _scheme_from_dict(data) -> CoefficientScheme:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("scheme", "must be an object with a 'kind' field")
     kind = data["kind"]
+    if kind not in ("constant", "geometric"):
+        raise SpecFileError("scheme.kind", f"unknown scheme kind {kind!r}")
+    numbers = {"scale": _scheme_number(data, "scale", 1.0)}
+    if kind == "geometric":
+        numbers.update(r_k=_scheme_number(data, "r_k", 0.9), r_l=_scheme_number(data, "r_l", 0.9))
     try:
-        if kind == "constant":
-            return CoefficientScheme("constant", scale=float(data.get("scale", 1.0)))
-        if kind == "geometric":
-            return CoefficientScheme(
-                "geometric",
-                scale=float(data.get("scale", 1.0)),
-                r_k=float(data.get("r_k", 0.9)),
-                r_l=float(data.get("r_l", 0.9)),
-            )
-    except (TypeError, ValueError) as exc:
+        return CoefficientScheme(kind, **numbers)
+    except ValueError as exc:
         raise SpecFileError("scheme", str(exc)) from exc
-    raise SpecFileError("scheme.kind", f"unknown scheme kind {kind!r}")
 
 
 def _scheme_to_dict(scheme: CoefficientScheme) -> dict:

@@ -152,7 +152,12 @@ def sample_config(
     m: int, n_circle: int, n_sphere: int, seed: int, min_gap: float = _SAMPLING_GAP
 ) -> tuple[list[CirclePoint], list[SpherePoint]]:
     """Deterministic rejection sampling of distinct circle points and
-    pairwise non-antipodal sphere points on S^m."""
+    pairwise non-antipodal sphere points on S^m.
+
+    Each candidate is tested against every accepted point in one numpy
+    expression; the accept/reject decisions are those of the pointwise
+    ``CirclePoint.gap`` and ``math.dist`` tests.
+    """
     if m < 2:
         raise ValueError(f"invalid dimension m={m}: need m >= 2")
     if n_circle < 0 or n_sphere < 0:
@@ -161,9 +166,12 @@ def sample_config(
     resamples = 0
 
     xs: list[CirclePoint] = []
+    thetas = np.empty(n_circle)
     while len(xs) < n_circle:
         cand = CirclePoint(float(rng.uniform(0.0, TWO_PI)))
-        if all(cand.gap(p) > min_gap for p in xs):
+        d = np.abs(cand.theta - thetas[: len(xs)]) % TWO_PI
+        if np.all(np.minimum(d, TWO_PI - d) > min_gap):
+            thetas[len(xs)] = cand.theta
             xs.append(cand)
         else:
             resamples += 1
@@ -171,6 +179,10 @@ def sample_config(
                 raise SamplingError(f"circle sampling failed after {_MAX_RESAMPLES} resamples")
 
     zs: list[SpherePoint] = []
+    coords = np.empty((n_sphere, m + 1))
+    # numpy's squared distances only clear the pairs that are farther than
+    # min_gap by far more than rounding; math.dist decides the rest
+    clear = (min_gap * (1.0 + 1e-9)) ** 2
     while len(zs) < n_sphere:
         vec = rng.standard_normal(m + 1)
         norm = float(np.linalg.norm(vec))
@@ -178,12 +190,18 @@ def sample_config(
             resamples += 1
             continue
         cand = SpherePoint.from_vector(vec)
+        accepted = coords[: len(zs)]
+        c = np.array(cand.coords)
+        diff, summ = accepted - c, accepted + c
+        squared = np.minimum(np.einsum("ij,ij->i", diff, diff), np.einsum("ij,ij->i", summ, summ))
+        near = np.flatnonzero(~(squared > clear))  # a NaN gap leaves every pair near
         far_enough = all(
-            math.dist(cand.coords, z.coords) > min_gap
-            and math.dist(cand.coords, z.antipode().coords) > min_gap
-            for z in zs
+            math.dist(cand.coords, accepted[i]) > min_gap
+            and math.dist(cand.coords, -accepted[i]) > min_gap
+            for i in near
         )
         if far_enough:
+            coords[len(zs)] = c
             zs.append(cand)
         else:
             resamples += 1

@@ -21,6 +21,7 @@ Residuals are reported verbatim, never clamped.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,8 +30,9 @@ import numpy as np
 
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
-from .geometry import CirclePoint, EnhancedSet, SpherePoint, build_enhanced, sample_config
-from .kernels import KernelSpec, kernel_values, marginal_matrix
+from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint, build_enhanced, sample_config
+from .kernels import CHUNK_PAIRS, KernelSpec, kernel_values, marginal_matrix
+from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
@@ -50,6 +52,8 @@ __all__ = [
     "witness_progression_circle",
     "witness_product",
 ]
+
+logger = logging.getLogger(__name__)
 
 _DUP_TOL = 1e-12
 
@@ -115,17 +119,23 @@ def _split_points(spec: KernelSpec, points: Sequence) -> tuple[Optional[np.ndarr
 
 
 def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) -> None:
+    """Refuse two points that coincide within _DUP_TOL, naming the first pair
+    (i, j), i < j, in row order.  Rows are compared in blocks of about
+    CHUNK_PAIRS pairs, so memory stays bounded whatever the point count."""
     n = len(thetas) if thetas is not None else len(zs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = True
-            if thetas is not None:
-                d = abs(thetas[i] - thetas[j]) % (2 * math.pi)
-                same = min(d, 2 * math.pi - d) <= _DUP_TOL
-            if same and zs is not None:
-                same = float(np.linalg.norm(zs[i] - zs[j])) <= _DUP_TOL
-            if same:
-                raise ValueError(f"invalid configuration: points {i} and {j} coincide")
+    rows = max(1, CHUNK_PAIRS // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # block rows lo..hi-1 against columns lo..n-1, upper triangle only
+        same = np.triu(np.ones((hi - lo, n - lo), dtype=bool), k=1)
+        if thetas is not None:
+            d = np.abs(thetas[lo:hi, None] - thetas[None, lo:]) % TWO_PI
+            same &= np.minimum(d, TWO_PI - d) <= _DUP_TOL
+        if zs is not None and same.any():
+            same &= np.linalg.norm(zs[lo:hi, None, :] - zs[None, lo:, :], axis=-1) <= _DUP_TOL
+        if same.any():
+            i, j = np.unravel_index(np.argmax(same), same.shape)
+            raise ValueError(f"invalid configuration: points {lo + i} and {lo + j} coincide")
 
 
 def _dot_matrices(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]):
@@ -144,6 +154,11 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     t, s = _dot_matrices(thetas, zs)
     n = len(points)
     iu = np.triu_indices(n)
+    pairs = len(iu[0])
+    logger.debug(
+        "gram_matrix: %d points, %d pairs, %d contraction chunks",
+        n, pairs, -(-pairs // CHUNK_PAIRS),
+    )
     if spec.space.is_product:
         vals = kernel_values(spec, t[iu], s[iu])
     else:
@@ -194,11 +209,18 @@ def per_degree_forms(
 
 
 def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.ndarray:
+    """Layer f_degree(t_ij) P_degree(s_ij) of one sphere degree; the circle
+    table is contracted with that degree's coefficient column only, and the
+    Gegenbauer table stops at the degree (enhanced sets are circle x sphere
+    points, so ``_split_points`` has refused every other space)."""
     thetas, zs = _split_points(spec, enhanced.points)
     t, s = _dot_matrices(thetas, zs)
-    marg = marginal_matrix(spec, t.ravel())[degree].reshape(t.shape)
-    sph = spec.sphere_axis_table(s.ravel())[degree].reshape(s.shape)
-    return marg * sph
+    column = spec.coefficient_matrix[:, degree, None]
+    # an elementwise product summed over rows treats every pair alike, so
+    # equal arguments give equal values and the block identities stay exact
+    marg = (column * circle_table(spec.kmax, t.ravel())).sum(axis=0)
+    sph = gegenbauer_table(degree, spec.space.m, s.ravel())[degree]
+    return (marg * sph).reshape(t.shape)
 
 
 def enhanced_block_check(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> BlockCheck:

@@ -64,6 +64,10 @@ DIMENSION_RULES = {
 
 DEFAULT_TRUNCATION = (60, 60)
 
+# Argument pairs per contraction slice in kernel_values: at K = L = 60 one
+# slice's two polynomial tables take 2 x 61 x 16384 x 8 bytes, about 16 MB.
+CHUNK_PAIRS = 16_384
+
 _PRODUCT_KINDS = ("circle_sphere", "circle_tph")
 _ALL_KINDS = ("circle", "sphere") + _PRODUCT_KINDS
 
@@ -273,7 +277,12 @@ def _warn_if_empty(spec: KernelSpec) -> None:
 
 
 def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized truncated-kernel evaluation over paired argument arrays."""
+    """Vectorized truncated-kernel evaluation over paired argument arrays.
+
+    The pairs are evaluated CHUNK_PAIRS at a time: each slice builds its own
+    polynomial tables and contracts them with BLAS, so memory follows the
+    chunk, not the number of pairs.
+    """
     _warn_if_empty(spec)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -282,11 +291,20 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if s.shape != t.shape:
             raise ValueError("t and s must have the same shape")
-        circ = circle_table(spec.kmax, t)
-        sph = spec.sphere_axis_table(s)
-        return np.einsum("kp,kl,lp->p", circ, spec.coefficient_matrix, sph)
-    if s is not None:
+    elif s is not None:
         raise ValueError("single spaces take one argument; drop s")
+    out = np.empty(t.shape)
+    for lo in range(0, len(t), CHUNK_PAIRS):
+        hi = lo + CHUNK_PAIRS
+        out[lo:hi] = _contract(spec, t[lo:hi], None if s is None else s[lo:hi])
+    return out
+
+
+def _contract(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray]) -> np.ndarray:
+    """Kernel values for one chunk of argument pairs."""
+    if s is not None:
+        marginals = spec.coefficient_matrix.T @ circle_table(spec.kmax, t)
+        return (marginals * spec.sphere_axis_table(s)).sum(axis=0)
     table = (
         circle_table(spec.axis_cap, t)
         if spec.space.kind == "circle"

@@ -332,6 +332,41 @@ def test_json_booleans_are_refused(tmp_path, capsys, changes, field):
     assert f"spec error: {field}:" in capsys.readouterr().err
 
 
+GEOMETRIC = FULL_PRODUCT["scheme"]
+QUAT = {"kind": "circle_tph", "family": "quat_proj", "d": 8}
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"space": {"kind": "circle_sphere", "m": "3"}}, "space.m"),
+        ({"space": {"kind": "circle_sphere", "m": 2.5}}, "space.m"),
+        ({"space": {"kind": "circle_sphere", "m": 2.0}}, "space.m"),
+        ({"space": {"kind": "circle_sphere", "m": True}}, "space.m"),
+        ({"space": dict(QUAT, d="8")}, "space.d"),
+        ({"space": dict(QUAT, d=8.0)}, "space.d"),
+        ({"space": dict(QUAT, d=False)}, "space.d"),
+        ({"space": dict(QUAT, family=["quat_proj"])}, "space.family"),
+        ({"scheme": dict(GEOMETRIC, scale=True)}, "scheme.scale"),
+        ({"scheme": {"kind": "constant", "scale": "2"}}, "scheme.scale"),
+        ({"scheme": dict(GEOMETRIC, r_k="0.5")}, "scheme.r_k"),
+        ({"scheme": dict(GEOMETRIC, r_l=False)}, "scheme.r_l"),
+        ({"scheme": dict(GEOMETRIC, r_l=None)}, "scheme.r_l"),
+        ({"scheme": dict(GEOMETRIC, scale=10**400)}, "scheme.scale"),
+    ],
+)
+def test_spec_fields_are_type_checked_not_coerced(tmp_path, capsys, changes, field):
+    path = write_spec(tmp_path, dict(FULL_PRODUCT, **changes))
+    assert main(["certify", path]) == 64
+    assert f"spec error: {field}:" in capsys.readouterr().err
+
+
+def test_scheme_numbers_may_be_json_integers():
+    sf = parse_spec_dict(dict(FULL_PRODUCT, scheme={"kind": "constant", "scale": 2}))
+    assert sf.spec.scheme.scale == 2.0
+    assert type(sf.spec.scheme.scale) is float
+
+
 def test_truncation_past_the_degree_cap_exit_sixtyfour(tmp_path, capsys):
     from spdkernels.orthopoly import MAX_DEGREE
 

@@ -1,5 +1,6 @@
 """Point models, sampling, spherical harmonics and quadrature."""
 
+import logging
 import math
 
 import numpy as np
@@ -74,6 +75,84 @@ def test_sample_config_rejects_overfull_circle():
     # at gap 2 radians the circle cannot hold ten points
     with pytest.raises(SamplingError):
         sample_config(2, 10, 0, seed=0, min_gap=2.0)
+
+
+def _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap=1e-9, max_resamples=1000):
+    """The sampler as first written: every candidate is compared with every
+    accepted point in a Python loop.  Returns (thetas, coords, resamples)."""
+    rng = np.random.default_rng(seed)
+    resamples = 0
+    xs = []
+    while len(xs) < n_circle:
+        cand = CirclePoint(float(rng.uniform(0.0, 2.0 * math.pi)))
+        if all(cand.gap(p) > min_gap for p in xs):
+            xs.append(cand)
+        else:
+            resamples += 1
+            if resamples > max_resamples:
+                raise SamplingError(f"circle sampling failed after {max_resamples} resamples")
+    zs = []
+    while len(zs) < n_sphere:
+        vec = rng.standard_normal(m + 1)
+        if float(np.linalg.norm(vec)) < 1e-8:
+            resamples += 1
+            continue
+        cand = SpherePoint.from_vector(vec)
+        if all(
+            math.dist(cand.coords, z.coords) > min_gap
+            and math.dist(cand.coords, z.antipode().coords) > min_gap
+            for z in zs
+        ):
+            zs.append(cand)
+        else:
+            resamples += 1
+            if resamples > max_resamples:
+                raise SamplingError(f"sphere sampling failed after {max_resamples} resamples")
+    return [x.theta for x in xs], [z.coords for z in zs], resamples
+
+
+def _sampled_resamples(caplog):
+    (record,) = [r for r in caplog.records if r.name == "spdkernels.geometry"]
+    return int(record.getMessage().split(" used ")[1].split()[0])
+
+
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+@pytest.mark.parametrize(
+    "n_circle, n_sphere, min_gap",
+    [(17, 5, 1e-9), (3, 40, 1e-9), (0, 9, 1e-9), (12, 0, 1e-9), (10, 6, 0.3), (4, 5, 0.8)],
+)
+def test_sample_config_matches_pointwise_reference(caplog, m, seed, n_circle, n_sphere, min_gap):
+    caplog.set_level(logging.DEBUG, logger="spdkernels.geometry")
+    xs, zs = sample_config(m, n_circle, n_sphere, seed, min_gap=min_gap)
+    thetas, coords, resamples = _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap)
+    assert [x.theta for x in xs] == thetas
+    assert [z.coords for z in zs] == coords
+    assert _sampled_resamples(caplog) == resamples
+    if min_gap > 0.1:
+        assert resamples > 0
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_sample_config_decides_like_math_dist_at_the_gap(seed):
+    # min_gap set to the distance between the first two points the sampler
+    # draws: the second candidate sits exactly on the boundary
+    _, (z0, z1), _ = _pointwise_sample_config(2, 0, 2, seed)
+    d = min(math.dist(z0, z1), math.dist(z0, [-c for c in z1]))
+    for gap in (math.nextafter(d, 0.0), d, math.nextafter(d, 2.0)):
+        _, coords, resamples = _pointwise_sample_config(2, 0, 3, seed, gap)
+        _, zs = sample_config(2, 0, 3, seed, min_gap=gap)
+        assert [z.coords for z in zs] == coords
+        assert (zs[1].coords == z1) == (gap < d)
+
+
+@pytest.mark.parametrize("n_circle, n_sphere", [(10, 0), (0, 12), (3, 30)])
+def test_sample_config_gives_up_like_the_pointwise_reference(n_circle, n_sphere):
+    with pytest.raises(SamplingError) as expected:
+        _pointwise_sample_config(2, n_circle, n_sphere, 5, min_gap=1.5)
+    with pytest.raises(SamplingError) as got:
+        sample_config(2, n_circle, n_sphere, 5, min_gap=1.5)
+    assert str(got.value) == str(expected.value)
 
 
 # --- enhanced configurations -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gram assembly, positive-definiteness checks and degeneracy witnesses."""
 
+import logging
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS
 from spdkernels import (
     CirclePoint,
+    EnhancedSet,
     KernelSpec,
     NotApplicableError,
     SpherePoint,
@@ -26,6 +28,7 @@ from spdkernels import (
     eval_kernel,
     geometric_scheme,
     gram_matrix,
+    marginal_matrix,
     one,
     per_degree_forms,
     prog,
@@ -35,6 +38,7 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
+from spdkernels.gram import _check_duplicates
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -299,3 +303,129 @@ def test_witness_reports_are_verbatim():
     a = gram_matrix(spec, pts)
     c = np.array(w.coefficients)
     assert float(c @ a @ c) == pytest.approx(w.residual, abs=1e-12 * max(1.0, w.scale))
+
+
+# --- blocked duplicate check ------------------------------------------------------------------
+
+def _pairwise_duplicate(thetas, zs):
+    """First coinciding pair (i, j) of the row-by-row double loop, or None."""
+    n = len(thetas) if thetas is not None else len(zs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = True
+            if thetas is not None:
+                d = abs(thetas[i] - thetas[j]) % (2 * math.pi)
+                same = min(d, 2 * math.pi - d) <= 1e-12
+            if same and zs is not None:
+                same = float(np.linalg.norm(zs[i] - zs[j])) <= 1e-12
+            if same:
+                return i, j
+    return None
+
+
+def _reported_pair(thetas, zs):
+    try:
+        _check_duplicates(thetas, zs)
+    except ValueError as exc:
+        words = str(exc).split()
+        return int(words[-4]), int(words[-2])
+    return None
+
+
+def test_duplicate_check_wraps_around_the_circle():
+    circ = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10, 0))
+    points = [CirclePoint(0.0), CirclePoint(1.0), CirclePoint(2.0 * math.pi - 1e-13)]
+    with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+        gram_matrix(circ, points)
+    spec = product_spec()
+    z = SpherePoint((0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="points 0 and 1 coincide"):
+        gram_matrix(spec, [(points[0], z), (points[2], z)])
+
+
+def test_duplicate_check_on_sphere_points_alone():
+    spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (0, 10))
+    _, zs = sample_config(2, 0, 6, seed=3)
+    with pytest.raises(ValueError, match="points 1 and 5 coincide"):
+        gram_matrix(spec, zs[:5] + [zs[1]])
+    # an antipode is not a duplicate
+    gram_matrix(spec, [zs[0], zs[0].antipode()])
+
+
+def test_duplicate_check_reports_the_double_loops_first_pair():
+    rng = np.random.default_rng(11)
+    n = 300  # several row blocks
+    thetas = rng.uniform(0.0, 2.0 * math.pi, n)
+    zs = rng.standard_normal((n, 3))
+    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    assert _reported_pair(thetas, zs) is None
+    cases = [
+        [(120, 250), (130, 140)],  # later row, earlier column loses
+        [(7, 299), (7, 8)],  # same row: the first column wins
+        [(0, 1)],
+        [(298, 299)],
+    ]
+    for pairs in cases:
+        th, z = thetas.copy(), zs.copy()
+        for i, j in pairs:
+            th[j] = th[i]
+            z[j] = z[i]
+        assert _reported_pair(th, z) == _pairwise_duplicate(th, z) == min(pairs)
+        assert _reported_pair(th, None) == _pairwise_duplicate(th, None)
+        assert _reported_pair(None, z) == _pairwise_duplicate(None, z)
+    # equal angles with different sphere points do not coincide as pairs
+    th = thetas.copy()
+    th[200] = th[100]
+    assert _reported_pair(th, zs) is None
+    assert _reported_pair(th, None) == (100, 200)
+
+
+# --- one-degree layer matrix --------------------------------------------------------------------
+
+def _full_table_block_check(spec, enhanced, degree):
+    """Block deviations with the layer matrix cut from the full tables."""
+    thetas = np.array([x.theta for x, _ in enhanced.points])
+    zs = np.array([z.coords for _, z in enhanced.points])
+    t = np.cos(thetas[:, None] - thetas[None, :])
+    s = np.clip(zs @ zs.T, -1.0, 1.0)
+    mat = (
+        marginal_matrix(spec, t.ravel())[degree] * spec.sphere_axis_table(s.ravel())[degree]
+    ).reshape(t.shape)
+    half = enhanced.p * enhanced.q
+    m11, m22 = mat[:half, :half], mat[half:, half:]
+    m12, m21 = mat[:half, half:], mat[half:, :half]
+    sign = -1.0 if degree % 2 else 1.0
+    dev_off = max(np.max(np.abs(m12 - sign * m11)), np.max(np.abs(m21 - sign * m11)))
+    return float(np.max(np.abs(m22 - m11))), float(dev_off), float(np.max(np.abs(mat)))
+
+
+def test_block_check_matches_the_full_table_layer():
+    spec = product_spec(
+        SupportSet2D(((prog(0, 2), prog(0, 1)), (one(3), prog(1, 2)))), trunc=(18, 14), m=3
+    )
+    xs, zs = sample_config(3, 3, 2, seed=8)
+    enhanced = build_enhanced(xs, zs)
+    # mirrored blocks that are no antipodes give nonzero deviations to compare
+    _, others = sample_config(3, 0, 4, seed=9)
+    skewed = EnhancedSet(
+        enhanced.xs, enhanced.zs,
+        enhanced.points[:6] + tuple((x, others[i // 3]) for i, (x, _) in enumerate(enhanced.points[6:])),
+    )
+    for config in (enhanced, skewed):
+        for degree in (0, 1, 2, 5, 14):
+            got = enhanced_block_check(spec, config, degree)
+            dev_diag, dev_off, size = _full_table_block_check(spec, config, degree)
+            assert abs(got.max_abs_m22_minus_m11 - dev_diag) <= 1e-12 * size
+            assert abs(got.max_abs_m12_minus_signed_m11 - dev_off) <= 1e-12 * size
+            if config is skewed and degree:
+                assert dev_diag > 1e-6 * size
+
+
+# --- observability -------------------------------------------------------------------------------
+
+def test_gram_matrix_logs_its_size_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="spdkernels.gram")
+    gram_matrix(product_spec(trunc=(4, 4)), product_points(200, seed=2))
+    (record,) = [r for r in caplog.records if r.name == "spdkernels.gram"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == "gram_matrix: 200 points, 20100 pairs, 2 contraction chunks"

@@ -30,6 +30,8 @@ from spdkernels import (
     support_of,
     truncated_parity_sum,
 )
+from spdkernels.kernels import CHUNK_PAIRS
+from spdkernels.orthopoly import circle_table, gegenbauer_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -322,3 +324,59 @@ def test_truncation_validated_at_construction():
             KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), trunc)
     spec = KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), (MAX_DEGREE, 0))
     assert spec.kmax == MAX_DEGREE
+
+
+# --- chunked contraction ------------------------------------------------------------
+
+CHUNK_SPECS = {
+    "circle": KernelSpec(circle_space(), SupportSet1D.of(prog(1, 2), one(4)), geometric_scheme(), (14, 9)),
+    "sphere": KernelSpec(sphere_space(3), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.8, 0.7), (6, 12)),
+    "circle_sphere": product_spec(
+        SupportSet2D(((prog(0, 2), prog(0, 1)), (one(3), prog(1, 2)))), geometric_scheme(0.85, 0.9), (11, 9)
+    ),
+    "circle_tph": KernelSpec(
+        circle_tph_space("quat_proj", 8), FULL_2D, constant_scheme(0.5), (8, 10)
+    ),
+}
+
+
+def _unchunked_kernel_values(spec, t, s=None):
+    """The whole-array evaluation: one table per axis over every pair."""
+    a = spec.coefficient_matrix
+    if spec.space.is_product:
+        return np.einsum("kp,kl,lp->p", circle_table(spec.kmax, t), a, spec.sphere_axis_table(s))
+    if spec.space.kind == "circle":
+        return a @ circle_table(spec.axis_cap, t)
+    return a @ gegenbauer_table(spec.axis_cap, spec.space.m, t)
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_SPECS))
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_chunked_values_match_the_unchunked_contraction(kind, offset):
+    spec = CHUNK_SPECS[kind]
+    pairs = 1 if offset is None else CHUNK_PAIRS + offset
+    rng = np.random.default_rng(pairs)
+    t = np.cos(rng.uniform(0.0, 2.0 * math.pi, pairs))
+    t[0] = 1.0
+    s = rng.uniform(-1.0, 1.0, pairs) if spec.space.is_product else None
+    got = kernel_values(spec, t, s)
+    expected = _unchunked_kernel_values(spec, t, s)
+    assert got.shape == (pairs,)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_tables_are_built_one_chunk_at_a_time(monkeypatch):
+    import spdkernels.kernels as kernels_mod
+
+    widths = []
+
+    def recording_circle_table(kmax, t):
+        widths.append(np.size(t))
+        return circle_table(kmax, t)
+
+    monkeypatch.setattr(kernels_mod, "circle_table", recording_circle_table)
+    pairs = 2 * CHUNK_PAIRS + 5
+    spec = CHUNK_SPECS["circle_sphere"]
+    kernel_values(spec, np.zeros(pairs), np.zeros(pairs))
+    assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 5]
+    assert kernel_values(spec, np.zeros(0), np.zeros(0)).shape == (0,)
