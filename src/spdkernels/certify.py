@@ -230,7 +230,7 @@ def certify_circle_sphere(
 
 def _derived_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
     """Tail check of the tail-set route: frequencies derived term by term."""
-    derived, _ = derived_parity_tail_set(support, gamma, parity)
+    derived = derived_parity_tail_set(support, gamma, parity)
     ok, witness = meets_every_progression(derived)
     return derived, ok, witness
 

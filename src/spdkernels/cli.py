@@ -92,25 +92,38 @@ def _term_to_dict(term: Term1D) -> dict:
     return {"type": "one", "value": term.base}
 
 
+# The fields each space or scheme kind reads; any other key is refused.
+_SPACE_FIELDS = {
+    "circle": {"kind"},
+    "sphere": {"kind", "m"},
+    "circle_sphere": {"kind", "m"},
+    "circle_tph": {"kind", "family", "d"},
+}
+_SCHEME_FIELDS = {"constant": {"kind", "scale"}, "geometric": {"kind", "scale", "r_k", "r_l"}}
+
+
+def _refuse_unknown_keys(data: dict, fields: set, where: str) -> None:
+    unknown = sorted(set(data) - fields)
+    if unknown:
+        raise SpecFileError(f"{where}.{unknown[0]}", f"unknown field for a {data['kind']} {where}")
+
+
 def _space_from_dict(data) -> SpaceDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("space", "must be an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _SPACE_FIELDS:
+        raise SpecFileError("space.kind", f"unknown space kind {kind!r}")
+    _refuse_unknown_keys(data, _SPACE_FIELDS[kind], "space")
     for name in ("m", "d"):
         if name in data and not _is_int(data[name]):
             raise SpecFileError(f"space.{name}", "must be an integer")
     if "family" in data and not isinstance(data["family"], str):
         raise SpecFileError("space.family", "must be a string")
     try:
-        if kind == "circle":
-            return SpaceDescriptor("circle")
-        if kind in ("sphere", "circle_sphere"):
-            return SpaceDescriptor(kind, m=data.get("m"))
-        if kind == "circle_tph":
-            return SpaceDescriptor(kind, family=data.get("family"), d=data.get("d"))
+        return SpaceDescriptor(kind, m=data.get("m"), family=data.get("family"), d=data.get("d"))
     except ValueError as exc:
         raise SpecFileError("space", str(exc)) from exc
-    raise SpecFileError("space.kind", f"unknown space kind {kind!r}")
 
 
 def _space_to_dict(space: SpaceDescriptor) -> dict:
@@ -160,8 +173,9 @@ def _scheme_from_dict(data) -> CoefficientScheme:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("scheme", "must be an object with a 'kind' field")
     kind = data["kind"]
-    if kind not in ("constant", "geometric"):
+    if not isinstance(kind, str) or kind not in _SCHEME_FIELDS:
         raise SpecFileError("scheme.kind", f"unknown scheme kind {kind!r}")
+    _refuse_unknown_keys(data, _SCHEME_FIELDS[kind], "scheme")
     numbers = {"scale": _scheme_number(data, "scale", 1.0)}
     if kind == "geometric":
         numbers.update(r_k=_scheme_number(data, "r_k", 0.9), r_l=_scheme_number(data, "r_l", 0.9))
@@ -455,7 +469,6 @@ def _cmd_witness(args) -> int:
         "witness": None,
     }
     if cert.verdict is Verdict.NOT_SPD:
-        seed = args.seed if args.seed is not None else sf.seed
         wr = None
         kind = spec.space.kind
         if kind == "circle" and isinstance(cert.counterexample, ProgressionWitness):
@@ -463,7 +476,7 @@ def _cmd_witness(args) -> int:
         elif kind == "sphere":
             wr = gram_mod.witness_parity_sphere(spec)
         elif kind == "circle_sphere":
-            wr = gram_mod.witness_product(spec, cert, seed=seed)
+            wr = gram_mod.witness_product(spec, cert)
         if wr is not None:
             report["witness"] = _witness_report_to_dict(wr)
             print(f"witness kind={wr.kind} residual={wr.residual:.3e} scale={wr.scale:.3e}")

@@ -10,13 +10,12 @@ and three witness builders that exhibit vanishing quadratic forms:
 * ``witness_progression_circle``: the n-th roots of unity weighted by
   cos(j * theta) when the symmetrized circle-axis support misses the class
   j mod n -- the character sums over the support then vanish;
-* ``witness_product``: for a product refutation at tail cutoff 0, the two
-  constructions composed (roots of unity crossed with one sphere point and
-  its antipode); past cutoff 0 a seeded search over enhanced sets (roots of
-  unity crossed with sampled antipodal pairs) reports the most negative
-  Rayleigh direction found instead.
+* ``witness_product``: for a product refutation at any tail cutoff, the two
+  composed: roots of unity crossed with q sphere points, weighted to cancel
+  the layers below the cutoff, and their antipodes (q = 1 at cutoff 0).
 
-Residuals are reported verbatim, never clamped.
+Witnesses past ``_WITNESS_MAX_POINTS`` points are refused before any Gram
+is built.  Residuals are reported verbatim, never clamped.
 """
 
 from __future__ import annotations
@@ -31,12 +30,13 @@ import numpy as np
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
 from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint, build_enhanced, sample_config
-from .kernels import CHUNK_PAIRS, KernelSpec, kernel_values, marginal_matrix
+from .kernels import CHUNK_PAIRS, KernelSpec, constant_scheme, kernel_values, marginal_matrix, sphere_space
 from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
     Term1D,
+    one,
     term_has_parity_member,
     witness_avoids_window,
 )
@@ -57,12 +57,16 @@ logger = logging.getLogger(__name__)
 
 _DUP_TOL = 1e-12
 
+# Largest configuration a witness may build: the n roots of unity of a circle
+# witness, the 2 n q points of a product witness (q grows like gamma^m).
+_WITNESS_MAX_POINTS = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
     """A configuration and coefficient vector with a (near-)vanishing form."""
 
-    kind: str  # "parity" | "progression" | "composed" | "searched"
+    kind: str  # "parity" | "progression" | "composed"
     points: tuple
     coefficients: tuple[float, ...]
     residual: float
@@ -79,10 +83,6 @@ class BlockCheck:
     scale: float
 
 
-def _circle_thetas(points: Sequence[CirclePoint]) -> np.ndarray:
-    return np.array([p.theta for p in points])
-
-
 def _sphere_array(points: Sequence[SpherePoint]) -> np.ndarray:
     return np.array([p.coords for p in points])
 
@@ -97,25 +97,23 @@ def _split_points(spec: KernelSpec, points: Sequence) -> tuple[Optional[np.ndarr
     if kind == "circle":
         if not all(isinstance(p, CirclePoint) for p in points):
             raise ValueError("circle specs take CirclePoint sequences")
-        return _circle_thetas(points), None
+        return np.array([p.theta for p in points]), None
     if kind == "sphere":
         if not all(isinstance(p, SpherePoint) for p in points):
             raise ValueError("sphere specs take SpherePoint sequences")
-        zs = _sphere_array(points)
-        if zs.shape[1] != spec.space.m + 1:
-            raise ValueError(f"points live on S^{zs.shape[1]-1}, spec wants S^{spec.space.m}")
-        return None, zs
-    pairs = list(points)
-    if not all(
-        isinstance(p, tuple) and len(p) == 2
-        and isinstance(p[0], CirclePoint) and isinstance(p[1], SpherePoint)
-        for p in pairs
-    ):
-        raise ValueError("product specs take (CirclePoint, SpherePoint) pairs")
-    zs = _sphere_array([p[1] for p in pairs])
+        thetas, spheres = None, points
+    else:
+        if not all(
+            isinstance(p, tuple) and len(p) == 2
+            and isinstance(p[0], CirclePoint) and isinstance(p[1], SpherePoint)
+            for p in points
+        ):
+            raise ValueError("product specs take (CirclePoint, SpherePoint) pairs")
+        thetas, spheres = np.array([x.theta for x, _ in points]), [z for _, z in points]
+    zs = _sphere_array(spheres)
     if zs.shape[1] != spec.space.m + 1:
         raise ValueError(f"points live on S^{zs.shape[1]-1}, spec wants S^{spec.space.m}")
-    return _circle_thetas([p[0] for p in pairs]), zs
+    return thetas, zs
 
 
 def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) -> None:
@@ -193,6 +191,7 @@ def per_degree_forms(
     """Split the quadratic form c' G c into its sphere-degree layers.
 
     Layer l is c' [f_l(t_ij) P_l(s_ij)] c; the layers sum to the full form.
+    The n^2 pairs are walked CHUNK_PAIRS at a time, as in ``kernel_values``.
     """
     if not spec.space.is_product:
         raise NotApplicableError("per-degree layers are defined for product specs only")
@@ -201,11 +200,17 @@ def per_degree_forms(
     if c.shape != (len(points),):
         raise ValueError("coefficient vector length must match the point count")
     t, s = _dot_matrices(thetas, zs)
-    marg = marginal_matrix(spec, t.ravel())          # (lmax+1, n*n)
-    sph = spec.sphere_axis_table(s.ravel())          # (lmax+1, n*n)
-    weights = np.outer(c, c).ravel()
-    layers = (marg * sph) @ weights
+    layers = _pair_layers(spec, t.ravel(), s.ravel(), np.outer(c, c).ravel())
     return float(layers.sum()), layers
+
+
+def _pair_layers(spec: KernelSpec, t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums over the pairs p of w_p f_l(t_p) P_l(s_p), one per degree l."""
+    layers = np.zeros(spec.lmax + 1)
+    for lo in range(0, len(t), CHUNK_PAIRS):
+        hi = lo + CHUNK_PAIRS
+        layers += (marginal_matrix(spec, t[lo:hi]) * spec.sphere_axis_table(s[lo:hi])) @ w[lo:hi]
+    return layers
 
 
 def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.ndarray:
@@ -248,6 +253,12 @@ def _first_basis_point(m: int) -> SpherePoint:
     return SpherePoint((1.0,) + (0.0,) * m)
 
 
+def _report(kind: str, spec: KernelSpec, points: tuple, c: np.ndarray) -> WitnessReport:
+    """The witness with its form c' G c and scale f(1, 1) * c' c."""
+    residual = float(c @ gram_matrix(spec, points) @ c)
+    return WitnessReport(kind, points, tuple(c), residual, spec.value_at_one * float(c @ c))
+
+
 def _sphere_axis_terms(spec: KernelSpec) -> list[Term1D]:
     if spec.space.is_product:
         return spec.support.l_terms()
@@ -283,10 +294,7 @@ def witness_parity_sphere(spec: KernelSpec) -> WitnessReport:
     else:
         points = (z, z.antipode())
     c = np.array([1.0, -1.0]) if parity_even else np.array([1.0, 1.0])
-    a = gram_matrix(spec, points)
-    residual = float(c @ a @ c)
-    scale = spec.value_at_one * float(c @ c)
-    return WitnessReport("parity", points, tuple(c), residual, scale)
+    return _report("parity", spec, points, c)
 
 
 def _circle_axis_support(spec: KernelSpec) -> SupportSet1D:
@@ -303,6 +311,11 @@ def _roots_of_unity_weights(n: int, j: int) -> tuple[list[CirclePoint], np.ndarr
     return thetas, d
 
 
+def _check_point_count(kind: str, points: int) -> None:
+    if points > _WITNESS_MAX_POINTS:
+        raise NotApplicableError(f"{kind} witness needs {points} points, past the limit of {_WITNESS_MAX_POINTS}")
+
+
 def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) -> WitnessReport:
     """Roots-of-unity witness for a missed circle residue class.
 
@@ -317,72 +330,46 @@ def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) ->
             f"class {witness.residue} mod {witness.modulus} is hit by the declared support; "
             "refusing to build a vanishing form"
         )
+    _check_point_count("progression", witness.modulus)
     xs, d = _roots_of_unity_weights(witness.modulus, witness.residue)
     if spec.space.kind == "circle":
         points: tuple = tuple(xs)
     else:
         z = _first_basis_point(spec.space.m)
         points = tuple((x, z) for x in xs)
-    a = gram_matrix(spec, points)
-    residual = float(d @ a @ d)
-    scale = spec.value_at_one * float(d @ d)
-    return WitnessReport("progression", points, tuple(d), residual, scale)
+    return _report("progression", spec, points, d)
 
 
-def _composed_product_witness(spec: KernelSpec, failure: GammaFailure) -> WitnessReport:
+def _low_layers(spec: KernelSpec, failure: GammaFailure) -> list[int]:
+    """Degrees l < gamma of the failing parity with a coefficient at some
+    k = +/-j (mod n): the layers the missed class alone does not cancel."""
     n, j = failure.witness.modulus, failure.witness.residue
-    xs, d = _roots_of_unity_weights(n, j)
-    z = _first_basis_point(spec.space.m)
-    enhanced = build_enhanced(xs, [z])
-    # c = (d, d) cancels every odd layer, c = (d, -d) every even one; the
-    # surviving layers die through the vanishing character sums.
-    tail = d if failure.parity == "even" else -d
-    c = np.concatenate([d, tail])
-    a = gram_matrix(spec, enhanced.points)
-    residual = float(c @ a @ c)
-    scale = spec.value_at_one * float(c @ c)
-    return WitnessReport("composed", enhanced.points, tuple(c), residual, scale)
+    k = np.arange(spec.kmax + 1)
+    hit = spec.coefficient_matrix[(k % n == j) | (-k % n == j)]
+    first = 0 if failure.parity == "even" else 1
+    top = min(failure.gamma, spec.lmax + 1)
+    return [l for l in range(first, top, 2) if np.any(hit[:, l] > 0)]
 
 
-def _searched_product_witness(spec: KernelSpec, seed: int, budget: int) -> WitnessReport:
-    # configurations stay enhanced-set shaped: p-th roots of unity on the
-    # circle crossed with sampled antipodal-free sphere points
-    rng = np.random.default_rng(seed)
-    best = None
-    spent = 0
-    trial = 0
-    while spent < budget:
-        p = 2 + trial % 7
-        q = 1 + (trial // 7) % 4
-        xs = [CirclePoint(2.0 * math.pi * i / p) for i in range(p)]
-        _, zs = sample_config(spec.space.m, 0, q, seed=int(rng.integers(2**31)))
-        enhanced = build_enhanced(xs, zs)
-        n_pts = len(enhanced.points)
-        spent += n_pts * (n_pts + 1) // 2
-        a = gram_matrix(spec, enhanced.points)
-        try:
-            eigs, vecs = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolve failed during witness search: {exc}") from exc
-        lam = float(eigs[0])
-        if best is None or lam < best[0]:
-            c = vecs[:, 0]
-            residual = float(c @ a @ c)
-            scale = spec.value_at_one * float(c @ c)
-            best = (lam, WitnessReport("searched", enhanced.points, tuple(c), residual, scale))
-        trial += 1
-    assert best is not None
-    return best[1]
+def _null_weights(m: int, zs: list[SpherePoint], low: list[int]) -> np.ndarray:
+    """A unit eta with eta' [P_l(y_b . y_b')] eta = 0 for every l in low: each
+    matrix is PSD, so the lowest eigenvector of their sum is in every null space."""
+    if not low:
+        return np.ones(1)
+    layers = KernelSpec(sphere_space(m), SupportSet1D.of(*map(one, low)), constant_scheme(), (0, max(low)))
+    _, vecs = np.linalg.eigh(gram_matrix(layers, zs))
+    return vecs[:, 0]
 
 
-def witness_product(
-    spec: KernelSpec, certificate: Certificate, seed: int = 0, budget: int = 10_000
-) -> WitnessReport:
-    """Degeneracy witness for a refuted circle x sphere support.
+def witness_product(spec: KernelSpec, certificate: Certificate) -> WitnessReport:
+    """Exact degeneracy witness for a refuted circle x sphere support.
 
-    Failures at tail cutoff 0 admit the composed construction; deeper
-    failures fall back to a seeded randomized search over enhanced sets
-    (kind "searched") reporting the best Rayleigh direction in the budget.
+    The failure's tail set misses the class j mod n: the n-th roots of unity,
+    weighted by cos(j theta), are crossed with q sphere points weighted by
+    ``_null_weights`` and their antipodes signed by the parity.  Each layer
+    of c' G c vanishes: the other parity by the signs, ``_low_layers`` by
+    the sphere weights, the rest by the character sums.  At gamma = 0 no
+    layer is low, so q = 1 and the sphere weight is 1.
     """
     if spec.space.kind != "circle_sphere":
         raise NotApplicableError("product witnesses need a circle_sphere spec")
@@ -391,6 +378,16 @@ def witness_product(
     failure = certificate.counterexample
     if not isinstance(failure, GammaFailure) or failure.witness is None:
         raise NotApplicableError("certificate carries no usable tail failure")
-    if failure.gamma == 0:
-        return _composed_product_witness(spec, failure)
-    return _searched_product_witness(spec, seed, budget)
+    m = spec.space.m
+    n, j = failure.witness.modulus, failure.witness.residue
+    low = _low_layers(spec, failure)
+    q = 1 + sum(math.comb(l + m, m) - math.comb(l + m - 2, m) for l in low)  # dim H_l(S^m)
+    _check_point_count("product", 2 * n * q)
+    xs, d = _roots_of_unity_weights(n, j)
+    zs = [_first_basis_point(m)] + sample_config(m, 0, q - 1, seed=0)[1]
+    enhanced = build_enhanced(xs, zs)
+    # block order of build_enhanced: circle index fastest within each z-block;
+    # c = (w, w) cancels every odd layer, c = (w, -w) every even one
+    plain = np.kron(_null_weights(m, zs, low), d)
+    c = np.concatenate([plain, plain if failure.parity == "even" else -plain])
+    return _report("composed", spec, enhanced.points, c)

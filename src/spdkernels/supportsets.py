@@ -235,13 +235,10 @@ def stabilization_bound(support: SupportSet2D) -> int:
     return 1 + max(singles) if singles else 0
 
 
-def derived_parity_tail_set(
-    support: SupportSet2D, gamma: int, parity: Parity
-) -> tuple[SupportSet1D, int]:
+def derived_parity_tail_set(support: SupportSet2D, gamma: int, parity: Parity) -> SupportSet1D:
     """Circle frequencies whose section holds an l >= gamma of the parity.
 
-    Returns the derived set together with the stabilization bound described
-    by ``stabilization_bound``.
+    Past ``stabilization_bound(support)`` the set no longer depends on gamma.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -249,7 +246,7 @@ def derived_parity_tail_set(
     kept = tuple(
         kt for kt, lt in support.terms if _term_contributes_tail(lt, gamma, parity)
     )
-    return SupportSet1D(kept), stabilization_bound(support)
+    return SupportSet1D(kept)
 
 
 def _divisors(n: int) -> list[int]:

@@ -196,11 +196,26 @@ def test_criterion_7_numerics_match_verdicts(capsys):
     for support, _ in NOT_SPD_PRODUCT_SUPPORTS_G0:
         spec = KernelSpec(space, support, scheme, (60, 60))
         cert = certify_circle_sphere(support, 2)
-        w = witness_product(spec, cert, seed=witnessed)
+        w = witness_product(spec, cert)
         norm_sq = float(np.sum(np.square(w.coefficients)))
         assert abs(w.residual) <= 1e-10 * spec.value_at_one * norm_sq, support
         witnessed += 1
     assert witnessed >= 10
+
+    # so do failures past gamma = 0, on several spheres and truncations
+    late = [s for s, _, _ in LATE_FAILURES] + battery_2d(seed=2024, count=80)
+    deep = 0
+    for m in (2, 3, 5):
+        for box in ((20, 20), (60, 60)):
+            for support in late:
+                cert = certify_circle_sphere(support, m)
+                if cert.verdict is not Verdict.NOT_SPD:
+                    continue
+                w = witness_product(KernelSpec(circle_sphere_space(m), support, scheme, box), cert)
+                assert abs(w.residual) <= 1e-10 * w.scale, (m, box, support)
+                witnessed += 1
+                deep += cert.counterexample.gamma > 0
+    assert deep >= 3 * 2 * len(LATE_FAILURES)
 
     # certified supports produce positive definite Gram matrices at 30 points
     confirmed = 0
@@ -215,7 +230,7 @@ def test_criterion_7_numerics_match_verdicts(capsys):
     assert confirmed >= 10
     _announce(
         capsys,
-        f"[7] numerics: {witnessed} refusals carry near-null directions, "
+        f"[7] numerics: {witnessed} refusals ({deep} past gamma 0) carry exact witnesses, "
         f"{confirmed} certified supports give PD Gram matrices",
     )
 

@@ -110,7 +110,7 @@ def test_product_battery_expected_verdicts():
         assert failure.gamma == 0
         assert failure.parity == parity
         if not failure.empty:
-            tail, _ = derived_parity_tail_set(support, 0, parity)
+            tail = derived_parity_tail_set(support, 0, parity)
             assert oracle_witness_sound(tail, failure.witness)
 
 
@@ -322,7 +322,7 @@ def test_full_line_times_parity_classes():
 # --- the checkpointed sweep against a per-integer walk ---------------------------------
 
 def _derived_check(support, gamma, parity):
-    derived, _ = derived_parity_tail_set(support, gamma, parity)
+    derived = derived_parity_tail_set(support, gamma, parity)
     ok, witness = meets_every_progression(derived)
     return ok, witness, derived.is_empty
 

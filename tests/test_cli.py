@@ -268,6 +268,28 @@ def test_eval_single_cell_example(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.5)
 
 
+def test_witness_past_the_point_limit_exit_sixtyfour(tmp_path, capsys):
+    # the first failure is gamma 12 (odd); cancelling layer 11 on S^6 needs
+    # 2 * 2 * (1 + dim H_11(S^6)) = 29 488 points
+    def pair(k, l):
+        return {"k": k, "l": l}
+
+    data = {
+        "space": {"kind": "circle_sphere", "m": 6},
+        "support": [
+            pair({"type": "prog", "base": 0, "step": 1}, {"type": "one", "value": 11}),
+            pair({"type": "prog", "base": 0, "step": 1}, {"type": "prog", "base": 0, "step": 2}),
+            pair({"type": "prog", "base": 0, "step": 2}, {"type": "prog", "base": 3, "step": 2}),
+        ],
+        "truncation": {"kmax": 20, "lmax": 20},
+    }
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "w.json"
+    assert main(["witness", path, "--json", str(out)]) == 64
+    assert "needs 29488 points, past the limit of 2048" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_witness_empty_tail_message(tmp_path, capsys):
     # evens-only sphere degrees over a full circle axis: the odd tail is empty
     data = {
@@ -334,6 +356,27 @@ def test_json_booleans_are_refused(tmp_path, capsys, changes, field):
 
 GEOMETRIC = FULL_PRODUCT["scheme"]
 QUAT = {"kind": "circle_tph", "family": "quat_proj", "d": 8}
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"space": {"kind": "circle", "m": 3}}, "space.m"),
+        ({"space": {"kind": "circle", "family": "x"}}, "space.family"),
+        ({"space": {"kind": "circle_sphere", "m": 2, "d": 4}}, "space.d"),
+        ({"space": {"kind": "sphere", "m": 2, "dim": 2}}, "space.dim"),
+        ({"space": dict(QUAT, m=2)}, "space.m"),
+        ({"scheme": {"kind": "constant", "scale": 1, "r_k": "junk"}}, "scheme.r_k"),
+        ({"scheme": {"kind": "constant", "scale": 1, "extra": [1]}}, "scheme.extra"),
+        ({"scheme": dict(GEOMETRIC, r=0.5)}, "scheme.r"),
+    ],
+)
+def test_unknown_space_and_scheme_keys_are_refused(tmp_path, capsys, changes, field):
+    base = EVENS_CIRCLE if changes.get("space", {}).get("kind") == "circle" else FULL_PRODUCT
+    path = write_spec(tmp_path, dict(base, **changes))
+    assert main(["certify", path]) == 64
+    err = capsys.readouterr().err
+    assert f"spec error: {field}: unknown field" in err
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,8 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.gram import _check_duplicates
+from spdkernels.gram import _check_duplicates, _pair_layers
+from spdkernels.kernels import CHUNK_PAIRS
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -162,6 +163,38 @@ def test_per_degree_layers_nonnegative():
     assert (layers > -1e-12 * spec.value_at_one).all()
 
 
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_chunked_layers_match_the_one_piece_tables(offset):
+    spec = product_spec(
+        SupportSet2D(((prog(0, 2), prog(0, 1)), (one(3), prog(1, 2)))), trunc=(11, 9), m=3
+    )
+    pairs = 1 if offset is None else CHUNK_PAIRS + offset
+    rng = np.random.default_rng(pairs)
+    t = np.cos(rng.uniform(0.0, 2.0 * math.pi, pairs))
+    s = rng.uniform(-1.0, 1.0, pairs)
+    w = rng.normal(size=pairs)
+    expected = (marginal_matrix(spec, t) * spec.sphere_axis_table(s)) @ w
+    got = _pair_layers(spec, t, s, w)
+    assert got.shape == (spec.lmax + 1,)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
+    import spdkernels.gram as gram_mod
+
+    widths = []
+
+    def recording_marginal_matrix(spec, t):
+        widths.append(np.size(t))
+        return marginal_matrix(spec, t)
+
+    monkeypatch.setattr(gram_mod, "marginal_matrix", recording_marginal_matrix)
+    spec = product_spec(trunc=(6, 6))
+    pts = product_points(130, seed=3)  # 16 900 pairs
+    per_degree_forms(spec, pts, np.ones(130))
+    assert widths == [CHUNK_PAIRS, 130 * 130 - CHUNK_PAIRS]
+
+
 # --- enhanced block structure ----------------------------------------------------------------
 
 def test_enhanced_blocks_exact():
@@ -264,32 +297,84 @@ def test_product_witness_composed_at_gamma_zero():
     for support, parity in NOT_SPD_PRODUCT_SUPPORTS_G0[:4]:
         spec = product_spec(support, trunc=(40, 40))
         cert = certify_circle_sphere(support, 2)
-        w = witness_product(spec, cert, seed=1)
+        w = witness_product(spec, cert)
         assert w.kind == "composed", (support, parity)
         assert abs(w.residual) <= 1e-10 * w.scale
         assert math.fsum(np.abs(w.coefficients) ** 2) >= 1.0
 
 
-def test_product_witness_searched_at_gamma_positive():
-    support = SupportSet2D((
-        (prog(0, 1), one(1)),
-        (prog(0, 1), prog(0, 2)),
-        (prog(0, 2), prog(1, 2)),
-    ))
-    spec = product_spec(support, trunc=(40, 40))
-    cert = certify_circle_sphere(support, 2)
-    assert cert.counterexample.gamma == 2
-    w = witness_product(spec, cert, seed=7)
-    assert w.kind == "searched"
-    assert w.residual < 0.05 * w.scale  # best-effort: small relative Rayleigh value
-    assert len(w.points) == len(w.coefficients)
+# Both fail first at (gamma 2, odd) and carry odd l = 1 over the frequencies
+# the witness class j mod n selects, so q = 1 + dim H_1(S^m) = m + 2.
+# The first misses 1 mod 2; the second misses 1 mod 3, and its l = 1 sits
+# over k = 2 = -1 (mod 3) only, so that layer is hit through -j alone.
+LATE_ODD_L1 = [
+    SupportSet2D(((prog(0, 1), one(1)), (prog(0, 1), prog(0, 2)), (prog(0, 2), prog(1, 2)))),
+    SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(0, 3), prog(1, 2)), (prog(2, 3), one(1)))),
+]
+
+
+@pytest.mark.parametrize("support", LATE_ODD_L1)
+@pytest.mark.parametrize("m", [2, 3])
+def test_product_witness_exact_at_gamma_positive(support, m):
+    spec = product_spec(support, trunc=(40, 40), m=m)
+    cert = certify_circle_sphere(support, m)
+    failure = cert.counterexample
+    assert (failure.gamma, failure.parity) == (2, "odd")
+    w = witness_product(spec, cert)
+    assert w.kind == "composed"
+    assert len(w.points) == len(w.coefficients) == 2 * failure.witness.modulus * (m + 2)
+    assert abs(w.residual) <= 1e-10 * w.scale
+    # every sphere-degree layer vanishes on its own, not just their sum
+    total, layers = per_degree_forms(spec, list(w.points), w.coefficients)
+    assert np.max(np.abs(layers)) <= 1e-10 * w.scale
+    assert total == pytest.approx(w.residual, abs=1e-10 * w.scale)
+
+
+def test_gamma_zero_witness_is_the_composed_construction():
+    # no layer is low at gamma 0: the roots of unity crossed with e0 and its
+    # antipode, coefficients (d, d) or (d, -d), bit for bit
+    for support, parity in NOT_SPD_PRODUCT_SUPPORTS_G0:
+        for m in (2, 5):
+            cert = certify_circle_sphere(support, m)
+            failure = cert.counterexample
+            assert failure.gamma == 0
+            n, j = failure.witness.modulus, failure.witness.residue
+            roots = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
+            d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
+            e0 = SpherePoint((1.0,) + (0.0,) * m)
+            c = np.concatenate([d, d if failure.parity == "even" else -d])
+            w = witness_product(product_spec(support, trunc=(20, 20), m=m), cert)
+            assert w.points == build_enhanced(roots, [e0]).points
+            assert w.coefficients == tuple(c)
+
+
+def test_witness_past_the_point_limit_is_refused():
+    # odd l over odd k only at the singleton 11: the first failure is gamma 12,
+    # and cancelling layer 11 on S^6 needs 1 + dim H_11(S^6) = 7372 sphere points
+    support = SupportSet2D(((prog(0, 1), one(11)), (prog(0, 1), prog(0, 2)), (prog(0, 2), prog(3, 2))))
+    spec = product_spec(support, trunc=(20, 20), m=6)
+    cert = certify_circle_sphere(support, 6)
+    assert (cert.counterexample.gamma, cert.counterexample.parity) == (12, "odd")
+    with pytest.raises(NotApplicableError, match="needs 29488 points, past the limit of 2048"):
+        witness_product(spec, cert)
+    # the same support on S^2 needs 2 * 2 * (1 + 23) = 96 points and is built
+    small = witness_product(product_spec(support, trunc=(20, 20)), certify_circle_sphere(support, 2))
+    assert len(small.points) == 96 and abs(small.residual) <= 1e-10 * small.scale
+
+
+def test_progression_witness_past_the_point_limit_is_refused():
+    from spdkernels import ProgressionWitness
+
+    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 2049)), geometric_scheme(), (40, 0))
+    with pytest.raises(NotApplicableError, match="needs 2049 points, past the limit of 2048"):
+        witness_progression_circle(spec, ProgressionWitness(2049, 1))
 
 
 def test_product_witness_requires_refuted_product():
     spec = product_spec(SPD_PRODUCT_SUPPORTS[0])
     cert = certify_circle_sphere(SPD_PRODUCT_SUPPORTS[0], 2)
     with pytest.raises(NotApplicableError):
-        witness_product(spec, cert, seed=0)
+        witness_product(spec, cert)
 
 
 def test_witness_reports_are_verbatim():
@@ -297,7 +382,7 @@ def test_witness_reports_are_verbatim():
     support = SupportSet2D(((prog(0, 1), prog(0, 2)),))
     spec = product_spec(support, trunc=(30, 30))
     cert = certify_circle_sphere(support, 2)
-    w = witness_product(spec, cert, seed=0)
+    w = witness_product(spec, cert)
     assert isinstance(w.residual, float)
     pts = list(w.points)
     a = gram_matrix(spec, pts)

@@ -174,11 +174,11 @@ def test_derived_tail_set_drops_singletons():
         (prog(0, 2), one(3)),
         (prog(1, 2), prog(0, 2)),
     ))
-    tail0, _ = derived_parity_tail_set(s, 0, "odd")
+    tail0 = derived_parity_tail_set(s, 0, "odd")
     assert tail0.members_upto(10) == {0, 2, 4, 6, 8, 10}
-    tail4, _ = derived_parity_tail_set(s, 4, "odd")
+    tail4 = derived_parity_tail_set(s, 4, "odd")
     assert tail4.is_empty
-    even_tail, _ = derived_parity_tail_set(s, 100, "even")
+    even_tail = derived_parity_tail_set(s, 100, "even")
     assert even_tail.members_upto(7) == {1, 3, 5, 7}
 
 
@@ -186,7 +186,7 @@ def test_derived_tail_matches_bruteforce():
     for s in battery_2d(seed=303, count=60):
         for gamma in (0, 1, 3, 7):
             for parity in ("even", "odd"):
-                derived, _ = derived_parity_tail_set(s, gamma, parity)
+                derived = derived_parity_tail_set(s, gamma, parity)
                 got = derived.members_upto(150)
                 want = gamma_parity_members(s, gamma, parity, kmax=150, lmax=400)
                 assert got == want, (s, gamma, parity)
@@ -266,12 +266,11 @@ def test_tail_sets_stabilize_past_bound():
     for support in battery_2d(seed=810, count=40):
         bound = stabilization_bound(support)
         for parity in ("even", "odd"):
-            at_bound, reported = derived_parity_tail_set(support, bound, parity)
-            assert reported == bound
+            at_bound = derived_parity_tail_set(support, bound, parity)
             hi = 10 * bound + 200
             frozen = at_bound.members_upto(hi)
             for gamma in (bound + 1, bound + 3, bound + 17):
-                later, _ = derived_parity_tail_set(support, gamma, parity)
+                later = derived_parity_tail_set(support, gamma, parity)
                 assert later.members_upto(hi) == frozen
                 assert later.terms == at_bound.terms
 
