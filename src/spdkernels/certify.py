@@ -26,18 +26,26 @@ v, and the stabilization bound (1 + the largest l-singleton), or
 drops out, so one check per checkpoint decides every gamma up to the next
 one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
+
+The window routes (the gamma loop, the tph loop and the sufficient test)
+compute which terms contain each integer of their window with numpy and call
+their predicate once per distinct membership pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .errors import NotApplicableError
 from .kernels import SpaceDescriptor
 from .supportsets import (
+    MAX_PERIOD,
     Parity,
     ProgressionWitness,
     SupportSet1D,
@@ -46,11 +54,10 @@ from .supportsets import (
     derived_parity_tail_set,
     has_infinitely_many,
     meets_every_progression,
-    one,
-    prog,
     stabilization_bound,
     term_has_infinite_parity,
     term_has_parity_member,
+    _trusted_terms,
 )
 
 __all__ = [
@@ -68,6 +75,9 @@ __all__ = [
     "sufficient_product",
     "certify_two_spheres",
 ]
+
+
+logger = logging.getLogger(__name__)
 
 
 class Verdict(str, Enum):
@@ -270,33 +280,75 @@ def _lcm_of_steps(terms: list[Term1D]) -> int:
     return out
 
 
-def _promote_periodic(axis_terms: list[Term1D], predicate: Callable[[int], bool]) -> SupportSet1D:
-    """Evaluate a residue-periodic predicate over an explicit window and
-    promote the pattern: singletons below the prefix bound, progressions with
-    the step lcm across one period.  Periodicity past the bound is asserted
-    over a second period.
+# Membership bits per int64 code word, clear of the sign bit.  Re-labelled
+# codes stay below MAX_PERIOD ** 2, far inside int64 too.
+_CODE_BITS = 62
+
+
+def _membership_codes(terms: list[Term1D], length: int) -> np.ndarray:
+    """One code per integer of [0, length): two integers share a code exactly
+    when the same terms contain them.
+
+    Each term sets its bit along one slice (a singleton's slice is one
+    entry); past _CODE_BITS terms the codes of each word of bits are
+    re-labelled and combined.
+    """
+    codes = np.zeros(length, dtype=np.int64)
+    for lo in range(0, len(terms), _CODE_BITS):
+        word = np.zeros(length, dtype=np.int64)
+        for bit, t in enumerate(terms[lo : lo + _CODE_BITS]):
+            word[t.base :: t.step or length] |= 1 << bit
+        if lo:
+            word = (
+                np.unique(codes, return_inverse=True)[1] * length
+                + np.unique(word, return_inverse=True)[1]
+            )
+        codes = word
+    return codes
+
+
+def _promote_periodic(
+    axis_terms: list[Term1D], predicate: Callable[[tuple[int, ...]], bool]
+) -> SupportSet1D:
+    """Evaluate a predicate over an explicit window and promote the pattern:
+    singletons below the prefix bound, progressions with the step lcm across
+    one period.  Periodicity past the bound is asserted over a second period.
+
+    The predicate takes a membership pattern, the ascending indices of the
+    terms containing an integer, and is called once per distinct pattern in
+    the window.  A window longer than ``MAX_PERIOD`` raises
+    ``NotApplicableError`` before anything is allocated.
     """
     bound = 1 + max((t.base for t in axis_terms), default=0)
     period = _lcm_of_steps(axis_terms)
-    flags = [predicate(v) for v in range(bound + 2 * period)]
-    for v in range(bound, bound + period):
-        if flags[v] != flags[v + period]:
-            raise AssertionError(f"window outcome not periodic at {v} (period {period})")
-    terms = [one(v) for v in range(bound) if flags[v]]
-    terms += [prog(v, period) for v in range(bound, bound + period) if flags[v]]
-    return SupportSet1D(tuple(terms))
+    length = bound + 2 * period
+    if length > MAX_PERIOD:
+        raise NotApplicableError(f"window of {length} integers is past the limit of {MAX_PERIOD}")
+    codes = _membership_codes(axis_terms, length)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    outcomes = [
+        predicate(tuple(i for i, t in enumerate(axis_terms) if t.contains(v)))
+        for v in first.tolist()
+    ]
+    logger.debug(
+        "window of %d integers (bound %d, period %d): %d membership patterns",
+        length, bound, period, len(outcomes),
+    )
+    flags = np.array(outcomes, dtype=bool)[inverse]
+    head, tail = flags[bound : bound + period], flags[bound + period :]
+    if not np.array_equal(head, tail):
+        v = bound + int(np.flatnonzero(head != tail)[0])
+        raise AssertionError(f"window outcome not periodic at {v} (period {period})")
+    singles = _trusted_terms(np.flatnonzero(flags[:bound]).tolist(), 0)
+    progressions = _trusted_terms((bound + np.flatnonzero(head)).tolist(), period)
+    return SupportSet1D(tuple(singles + progressions))
 
 
 def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> SupportSet1D:
     """Route taken by the gamma loop: decide each section by member listing,
     then read the frequency set off a verified periodic window."""
     l_ok = [_section_terms_have_tail([lt], gamma, parity) for _, lt in support.terms]
-    k_parts = support.k_terms()
-
-    def ok(k: int) -> bool:
-        return any(l_ok[i] and k_parts[i].contains(k) for i in range(len(k_parts)))
-
-    return _promote_periodic(k_parts, ok)
+    return _promote_periodic(support.k_terms(), lambda pattern: any(l_ok[i] for i in pattern))
 
 
 def _window_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
@@ -337,6 +389,22 @@ def certify_circle_tph(
     )
 
 
+def _qualifying_set(support: SupportSet2D, m: int, axis: str) -> SupportSet1D:
+    """The outer values of the sufficient test: circle frequencies whose
+    section certifies on S^m (circle-outer), or degrees whose row certifies on
+    the circle (sphere-outer), read off a periodic window of the outer axis."""
+    working = support if axis == "circle-outer" else support.transpose()
+    inner_parts = working.l_terms()
+
+    def inner_ok(pattern: tuple[int, ...]) -> bool:
+        section = SupportSet1D(tuple(inner_parts[i] for i in pattern))
+        if axis == "circle-outer":
+            return certify_sphere(section, m).verdict is Verdict.SPD
+        return certify_circle(section).verdict is Verdict.SPD
+
+    return _promote_periodic(working.k_terms(), inner_ok)
+
+
 def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
     """One-axis-at-a-time sufficient test; never refutes.
 
@@ -349,22 +417,7 @@ def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
     if axis not in ("circle-outer", "sphere-outer"):
         raise ValueError(f"axis must be 'circle-outer' or 'sphere-outer', got {axis!r}")
 
-    working = support if axis == "circle-outer" else support.transpose()
-    outer_parts = working.k_terms()
-    inner_parts = working.l_terms()
-    cache: dict[frozenset, bool] = {}
-
-    def inner_ok(v: int) -> bool:
-        key = frozenset(i for i, t in enumerate(outer_parts) if t.contains(v))
-        if key not in cache:
-            section = SupportSet1D(tuple(inner_parts[i] for i in sorted(key)))
-            if axis == "circle-outer":
-                cache[key] = certify_sphere(section, m).verdict is Verdict.SPD
-            else:
-                cache[key] = certify_circle(section).verdict is Verdict.SPD
-        return cache[key]
-
-    qualifying = _promote_periodic(outer_parts, inner_ok)
+    qualifying = _qualifying_set(support, m, axis)
     if axis == "circle-outer":
         outer = certify_circle(qualifying)
         method = "sufficient-circle-outer"

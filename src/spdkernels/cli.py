@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -536,8 +537,20 @@ def _parse_trunc(text: str) -> tuple[int, int]:
     return kmax, lmax
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64, like spec-file errors, not argparse's 2, which
+    would read as a partial verdict."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SPEC_ERROR, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argument parser, built on first use and shared by every ``main``
+    call of the process (parsing leaves it unchanged)."""
+    parser = _Parser(
         prog="spdkernels",
         description="certify strict positive definiteness of isotropic kernel supports",
     )
@@ -547,7 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("specfile", help="path to a JSON kernel spec")
         p.add_argument("--json", metavar="PATH", help="write a JSON report here")
         p.add_argument("--no-timestamp", action="store_true", help="omit the report timestamp")
-        p.add_argument("--seed", type=int, default=None, help="override the spec file seed")
         p.add_argument(
             "--space",
             default=None,
@@ -572,6 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gram = sub.add_parser("gram", help="assemble a Gram matrix at sampled points and test it")
     common(p_gram)
+    p_gram.add_argument("--seed", type=int, default=None, help="override the spec file seed")
     p_gram.add_argument("--points", type=int, default=20, help="number of sampled points")
     p_gram.add_argument("--trunc", type=_parse_trunc, default=None, metavar="K,L")
     p_gram.add_argument("--tol", type=float, default=1e-10)

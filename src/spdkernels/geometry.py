@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SamplingError
+from .kernels import CHUNK_PAIRS
 
 __all__ = [
     "CirclePoint",
@@ -122,15 +123,37 @@ def _check_circle_distinct(xs: Sequence[CirclePoint], tol: float) -> None:
                 raise ValueError(f"circle points {i} and {j} coincide within {tol}")
 
 
+def _sphere_pair_fault(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> str:
+    """Why two sphere points may not share a configuration, or ""."""
+    if math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))) <= _DISTINCT_TOL:
+        return "coincide"
+    if math.sqrt(sum((x + y) ** 2 for x, y in zip(a, b))) <= tol:
+        return f"are antipodal within {tol}"
+    return ""
+
+
 def _check_sphere_admissible(zs: Sequence[SpherePoint], tol: float) -> None:
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(zs[i].coords, zs[j].coords)))
-            if diff <= _DISTINCT_TOL:
-                raise ValueError(f"sphere points {i} and {j} coincide")
-            summ = math.sqrt(sum((a + b) ** 2 for a, b in zip(zs[i].coords, zs[j].coords)))
-            if summ <= tol:
-                raise ValueError(f"sphere points {i} and {j} are antipodal within {tol}")
+    """Refuse coinciding or near-antipodal sphere points, naming the first
+    pair (i, j), i < j, in row order.
+
+    Rows are compared in blocks of about CHUNK_PAIRS pairs.  numpy's squared
+    distances only clear the pairs that are farther apart than the
+    tolerances by far more than rounding; ``_sphere_pair_fault`` decides the
+    rest with the pointwise test.
+    """
+    coords = np.array([z.coords for z in zs])
+    n = len(coords)
+    clear = (max(_DISTINCT_TOL, tol) * (1.0 + 1e-9)) ** 2
+    rows = max(1, CHUNK_PAIRS // n)
+    for lo in range(0, n, rows):
+        block = coords[lo : lo + rows, None, :]
+        diff, summ = block - coords[None, lo:, :], block + coords[None, lo:, :]
+        squared = np.minimum(np.einsum("ijk,ijk->ij", diff, diff), np.einsum("ijk,ijk->ij", summ, summ))
+        near = np.triu(~(squared > clear), k=1)  # a NaN distance leaves the pair near
+        for i, j in np.argwhere(near).tolist():
+            fault = _sphere_pair_fault(zs[lo + i].coords, zs[lo + j].coords, tol)
+            if fault:
+                raise ValueError(f"sphere points {lo + i} and {lo + j} {fault}")
 
 
 def build_enhanced(xs: Sequence[CirclePoint], zs: Sequence[SpherePoint]) -> EnhancedSet:

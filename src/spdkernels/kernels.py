@@ -29,6 +29,7 @@ __all__ = [
     "BETA_BY_FAMILY",
     "DIMENSION_RULES",
     "DEFAULT_TRUNCATION",
+    "MAX_TRUNCATION_BOX",
     "SpaceDescriptor",
     "circle_space",
     "sphere_space",
@@ -63,6 +64,11 @@ DIMENSION_RULES = {
 }
 
 DEFAULT_TRUNCATION = (60, 60)
+
+# Most entries of a product spec's (kmax+1) x (lmax+1) coefficient matrix:
+# 8 MB of float64, about K = L = 1000, where the workloads stop at
+# K = L = 120.  Checked in KernelSpec before the matrix is built.
+MAX_TRUNCATION_BOX = 1_000_000
 
 # Argument pairs per contraction slice in kernel_values: at K = L = 60 one
 # slice's two polynomial tables take 2 x 61 x 16384 x 8 bytes, about 16 MB.
@@ -203,6 +209,12 @@ class KernelSpec:
         if max(kmax, lmax) > MAX_DEGREE:
             raise ValueError(
                 f"truncation bounds must be <= {MAX_DEGREE}, got {self.truncation}"
+            )
+        box = (kmax + 1) * (lmax + 1)
+        if self.space.is_product and box > MAX_TRUNCATION_BOX:
+            raise ValueError(
+                f"truncation box {self.truncation} has {box} coefficients, "
+                f"past the limit of {MAX_TRUNCATION_BOX}"
             )
 
     @property

@@ -18,12 +18,16 @@ scan of the window [-WINDOW, WINDOW] before being returned.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Literal, Optional
 
+from .errors import NotApplicableError
+
 __all__ = [
     "WINDOW",
+    "MAX_PERIOD",
     "Parity",
     "Term1D",
     "one",
@@ -40,9 +44,21 @@ __all__ = [
     "term_has_infinite_parity",
 ]
 
+logger = logging.getLogger(__name__)
+
 Parity = Literal["even", "odd", "any"]
 
 WINDOW = 10_000
+
+# The most integers a residue scan or periodic window may span: the step lcm
+# L in ``meets_every_progression`` (a bytearray of d bytes per divisor d of L)
+# and the window of 1 + largest base + 2 * L in ``certify._promote_periodic``
+# (numpy codes per integer, and one promoted term per flagged integer).
+# Larger input is refused with ``NotApplicableError`` before anything is
+# allocated.  At the limit a residue scan takes milliseconds, and a crosscheck
+# whose window spans it (a k-singleton of 2e5) about a second and 60 MB past
+# start-up, on two cores; the workloads' windows stay near 2e4.
+MAX_PERIOD = 200_000
 
 
 def _check_parity(parity: str) -> None:
@@ -93,6 +109,21 @@ def prog(base: int, step: int) -> Term1D:
     if step < 1:
         raise ValueError(f"progression step must be >= 1, got {step}")
     return Term1D(base, step)
+
+
+def _trusted_terms(bases: list[int], step: int) -> list[Term1D]:
+    """``Term1D(b, step)`` for each base, without re-running the validation.
+
+    For the many terms a promoted window produces; the caller guarantees
+    Python ints with ``b >= 0`` and ``step >= 0``.
+    """
+    out = []
+    for b in bases:
+        t = object.__new__(Term1D)
+        object.__setattr__(t, "base", b)
+        object.__setattr__(t, "step", step)
+        out.append(t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,27 +292,45 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _uncovered_residues(progressions: list[Term1D], d: int) -> list[int]:
-    """Residues mod d missed by every symmetrized progression."""
+def _first_uncovered(steps: dict[int, set[int]], d: int) -> int:
+    """The least residue mod d missed by every symmetrized progression, or -1.
+
+    ``steps`` maps each step n to the residues +/-base mod n of its
+    progressions.  Such a progression covers the classes mod d of its
+    residue mod g = gcd(n, d), so each distinct residue mod g marks one slice
+    of ``covered``.
+    """
     covered = bytearray(d)
-    for t in progressions:
-        g = gcd(t.step, d)
-        for r in (t.base % g, (-t.base) % g):
-            for j in range(r, d, g):
-                covered[j] = 1
-    return [j for j in range(d) if not covered[j]]
+    ones = memoryview(b"\x01" * d)
+    for step, residues in steps.items():
+        g = gcd(step, d)
+        if g == 1:
+            return -1
+        if g < step:
+            residues = {r % g for r in residues}
+        if len(residues) == g:
+            return -1
+        for r in residues:
+            covered[r::g] = ones[: (d - 1 - r) // g + 1]
+    return covered.find(0)
 
 
 def witness_avoids_window(
     support: SupportSet1D, witness: ProgressionWitness, window: int = WINDOW
 ) -> bool:
-    """Brute scan: no member of +/-S inside [-window, window] lies in the class."""
-    n, j = witness.modulus, witness.residue
+    """Brute scan: no member of +/-S inside [-window, window] lies in the class.
+
+    The members in [0, window] are marked in one bytearray, a slice per
+    term; -v lies in the class j exactly when v lies in the class -j.
+    """
+    members = bytearray(window + 1)
+    ones = memoryview(b"\x01" * (window + 1))
     for t in support.terms:
-        for v in t.members_upto(window):
-            if v % n == j or (-v) % n == j:
-                return False
-    return True
+        if t.base <= window:
+            step = t.step or window + 1
+            members[t.base :: step] = ones[: (window - t.base) // step + 1]
+    n, j = witness.modulus, witness.residue
+    return 1 not in members[j::n] and 1 not in members[-j % n :: n]
 
 
 def _search_witness(
@@ -321,14 +370,26 @@ def meets_every_progression(
     Singletons cover finitely many classes per modulus and therefore never
     rescue a failed divisor; they only constrain the returned witness, which
     is re-validated by the window scan before being emitted.  A support with
-    no progressions always fails.
+    no progressions always fails.  An L past ``MAX_PERIOD`` raises
+    ``NotApplicableError`` before anything is allocated.
     """
-    progressions = support.progressions()
+    steps: dict[int, set[int]] = {}
+    for t in support.terms:
+        if t.step:
+            steps.setdefault(t.step, set()).update((t.base % t.step, -t.base % t.step))
     lcm_steps = 1
-    for t in progressions:
-        lcm_steps = lcm_steps * t.step // gcd(lcm_steps, t.step)
-    for d in _divisors(lcm_steps):
-        uncovered = _uncovered_residues(progressions, d)
-        if uncovered:
-            return False, _search_witness(support, lcm_steps, d, uncovered[0], window)
+    for step in steps:
+        lcm_steps = lcm_steps * step // gcd(lcm_steps, step)
+    if lcm_steps > MAX_PERIOD:
+        raise NotApplicableError(f"step lcm {lcm_steps} is past the limit of {MAX_PERIOD}")
+    divisors = _divisors(lcm_steps)
+    for examined, d in enumerate(divisors, 1):
+        j0 = _first_uncovered(steps, d)
+        if j0 >= 0:
+            logger.debug(
+                "step lcm %d: class %d mod %d missed, %d of %d divisors examined",
+                lcm_steps, j0, d, examined, len(divisors),
+            )
+            return False, _search_witness(support, lcm_steps, d, j0, window)
+    logger.debug("step lcm %d: all %d divisors covered", lcm_steps, len(divisors))
     return True, None

@@ -468,3 +468,16 @@ def test_two_spheres_l_shape_has_a_null_vector():
     # the same points do not null the full support, so the zero is the support's
     full, full_scale = _two_sphere_form(SupportSet2D(((prog(0, 1), prog(0, 1)),)))
     assert full > 1e-3 * full_scale
+
+
+# --- work logged at DEBUG -----------------------------------------------------------------
+
+def test_divisors_and_windows_are_logged(caplog):
+    support = SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(1, 6), prog(1, 2)), (prog(0, 4), prog(1, 2))))
+    with caplog.at_level("DEBUG", logger="spdkernels"):
+        certify_circle_sphere_gamma_loop(support, 2)
+    scans = [r.getMessage() for r in caplog.records if r.name == "spdkernels.supportsets"]
+    windows = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
+    # odd tail +-{1 mod 6} u {0 mod 4}: 2 mod 4 is missed at the fourth divisor of 12
+    assert scans == ["step lcm 12: class 2 mod 4 missed, 4 of 6 divisors examined"]
+    assert windows[0] == "window of 26 integers (bound 2, period 12): 3 membership patterns"

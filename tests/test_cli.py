@@ -417,3 +417,115 @@ def test_truncation_past_the_degree_cap_exit_sixtyfour(tmp_path, capsys):
     path = write_spec(tmp_path, dict(FULL_PRODUCT, truncation={"kmax": cap, "lmax": cap}))
     assert main(["certify", path]) == 64
     assert "truncation" in capsys.readouterr().err
+
+
+# --- budgets and argument scope ------------------------------------------------
+
+def _product_spec(pairs):
+    def term(t):
+        if isinstance(t, int):
+            return {"type": "one", "value": t}
+        return {"type": "prog", "base": t[0], "step": t[1]}
+
+    return dict(FULL_PRODUCT, support=[{"k": term(k), "l": term(l)} for k, l in pairs])
+
+
+BIG_K_SINGLETON = _product_spec([((0, 1), (0, 1)), (30_000_000, (0, 1))])
+WIDE_K_STEPS = _product_spec([((b, p), (0, 1)) for b, p in enumerate((97, 89, 83, 79))])
+
+
+def _run_within_budget(argv):
+    """The exit code of ``main(argv)``, which must return within a second and
+    20 MB of traced allocations."""
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    finally:
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 20e6
+    return code
+
+
+@pytest.mark.parametrize(
+    "command", [["crosscheck"], ["certify", "--method", "sufficient-circle-outer"]]
+)
+def test_window_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
+    from spdkernels.supportsets import MAX_PERIOD
+
+    path = write_spec(tmp_path, BIG_K_SINGLETON)
+    assert _run_within_budget([command[0], path, *command[1:]]) == 64
+    err = capsys.readouterr().err
+    assert f"error: window of 30000003 integers is past the limit of {MAX_PERIOD}" in err
+
+
+def test_big_k_singleton_still_certifies(tmp_path, capsys):
+    # the tail-set route reads no window, so it answers
+    path = write_spec(tmp_path, BIG_K_SINGLETON)
+    assert _run_within_budget(["certify", path]) == 0
+    assert capsys.readouterr().out.startswith("SPD")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["certify"], ["crosscheck"], ["witness"], ["certify", "--method", "sufficient-sphere-outer"],
+     ["certify", "--method", "sufficient-circle-outer"]],
+)
+def test_step_lcm_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
+    from spdkernels.supportsets import MAX_PERIOD
+
+    path = write_spec(tmp_path, WIDE_K_STEPS)
+    assert _run_within_budget([command[0], path, *command[1:]]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"past the limit of {MAX_PERIOD}" in err
+    assert "step lcm 56606581" in err or "window of 113213166 integers" in err
+
+
+def test_circle_step_lcm_past_the_limit_exit_sixtyfour(tmp_path, capsys):
+    data = dict(EVENS_CIRCLE, support=[{"type": "prog", "base": b, "step": p}
+                                       for b, p in enumerate((97, 89, 83, 79))])
+    path = write_spec(tmp_path, data)
+    assert _run_within_budget(["certify", path]) == 64
+    assert "error: step lcm 56606581 is past the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["certify"], ["eval", "--t", "0.5"], ["witness"], ["crosscheck"]])
+def test_seed_is_a_gram_option_only(tmp_path, capsys, command):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], path, *command[1:], "--seed", "3"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_gram_keeps_its_seed(tmp_path):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    out = tmp_path / "r.json"
+    assert main(["gram", path, "--points", "5", "--seed", "3", "--json", str(out), "--no-timestamp"]) == 0
+    assert json.loads(out.read_text())["seed"] == 3
+
+
+def test_parser_is_built_once():
+    from spdkernels.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_truncation_box_past_the_limit_exit_sixtyfour(tmp_path, capsys):
+    from spdkernels.kernels import MAX_TRUNCATION_BOX
+
+    path = write_spec(tmp_path, dict(FULL_PRODUCT, truncation={"kmax": 10_000, "lmax": 10_000}))
+    assert _run_within_budget(["certify", path]) == 64
+    err = capsys.readouterr().err
+    assert f"truncation box (10000, 10000) has 100020001 coefficients, past the limit of {MAX_TRUNCATION_BOX}" in err
+    # the --trunc override of gram meets the same check
+    path = write_spec(tmp_path, FULL_PRODUCT, name="small.json")
+    assert main(["gram", path, "--points", "5", "--trunc", "2000,2000"]) == 64
+    assert "truncation box" in capsys.readouterr().err

@@ -224,3 +224,69 @@ def test_harmonic_count_per_degree():
         basis = sph_basis_s2(l)
         vals = basis(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
         assert vals.shape == (2 * l + 1, 2)
+
+
+# --- admissibility of sphere generators -------------------------------------------------
+
+def _first_sphere_fault(zs, tol=1e-9):
+    """The pointwise double loop the blocked check replaced, as an oracle."""
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(zs[i].coords, zs[j].coords)))
+            if diff <= 1e-12:
+                return f"sphere points {i} and {j} coincide"
+            summ = math.sqrt(sum((a + b) ** 2 for a, b in zip(zs[i].coords, zs[j].coords)))
+            if summ <= tol:
+                return f"sphere points {i} and {j} are antipodal within {tol}"
+    return None
+
+
+def _sphere_fault(zs):
+    try:
+        build_enhanced([CirclePoint(0.0)], zs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _near(z, eps):
+    """A unit vector within about eps of z."""
+    direction = np.cos(np.arange(len(z.coords)) + 0.5)
+    return SpherePoint.from_vector(np.array(z.coords) + eps * direction)
+
+
+def test_coinciding_sphere_points_are_named():
+    _, zs = sample_config(2, 0, 12, seed=3)
+    zs[9] = _near(zs[4], 1e-14)
+    assert _sphere_fault(zs) == _first_sphere_fault(zs) == "sphere points 4 and 9 coincide"
+
+
+def test_near_antipodal_sphere_points_are_named():
+    _, zs = sample_config(3, 0, 12, seed=4)
+    zs[7] = _near(zs[2].antipode(), 1e-11)
+    want = "sphere points 2 and 7 are antipodal within 1e-09"
+    assert _sphere_fault(zs) == _first_sphere_fault(zs) == want
+    zs[7] = _near(zs[2].antipode(), 1e-7)  # far enough apart
+    assert _sphere_fault(zs) is None
+
+
+def test_first_sphere_fault_across_row_blocks():
+    from spdkernels.kernels import CHUNK_PAIRS
+
+    n = 200
+    rows = CHUNK_PAIRS // n  # the rows of one block
+    _, base = sample_config(2, 0, n, seed=5)
+    assert _sphere_fault(base) is None and _first_sphere_fault(base) is None
+    placements = [
+        [(rows + 5, rows + 6, "same"), (rows - 1, n - 1, "anti")],  # last row of block one
+        [(rows, rows + 1, "anti"), (2 * rows + 3, n - 2, "same")],  # first row of block two
+        [(n - 2, n - 1, "same")],  # the last pair of all
+        [(2, n - 50, "same"), (10, 60, "anti")],  # row order, not column order
+        [(3, 2 * rows + 1, "anti"), (3, rows + 1, "same")],  # two faults in one row
+    ]
+    for faults in placements:
+        zs = list(base)
+        for i, j, kind in faults:
+            zs[j] = _near(zs[i], 1e-14) if kind == "same" else _near(zs[i].antipode(), 1e-11)
+        assert _sphere_fault(zs) == _first_sphere_fault(zs)
+    assert _sphere_fault(zs) == f"sphere points 3 and {rows + 1} coincide"

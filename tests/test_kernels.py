@@ -326,6 +326,22 @@ def test_truncation_validated_at_construction():
     assert spec.kmax == MAX_DEGREE
 
 
+def test_truncation_box_is_bounded_for_products():
+    from spdkernels.kernels import MAX_TRUNCATION_BOX
+
+    side = math.isqrt(MAX_TRUNCATION_BOX) - 1  # (side + 1) ** 2 entries: at the limit
+    assert (side + 1) ** 2 <= MAX_TRUNCATION_BOX < (side + 2) ** 2
+    long = MAX_TRUNCATION_BOX // 100 - 1  # (long + 1) * 100 entries: at the limit
+    for trunc in ((side, side), (120, 120), (long, 99), (99, long)):
+        KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), trunc)
+    for trunc in ((side + 1, side), (10_000, 10_000), (long, 100), (100, long)):
+        with pytest.raises(ValueError, match="truncation box"):
+            KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), trunc)
+    # single spaces hold one axis of at most MAX_DEGREE + 1 coefficients
+    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10_000, 10_000))
+    assert spec.coefficient_matrix.shape == (10_001,)
+
+
 # --- chunked contraction ------------------------------------------------------------
 
 CHUNK_SPECS = {
