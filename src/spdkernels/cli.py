@@ -425,9 +425,13 @@ def _sample_points(spec: KernelSpec, n: int, seed: int):
     if kind == "circle_tph":
         raise SpecFileError("space", "no geometric point model for circle_tph; gram unavailable")
     m = spec.space.m if spec.space.m is not None else 2
-    xs, zs = sample_config(m, n, n, seed)
     if kind == "circle":
-        return xs
+        # the circle angles are drawn first, so skipping the sphere draws
+        # leaves them as they were
+        return sample_config(m, n, 0, seed)[0]
+    # sphere points come from the stream after the circle draws, so a
+    # sphere spec still draws (and discards) the circle angles
+    xs, zs = sample_config(m, n, n, seed)
     if kind == "sphere":
         return zs
     return list(zip(xs, zs))

@@ -116,11 +116,52 @@ class EnhancedSet:
         return len(self.zs)
 
 
+def _trusted_circle_points(thetas: list[float]) -> list[CirclePoint]:
+    """``CirclePoint(t)`` for each angle, without re-running the validation.
+
+    For the sampler's output; the caller guarantees finite Python floats
+    already canonical in [0, 2pi).
+    """
+    out = []
+    for theta in thetas:
+        x = object.__new__(CirclePoint)
+        object.__setattr__(x, "theta", theta)
+        out.append(x)
+    return out
+
+
+def _trusted_sphere_points(coords: np.ndarray) -> list[SpherePoint]:
+    """``SpherePoint(tuple(row))`` for each row, without re-summing the norms.
+
+    For the sampler's output; the caller guarantees rows normalized as
+    ``SpherePoint.from_vector`` normalizes them.
+    """
+    out = []
+    for row in coords.tolist():
+        z = object.__new__(SpherePoint)
+        object.__setattr__(z, "coords", tuple(row))
+        out.append(z)
+    return out
+
+
 def _check_circle_distinct(xs: Sequence[CirclePoint], tol: float) -> None:
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if xs[i].gap(xs[j]) <= tol:
-                raise ValueError(f"circle points {i} and {j} coincide within {tol}")
+    """Refuse two circle points within tol of each other, naming the first
+    pair (i, j), i < j, in row order.
+
+    Rows are compared in blocks of about CHUNK_PAIRS pairs.  numpy's gaps
+    only clear the pairs that are farther apart than tol by far more than
+    rounding; ``CirclePoint.gap`` decides the rest.
+    """
+    thetas = np.array([x.theta for x in xs])
+    n = len(thetas)
+    clear = tol * (1.0 + 1e-9)
+    rows = max(1, CHUNK_PAIRS // n)
+    for lo in range(0, n, rows):
+        d = np.abs(thetas[lo : lo + rows, None] - thetas[None, lo:])  # < 2pi: canonical angles
+        near = np.triu(~(np.minimum(d, TWO_PI - d) > clear), k=1)
+        for i, j in np.argwhere(near).tolist():
+            if xs[lo + i].gap(xs[lo + j]) <= tol:
+                raise ValueError(f"circle points {lo + i} and {lo + j} coincide within {tol}")
 
 
 def _sphere_pair_fault(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> str:
@@ -171,68 +212,150 @@ def build_enhanced(xs: Sequence[CirclePoint], zs: Sequence[SpherePoint]) -> Enha
     return EnhancedSet(tuple(xs), tuple(zs), points)
 
 
+@dataclass
+class _Tally:
+    """The sampler's work: rejected candidates, batches drawn, and batches
+    decided candidate by candidate."""
+
+    resamples: int = 0
+    batches: int = 0
+    pointwise: int = 0
+
+    def reject(self, what: str) -> None:
+        self.resamples += 1
+        if self.resamples > _MAX_RESAMPLES:
+            raise SamplingError(f"{what} sampling failed after {_MAX_RESAMPLES} resamples")
+
+
 def sample_config(
     m: int, n_circle: int, n_sphere: int, seed: int, min_gap: float = _SAMPLING_GAP
 ) -> tuple[list[CirclePoint], list[SpherePoint]]:
     """Deterministic rejection sampling of distinct circle points and
     pairwise non-antipodal sphere points on S^m.
 
-    Each candidate is tested against every accepted point in one numpy
-    expression; the accept/reject decisions are those of the pointwise
-    ``CirclePoint.gap`` and ``math.dist`` tests.
+    Candidates are drawn a batch at a time, as many as points are still
+    missing, which consumes the generator exactly as drawing them one by
+    one does.  A batch is screened against itself and the accepted points
+    in one numpy pass; when the screen clears every pair, the whole batch is
+    accepted.  Otherwise the batch is decided candidate by candidate with
+    the pointwise ``CirclePoint.gap`` and ``math.dist`` tests, so the
+    accepted points, resample counts and errors are those of sampling one
+    candidate at a time.
     """
     if m < 2:
         raise ValueError(f"invalid dimension m={m}: need m >= 2")
     if n_circle < 0 or n_sphere < 0:
         raise ValueError("point counts must be >= 0")
     rng = np.random.default_rng(seed)
-    resamples = 0
+    tally = _Tally()
+    thetas = _sample_circle(rng, n_circle, min_gap, tally)
+    coords = _sample_sphere(rng, m, n_sphere, min_gap, tally)
+    logger.debug(
+        "sample_config(seed=%s) used %d resamples, %d batches, %d pointwise",
+        seed, tally.resamples, tally.batches, tally.pointwise,
+    )
+    return _trusted_circle_points(thetas.tolist()), _trusted_sphere_points(coords)
 
-    xs: list[CirclePoint] = []
-    thetas = np.empty(n_circle)
-    while len(xs) < n_circle:
-        cand = CirclePoint(float(rng.uniform(0.0, TWO_PI)))
-        d = np.abs(cand.theta - thetas[: len(xs)]) % TWO_PI
-        if np.all(np.minimum(d, TWO_PI - d) > min_gap):
-            thetas[len(xs)] = cand.theta
-            xs.append(cand)
-        else:
-            resamples += 1
-            if resamples > _MAX_RESAMPLES:
-                raise SamplingError(f"circle sampling failed after {_MAX_RESAMPLES} resamples")
 
-    zs: list[SpherePoint] = []
-    coords = np.empty((n_sphere, m + 1))
+def _sample_circle(rng: np.random.Generator, n: int, min_gap: float, tally: _Tally) -> np.ndarray:
+    thetas = np.empty(n)
+    count = 0
+    while count < n:
+        # canonical angles, as CirclePoint stores them (a draw may round up to 2pi)
+        batch = np.remainder(rng.uniform(0.0, TWO_PI, size=n - count), TWO_PI)
+        tally.batches += 1
+        if not _circle_batch_near(thetas[:count], batch, min_gap):
+            thetas[count:] = batch
+            break
+        tally.pointwise += 1
+        for theta in batch.tolist():
+            d = np.abs(theta - thetas[:count]) % TWO_PI
+            if np.all(np.minimum(d, TWO_PI - d) > min_gap):
+                thetas[count] = theta
+                count += 1
+            else:
+                tally.reject("circle")
+    return thetas
+
+
+def _circle_batch_near(accepted: np.ndarray, batch: np.ndarray, min_gap: float) -> bool:
+    """Whether some pair of the pooled angles may lie within min_gap.
+
+    Sorted, a pair's difference is at least that of any neighbours between
+    them, and its way round the circle at least that of the outermost pair
+    (rounding is monotone), so the neighbour differences and the outermost
+    pair's gap bound every gap the pointwise test computes from below.
+    """
+    pool = np.sort(np.concatenate([accepted, batch]))
+    if len(pool) < 2:
+        return False
+    span = pool[-1] - pool[0]
+    return not (np.diff(pool).min() > min_gap and min(span, TWO_PI - span) > min_gap)
+
+
+def _sample_sphere(rng: np.random.Generator, m: int, n: int, min_gap: float, tally: _Tally) -> np.ndarray:
+    coords = np.empty((n, m + 1))
+    count = 0
     # numpy's squared distances only clear the pairs that are farther than
     # min_gap by far more than rounding; math.dist decides the rest
     clear = (min_gap * (1.0 + 1e-9)) ** 2
-    while len(zs) < n_sphere:
-        vec = rng.standard_normal(m + 1)
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-8:
-            resamples += 1
-            continue
-        cand = SpherePoint.from_vector(vec)
-        accepted = coords[: len(zs)]
-        c = np.array(cand.coords)
-        diff, summ = accepted - c, accepted + c
-        squared = np.minimum(np.einsum("ij,ij->i", diff, diff), np.einsum("ij,ij->i", summ, summ))
-        near = np.flatnonzero(~(squared > clear))  # a NaN gap leaves every pair near
-        far_enough = all(
-            math.dist(cand.coords, accepted[i]) > min_gap
-            and math.dist(cand.coords, -accepted[i]) > min_gap
-            for i in near
-        )
-        if far_enough:
-            coords[len(zs)] = c
-            zs.append(cand)
-        else:
-            resamples += 1
-            if resamples > _MAX_RESAMPLES:
-                raise SamplingError(f"sphere sampling failed after {_MAX_RESAMPLES} resamples")
+    while count < n:
+        draws = rng.standard_normal((n - count, m + 1))
+        tally.batches += 1
+        # each row's own dot: bit-equal to np.linalg.norm, as einsum is not
+        norms = [math.sqrt(r.dot(r)) for r in draws]
+        if min(norms) >= 1e-8:
+            unit = draws / np.array(norms)[:, None]
+            if not _sphere_batch_near(coords[:count], unit, clear):
+                coords[count:] = unit
+                break
+        tally.pointwise += 1
+        for vec, norm in zip(draws, norms):
+            if norm < 1e-8:
+                tally.resamples += 1
+                continue
+            c = vec / norm
+            accepted = coords[:count]
+            diff, summ = accepted - c, accepted + c
+            squared = np.minimum(np.einsum("ij,ij->i", diff, diff), np.einsum("ij,ij->i", summ, summ))
+            near = np.flatnonzero(~(squared > clear))  # a NaN gap leaves every pair near
+            cand = tuple(c)
+            if all(
+                math.dist(cand, accepted[i]) > min_gap and math.dist(cand, -accepted[i]) > min_gap
+                for i in near
+            ):
+                coords[count] = c
+                count += 1
+            else:
+                tally.reject("sphere")
+    return coords
 
-    logger.debug("sample_config(seed=%s) used %d resamples", seed, resamples)
-    return xs, zs
+
+def _sphere_batch_near(accepted: np.ndarray, unit: np.ndarray, clear: float) -> bool:
+    """Whether some candidate may lie within sqrt(clear) of an accepted point,
+    of an earlier candidate, or of their antipodes.
+
+    For rows normalized as the sampler normalizes them, |a -/+ b|^2 is
+    2 -/+ 2 a.b within (m + 5) eps, and the computed a.b lies within
+    (m + 1) eps of a.b, so ``slack`` keeps every pair that ``math.dist``
+    could put within min_gap.  Rows are compared in blocks of about
+    CHUNK_PAIRS pairs.
+    """
+    slack = 16 * unit.shape[1] * np.finfo(float).eps
+    bound = 1.0 - (clear + slack) / 2.0
+    pool = np.concatenate([accepted, unit])
+    first = len(accepted)
+    rows = max(1, CHUNK_PAIRS // len(pool))
+    for lo in range(0, len(unit), rows):
+        block = unit[lo : lo + rows]
+        if np.any(np.abs(block @ pool[: first + lo].T) >= bound):
+            return True
+        # the pairs within the block, each twice; a row with itself is no pair
+        inner = np.abs(block @ block.T)
+        np.fill_diagonal(inner, 0.0)
+        if np.any(inner >= bound):
+            return True
+    return False
 
 
 class S2HarmonicBasis:

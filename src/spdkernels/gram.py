@@ -149,7 +149,6 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     """Gram matrix of the truncated kernel; each entry computed once, mirrored."""
     thetas, zs = _split_points(spec, points)
     _check_duplicates(thetas, zs)
-    t, s = _dot_matrices(thetas, zs)
     n = len(points)
     iu = np.triu_indices(n)
     pairs = len(iu[0])
@@ -157,10 +156,14 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
         "gram_matrix: %d points, %d pairs, %d contraction chunks",
         n, pairs, -(-pairs // CHUNK_PAIRS),
     )
+    # cos on the upper-triangle pairs only; the sphere dot products stay one
+    # matrix product, since a per-pair sum may round differently
+    t = None if thetas is None else np.cos(thetas[iu[0]] - thetas[iu[1]])
+    _, s = _dot_matrices(None, zs)
     if spec.space.is_product:
-        vals = kernel_values(spec, t[iu], s[iu])
+        vals = kernel_values(spec, t, s[iu])
     else:
-        vals = kernel_values(spec, t[iu] if t is not None else s[iu])
+        vals = kernel_values(spec, t if t is not None else s[iu])
     a = np.empty((n, n))
     a[iu] = vals
     a.T[iu] = vals

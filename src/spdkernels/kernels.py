@@ -316,7 +316,8 @@ def _contract(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray]) -> np.nd
     """Kernel values for one chunk of argument pairs."""
     if s is not None:
         marginals = spec.coefficient_matrix.T @ circle_table(spec.kmax, t)
-        return (marginals * spec.sphere_axis_table(s)).sum(axis=0)
+        marginals *= spec.sphere_axis_table(s)
+        return marginals.sum(axis=0)
     table = (
         circle_table(spec.axis_cap, t)
         if spec.space.kind == "circle"

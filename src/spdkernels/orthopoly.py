@@ -82,12 +82,15 @@ def circle_table(kmax: int, t) -> np.ndarray:
     out[0] = 1.0
     if kmax == 0:
         return out
-    prev = np.ones_like(x)
-    cur = x.copy()
-    out[1] = 2.0 * cur
+    # rows 1..kmax hold cos(k arccos t), each written in place from the two
+    # rows before it, until the closing scale by 2/k
+    two_x = 2.0 * x
+    out[1] = x
     for k in range(2, kmax + 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-        out[k] = (2.0 / k) * cur
+        row = out[k]
+        np.multiply(two_x, out[k - 1], out=row)
+        np.subtract(row, out[k - 2], out=row)
+    out[1:] *= (2.0 / np.arange(1, kmax + 1))[:, None]
     return out
 
 
@@ -103,8 +106,15 @@ def _ratio_table(nmax: int, m: int, x: np.ndarray) -> np.ndarray:
     if nmax == 0:
         return out
     out[1] = x
+    lower = np.empty(x.size)
     for n in range(2, nmax + 1):
-        out[n] = ((2 * n + m - 3) * x * out[n - 1] - (n - 1) * out[n - 2]) / (n + m - 2)
+        # ((2n + m - 3) x R_{n-1} - (n - 1) R_{n-2}) / (n + m - 2), in place
+        row = out[n]
+        np.multiply(2 * n + m - 3, x, out=row)
+        np.multiply(row, out[n - 1], out=row)
+        np.multiply(n - 1, out[n - 2], out=lower)
+        np.subtract(row, lower, out=row)
+        np.divide(row, n + m - 2, out=row)
     return out
 
 
@@ -136,9 +146,9 @@ def gegenbauer_table(nmax: int, m: int, t, normalized: bool = False) -> np.ndarr
     m = _checked_dimension(m)
     x = _checked_argument(t)
     ratios = _ratio_table(nmax, m, x)
-    if normalized:
-        return ratios
-    return ratios * _norm_vector(nmax, m)[:, None]
+    if not normalized:
+        ratios *= _norm_vector(nmax, m)[:, None]
+    return ratios
 
 
 def gegenbauer(n: int, m: int, t: float) -> float:
@@ -177,12 +187,20 @@ def jacobi_table(lmax: int, alpha: float, beta: float, t) -> np.ndarray:
         return out
     out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
     ab = alpha + beta
+    lower = np.empty(x.size)
     for n in range(2, lmax + 1):
         c0 = 2.0 * n * (n + ab) * (2.0 * n + ab - 2.0)
         c1 = (2.0 * n + ab - 1.0) * (2.0 * n + ab) * (2.0 * n + ab - 2.0)
         c2 = (2.0 * n + ab - 1.0) * (alpha * alpha - beta * beta)
         c3 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab)
-        out[n] = ((c1 * x + c2) * out[n - 1] - c3 * out[n - 2]) / c0
+        # ((c1 x + c2) P_{n-1} - c3 P_{n-2}) / c0, in place
+        row = out[n]
+        np.multiply(c1, x, out=row)
+        np.add(row, c2, out=row)
+        np.multiply(row, out[n - 1], out=row)
+        np.multiply(c3, out[n - 2], out=lower)
+        np.subtract(row, lower, out=row)
+        np.divide(row, c0, out=row)
     return out
 
 
