@@ -29,7 +29,9 @@ of distinct l-singletons, not their size.
 
 The window routes (the gamma loop, the tph loop and the sufficient test)
 compute which terms contain each integer of their window with numpy and call
-their predicate once per distinct membership pattern.
+their predicate once per distinct membership pattern.  The outcome is kept as
+one flag per integer of the window's prefix and first period (a
+``PeriodicSet1D``), which the residue and parity tests read as arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import lcm
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,7 +49,9 @@ from .kernels import SpaceDescriptor
 from .supportsets import (
     MAX_PERIOD,
     Parity,
+    PeriodicSet1D,
     ProgressionWitness,
+    Set1D,
     SupportSet1D,
     SupportSet2D,
     Term1D,
@@ -57,7 +61,6 @@ from .supportsets import (
     stabilization_bound,
     term_has_infinite_parity,
     term_has_parity_member,
-    _trusted_terms,
 )
 
 __all__ = [
@@ -146,7 +149,7 @@ def _check_dim(m: int, name: str = "m") -> None:
         raise ValueError(f"invalid dimension {name}={m}: need {name} >= 2")
 
 
-def certify_circle(support: SupportSet1D) -> Certificate:
+def certify_circle(support: Set1D) -> Certificate:
     """Strict positive definiteness on the circle: +/-S meets every class."""
     ok, witness = meets_every_progression(support)
     trace = (TraceEntry("symmetrized frequency set meets every residue class", ok),)
@@ -155,7 +158,7 @@ def certify_circle(support: SupportSet1D) -> Certificate:
     return Certificate("circle", Verdict.NOT_SPD, "circle-residue-classes", trace, witness)
 
 
-def certify_sphere(support: SupportSet1D, m: int) -> Certificate:
+def certify_sphere(support: Set1D, m: int) -> Certificate:
     """Strict positive definiteness on S^m, m >= 2: infinitely many even and odd degrees."""
     _check_dim(m)
     trace = []
@@ -171,7 +174,7 @@ def certify_sphere(support: SupportSet1D, m: int) -> Certificate:
 
 # (support, gamma, parity) -> (tail set, whether it meets every class, missed class)
 TailCheck = Callable[
-    [SupportSet2D, int, Parity], tuple[SupportSet1D, bool, Optional[ProgressionWitness]]
+    [SupportSet2D, int, Parity], tuple[Set1D, bool, Optional[ProgressionWitness]]
 ]
 
 _WINDOW_LABEL = "tail frequency set ({parity}) certifies on the circle"
@@ -272,14 +275,6 @@ def _section_terms_have_tail(terms: list[Term1D], gamma: int, parity: Parity) ->
     return False
 
 
-def _lcm_of_steps(terms: list[Term1D]) -> int:
-    out = 1
-    for t in terms:
-        if t.is_progression:
-            out = out * t.step // gcd(out, t.step)
-    return out
-
-
 # Membership bits per int64 code word, clear of the sign bit.  Re-labelled
 # codes stay below MAX_PERIOD ** 2, far inside int64 too.
 _CODE_BITS = 62
@@ -309,10 +304,11 @@ def _membership_codes(terms: list[Term1D], length: int) -> np.ndarray:
 
 def _promote_periodic(
     axis_terms: list[Term1D], predicate: Callable[[tuple[int, ...]], bool]
-) -> SupportSet1D:
-    """Evaluate a predicate over an explicit window and promote the pattern:
-    singletons below the prefix bound, progressions with the step lcm across
-    one period.  Periodicity past the bound is asserted over a second period.
+) -> PeriodicSet1D:
+    """Evaluate a predicate over an explicit window and promote the pattern
+    to a ``PeriodicSet1D``: singletons below the prefix bound, progressions
+    with the step lcm across one period, one flag per integer.  Periodicity
+    past the bound is asserted over a second period.
 
     The predicate takes a membership pattern, the ascending indices of the
     terms containing an integer, and is called once per distinct pattern in
@@ -320,7 +316,7 @@ def _promote_periodic(
     ``NotApplicableError`` before anything is allocated.
     """
     bound = 1 + max((t.base for t in axis_terms), default=0)
-    period = _lcm_of_steps(axis_terms)
+    period = lcm(*(t.step for t in axis_terms if t.is_progression))
     length = bound + 2 * period
     if length > MAX_PERIOD:
         raise NotApplicableError(f"window of {length} integers is past the limit of {MAX_PERIOD}")
@@ -339,12 +335,14 @@ def _promote_periodic(
     if not np.array_equal(head, tail):
         v = bound + int(np.flatnonzero(head != tail)[0])
         raise AssertionError(f"window outcome not periodic at {v} (period {period})")
-    singles = _trusted_terms(np.flatnonzero(flags[:bound]).tolist(), 0)
-    progressions = _trusted_terms((bound + np.flatnonzero(head)).tolist(), period)
-    return SupportSet1D(tuple(singles + progressions))
+    logger.debug(
+        "promoted set: period %d, %d singletons, %d flagged residues",
+        period, np.count_nonzero(flags[:bound]), np.count_nonzero(head),
+    )
+    return PeriodicSet1D(bound, period, flags[: bound + period])
 
 
-def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> SupportSet1D:
+def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> PeriodicSet1D:
     """Route taken by the gamma loop: decide each section by member listing,
     then read the frequency set off a verified periodic window."""
     l_ok = [_section_terms_have_tail([lt], gamma, parity) for _, lt in support.terms]
@@ -389,7 +387,7 @@ def certify_circle_tph(
     )
 
 
-def _qualifying_set(support: SupportSet2D, m: int, axis: str) -> SupportSet1D:
+def _qualifying_set(support: SupportSet2D, m: int, axis: str) -> PeriodicSet1D:
     """The outer values of the sufficient test: circle frequencies whose
     section certifies on S^m (circle-outer), or degrees whose row certifies on
     the circle (sphere-outer), read off a periodic window of the outer axis."""

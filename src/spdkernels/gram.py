@@ -323,7 +323,7 @@ def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) ->
     """Roots-of-unity witness for a missed circle residue class.
 
     Requires that the symmetrized circle-axis support avoid the class
-    j mod n; this is re-checked against the window scan and the operation
+    j mod n; this is re-checked exactly, term by term, and the operation
     refuses when the check fails.  The weights cos(j theta_mu) then make
     every supported character sum vanish.
     """

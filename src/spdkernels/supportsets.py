@@ -12,28 +12,36 @@ set +/-S intersect every residue class j mod n for every modulus n >= 1?
 Progressions reduce the question to finitely many moduli (the divisors of the
 lcm of their steps): the members of {a + kn : k >= 0} modulo M are precisely
 the class of a modulo gcd(n, M), each hit infinitely often.  When coverage
-fails, a concrete missed class is produced and re-validated against a brute
-scan of the window [-WINDOW, WINDOW] before being returned.
+fails, a concrete missed class is produced, and checked exactly against every
+term before being returned.
+
+A periodic window that the certifiers promote to a set is held as a
+``PeriodicSet1D``: one flag per integer of a prefix and of one period.  The
+coverage test reads it as a residue mask, without building a term per flag.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Iterator, Literal, Optional
+from functools import partial
+from math import gcd, lcm
+from typing import Iterator, Literal, Optional, Union
+
+import numpy as np
 
 from .errors import NotApplicableError
 
 __all__ = [
-    "WINDOW",
     "MAX_PERIOD",
+    "MAX_WITNESS_SINGLETONS",
     "Parity",
     "Term1D",
     "one",
     "prog",
     "SupportSet1D",
     "SupportSet2D",
+    "PeriodicSet1D",
     "ProgressionWitness",
     "has_infinitely_many",
     "derived_parity_tail_set",
@@ -48,17 +56,23 @@ logger = logging.getLogger(__name__)
 
 Parity = Literal["even", "odd", "any"]
 
-WINDOW = 10_000
-
 # The most integers a residue scan or periodic window may span: the step lcm
 # L in ``meets_every_progression`` (a bytearray of d bytes per divisor d of L)
 # and the window of 1 + largest base + 2 * L in ``certify._promote_periodic``
-# (numpy codes per integer, and one promoted term per flagged integer).
-# Larger input is refused with ``NotApplicableError`` before anything is
-# allocated.  At the limit a residue scan takes milliseconds, and a crosscheck
-# whose window spans it (a k-singleton of 2e5) about a second and 60 MB past
-# start-up, on two cores; the workloads' windows stay near 2e4.
+# (a numpy code and flag per integer).  Larger input is refused with
+# ``NotApplicableError`` before anything is allocated.  At the limit a residue
+# scan takes milliseconds, and a crosscheck whose window spans it (a
+# k-singleton of 2e5) well under a tenth of a second, on two cores; the
+# workloads' windows stay near 2e4.
 MAX_PERIOD = 200_000
+
+# The most singletons the witness search may weigh: those in the missed class
+# +/-j0 mod d, each of which can ban one candidate class per trial modulus.
+# The search tries about as many moduli as there are such singletons, so its
+# cost grows with their square: 2000 of them take about 0.06 s, the limit
+# about 0.2 s, on two cores.  Past it ``NotApplicableError`` is raised before
+# the first modulus is tried.
+MAX_WITNESS_SINGLETONS = 5_000
 
 
 def _check_parity(parity: str) -> None:
@@ -109,21 +123,6 @@ def prog(base: int, step: int) -> Term1D:
     if step < 1:
         raise ValueError(f"progression step must be >= 1, got {step}")
     return Term1D(base, step)
-
-
-def _trusted_terms(bases: list[int], step: int) -> list[Term1D]:
-    """``Term1D(b, step)`` for each base, without re-running the validation.
-
-    For the many terms a promoted window produces; the caller guarantees
-    Python ints with ``b >= 0`` and ``step >= 0``.
-    """
-    out = []
-    for b in bases:
-        t = object.__new__(Term1D)
-        object.__setattr__(t, "base", b)
-        object.__setattr__(t, "step", step)
-        out.append(t)
-    return out
 
 
 @dataclass(frozen=True)
@@ -201,6 +200,51 @@ class SupportSet2D:
         return SupportSet1D(tuple(self.k_terms()))
 
 
+@dataclass(frozen=True, eq=False)
+class PeriodicSet1D:
+    """A set that is periodic past a bound, as one flag per integer.
+
+    ``flags`` is a boolean array of length ``bound + period``: the flagged
+    v < bound are singletons, and each flagged v in [bound, bound + period)
+    starts the progression {v, v + period, ...}.  The set answers the read
+    API of ``SupportSet1D``; ``terms`` expands it on demand, singletons first
+    and then the progressions by ascending base.
+    """
+
+    bound: int
+    period: int
+    flags: np.ndarray
+
+    def singleton_array(self) -> np.ndarray:
+        return np.flatnonzero(self.flags[: self.bound])
+
+    def base_array(self) -> np.ndarray:
+        """The bases of the progressions, ascending."""
+        return self.bound + np.flatnonzero(self.flags[self.bound :])
+
+    @property
+    def terms(self) -> tuple[Term1D, ...]:
+        return tuple(map(one, self.singletons())) + tuple(self.progressions())
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.flags.any()
+
+    def contains(self, v: int) -> bool:
+        if v < self.bound:
+            return v >= 0 and bool(self.flags[v])
+        return bool(self.flags[self.bound + (v - self.bound) % self.period])
+
+    def progressions(self) -> list[Term1D]:
+        return [prog(b, self.period) for b in self.base_array().tolist()]
+
+    def singletons(self) -> list[int]:
+        return self.singleton_array().tolist()
+
+
+Set1D = Union[SupportSet1D, PeriodicSet1D]
+
+
 @dataclass(frozen=True)
 class ProgressionWitness:
     """A residue class (modulus, residue) entirely missed by the symmetrized set."""
@@ -236,12 +280,18 @@ def term_has_infinite_parity(term: Term1D, parity: Parity) -> bool:
     return term_has_parity_member(term, parity)
 
 
-def has_infinitely_many(support: SupportSet1D, parity: Parity) -> bool:
+def has_infinitely_many(support: Set1D, parity: Parity) -> bool:
     """Whether the union holds infinitely many members of the parity class.
 
     Singletons never contribute; an odd-step progression meets both parity
     classes infinitely often, an even-step one stays in the class of its base.
     """
+    if isinstance(support, PeriodicSet1D):
+        _check_parity(parity)
+        bases = support.base_array()
+        if parity == "any" or support.period % 2:
+            return bool(bases.size)
+        return bool(np.any(bases % 2 == (parity == "odd")))
     return any(term_has_infinite_parity(t, parity) for t in support.terms)
 
 
@@ -315,81 +365,136 @@ def _first_uncovered(steps: dict[int, set[int]], d: int) -> int:
     return covered.find(0)
 
 
-def witness_avoids_window(
-    support: SupportSet1D, witness: ProgressionWitness, window: int = WINDOW
-) -> bool:
-    """Brute scan: no member of +/-S inside [-window, window] lies in the class.
+def _first_unmasked(mask: np.ndarray, d: int) -> int:
+    """The least residue mod d, a divisor of len(mask), that no marked
+    residue mod len(mask) falls in, or -1.
 
-    The members in [0, window] are marked in one bytearray, a slice per
-    term; -v lies in the class j exactly when v lies in the class -j.
+    A residue r mod P lies in the class r mod d, so folding the mask into
+    rows of d and or-ing the rows gives the covered classes.
     """
-    members = bytearray(window + 1)
-    ones = memoryview(b"\x01" * (window + 1))
-    for t in support.terms:
-        if t.base <= window:
-            step = t.step or window + 1
-            members[t.base :: step] = ones[: (window - t.base) // step + 1]
+    covered = mask.reshape(-1, d).any(axis=0)
+    j = int(covered.argmin())
+    return -1 if covered[j] else j
+
+
+def witness_avoids_window(support: Set1D, witness: ProgressionWitness) -> bool:
+    """Whether no member of +/-S lies in the class j mod n, decided exactly.
+
+    A progression {a, a + s, ...} meets +/-j mod n iff a = +/-j mod gcd(s, n);
+    a singleton v iff v = +/-j mod n.
+    """
     n, j = witness.modulus, witness.residue
-    return 1 not in members[j::n] and 1 not in members[-j % n :: n]
+    if isinstance(support, PeriodicSet1D):
+        singles, bases = support.singleton_array(), support.base_array()
+        g = gcd(support.period, n)
+        return not (
+            np.any((singles - j) % n == 0) or np.any((singles + j) % n == 0)
+            or np.any((bases - j) % g == 0) or np.any((bases + j) % g == 0)
+        )
+    for t in support.terms:
+        g = gcd(t.step, n) if t.step else n
+        if (t.base - j) % g == 0 or (t.base + j) % g == 0:
+            return False
+    return True
 
 
-def _search_witness(
-    support: SupportSet1D, lcm_steps: int, d: int, j0: int, window: int
-) -> ProgressionWitness:
+# Up to this many banning values the witness search marks them in a Python
+# loop, which beats numpy's per-call cost on the small supports most calls
+# see; past it, in one numpy assignment per trial modulus.
+_NUMPY_BANS = 64
+
+
+def _search_witness(support: Set1D, lcm_steps: int, d: int, j0: int) -> ProgressionWitness:
     """Grow the modulus n = d * p (p coprime to the step lcm) until some class
-    congruent to j0 mod d also avoids every singleton."""
-    singles = support.singletons()
-    cap = 2 * len(singles) + lcm_steps + 64
-    p = 0
-    while p <= cap:
-        p += 1
+    j = j0 + t * d mod n also avoids every singleton: the least such p, then
+    the least t.
+
+    No progression meets such a class: p is coprime to every step s, so
+    gcd(s, n) = gcd(s, d), and j0 mod d is a class they all miss.  Only a
+    singleton v = +/-j0 mod d can fall in it, so those are filtered once, and
+    each p marks the t they ban in one pass.  More of them than
+    ``MAX_WITNESS_SINGLETONS`` raises ``NotApplicableError``.
+    """
+    if isinstance(support, PeriodicSet1D):
+        s = support.singleton_array()
+        near = s[(s % d == j0) | (-s % d == j0)].tolist()
+    else:
+        near = [v for v in support.singletons() if v % d == j0 or -v % d == j0]
+    if len(near) > MAX_WITNESS_SINGLETONS:
+        raise NotApplicableError(
+            f"witness search over {len(near)} singletons is past the limit of {MAX_WITNESS_SINGLETONS}"
+        )
+    # v = j0 + d * q (or -v = j0 + d * q) falls in the class j0 + t * d mod
+    # d * p exactly when t = q mod p
+    q = [v // d for v in near if v % d == j0] + [-v // d for v in near if -v % d == j0]
+    if len(q) > _NUMPY_BANS:
+        try:
+            q = np.array(q, dtype=np.int64)
+        except OverflowError:  # values past int64 stay Python ints
+            q = np.array(q, dtype=object)
+    # any p > 2 * len(near) bans fewer than p classes, and every lcm_steps
+    # consecutive integers hold one coprime to lcm_steps
+    for p in range(1, 2 * len(near) + lcm_steps + 2):
         if gcd(p, lcm_steps) != 1:
             continue
-        n = d * p
-        banned = set()
-        for v in singles:
-            banned.add(v % n)
-            banned.add((-v) % n)
-        for t in range(p):
-            j = (j0 + t * d) % n
-            if j in banned:
-                continue
-            w = ProgressionWitness(n, j)
-            if witness_avoids_window(support, w, window):
-                return w
+        if isinstance(q, list):
+            banned = bytearray(p)
+            for x in q:
+                banned[x % p] = 1
+            t = banned.find(0)
+        else:
+            banned = np.zeros(p, dtype=bool)
+            # q mod p; numpy divides by a scalar faster than it takes a remainder
+            banned[(q - q // p * p).astype(np.intp, copy=False)] = True
+            t = int(banned.argmin())
+            t = -1 if banned[t] else t
+        if t >= 0:
+            return ProgressionWitness(d * p, j0 + t * d)
     raise RuntimeError("witness search exhausted its bound; this should be unreachable")
 
 
-def meets_every_progression(
-    support: SupportSet1D, window: int = WINDOW
-) -> tuple[bool, Optional[ProgressionWitness]]:
+def meets_every_progression(support: Set1D) -> tuple[bool, Optional[ProgressionWitness]]:
     """Decide whether +/-S meets every residue class of every modulus.
 
     Coverage by the progressions only depends on the residue of the modulus'
     gcd with the step lcm L, so checking every divisor of L is exhaustive.
     Singletons cover finitely many classes per modulus and therefore never
     rescue a failed divisor; they only constrain the returned witness, which
-    is re-validated by the window scan before being emitted.  A support with
-    no progressions always fails.  An L past ``MAX_PERIOD`` raises
+    is checked exactly against the support before being emitted.  A support
+    with no progressions always fails.  An L past ``MAX_PERIOD`` raises
     ``NotApplicableError`` before anything is allocated.
+
+    A ``PeriodicSet1D`` enters with its one step P (when it has a
+    progression) and a mask of the residues +/-base mod P; every divisor of P
+    folds that mask.
     """
-    steps: dict[int, set[int]] = {}
-    for t in support.terms:
-        if t.step:
-            steps.setdefault(t.step, set()).update((t.base % t.step, -t.base % t.step))
-    lcm_steps = 1
-    for step in steps:
-        lcm_steps = lcm_steps * step // gcd(lcm_steps, step)
-    if lcm_steps > MAX_PERIOD:
-        raise NotApplicableError(f"step lcm {lcm_steps} is past the limit of {MAX_PERIOD}")
+    if isinstance(support, PeriodicSet1D):
+        bases = support.base_array()
+        lcm_steps = support.period if bases.size else 1
+        mask = np.zeros(lcm_steps, dtype=bool)
+        mask[bases % lcm_steps] = True
+        mask[-bases % lcm_steps] = True
+        first_uncovered = partial(_first_unmasked, mask)
+    else:
+        steps: dict[int, set[int]] = {}
+        for t in support.terms:
+            if t.step:
+                steps.setdefault(t.step, set()).update((t.base % t.step, -t.base % t.step))
+        lcm_steps = lcm(*steps)
+        if lcm_steps > MAX_PERIOD:
+            raise NotApplicableError(f"step lcm {lcm_steps} is past the limit of {MAX_PERIOD}")
+        first_uncovered = partial(_first_uncovered, steps)
     divisors = _divisors(lcm_steps)
     for examined, d in enumerate(divisors, 1):
-        j0 = _first_uncovered(steps, d)
+        j0 = first_uncovered(d)
         if j0 >= 0:
             logger.debug(
                 "step lcm %d: class %d mod %d missed, %d of %d divisors examined",
                 lcm_steps, j0, d, examined, len(divisors),
             )
-            return False, _search_witness(support, lcm_steps, d, j0, window)
+            witness = _search_witness(support, lcm_steps, d, j0)
+            if not witness_avoids_window(support, witness):
+                raise AssertionError(f"class {witness.residue} mod {witness.modulus} meets the support")
+            return False, witness
     logger.debug("step lcm %d: all %d divisors covered", lcm_steps, len(divisors))
     return True, None

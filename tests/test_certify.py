@@ -481,3 +481,15 @@ def test_divisors_and_windows_are_logged(caplog):
     # odd tail +-{1 mod 6} u {0 mod 4}: 2 mod 4 is missed at the fourth divisor of 12
     assert scans == ["step lcm 12: class 2 mod 4 missed, 4 of 6 divisors examined"]
     assert windows[0] == "window of 26 integers (bound 2, period 12): 3 membership patterns"
+
+
+def test_promoted_sets_are_logged(caplog):
+    support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
+    with caplog.at_level("DEBUG", logger="spdkernels.certify"):
+        certify_circle_sphere_gamma_loop(support, 2)
+    messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
+    # window of 6 + 2 * 2 integers; 0, 2, 4 and 5 flagged below it, 6 mod 2 past it
+    assert messages[:2] == [
+        "window of 10 integers (bound 6, period 2): 3 membership patterns",
+        "promoted set: period 2, 4 singletons, 1 flagged residues",
+    ]

@@ -529,3 +529,36 @@ def test_truncation_box_past_the_limit_exit_sixtyfour(tmp_path, capsys):
     path = write_spec(tmp_path, FULL_PRODUCT, name="small.json")
     assert main(["gram", path, "--points", "5", "--trunc", "2000,2000"]) == 64
     assert "truncation box" in capsys.readouterr().err
+
+
+WINDOW_AT_THE_LIMIT = _product_spec([((0, 1), (0, 1)), (199_990, (0, 1))])
+
+
+def test_crosscheck_at_the_window_limit_is_fast(tmp_path, capsys):
+    import time
+
+    from spdkernels.supportsets import MAX_PERIOD
+
+    assert 199_990 + 1 + 2 <= MAX_PERIOD  # the window of bound + two periods of 1
+    path = write_spec(tmp_path, WINDOW_AT_THE_LIMIT)
+    start = time.perf_counter()
+    assert main(["crosscheck", path]) == 0
+    assert time.perf_counter() - start < 0.25
+    assert capsys.readouterr().out == (
+        "tail-sets=SPD gamma-loop=SPD circle-outer=SufficientOnly sphere-outer=SufficientOnly\n"
+    )
+
+
+def test_witness_search_past_the_singleton_limit_exit_sixtyfour(tmp_path, capsys):
+    from spdkernels.supportsets import MAX_WITNESS_SINGLETONS
+
+    odd = [{"type": "one", "value": v} for v in range(1, 2 * MAX_WITNESS_SINGLETONS + 2, 2)]
+    path = write_spec(tmp_path, dict(EVENS_CIRCLE, support=EVENS_CIRCLE["support"] + odd))
+    for command in ("certify", "witness"):
+        assert _run_within_budget([command, path]) == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (
+            f"error: witness search over {MAX_WITNESS_SINGLETONS + 1} singletons "
+            f"is past the limit of {MAX_WITNESS_SINGLETONS}"
+        ) in err

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LATE_FAILURES, battery_1d, battery_2d
+from conftest import LATE_FAILURES, WINDOW, battery_1d, battery_2d
 from spdkernels import (
     ProgressionWitness,
     SupportSet1D,
@@ -35,7 +35,7 @@ from spdkernels.certify import (
     _section_terms_have_tail,
     _tail_frequency_set,
 )
-from spdkernels.supportsets import WINDOW, _divisors
+from spdkernels.supportsets import _divisors
 from test_acceptance import ALL_FIXED_2D
 from test_supportsets import support_strategy, term_strategy
 
@@ -253,10 +253,10 @@ def test_predicate_runs_once_per_pattern():
     assert_same_terms(freq, reference_promote_periodic(k_terms, lambda v: v % 2 == 0))
 
 
-@given(support=support_strategy, n=st.integers(1, 30), j=st.integers(0, 29), window=st.integers(0, 200))
+@given(support=support_strategy, n=st.integers(1, 30), j=st.integers(0, 29))
 @settings(max_examples=150, deadline=None)
-def test_window_scan_matches(support, n, j, window):
+def test_window_scan_matches(support, n, j):
     witness = ProgressionWitness(n, j % n)
-    assert witness_avoids_window(support, witness, window) == reference_witness_avoids_window(
-        support, witness, window
+    assert witness_avoids_window(support, witness) == reference_witness_avoids_window(
+        support, witness
     )
