@@ -23,6 +23,7 @@ coverage test reads it as a residue mask, without building a term per flag.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
@@ -34,7 +35,7 @@ from .errors import NotApplicableError
 
 __all__ = [
     "MAX_PERIOD",
-    "MAX_WITNESS_SINGLETONS",
+    "MAX_WITNESS_WORK",
     "Parity",
     "Term1D",
     "one",
@@ -66,13 +67,14 @@ Parity = Literal["even", "odd", "any"]
 # workloads' windows stay near 2e4.
 MAX_PERIOD = 200_000
 
-# The most singletons the witness search may weigh: those in the missed class
-# +/-j0 mod d, each of which can ban one candidate class per trial modulus.
-# The search tries about as many moduli as there are such singletons, so its
-# cost grows with their square: 2000 of them take about 0.06 s, the limit
-# about 0.2 s, on two cores.  Past it ``NotApplicableError`` is raised before
-# the first modulus is tried.
-MAX_WITNESS_SINGLETONS = 5_000
+# The most work the witness search may do: a trial factor p over m distinct
+# banning values costs about p + m, and the search stops with
+# ``NotApplicableError`` before a trial whose p * m is past this bound.  A run
+# of r consecutive banning values rules out every p <= r at once, so a
+# support whose least p is large for that reason alone is refused before the
+# first trial.  One stopped after its trials takes tenths of a second: 0.27 s
+# for the singletons 1 + 4k, k < 7100, beside prog(0, 2), on two cores.
+MAX_WITNESS_WORK = 10**8
 
 
 def _check_parity(parity: str) -> None:
@@ -398,12 +400,6 @@ def witness_avoids_window(support: Set1D, witness: ProgressionWitness) -> bool:
     return True
 
 
-# Up to this many banning values the witness search marks them in a Python
-# loop, which beats numpy's per-call cost on the small supports most calls
-# see; past it, in one numpy assignment per trial modulus.
-_NUMPY_BANS = 64
-
-
 def _search_witness(support: Set1D, lcm_steps: int, d: int, j0: int) -> ProgressionWitness:
     """Grow the modulus n = d * p (p coprime to the step lcm) until some class
     j = j0 + t * d mod n also avoids every singleton: the least such p, then
@@ -412,43 +408,36 @@ def _search_witness(support: Set1D, lcm_steps: int, d: int, j0: int) -> Progress
     No progression meets such a class: p is coprime to every step s, so
     gcd(s, n) = gcd(s, d), and j0 mod d is a class they all miss.  Only a
     singleton v = +/-j0 mod d can fall in it, so those are filtered once, and
-    each p marks the t they ban in one pass.  More of them than
-    ``MAX_WITNESS_SINGLETONS`` raises ``NotApplicableError``.
+    each p marks the t they ban in one numpy assignment.  A trial whose
+    p * (distinct banning values) is past ``MAX_WITNESS_WORK`` raises
+    ``NotApplicableError``.
     """
-    if isinstance(support, PeriodicSet1D):
-        s = support.singleton_array()
-        near = s[(s % d == j0) | (-s % d == j0)].tolist()
-    else:
-        near = [v for v in support.singletons() if v % d == j0 or -v % d == j0]
-    if len(near) > MAX_WITNESS_SINGLETONS:
-        raise NotApplicableError(
-            f"witness search over {len(near)} singletons is past the limit of {MAX_WITNESS_SINGLETONS}"
-        )
+    near = [v for v in support.singletons() if v % d == j0 or -v % d == j0]
     # v = j0 + d * q (or -v = j0 + d * q) falls in the class j0 + t * d mod
     # d * p exactly when t = q mod p
-    q = [v // d for v in near if v % d == j0] + [-v // d for v in near if -v % d == j0]
-    if len(q) > _NUMPY_BANS:
-        try:
-            q = np.array(q, dtype=np.int64)
-        except OverflowError:  # values past int64 stay Python ints
-            q = np.array(q, dtype=object)
-    # any p > 2 * len(near) bans fewer than p classes, and every lcm_steps
+    q = sorted({v // d for v in near if v % d == j0} | {-v // d for v in near if -v % d == j0})
+    # r consecutive values of q ban every t of each p <= r; in sorted distinct
+    # values, x - (its index) is constant along a run and nowhere else
+    run = max(Counter(x - i for i, x in enumerate(q)).values(), default=0)
+    try:
+        q = np.array(q, dtype=np.int64)
+    except OverflowError:  # values past int64 stay Python ints
+        q = np.array(q, dtype=object)
+    # any p > q.size bans fewer than p classes, and every lcm_steps
     # consecutive integers hold one coprime to lcm_steps
-    for p in range(1, 2 * len(near) + lcm_steps + 2):
+    for p in range(run + 1, q.size + lcm_steps + 2):
         if gcd(p, lcm_steps) != 1:
             continue
-        if isinstance(q, list):
-            banned = bytearray(p)
-            for x in q:
-                banned[x % p] = 1
-            t = banned.find(0)
-        else:
-            banned = np.zeros(p, dtype=bool)
-            # q mod p; numpy divides by a scalar faster than it takes a remainder
-            banned[(q - q // p * p).astype(np.intp, copy=False)] = True
-            t = int(banned.argmin())
-            t = -1 if banned[t] else t
-        if t >= 0:
+        if p * q.size > MAX_WITNESS_WORK:
+            raise NotApplicableError(
+                f"witness search at factor {p} over {q.size} singleton classes "
+                f"is past the limit of {MAX_WITNESS_WORK} steps"
+            )
+        banned = np.zeros(p, dtype=bool)
+        # q mod p; numpy divides by a scalar faster than it takes a remainder
+        banned[(q - q // p * p).astype(np.intp, copy=False)] = True
+        t = int(banned.argmin())
+        if not banned[t]:
             return ProgressionWitness(d * p, j0 + t * d)
     raise RuntimeError("witness search exhausted its bound; this should be unreachable")
 

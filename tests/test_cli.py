@@ -549,16 +549,27 @@ def test_crosscheck_at_the_window_limit_is_fast(tmp_path, capsys):
     )
 
 
-def test_witness_search_past_the_singleton_limit_exit_sixtyfour(tmp_path, capsys):
-    from spdkernels.supportsets import MAX_WITNESS_SINGLETONS
+def test_witness_search_past_the_work_limit_exit_sixtyfour(tmp_path, capsys):
+    from spdkernels.supportsets import MAX_WITNESS_WORK
 
-    odd = [{"type": "one", "value": v} for v in range(1, 2 * MAX_WITNESS_SINGLETONS + 2, 2)]
+    odd = [{"type": "one", "value": v} for v in range(1, 10_000, 2)]
     path = write_spec(tmp_path, dict(EVENS_CIRCLE, support=EVENS_CIRCLE["support"] + odd))
     for command in ("certify", "witness"):
         assert _run_within_budget([command, path]) == 64
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert (
-            f"error: witness search over {MAX_WITNESS_SINGLETONS + 1} singletons "
-            f"is past the limit of {MAX_WITNESS_SINGLETONS}"
+            "error: witness search at factor 10001 over 10000 singleton classes "
+            f"is past the limit of {MAX_WITNESS_WORK} steps"
         ) in err
+
+
+def test_many_singletons_with_a_small_witness_are_refuted(tmp_path, capsys):
+    # 5001 singletons 1 + 12k all lie in the missed class 1 mod 2, but none
+    # in 3 mod 6
+    ones = [{"type": "one", "value": 1 + 12 * k} for k in range(5001)]
+    path = write_spec(tmp_path, dict(EVENS_CIRCLE, support=EVENS_CIRCLE["support"] + ones))
+    assert main(["certify", path]) == 1
+    assert capsys.readouterr().out == "NotSPD (circle-residue-classes): missed residue class 3 mod 6\n"
+    assert main(["witness", path]) == 1
+    assert capsys.readouterr().out.startswith("witness kind=progression")

@@ -31,7 +31,8 @@ from spdkernels import (
     witness_progression_circle,
 )
 from spdkernels.certify import _promote_periodic, _qualifying_set, _tail_frequency_set
-from spdkernels.supportsets import MAX_WITNESS_SINGLETONS, PeriodicSet1D
+from spdkernels.supportsets import MAX_WITNESS_WORK, PeriodicSet1D
+from test_window_equivalence import reference_meets_every_progression
 
 # bases up to 60 leave room for singletons below the window bound
 wide_term = st.one_of(
@@ -148,6 +149,18 @@ def odd_singletons_beside_evens(below):
     return SupportSet1D((prog(0, 2),) + tuple(one(v) for v in range(1, below, 2)))
 
 
+@given(
+    steps=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=2),
+    singles=st.sets(st.integers(0, 80), max_size=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_witness_search_matches_the_reference_on_dense_singletons(steps, singles):
+    # dense singletons make long runs of banned classes, which the search
+    # skips without a trial
+    support = SupportSet1D(tuple(prog(*s) for s in steps) + tuple(one(v) for v in sorted(singles)))
+    assert meets_every_progression(support) == reference_meets_every_progression(support)
+
+
 def test_witness_search_is_not_quadratic_in_python():
     support = odd_singletons_beside_evens(4000)
     meets_every_progression(odd_singletons_beside_evens(100))
@@ -158,30 +171,61 @@ def test_witness_search_is_not_quadratic_in_python():
     assert elapsed < 0.1
 
 
-def test_witness_search_past_the_singleton_limit_is_refused():
-    # 1, 3, ..., 2 * limit + 1 all lie in the missed class 1 mod 2
-    support = odd_singletons_beside_evens(2 * MAX_WITNESS_SINGLETONS + 2)
+def test_witness_search_past_the_work_limit_is_refused_at_once():
+    # 1, 3, ..., 9999 and their negatives ban q = -5000..4999, one run of
+    # 10000, so every factor up to 10000 is ruled out before any trial
+    assert 10_001 * 10_000 > MAX_WITNESS_WORK >= 9_999 * 9_998
+    support = odd_singletons_beside_evens(10_000)
     start = time.perf_counter()
     with pytest.raises(
         NotApplicableError,
-        match=f"witness search over {MAX_WITNESS_SINGLETONS + 1} singletons is past the limit of {MAX_WITNESS_SINGLETONS}",
+        match=f"witness search at factor 10001 over 10000 singleton classes is past the limit of {MAX_WITNESS_WORK} steps",
     ):
         meets_every_progression(support)
     assert time.perf_counter() - start < 0.05
-    # at the limit the search still answers
-    ok, witness = meets_every_progression(odd_singletons_beside_evens(2 * MAX_WITNESS_SINGLETONS))
-    assert not ok and witness_avoids_window(odd_singletons_beside_evens(2 * MAX_WITNESS_SINGLETONS), witness)
+    # one odd singleton fewer and the first trial fits the budget
+    start = time.perf_counter()
+    assert meets_every_progression(odd_singletons_beside_evens(9_998)) == (False, ProgressionWitness(19_998, 9_999))
+    assert time.perf_counter() - start < 0.05
+
+
+def test_many_singletons_in_the_class_can_leave_a_small_factor():
+    # every v = 1 mod 12 is 1 mod 6 and every -v is 5 mod 6, so 3 mod 6 is
+    # free however many of them the missed class 1 mod 2 holds
+    support = SupportSet1D((prog(0, 2),) + tuple(one(1 + 12 * k) for k in range(20_000)))
+    start = time.perf_counter()
+    assert meets_every_progression(support) == (False, ProgressionWitness(6, 3))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_witness_search_without_a_long_run_stops_at_the_work_limit():
+    # 1 + 4k and their negatives ban the even q = 0, 2, ... and the odd
+    # q = -1, -3, ...: no run past 2, yet every odd factor up to about the
+    # count is covered, so the search tries factors until p * 14200 passes
+    # the budget
+    support = SupportSet1D((prog(0, 2),) + tuple(one(1 + 4 * k) for k in range(7_100)))
+    start = time.perf_counter()
+    with pytest.raises(
+        NotApplicableError,
+        match=f"witness search at factor 7043 over 14200 singleton classes is past the limit of {MAX_WITNESS_WORK} steps",
+    ):
+        meets_every_progression(support)
+    assert time.perf_counter() - start < 2.0
+    support = SupportSet1D((prog(0, 2),) + tuple(one(1 + 4 * k) for k in range(1_000)))
+    ok, witness = meets_every_progression(support)
+    assert (ok, witness) == (False, ProgressionWitness(2670, 1331))
+    assert witness_avoids_window(support, witness)
 
 
 def test_singletons_outside_the_missed_class_cost_nothing():
-    # even singletons cannot fall in 1 mod 2, so they are never counted
-    support = SupportSet1D((prog(0, 2),) + tuple(one(v) for v in range(0, 4 * MAX_WITNESS_SINGLETONS, 2)))
+    # even singletons cannot fall in 1 mod 2, so they never ban a class
+    support = SupportSet1D((prog(0, 2),) + tuple(one(v) for v in range(0, 40_000, 2)))
     assert meets_every_progression(support) == (False, ProgressionWitness(2, 1))
 
 
 def test_witness_search_takes_integers_past_int64():
     big = 10**30
-    for count in (3, 100):  # below and past the numpy switch
+    for count in (3, 100):
         support = SupportSet1D((prog(0, 2),) + tuple(one(big + 2 * i + 1) for i in range(count)))
         ok, witness = meets_every_progression(support)
         assert not ok and witness.modulus % 2 == 0
