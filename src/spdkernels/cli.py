@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -51,6 +52,10 @@ EXIT_NOT_SPD = 1
 EXIT_PARTIAL = 2
 EXIT_SPEC_ERROR = 64
 EXIT_NUMERICAL = 70
+
+# Most points for `gram --csv`, which runs one eigensolve per leading block,
+# O(n^4) in all: 512 points take a few seconds.
+CSV_MAX_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,7 @@ def _certificate_to_dict(cert: Certificate) -> dict:
     return {
         "verdict": cert.verdict.value,
         "method": cert.method,
-        "trace": [dataclasses.asdict(t) for t in cert.trace],
+        "trace": [dict(vars(t)) for t in cert.trace],
         "counterexample": _counterexample_to_dict(cert.counterexample),
     }
 
@@ -437,7 +442,21 @@ def _sample_points(spec: KernelSpec, n: int, seed: int):
     return list(zip(xs, zs))
 
 
+def _check_gram_flags(args) -> None:
+    """Refuse point counts past the budgets and tolerances that decide nothing,
+    before any spec is loaded or point sampled."""
+    if args.points > gram_mod.MAX_POINTS:
+        raise SpecFileError("--points", f"{args.points} points is past the limit of {gram_mod.MAX_POINTS}")
+    if args.csv and args.points > CSV_MAX_POINTS:
+        raise SpecFileError(
+            "--csv", f"{args.points} points is past the limit of {CSV_MAX_POINTS} for the per-block curve"
+        )
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise SpecFileError("--tol", f"{args.tol} must be a finite number >= 0")
+
+
 def _cmd_gram(args) -> int:
+    _check_gram_flags(args)
     sf = _load(args)
     spec = sf.spec
     if args.trunc is not None:

@@ -73,6 +73,8 @@ class SpherePoint:
         if len(self.coords) < 3:
             raise ValueError("sphere points need at least 3 coordinates (m >= 2)")
         norm = math.sqrt(sum(c * c for c in self.coords))
+        if not math.isfinite(norm):
+            raise ValueError("sphere point coordinates must be finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"sphere point norm {norm} deviates from 1 beyond 1e-12")
 
@@ -80,6 +82,8 @@ class SpherePoint:
     def from_vector(cls, v: Sequence[float]) -> "SpherePoint":
         arr = np.asarray(v, dtype=float)
         norm = float(np.linalg.norm(arr))
+        if not math.isfinite(norm):
+            raise ValueError("sphere point coordinates must be finite")
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(tuple(arr / norm))

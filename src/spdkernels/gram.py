@@ -14,8 +14,9 @@ and three witness builders that exhibit vanishing quadratic forms:
   composed: roots of unity crossed with q sphere points, weighted to cancel
   the layers below the cutoff, and their antipodes (q = 1 at cutoff 0).
 
-Witnesses past ``_WITNESS_MAX_POINTS`` points are refused before any Gram
-is built.  Residuals are reported verbatim, never clamped.
+Witnesses past ``MAX_POINTS`` points are refused before any Gram is built,
+and the command line samples no more points than that for a Gram matrix.
+Residuals are reported verbatim, never clamped.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .supportsets import (
     SupportSet1D,
     Term1D,
     one,
-    term_has_parity_member,
     witness_avoids_window,
 )
 
 __all__ = [
+    "MAX_POINTS",
     "WitnessReport",
     "BlockCheck",
     "gram_matrix",
@@ -57,9 +58,10 @@ logger = logging.getLogger(__name__)
 
 _DUP_TOL = 1e-12
 
-# Largest configuration a witness may build: the n roots of unity of a circle
-# witness, the 2 n q points of a product witness (q grows like gamma^m).
-_WITNESS_MAX_POINTS = 2048
+# Largest configuration a witness may build (the n roots of unity of a circle
+# witness, the 2 n q points of a product witness, q growing like gamma^m) and
+# the most points `spdkernels gram` may sample.
+MAX_POINTS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,8 +317,8 @@ def _roots_of_unity_weights(n: int, j: int) -> tuple[list[CirclePoint], np.ndarr
 
 
 def _check_point_count(kind: str, points: int) -> None:
-    if points > _WITNESS_MAX_POINTS:
-        raise NotApplicableError(f"{kind} witness needs {points} points, past the limit of {_WITNESS_MAX_POINTS}")
+    if points > MAX_POINTS:
+        raise NotApplicableError(f"{kind} witness needs {points} points, past the limit of {MAX_POINTS}")
 
 
 def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) -> WitnessReport:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .orthopoly import MAX_DEGREE, circle_table, gegenbauer_table, jacobi_table
-from .supportsets import Parity, SupportSet1D, SupportSet2D, one
+from .supportsets import SupportSet1D, SupportSet2D
 
 __all__ = [
     "BETA_BY_FAMILY",
@@ -41,10 +41,7 @@ __all__ = [
     "KernelSpec",
     "eval_kernel",
     "kernel_values",
-    "eval_marginal",
     "marginal_matrix",
-    "truncated_parity_sum",
-    "support_of",
 ]
 
 # Jacobi beta parameter for each projective family; alpha is (d - 2)/2.
@@ -162,11 +159,6 @@ class CoefficientScheme:
                     raise ValueError(f"geometric rate {name} must lie in (0, 1), got {r}")
         elif self.r_k is not None or self.r_l is not None:
             raise ValueError("constant scheme takes no rates")
-
-    def coefficient(self, k: int, l: int) -> float:
-        if self.kind == "constant":
-            return self.scale
-        return self.scale * self.r_k**k * self.r_l**l
 
     def coefficient_axis(self, j: int, axis: str) -> float:
         """Rule restricted to one axis: the k-rate drives circle supports, the
@@ -347,42 +339,3 @@ def marginal_matrix(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     circ = circle_table(spec.kmax, t)
     return spec.coefficient_matrix.T @ circ
-
-
-def eval_marginal(spec: KernelSpec, l: int, t: float) -> float:
-    """Marginal f_l(t) for one sphere degree l <= lmax."""
-    if not spec.space.is_product:
-        raise NotApplicableError("marginals are defined for product specs only")
-    if not 0 <= l <= spec.lmax:
-        raise ValueError(f"marginal degree {l} outside the truncation box [0, {spec.lmax}]")
-    _warn_if_empty(spec)
-    return float(marginal_matrix(spec, np.array([float(t)]))[l, 0])
-
-
-def truncated_parity_sum(spec: KernelSpec, gamma: int, parity: Parity, t: float) -> float:
-    """Sum of marginals f_l(t) over sphere degrees l >= gamma in the parity class."""
-    if not spec.space.is_product:
-        raise NotApplicableError("parity sums are defined for product specs only")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    _warn_if_empty(spec)
-    start = gamma if (gamma % 2 == 0) == (parity == "even") else gamma + 1
-    rows = np.arange(start, spec.lmax + 1, 2)
-    if rows.size == 0:
-        return 0.0
-    weights = spec.coefficient_matrix[:, rows].sum(axis=1)
-    circ = circle_table(spec.kmax, np.array([float(t)]))
-    return float(weights @ circ[:, 0])
-
-
-def support_of(spec: KernelSpec, truncated: bool = False) -> Union[SupportSet1D, SupportSet2D]:
-    """Declared symbolic support, or the finite effective one as singletons."""
-    if not truncated:
-        return spec.support
-    if spec.space.is_product:
-        ks, ls = np.nonzero(spec.coefficient_matrix > 0)
-        return SupportSet2D(tuple((one(int(k)), one(int(l))) for k, l in zip(ks, ls)))
-    js = np.nonzero(spec.coefficient_matrix > 0)[0]
-    return SupportSet1D(tuple(one(int(j)) for j in js))

@@ -1,13 +1,14 @@
 """Zonal polynomial families for isotropic kernel expansions.
 
-Three families on [-1, 1], each evaluated by a three-term recurrence:
+Three families on [-1, 1], each tabulated for every degree up to a cap by a
+three-term recurrence, one row per degree and one column per argument:
 
-* ``circle_poly``: 1 for degree 0 and (2/k) cos(k arccos t) for degree k >= 1,
-  computed through the Chebyshev recurrence rather than arccos;
-* ``gegenbauer``: ultraspherical polynomials attached to the parameter
+* ``circle_table``: 1 for degree 0 and (2/k) cos(k arccos t) for degree
+  k >= 1, computed through the Chebyshev recurrence rather than arccos;
+* ``gegenbauer_table``: ultraspherical polynomials attached to the parameter
   (m - 1)/2 for the sphere S^m, m >= 2, normalized so the value at t = 1
   equals binom(n + m - 2, n);
-* ``jacobi``: Jacobi polynomials P_l^(alpha, beta), alpha, beta > -1,
+* ``jacobi_table``: Jacobi polynomials P_l^(alpha, beta), alpha, beta > -1,
   normalized so the value at t = 1 equals the generalized binomial
   binom(l + alpha, l).
 
@@ -17,28 +18,16 @@ The Gegenbauer recurrence is run on values divided by the value at 1,
     R_n = ((2n + m - 3) t R_{n-1} - (n - 1) R_{n-2}) / (n + m - 2),
 
 which keeps every intermediate inside [-1, 1]; the unnormalized value is
-recovered through an incrementally built binomial factor (no factorials).
+recovered by scaling each row with an incrementally built binomial factor
+(no factorials).
 Degrees are capped at MAX_DEGREE so everything stays in double precision.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = [
-    "MAX_DEGREE",
-    "circle_poly",
-    "circle_table",
-    "gegenbauer",
-    "gegenbauer_norm",
-    "gegenbauer_table",
-    "jacobi",
-    "jacobi_norm_at_one",
-    "jacobi_table",
-    "ratio_at",
-]
+__all__ = ["MAX_DEGREE", "circle_table", "gegenbauer_table", "jacobi_table"]
 
 MAX_DEGREE = 10_000
 _ARG_TOL = 1e-12
@@ -94,12 +83,6 @@ def circle_table(kmax: int, t) -> np.ndarray:
     return out
 
 
-def circle_poly(k: int, t: float) -> float:
-    """Circle-family value of degree k at t: 1 for k = 0, (2/k) cos(k arccos t) else."""
-    k = _checked_degree(k)
-    return float(circle_table(k, t)[k, 0])
-
-
 def _ratio_table(nmax: int, m: int, x: np.ndarray) -> np.ndarray:
     out = np.empty((nmax + 1, x.size))
     out[0] = 1.0
@@ -118,17 +101,8 @@ def _ratio_table(nmax: int, m: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gegenbauer_norm(n: int, m: int) -> float:
-    """Value at t = 1, i.e. binom(n + m - 2, n), built as an incremental product."""
-    n = _checked_degree(n)
-    m = _checked_dimension(m)
-    acc = 1.0
-    for i in range(1, n + 1):
-        acc *= (i + m - 2) / i
-    return acc
-
-
 def _norm_vector(nmax: int, m: int) -> np.ndarray:
+    """Values at t = 1, binom(n + m - 2, n) for n = 0..nmax, as running products."""
     norms = np.empty(nmax + 1)
     norms[0] = 1.0
     for n in range(1, nmax + 1):
@@ -136,41 +110,14 @@ def _norm_vector(nmax: int, m: int) -> np.ndarray:
     return norms
 
 
-def gegenbauer_table(nmax: int, m: int, t, normalized: bool = False) -> np.ndarray:
-    """Ultraspherical values for degrees 0..nmax, shape (nmax+1, len(t)).
-
-    With ``normalized=True`` the rows are divided by their value at 1 (every
-    entry then lies in [-1, 1]).
-    """
+def gegenbauer_table(nmax: int, m: int, t) -> np.ndarray:
+    """Ultraspherical values for degrees 0..nmax, shape (nmax+1, len(t))."""
     nmax = _checked_degree(nmax)
     m = _checked_dimension(m)
     x = _checked_argument(t)
     ratios = _ratio_table(nmax, m, x)
-    if not normalized:
-        ratios *= _norm_vector(nmax, m)[:, None]
+    ratios *= _norm_vector(nmax, m)[:, None]
     return ratios
-
-
-def gegenbauer(n: int, m: int, t: float) -> float:
-    """Ultraspherical polynomial of degree n for S^m at t, normalized at 1 to binom(n+m-2, n)."""
-    n = _checked_degree(n)
-    m = _checked_dimension(m)
-    x = _checked_argument(t)
-    return float(_ratio_table(n, m, x)[n, 0] * gegenbauer_norm(n, m))
-
-
-def ratio_at(l: int, m: int, t: float) -> float:
-    """Ultraspherical value at t divided by the value at 1; always in [-1, 1]."""
-    l = _checked_degree(l)
-    m = _checked_dimension(m)
-    x = _checked_argument(t)
-    return float(_ratio_table(l, m, x)[l, 0])
-
-
-def jacobi_norm_at_one(l: int, alpha: float) -> float:
-    """binom(l + alpha, l) for real alpha > -1, computed through log-Gamma."""
-    l = _checked_degree(l)
-    return math.exp(math.lgamma(l + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(l + 1))
 
 
 def jacobi_table(lmax: int, alpha: float, beta: float, t) -> np.ndarray:
@@ -202,9 +149,3 @@ def jacobi_table(lmax: int, alpha: float, beta: float, t) -> np.ndarray:
         np.subtract(row, lower, out=row)
         np.divide(row, c0, out=row)
     return out
-
-
-def jacobi(l: int, alpha: float, beta: float, t: float) -> float:
-    """Jacobi polynomial P_l^(alpha, beta) at t, normalized at 1 to binom(l + alpha, l)."""
-    l = _checked_degree(l)
-    return float(jacobi_table(l, alpha, beta, t)[l, 0])

@@ -281,6 +281,13 @@ def gamma_parity_members(support2d, gamma, parity, kmax=200, lmax=200):
     return ks
 
 
+def jacobi_one_ref(l, alpha):
+    """binom(l + alpha, l), the Jacobi value at t = 1, by log-gamma."""
+    return math.exp(
+        math.lgamma(l + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(l + 1)
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)

@@ -17,6 +17,7 @@ from conftest import (
     SPD_PRODUCT_SUPPORTS,
     battery_1d,
     battery_2d,
+    jacobi_one_ref,
     oracle_class_member,
     oracle_witness_sound,
 )
@@ -36,12 +37,9 @@ from spdkernels import (
     gegenbauer_table,
     geometric_scheme,
     gram_matrix,
-    jacobi,
-    jacobi_norm_at_one,
     jacobi_table,
     meets_every_progression,
     prog,
-    ratio_at,
     s2_quadrature,
     sample_config,
     sph_basis_s2,
@@ -67,12 +65,10 @@ def _announce(capsys, line):
 def test_criterion_1_polynomial_normalization(capsys):
     # endpoint normalization: relative error below 1e-9 for n <= 50, m <= 10
     for m in range(2, 11):
+        at_one = gegenbauer_table(50, m, [1.0])[:, 0]
         for n in range(51):
-            from spdkernels import gegenbauer
-
-            got = gegenbauer(n, m, 1.0)
             want = math.comb(n + m - 2, n)
-            assert abs(got - want) <= 1e-9 * max(1.0, want), (n, m)
+            assert abs(at_one[n] - want) <= 1e-9 * max(1.0, want), (n, m)
 
     # circle identity against cosines, k <= 64, absolute 1e-10
     theta = np.linspace(0.0, math.pi, 100)
@@ -80,12 +76,14 @@ def test_criterion_1_polynomial_normalization(capsys):
     for k in range(1, 65):
         assert np.abs(table[k] - (2.0 / k) * np.cos(k * theta)).max() <= 1e-10, k
 
-    # parity and boundedness of the normalized ratio, every l <= 60, m <= 8
+    # parity and boundedness of the normalized ratio (each row divided by
+    # its value at 1), every l <= 60, m <= 8
     grid = np.linspace(-1.0, 1.0, 41)
     signs = np.where(np.arange(61) % 2 == 0, 1.0, -1.0)[:, None]
     for m in range(2, 9):
-        vals = gegenbauer_table(60, m, grid, normalized=True)
-        mirrored = gegenbauer_table(60, m, -grid, normalized=True)
+        at_one = gegenbauer_table(60, m, [1.0])
+        vals = gegenbauer_table(60, m, grid) / at_one
+        mirrored = gegenbauer_table(60, m, -grid) / at_one
         assert np.abs(vals).max() <= 1.0 + 1e-10, m
         assert np.abs(mirrored - signs * vals).max() <= 1e-10, m
 
@@ -102,7 +100,8 @@ def test_criterion_2_addition_theorem(capsys):
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         lhs = (basis(u) * basis(v)).sum(axis=0)
         dots = np.clip((u * v).sum(axis=1), -1.0, 1.0)
-        rhs = (2 * l + 1) / (4 * math.pi) * np.array([ratio_at(l, 2, float(d)) for d in dots])
+        # on S^2 the value at 1 is binom(l, l) = 1: the rows are Legendre polynomials
+        rhs = (2 * l + 1) / (4 * math.pi) * gegenbauer_table(l, 2, dots)[l]
         assert np.abs(lhs - rhs).max() <= 1e-8, l
     _announce(capsys, "[2] addition theorem on S^2 holds to 1e-8 for l <= 15, 100 pairs each")
 
@@ -256,12 +255,14 @@ def test_criterion_8_projective_second_factor(capsys):
         sp = circle_tph_space(family, d)
         alpha, beta = sp.alpha, sp.beta
         betas.append(beta)
-        for x in np.linspace(-1, 1, 9):
+        grid = np.linspace(-1, 1, 9)
+        degree_one = jacobi_table(1, alpha, beta, grid)[1]
+        for x, got in zip(grid, degree_one):
             expect = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
-            assert jacobi(1, alpha, beta, float(x)) == pytest.approx(expect, abs=1e-12)
+            assert got == pytest.approx(expect, abs=1e-12)
         table = jacobi_table(10, alpha, beta, np.array([1.0]))
         for l in range(11):
-            want = jacobi_norm_at_one(l, alpha)
+            want = jacobi_one_ref(l, alpha)
             assert table[l, 0] == pytest.approx(want, rel=1e-12), (family, l)
     assert betas == [-0.5, 0.0, 1.0, 3.0]
     _announce(capsys, "[8] projective families: verdicts and Jacobi normalizations check out")

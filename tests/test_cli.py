@@ -203,6 +203,43 @@ def test_gram_refuses_tph(tmp_path):
     assert main(["gram", path, "--points", "4"]) == 64
 
 
+def test_gram_points_past_the_limit_exit_sixtyfour(tmp_path, capsys):
+    from spdkernels.gram import MAX_POINTS
+
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    assert _run_within_budget(["gram", path, "--points", str(MAX_POINTS + 1)]) == 64
+    assert f"--points: {MAX_POINTS + 1} points is past the limit of {MAX_POINTS}" in capsys.readouterr().err
+
+
+def test_gram_csv_past_the_limit_exit_sixtyfour(tmp_path, capsys):
+    from spdkernels.cli import CSV_MAX_POINTS
+
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    csv_path = tmp_path / "curve.csv"
+    argv = ["gram", path, "--points", str(CSV_MAX_POINTS + 1), "--csv", str(csv_path)]
+    assert _run_within_budget(argv) == 64
+    assert f"--csv: {CSV_MAX_POINTS + 1} points is past the limit of {CSV_MAX_POINTS}" in capsys.readouterr().err
+    assert not csv_path.exists()
+    # the same point count without the per-block curve is within budget
+    assert main(["gram", path, "--points", str(CSV_MAX_POINTS + 1), "--trunc", "4,4"]) in (0, 1)
+    # the benchmark's 50-point curve still runs
+    assert main(["gram", path, "--points", "50", "--trunc", "20,20", "--csv", str(csv_path)]) == 0
+    assert len(csv_path.read_text().strip().splitlines()) == 50  # header plus n = 2..50
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_gram_refuses_a_tolerance_that_decides_nothing(tmp_path, capsys, tol):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    assert _run_within_budget(["gram", path, "--points", "5", f"--tol={tol}"]) == 64
+    assert f"--tol: {float(tol)} must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_gram_accepts_a_zero_tolerance(tmp_path, capsys):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    assert main(["gram", path, "--points", "5", "--tol", "0"]) == 0
+    assert "PD at tol 0.0" in capsys.readouterr().out
+
+
 def test_witness_on_refuted_circle(tmp_path, capsys):
     path = write_spec(tmp_path, EVENS_CIRCLE)
     out = tmp_path / "w.json"

@@ -11,7 +11,7 @@ from spdkernels import (
     SamplingError,
     SpherePoint,
     build_enhanced,
-    ratio_at,
+    gegenbauer_table,
     s2_quadrature,
     sample_config,
     sph_basis_s2,
@@ -43,6 +43,16 @@ def test_sphere_point_validation():
         SpherePoint((0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
         SpherePoint((1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sphere_point_refuses_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SpherePoint((bad, 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        SpherePoint((1.0, bad, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        SpherePoint.from_vector(np.array([1.0, 0.0, bad]))
 
 
 def test_sphere_from_vector_normalizes():
@@ -215,7 +225,8 @@ def test_addition_theorem_degree_three():
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
         lhs = float(basis(u[None, :])[:, 0] @ basis(v[None, :])[:, 0])
-        rhs = (2 * 3 + 1) / (4 * math.pi) * ratio_at(3, 2, float(u @ v))
+        # on S^2 the value at 1 is binom(3, 3) = 1: the table holds Legendre values
+        rhs = (2 * 3 + 1) / (4 * math.pi) * gegenbauer_table(3, 2, [u @ v])[3, 0]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import jacobi_one_ref
 from spdkernels import (
     CoefficientScheme,
     KernelSpec,
@@ -13,22 +14,17 @@ from spdkernels import (
     SpaceDescriptor,
     SupportSet1D,
     SupportSet2D,
-    circle_poly,
     circle_space,
     circle_sphere_space,
     circle_tph_space,
     constant_scheme,
     eval_kernel,
-    eval_marginal,
     geometric_scheme,
     kernel_values,
     marginal_matrix,
     one,
     prog,
-    ratio_at,
     sphere_space,
-    support_of,
-    truncated_parity_sum,
 )
 from spdkernels.kernels import CHUNK_PAIRS
 from spdkernels.orthopoly import circle_table, gegenbauer_table
@@ -75,10 +71,10 @@ def test_tph_dimension_rules():
 # --- coefficient schemes --------------------------------------------------------
 
 def test_scheme_values():
-    c = constant_scheme(2.0)
-    assert c.coefficient(4, 9) == 2.0
-    g = geometric_scheme(r_k=0.5, r_l=0.25, scale=3.0)
-    assert g.coefficient(2, 1) == pytest.approx(3.0 * 0.25 * 0.25)
+    c = product_spec(FULL_2D, constant_scheme(2.0), trunc=(4, 9))
+    assert c.coefficient_matrix[4, 9] == 2.0
+    g = product_spec(FULL_2D, geometric_scheme(r_k=0.5, r_l=0.25, scale=3.0), trunc=(2, 1))
+    assert g.coefficient_matrix[2, 1] == pytest.approx(3.0 * 0.25 * 0.25)
     with pytest.raises(ValueError):
         CoefficientScheme("geometric", r_k=1.5)
     with pytest.raises(ValueError):
@@ -114,12 +110,15 @@ def test_eval_matches_direct_sum():
     spec = product_spec(trunc=(12, 12))
     rng = np.random.default_rng(5)
     for t, s in rng.uniform(-1, 1, size=(10, 2)):
+        circ = circle_table(12, [t])[:, 0]
+        # on S^2 every degree's value at 1 is 1: the rows are Legendre values
+        legendre = gegenbauer_table(12, 2, [s])[:, 0]
         direct = 0.0
         for k in range(13):
             for l in range(13):
                 a = spec.coefficient_matrix[k, l]
                 if a:
-                    direct += a * circle_poly(k, float(t)) * ratio_at(l, 2, float(s))
+                    direct += a * circ[k] * legendre[l]
         assert eval_kernel(spec, float(t), float(s)) == pytest.approx(direct, abs=1e-10)
 
 
@@ -155,21 +154,19 @@ def test_tph_value_at_one_uses_jacobi_norms():
     space = circle_tph_space("quat_proj", 8)
     support = SupportSet2D(((one(0), one(2)),))
     spec = KernelSpec(space, support, constant_scheme(1.0), (4, 4))
-    from spdkernels import jacobi_norm_at_one
-
-    assert spec.value_at_one == pytest.approx(jacobi_norm_at_one(2, space.alpha))
+    assert spec.value_at_one == pytest.approx(jacobi_one_ref(2, space.alpha))
 
 
-# --- marginals and parity sums ----------------------------------------------------
+# --- marginals ----------------------------------------------------------------------
 
 def test_marginal_definition():
     spec = product_spec(trunc=(8, 8))
     t = 0.3
+    circ = circle_table(8, [t])[:, 0]
+    marginals = marginal_matrix(spec, [t])[:, 0]
     for l in (0, 3, 8):
-        expect = sum(
-            spec.coefficient_matrix[k, l] * circle_poly(k, t) for k in range(9)
-        )
-        assert eval_marginal(spec, l, t) == pytest.approx(expect)
+        expect = sum(spec.coefficient_matrix[k, l] * circ[k] for k in range(9))
+        assert marginals[l] == pytest.approx(expect)
 
 
 def test_marginal_matrix_shape_and_rows():
@@ -178,48 +175,23 @@ def test_marginal_matrix_shape_and_rows():
     mat = marginal_matrix(spec, t)
     assert mat.shape == (10, 5)
     for j in range(5):
-        assert mat[4, j] == pytest.approx(eval_marginal(spec, 4, float(t[j])))
+        assert mat[4, j] == pytest.approx(marginal_matrix(spec, [t[j]])[4, 0])
 
 
 def test_parity_sums_reconstruct_slice():
-    # on circle x S^2 every sphere factor at s = 1 equals 1, so the two
-    # parity sums at gamma = 0 add up to the kernel value at (t, 1)
+    # on circle x S^2 every sphere factor at s = 1 equals 1, so the even and
+    # odd marginals together add up to the kernel value at (t, 1)
     spec = product_spec(trunc=(14, 14))
     for t in (-0.7, 0.0, 0.42, 1.0):
-        total = truncated_parity_sum(spec, 0, "even", t) + truncated_parity_sum(
-            spec, 0, "odd", t
-        )
+        marginals = marginal_matrix(spec, [t])[:, 0]
+        total = marginals[0::2].sum() + marginals[1::2].sum()
         assert total == pytest.approx(eval_kernel(spec, t, 1.0), abs=1e-10)
-
-
-def test_parity_sum_gamma_start():
-    spec = product_spec(trunc=(6, 6))
-    # gamma = 3 odd starts at l = 3; gamma = 3 even starts at l = 4
-    odd = truncated_parity_sum(spec, 3, "odd", 0.5)
-    expect_odd = sum(eval_marginal(spec, l, 0.5) for l in (3, 5))
-    assert odd == pytest.approx(expect_odd)
-    even = truncated_parity_sum(spec, 3, "even", 0.5)
-    expect_even = sum(eval_marginal(spec, l, 0.5) for l in (4, 6))
-    assert even == pytest.approx(expect_even)
 
 
 def test_marginals_require_product_space():
     spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10, 0))
     with pytest.raises(NotApplicableError):
-        eval_marginal(spec, 0, 0.5)
-    with pytest.raises(NotApplicableError):
-        truncated_parity_sum(spec, 0, "even", 0.5)
-
-
-# --- support reflection --------------------------------------------------------------
-
-def test_support_of_truncated():
-    support = SupportSet2D(((prog(0, 3), one(1)),))
-    spec = product_spec(support, constant_scheme(1.0), trunc=(7, 7))
-    trunc = support_of(spec, truncated=True)
-    cells = {(kt.base, lt.base) for kt, lt in trunc.terms}
-    assert cells == {(0, 1), (3, 1), (6, 1)}
-    assert support_of(spec) is support
+        marginal_matrix(spec, [0.5])
 
 
 def test_empty_effective_support_warns():
@@ -299,20 +271,6 @@ def test_marginal_grams_are_near_psd():
         gram = values[l].reshape(p, p)
         lam = float(np.linalg.eigvalsh(gram)[0])
         assert lam >= -1e-10 * max(at_one[l], 1e-30), f"l={l}: {lam}"
-
-
-def test_parity_split_sums_to_marginal_total():
-    spec = product_spec(
-        SupportSet2D(((prog(1, 3), prog(0, 1)), (prog(0, 4), one(5)))),
-        scheme=geometric_scheme(0.9, 0.8),
-        trunc=(18, 14),
-    )
-    for t in (-0.9, -0.3, 0.0, 0.4, 1.0):
-        total = sum(eval_marginal(spec, l, t) for l in range(spec.lmax + 1))
-        split = truncated_parity_sum(spec, 0, "even", t) + truncated_parity_sum(
-            spec, 0, "odd", t
-        )
-        assert abs(split - total) <= 1e-12 * max(1.0, abs(total))
 
 
 def test_truncation_validated_at_construction():

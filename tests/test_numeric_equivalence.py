@@ -76,14 +76,11 @@ def reference_ratio_table(nmax, m, x):
     return out
 
 
-def reference_gegenbauer_table(nmax, m, t, normalized=False):
+def reference_gegenbauer_table(nmax, m, t):
     nmax = _checked_degree(nmax)
     m = _checked_dimension(m)
     x = _checked_argument(t)
-    ratios = reference_ratio_table(nmax, m, x)
-    if normalized:
-        return ratios
-    return ratios * _norm_vector(nmax, m)[:, None]
+    return reference_ratio_table(nmax, m, x) * _norm_vector(nmax, m)[:, None]
 
 
 def reference_jacobi_table(lmax, alpha, beta, t):
@@ -193,10 +190,7 @@ jacobi_parameters = st.floats(-0.999, 8.0)
 def test_tables_are_bit_identical(kmax, m, x):
     assert np.array_equal(circle_table(kmax, x), reference_circle_table(kmax, x))
     assert np.array_equal(_ratio_table(kmax, m, x), reference_ratio_table(kmax, m, x))
-    for normalized in (False, True):
-        assert np.array_equal(
-            gegenbauer_table(kmax, m, x, normalized), reference_gegenbauer_table(kmax, m, x, normalized)
-        )
+    assert np.array_equal(gegenbauer_table(kmax, m, x), reference_gegenbauer_table(kmax, m, x))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdkernels import (
-    circle_poly,
-    circle_table,
-    gegenbauer,
-    gegenbauer_norm,
-    gegenbauer_table,
-    jacobi,
-    jacobi_norm_at_one,
-    jacobi_table,
-    ratio_at,
-)
+from conftest import jacobi_one_ref
+from spdkernels import circle_table, gegenbauer_table, jacobi_table
+from spdkernels.orthopoly import _ratio_table
 
 
 # --- reference implementations, deliberately slow and direct ---------------
@@ -32,27 +24,26 @@ def legendre_ref(n, x):
     return cur if n >= 1 else prev
 
 
-def jacobi_one_ref(l, alpha):
-    """Binomial value at the right endpoint, by log-gamma."""
-    return math.exp(
-        math.lgamma(l + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(l + 1)
-    )
+def ratio_table(nmax, m, t):
+    """Ultraspherical rows divided by their value at t = 1."""
+    return gegenbauer_table(nmax, m, t) / gegenbauer_table(nmax, m, [1.0])
 
 
 # --- frozen spot values -----------------------------------------------------
 
 def test_circle_low_degrees():
     t = 0.3
-    assert circle_poly(0, t) == 1.0
-    assert circle_poly(1, t) == pytest.approx(2 * t)
+    row = circle_table(2, [t])[:, 0]
+    assert row[0] == 1.0
+    assert row[1] == pytest.approx(2 * t)
     # degree 2: (2/2) cos(2 theta) = 2 t^2 - 1
-    assert circle_poly(2, t) == pytest.approx(2 * t * t - 1)
+    assert row[2] == pytest.approx(2 * t * t - 1)
 
 
 def test_circle_trig_identity():
     # (2/k) cos(k arccos t) at t = cos(pi/4), k = 4: cos(pi) = -1 so value -1/2
     t = math.cos(math.pi / 4)
-    assert circle_poly(4, t) == pytest.approx(-0.5, abs=1e-12)
+    assert circle_table(4, [t])[4, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_circle_table_matches_cosines():
@@ -67,51 +58,46 @@ def test_circle_table_matches_cosines():
 
 def test_gegenbauer_frozen_values():
     # normalization P_n(1) = C(n + m - 2, n)
-    assert gegenbauer(2, 3, 1.0) == pytest.approx(3.0)
-    assert gegenbauer(4, 4, 1.0) == pytest.approx(math.comb(6, 4))
+    assert gegenbauer_table(2, 3, [1.0])[2, 0] == pytest.approx(3.0)
+    assert gegenbauer_table(4, 4, [1.0])[4, 0] == pytest.approx(math.comb(6, 4))
     # m = 2 the ratio r_n is the Legendre polynomial itself: r_2(0.5) = -0.125
-    assert ratio_at(2, 2, 0.5) == pytest.approx(legendre_ref(2, 0.5))
-    assert gegenbauer(2, 2, 0.5) == pytest.approx(-0.125)
-    assert ratio_at(2, 2, 0.0) == pytest.approx(-0.5)
+    assert ratio_table(2, 2, [0.5])[2, 0] == pytest.approx(legendre_ref(2, 0.5))
+    assert gegenbauer_table(2, 2, [0.5])[2, 0] == pytest.approx(-0.125)
+    assert ratio_table(2, 2, [0.0])[2, 0] == pytest.approx(-0.5)
     # odd degree at the left endpoint flips sign
-    assert ratio_at(5, 4, -1.0) == pytest.approx(-1.0)
+    assert ratio_table(5, 4, [-1.0])[5, 0] == pytest.approx(-1.0)
 
 
 def test_gegenbauer_m2_is_legendre():
+    x = np.linspace(-1, 1, 17)
+    table = ratio_table(10, 2, x)
     for n in range(11):
-        for x in np.linspace(-1, 1, 17):
-            assert ratio_at(n, 2, float(x)) == pytest.approx(
-                legendre_ref(n, float(x)), abs=1e-12
-            )
+        for j, xv in enumerate(x):
+            assert table[n, j] == pytest.approx(legendre_ref(n, float(xv)), abs=1e-12)
 
 
 def test_gegenbauer_norm_increments():
     for m in (2, 3, 5, 8):
+        at_one = gegenbauer_table(11, m, [1.0])[:, 0]
         for n in range(12):
-            assert gegenbauer_norm(n, m) == pytest.approx(math.comb(n + m - 2, n))
-
-
-def test_gegenbauer_table_agrees_with_scalar():
-    x = np.linspace(-1, 1, 9)
-    for m in (2, 4, 7):
-        table = gegenbauer_table(10, m, x, normalized=True)
-        for n in range(11):
-            for j, xv in enumerate(x):
-                assert table[n, j] == pytest.approx(ratio_at(n, m, float(xv)), abs=1e-12)
+            assert at_one[n] == pytest.approx(math.comb(n + m - 2, n))
 
 
 def test_jacobi_frozen_values():
-    assert jacobi(1, 1.0, 0.0, 0.0) == pytest.approx(0.5)
-    assert jacobi(3, 0.5, 0.0, 1.0) == pytest.approx(2.1875)
-    assert jacobi_norm_at_one(3, 0.5) == pytest.approx(jacobi_one_ref(3, 0.5))
+    assert jacobi_table(1, 1.0, 0.0, [0.0])[1, 0] == pytest.approx(0.5)
+    assert jacobi_table(3, 0.5, 0.0, [1.0])[3, 0] == pytest.approx(2.1875)
+    # binom(3.5, 3) = 3.5 * 2.5 * 1.5 / 3!
+    assert jacobi_one_ref(3, 0.5) == pytest.approx(2.1875)
 
 
 def test_jacobi_degree_one_closed_form():
     # P_1 = (alpha + 1) + (alpha + beta + 2)(x - 1)/2
+    x = np.linspace(-1, 1, 7)
     for alpha, beta in [(0.0, -0.5), (0.0, 0.0), (1.0, 1.0), (7.0, 3.0)]:
-        for x in np.linspace(-1, 1, 7):
-            expect = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
-            assert jacobi(1, alpha, beta, float(x)) == pytest.approx(expect, abs=1e-12)
+        row = jacobi_table(1, alpha, beta, x)[1]
+        for j, xv in enumerate(x):
+            expect = (alpha + 1) + (alpha + beta + 2) * (xv - 1) / 2
+            assert row[j] == pytest.approx(expect, abs=1e-12)
 
 
 def test_jacobi_endpoint_normalization():
@@ -140,9 +126,8 @@ def test_jacobi_legendre_special_case():
 )
 @settings(max_examples=120, deadline=None)
 def test_ratio_bounded_and_parity(n, m, x):
-    val = ratio_at(n, m, x)
+    val, mirrored = ratio_table(n, m, [x, -x])[n]
     assert abs(val) <= 1.0 + 1e-9
-    mirrored = ratio_at(n, m, -x)
     expect = val if n % 2 == 0 else -val
     assert mirrored == pytest.approx(expect, abs=1e-9)
 
@@ -150,35 +135,38 @@ def test_ratio_bounded_and_parity(n, m, x):
 @given(k=st.integers(1, 64), x=st.floats(-1.0, 1.0, allow_nan=False))
 @settings(max_examples=120, deadline=None)
 def test_circle_bounded(k, x):
-    assert abs(circle_poly(k, x)) <= 2.0 / k + 1e-9
+    assert abs(circle_table(k, [x])[k, 0]) <= 2.0 / k + 1e-9
 
 
 def test_ratio_at_one_is_one():
+    # the recurrence behind gegenbauer_table runs on values divided by the
+    # value at 1, so every row of it passes through 1 there
     for m in (2, 3, 6):
+        ratios = _ratio_table(30, m, np.array([1.0]))
         for n in (0, 1, 7, 30):
-            assert ratio_at(n, m, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert ratios[n, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 # --- argument validation ------------------------------------------------------
 
 def test_rejects_out_of_range_argument():
     with pytest.raises(ValueError, match="outside"):
-        circle_poly(3, 1.5)
+        circle_table(3, [1.5])
     with pytest.raises(ValueError, match="outside"):
-        gegenbauer(3, 2, -1.1)
+        gegenbauer_table(3, 2, [-1.1])
 
 
 def test_clamps_roundoff_overshoot():
-    assert circle_poly(2, 1.0 + 5e-13) == pytest.approx(1.0)
+    assert circle_table(2, [1.0 + 5e-13])[2, 0] == pytest.approx(1.0)
 
 
 def test_rejects_bad_dimension_and_degree():
     with pytest.raises(ValueError, match="dimension"):
-        gegenbauer(2, 1, 0.5)
+        gegenbauer_table(2, 1, [0.5])
     with pytest.raises(ValueError, match="degree"):
         circle_table(10_001, np.array([0.0]))
     with pytest.raises(ValueError):
-        jacobi(2, -1.0, 0.0, 0.5)
+        jacobi_table(2, -1.0, 0.0, [0.5])
 
 
 # --- interior decay -----------------------------------------------------------
@@ -188,6 +176,7 @@ def test_normalized_values_decay_away_from_endpoint():
     # degree grows; compare a high-degree band against an early band
     for m in (2, 3, 5):
         for t in (0.0, 0.5, -0.5, 0.9, -0.9):
-            early = max(abs(ratio_at(n, m, t)) for n in range(5, 21))
-            late = max(abs(ratio_at(n, m, t)) for n in range(80, 121))
+            ratios = np.abs(ratio_table(120, m, [t])[:, 0])
+            early = ratios[5:21].max()
+            late = ratios[80:121].max()
             assert late < early, f"m={m} t={t}: {late} >= {early}"
