@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -451,8 +450,10 @@ def _check_gram_flags(args) -> None:
         raise SpecFileError(
             "--csv", f"{args.points} points is past the limit of {CSV_MAX_POINTS} for the per-block curve"
         )
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise SpecFileError("--tol", f"{args.tol} must be a finite number >= 0")
+    try:
+        gram_mod._check_tol(args.tol)
+    except ValueError as exc:
+        raise SpecFileError("--tol", str(exc)) from None
 
 
 def _cmd_gram(args) -> int:

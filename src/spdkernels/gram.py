@@ -31,7 +31,11 @@ import numpy as np
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
 from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint, build_enhanced, sample_config
-from .kernels import CHUNK_PAIRS, KernelSpec, constant_scheme, kernel_values, marginal_matrix, sphere_space
+# kernel_values stays bound here though gram contracts through _contract:
+# bench/spans.py traces the layer functions by the names each module holds
+from .kernels import (  # noqa: F401
+    CHUNK_PAIRS, KernelSpec, _contract, _rows, _slices, constant_scheme, kernel_values, sphere_space,
+)
 from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
@@ -120,9 +124,23 @@ def _split_points(spec: KernelSpec, points: Sequence) -> tuple[Optional[np.ndarr
 
 def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) -> None:
     """Refuse two points that coincide within _DUP_TOL, naming the first pair
-    (i, j), i < j, in row order.  Rows are compared in blocks of about
-    CHUNK_PAIRS pairs, so memory stays bounded whatever the point count."""
+    (i, j), i < j, in row order.
+
+    A sort screen clears most configurations in O(n log n): two points
+    coincide only if their canonical angles (circle and product points) or
+    their first coordinates (sphere points) do, and the closest two of those
+    are neighbours once sorted, or the ends across 2pi on the circle.  Only
+    when a gap is within _DUP_TOL * (1 + 1e-9), a margin for the rounding
+    of the gaps, are the rows compared in blocks of about CHUNK_PAIRS
+    pairs, so memory stays bounded whatever the point count.
+    """
     n = len(thetas) if thetas is not None else len(zs)
+    keys = np.sort(thetas if thetas is not None else zs[:, 0])
+    gaps = np.diff(keys)
+    if thetas is not None:
+        gaps = np.append(gaps, TWO_PI - (keys[-1] - keys[0]))  # canonical angles: < 2pi apart
+    if n < 2 or np.min(gaps) > _DUP_TOL * (1.0 + 1e-9):
+        return
     rows = max(1, CHUNK_PAIRS // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
@@ -147,33 +165,67 @@ def _dot_matrices(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]):
     return t, s
 
 
+def _upper_triangle(n: int):
+    """Indices (i, j), i <= j, of the upper triangle of an n x n matrix in
+    row-major order, CHUNK_PAIRS pairs at a time."""
+    rows = np.arange(n)
+    starts = rows * n - rows * (rows - 1) // 2  # flat offset of (i, i)
+    pairs = n * (n + 1) // 2
+    edges = np.append(starts, pairs)
+    for lo in range(0, pairs, CHUNK_PAIRS):
+        hi = min(lo + CHUNK_PAIRS, pairs)
+        first, last = np.searchsorted(starts, [lo, hi - 1], "right") - 1
+        i = np.repeat(rows[first : last + 1], np.diff(np.clip(edges[first : last + 2], lo, hi)))
+        yield i, np.arange(lo, hi) - starts[i] + i
+
+
 def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
-    """Gram matrix of the truncated kernel; each entry computed once, mirrored."""
+    """Gram matrix of the truncated kernel; each entry computed once, mirrored.
+
+    The upper triangle is walked in row-major order, CHUNK_PAIRS pairs at a
+    time through one contraction workspace, so memory is the n x n matrix
+    and the sphere dot products plus one chunk's tables, not the n^2 pairs.
+    """
     thetas, zs = _split_points(spec, points)
     _check_duplicates(thetas, zs)
     n = len(points)
-    iu = np.triu_indices(n)
-    pairs = len(iu[0])
+    pairs = n * (n + 1) // 2
     logger.debug(
         "gram_matrix: %d points, %d pairs, %d contraction chunks",
         n, pairs, -(-pairs // CHUNK_PAIRS),
     )
-    # cos on the upper-triangle pairs only; the sphere dot products stay one
-    # matrix product, since a per-pair sum may round differently
-    t = None if thetas is None else np.cos(thetas[iu[0]] - thetas[iu[1]])
+    # the sphere dot products stay one matrix product, since a per-pair sum
+    # may round differently; cosines are taken pair by pair
     _, s = _dot_matrices(None, zs)
-    if spec.space.is_product:
-        vals = kernel_values(spec, t, s[iu])
-    else:
-        vals = kernel_values(spec, t if t is not None else s[iu])
+
+    def chunks():
+        for i, j in _upper_triangle(n):
+            upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
+            t = None if thetas is None else np.cos(thetas[i] - thetas[j])
+            sij = None if s is None else s.ravel()[upper]
+            if spec.space.is_product:
+                yield (upper, lower), t, sij
+            else:
+                yield (upper, lower), t if t is not None else sij, None
+
     a = np.empty((n, n))
-    a[iu] = vals
-    a.T[iu] = vals
+    flat = a.ravel()
+    for (upper, lower), values in _contract(spec, chunks(), min(pairs, CHUNK_PAIRS)):
+        flat[upper] = values
+        flat[lower] = values
     return a
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for an eigenvalue tolerance, shared with the command line."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{tol} must be a finite number >= 0")
+
+
 def check_pd(a: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
-    """Smallest eigenvalue test at relative tolerance tol * max(1, max diagonal)."""
+    """Smallest eigenvalue test at relative tolerance tol * max(1, max diagonal);
+    tol must be finite and >= 0."""
+    _check_tol(tol)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("check_pd takes a square matrix")
@@ -196,7 +248,7 @@ def per_degree_forms(
     """Split the quadratic form c' G c into its sphere-degree layers.
 
     Layer l is c' [f_l(t_ij) P_l(s_ij)] c; the layers sum to the full form.
-    The n^2 pairs are walked CHUNK_PAIRS at a time, as in ``kernel_values``.
+    The n^2 pairs are walked CHUNK_PAIRS at a time, as in ``gram_matrix``.
     """
     if not spec.space.is_product:
         raise NotApplicableError("per-degree layers are defined for product specs only")
@@ -212,9 +264,8 @@ def per_degree_forms(
 def _pair_layers(spec: KernelSpec, t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sums over the pairs p of w_p f_l(t_p) P_l(s_p), one per degree l."""
     layers = np.zeros(spec.lmax + 1)
-    for lo in range(0, len(t), CHUNK_PAIRS):
-        hi = lo + CHUNK_PAIRS
-        layers += (marginal_matrix(spec, t[lo:hi]) * spec.sphere_axis_table(s[lo:hi])) @ w[lo:hi]
+    for lo, products in _contract(spec, _slices(t, s), min(len(t), CHUNK_PAIRS), layers=True):
+        layers += products @ w[lo : lo + CHUNK_PAIRS]
     return layers
 
 
@@ -222,15 +273,22 @@ def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.nd
     """Layer f_degree(t_ij) P_degree(s_ij) of one sphere degree; the circle
     table is contracted with that degree's coefficient column only, and the
     Gegenbauer table stops at the degree (enhanced sets are circle x sphere
-    points, so ``_split_points`` has refused every other space)."""
+    points, so ``_split_points`` has refused every other space).  The n^2
+    pairs are walked CHUNK_PAIRS at a time through one table buffer."""
     thetas, zs = _split_points(spec, enhanced.points)
     t, s = _dot_matrices(thetas, zs)
     column = spec.coefficient_matrix[:, degree, None]
+    layer = np.empty(t.size)
+    table = np.empty((max(spec.kmax, degree) + 1) * min(t.size, CHUNK_PAIRS))
     # an elementwise product summed over rows treats every pair alike, so
     # equal arguments give equal values and the block identities stay exact
-    marg = (column * circle_table(spec.kmax, t.ravel())).sum(axis=0)
-    sph = gegenbauer_table(degree, spec.space.m, s.ravel())[degree]
-    return (marg * sph).reshape(t.shape)
+    for lo, tc, sc in _slices(t.ravel(), s.ravel()):
+        circ = circle_table(spec.kmax, tc, out=_rows(table, spec.kmax + 1, len(tc)))
+        circ *= column
+        marg = circ.sum(axis=0)
+        sph = gegenbauer_table(degree, spec.space.m, sc, out=_rows(table, degree + 1, len(sc)))
+        layer[lo : lo + len(tc)] = marg * sph[degree]
+    return layer.reshape(t.shape)
 
 
 def enhanced_block_check(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> BlockCheck:

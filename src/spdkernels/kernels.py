@@ -67,9 +67,11 @@ DEFAULT_TRUNCATION = (60, 60)
 # K = L = 120.  Checked in KernelSpec before the matrix is built.
 MAX_TRUNCATION_BOX = 1_000_000
 
-# Argument pairs per contraction slice in kernel_values: at K = L = 60 one
-# slice's two polynomial tables take 2 x 61 x 16384 x 8 bytes, about 16 MB.
-CHUNK_PAIRS = 16_384
+# Argument pairs per contraction slice: at K = L = 60 the workspace of one
+# contraction, a table and the marginals, takes 2 x 61 x 8192 x 8 bytes,
+# about 8 MB.  BLAS may round a few columns of a slice differently at another
+# slice width, so a new value here can move the last bits of some values.
+CHUNK_PAIRS = 8_192
 
 _PRODUCT_KINDS = ("circle_sphere", "circle_tph")
 _ALL_KINDS = ("circle", "sphere") + _PRODUCT_KINDS
@@ -256,12 +258,12 @@ class KernelSpec:
     def is_effectively_empty(self) -> bool:
         return not np.any(self.coefficient_matrix > 0)
 
-    def sphere_axis_table(self, s: np.ndarray) -> np.ndarray:
+    def sphere_axis_table(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Zonal polynomial values on the second axis, all degrees up to lmax."""
         if self.space.kind == "circle_sphere":
-            return gegenbauer_table(self.lmax, self.space.m, s)
+            return gegenbauer_table(self.lmax, self.space.m, s, out=out)
         if self.space.kind == "circle_tph":
-            return jacobi_table(self.lmax, self.space.alpha, self.space.beta, s)
+            return jacobi_table(self.lmax, self.space.alpha, self.space.beta, s, out=out)
         raise NotApplicableError("sphere-axis table is defined for product specs only")
 
     @cached_property
@@ -283,9 +285,10 @@ def _warn_if_empty(spec: KernelSpec) -> None:
 def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized truncated-kernel evaluation over paired argument arrays.
 
-    The pairs are evaluated CHUNK_PAIRS at a time: each slice builds its own
-    polynomial tables and contracts them with BLAS, so memory follows the
-    chunk, not the number of pairs.
+    The pairs are contracted CHUNK_PAIRS at a time in one workspace that is
+    allocated once and refilled for every slice, so memory follows the
+    chunk and the degrees, O(CHUNK_PAIRS * (max(K, L) + L)) entries, not the
+    number of pairs.
     """
     _warn_if_empty(spec)
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -298,24 +301,54 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     elif s is not None:
         raise ValueError("single spaces take one argument; drop s")
     out = np.empty(t.shape)
-    for lo in range(0, len(t), CHUNK_PAIRS):
-        hi = lo + CHUNK_PAIRS
-        out[lo:hi] = _contract(spec, t[lo:hi], None if s is None else s[lo:hi])
+    for lo, values in _contract(spec, _slices(t, s), min(len(t), CHUNK_PAIRS)):
+        out[lo : lo + len(values)] = values
     return out
 
 
-def _contract(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray]) -> np.ndarray:
-    """Kernel values for one chunk of argument pairs."""
-    if s is not None:
-        marginals = spec.coefficient_matrix.T @ circle_table(spec.kmax, t)
-        marginals *= spec.sphere_axis_table(s)
-        return marginals.sum(axis=0)
-    table = (
-        circle_table(spec.axis_cap, t)
-        if spec.space.kind == "circle"
-        else gegenbauer_table(spec.axis_cap, spec.space.m, t)
-    )
-    return spec.coefficient_matrix @ table
+def _slices(t: np.ndarray, s: Optional[np.ndarray]):
+    """(offset, t, s) for consecutive CHUNK_PAIRS slices of the arguments."""
+    for lo in range(0, len(t), CHUNK_PAIRS):
+        hi = lo + CHUNK_PAIRS
+        yield lo, t[lo:hi], None if s is None else s[lo:hi]
+
+
+def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first rows * width entries of a flat buffer as a C-ordered table."""
+    return buffer[: rows * width].reshape(rows, width)
+
+
+def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
+    """Contract each (key, t, s) slice of ``chunks`` (s is None for single
+    spaces), none wider than ``width`` pairs, and yield (key, values).
+
+    The tables are allocated once here and refilled for every slice: one
+    (max(K, L) + 1) x width buffer holds the circle table and, once the BLAS
+    product has read it, the sphere-axis table; a second holds the
+    marginals.  With ``layers``, a product spec yields the (L + 1) x width
+    products f_l(t) P_l(s) instead of their column sums.  What a slice
+    yields is overwritten by the next one.
+    """
+    if not spec.space.is_product:
+        cap = spec.axis_cap
+        table = np.empty((cap + 1) * width)
+        for key, t, _ in chunks:
+            rows = _rows(table, cap + 1, len(t))
+            if spec.space.kind == "circle":
+                circle_table(cap, t, out=rows)
+            else:
+                gegenbauer_table(cap, spec.space.m, t, out=rows)
+            yield key, spec.coefficient_matrix @ rows
+        return
+    kmax, lmax = spec.truncation
+    table = np.empty((max(kmax, lmax) + 1) * width)
+    marginals = np.empty((lmax + 1) * width)
+    coefficients = spec.coefficient_matrix.T
+    for key, t, s in chunks:
+        circ = circle_table(kmax, t, out=_rows(table, kmax + 1, len(t)))
+        marg = np.matmul(coefficients, circ, out=_rows(marginals, lmax + 1, len(t)))
+        marg *= spec.sphere_axis_table(s, out=_rows(table, lmax + 1, len(t)))
+        yield key, marg if layers else marg.sum(axis=0)
 
 
 def eval_kernel(spec: KernelSpec, t: float, s: Optional[float] = None) -> float:

@@ -21,6 +21,9 @@ which keeps every intermediate inside [-1, 1]; the unnormalized value is
 recovered by scaling each row with an incrementally built binomial factor
 (no factorials).
 Degrees are capped at MAX_DEGREE so everything stays in double precision.
+Each table is written into ``out`` when one is given: the kernel
+contraction passes views of one reused workspace, so that a Gram matrix
+allocates its tables once, not once per slice of pairs.
 """
 
 from __future__ import annotations
@@ -63,11 +66,20 @@ def _checked_argument(t) -> np.ndarray:
     return np.clip(flat, -1.0, 1.0)
 
 
-def circle_table(kmax: int, t) -> np.ndarray:
+def _table_out(rows: int, x: np.ndarray, out) -> np.ndarray:
+    """A fresh (rows, len(x)) table, or ``out`` checked to have that shape."""
+    if out is None:
+        return np.empty((rows, x.size))
+    if out.shape != (rows, x.size):
+        raise ValueError(f"out has shape {out.shape}, the table needs {(rows, x.size)}")
+    return out
+
+
+def circle_table(kmax: int, t, out=None) -> np.ndarray:
     """Values of the circle family for all degrees 0..kmax, shape (kmax+1, len(t))."""
     kmax = _checked_degree(kmax)
     x = _checked_argument(t)
-    out = np.empty((kmax + 1, x.size))
+    out = _table_out(kmax + 1, x, out)
     out[0] = 1.0
     if kmax == 0:
         return out
@@ -83,8 +95,8 @@ def circle_table(kmax: int, t) -> np.ndarray:
     return out
 
 
-def _ratio_table(nmax: int, m: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty((nmax + 1, x.size))
+def _ratio_table(nmax: int, m: int, x: np.ndarray, out=None) -> np.ndarray:
+    out = _table_out(nmax + 1, x, out)
     out[0] = 1.0
     if nmax == 0:
         return out
@@ -110,17 +122,17 @@ def _norm_vector(nmax: int, m: int) -> np.ndarray:
     return norms
 
 
-def gegenbauer_table(nmax: int, m: int, t) -> np.ndarray:
+def gegenbauer_table(nmax: int, m: int, t, out=None) -> np.ndarray:
     """Ultraspherical values for degrees 0..nmax, shape (nmax+1, len(t))."""
     nmax = _checked_degree(nmax)
     m = _checked_dimension(m)
     x = _checked_argument(t)
-    ratios = _ratio_table(nmax, m, x)
+    ratios = _ratio_table(nmax, m, x, out)
     ratios *= _norm_vector(nmax, m)[:, None]
     return ratios
 
 
-def jacobi_table(lmax: int, alpha: float, beta: float, t) -> np.ndarray:
+def jacobi_table(lmax: int, alpha: float, beta: float, t, out=None) -> np.ndarray:
     """Jacobi values P_l^(alpha, beta) for degrees 0..lmax, shape (lmax+1, len(t))."""
     lmax = _checked_degree(lmax)
     alpha = float(alpha)
@@ -128,7 +140,7 @@ def jacobi_table(lmax: int, alpha: float, beta: float, t) -> np.ndarray:
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError(f"jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}")
     x = _checked_argument(t)
-    out = np.empty((lmax + 1, x.size))
+    out = _table_out(lmax + 1, x, out)
     out[0] = 1.0
     if lmax == 0:
         return out

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spdkernels import (
     certify_circle,
     certify_circle_sphere,
     check_pd,
+    circle_table,
     circle_space,
     circle_sphere_space,
     circle_tph_space,
@@ -135,6 +137,16 @@ def test_check_pd_relative_threshold():
     assert ok
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_check_pd_refuses_a_tolerance_that_decides_nothing(tol):
+    with pytest.raises(ValueError, match=f"^{tol} must be a finite number >= 0$"):
+        check_pd(np.eye(3), tol)
+
+
+def test_check_pd_accepts_a_zero_tolerance():
+    assert check_pd(np.eye(3), 0.0) == (True, 1.0)
+
+
 def test_check_pd_requires_symmetry():
     a = np.array([[1.0, 0.2], [0.1, 1.0]])
     with pytest.raises(ValueError):
@@ -179,20 +191,52 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
-    import spdkernels.gram as gram_mod
+def _record_circle_tables(monkeypatch):
+    import spdkernels.kernels as kernels_mod
 
     widths = []
 
-    def recording_marginal_matrix(spec, t):
+    def recording_circle_table(kmax, t, out=None):
         widths.append(np.size(t))
-        return marginal_matrix(spec, t)
+        return circle_table(kmax, t, out=out)
 
-    monkeypatch.setattr(gram_mod, "marginal_matrix", recording_marginal_matrix)
+    monkeypatch.setattr(kernels_mod, "circle_table", recording_circle_table)
+    return widths
+
+
+def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
+    widths = _record_circle_tables(monkeypatch)
     spec = product_spec(trunc=(6, 6))
     pts = product_points(130, seed=3)  # 16 900 pairs
     per_degree_forms(spec, pts, np.ones(130))
-    assert widths == [CHUNK_PAIRS, 130 * 130 - CHUNK_PAIRS]
+    assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 130 * 130 - 2 * CHUNK_PAIRS]
+
+
+def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
+    widths = _record_circle_tables(monkeypatch)
+    spec = product_spec(trunc=(6, 6))
+    pts = product_points(200, seed=3)  # 20 100 upper-triangle pairs
+    a = gram_matrix(spec, pts)
+    assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 200 * 201 // 2 - 2 * CHUNK_PAIRS]
+    assert np.array_equal(a, a.T)
+    for i, j in [(0, 0), (0, 199), (40, 41), (41, 199), (199, 199)]:  # row starts and ends
+        t, s = pts[i][0].dot(pts[j][0]), pts[i][1].dot(pts[j][1])
+        assert a[i, j] == pytest.approx(eval_kernel(spec, t, s), abs=1e-12 * spec.value_at_one)
+
+
+def test_gram_matrix_memory_follows_one_chunk():
+    # n = 800 at K = L = 60: the matrix and the sphere dot products take
+    # 2 x 5.1 MB, one chunk's table and marginals 2 x 4 MB; building every
+    # upper-triangle pair's arguments and values took 32.7 MB
+    spec = product_spec(trunc=(60, 60))
+    pts = product_points(800, seed=5)
+    tracemalloc.start()
+    try:
+        gram_matrix(spec, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 # --- enhanced block structure ----------------------------------------------------------------
@@ -513,4 +557,4 @@ def test_gram_matrix_logs_its_size_at_debug(caplog):
     gram_matrix(product_spec(trunc=(4, 4)), product_points(200, seed=2))
     (record,) = [r for r in caplog.records if r.name == "spdkernels.gram"]
     assert record.levelno == logging.DEBUG
-    assert record.getMessage() == "gram_matrix: 200 points, 20100 pairs, 2 contraction chunks"
+    assert record.getMessage() == "gram_matrix: 200 points, 20100 pairs, 3 contraction chunks"

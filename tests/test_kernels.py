@@ -342,15 +342,19 @@ def test_chunked_values_match_the_unchunked_contraction(kind, offset):
 def test_tables_are_built_one_chunk_at_a_time(monkeypatch):
     import spdkernels.kernels as kernels_mod
 
-    widths = []
+    widths, buffers = [], []
 
-    def recording_circle_table(kmax, t):
+    def recording_circle_table(kmax, t, out=None):
         widths.append(np.size(t))
-        return circle_table(kmax, t)
+        buffers.append(out.base)
+        return circle_table(kmax, t, out=out)
 
     monkeypatch.setattr(kernels_mod, "circle_table", recording_circle_table)
     pairs = 2 * CHUNK_PAIRS + 5
     spec = CHUNK_SPECS["circle_sphere"]
     kernel_values(spec, np.zeros(pairs), np.zeros(pairs))
     assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 5]
+    # one workspace, refilled for every chunk
+    assert all(b is buffers[0] for b in buffers)
+    assert buffers[0].size == (max(spec.kmax, spec.lmax) + 1) * CHUNK_PAIRS
     assert kernel_values(spec, np.zeros(0), np.zeros(0)).shape == (0,)

@@ -1,12 +1,15 @@
-"""The in-place polynomial recurrences, the upper-triangle Gram matrix, the
-blocked circle check and the batched sampler against the code they replaced.
+"""The in-place polynomial recurrences, the streamed Gram matrix, the chunked
+layer matrix, the screened duplicate checks and the batched sampler against
+the code they replaced.
 
 ``reference_*`` below are verbatim copies of the earlier code: recurrences
 that allocate fresh arrays for every degree, a contraction that multiplies
-into a new array, a Gram matrix that takes the cosine of all n^2 angle
-differences, and a double loop over circle points.  The library must return
-the same floats bit for bit (``np.array_equal``), the same sampled points and
-resample counts, and the same first faulty pair.
+into a new array in slices of 16 384 pairs, a Gram matrix that takes the
+cosine of all n^2 angle differences, a layer matrix built in one piece, a
+block scan of every pair for duplicates, and a double loop over circle
+points.  The library must return the same floats bit for bit
+(``np.array_equal``), the same sampled points and resample counts, and the
+same first faulty pair.
 """
 
 import logging
@@ -22,6 +25,8 @@ from conftest import SPD_PRODUCT_SUPPORTS, battery_1d
 from spdkernels import (
     CirclePoint,
     KernelSpec,
+    SpherePoint,
+    build_enhanced,
     circle_space,
     circle_sphere_space,
     circle_tph_space,
@@ -33,7 +38,7 @@ from spdkernels import (
     sphere_space,
 )
 from spdkernels.geometry import TWO_PI, _check_circle_distinct
-from spdkernels.gram import _check_duplicates, _split_points
+from spdkernels.gram import _check_duplicates, _dot_matrices, _layer_matrix, _split_points
 from spdkernels.kernels import BETA_BY_FAMILY, CHUNK_PAIRS
 from spdkernels.orthopoly import (
     _checked_argument,
@@ -48,6 +53,11 @@ from test_geometry import _pointwise_sample_config, _sampled_resamples
 
 
 # --- the earlier implementations ----------------------------------------------
+
+# The contraction slice of the earlier code; the library's CHUNK_PAIRS is
+# half of it, and the values must not follow the slice.
+REFERENCE_CHUNK = 16_384
+
 
 def reference_circle_table(kmax, t):
     kmax = _checked_degree(kmax)
@@ -125,8 +135,8 @@ def reference_contract(spec, t, s):
 
 def reference_kernel_values(spec, t, s=None):
     out = np.empty(t.shape)
-    for lo in range(0, len(t), CHUNK_PAIRS):
-        hi = lo + CHUNK_PAIRS
+    for lo in range(0, len(t), REFERENCE_CHUNK):
+        hi = lo + REFERENCE_CHUNK
         out[lo:hi] = reference_contract(spec, t[lo:hi], None if s is None else s[lo:hi])
     return out
 
@@ -156,6 +166,31 @@ def reference_gram_matrix(spec, points):
     return a
 
 
+def reference_layer_matrix(spec, enhanced, degree):
+    thetas, zs = _split_points(spec, enhanced.points)
+    t, s = _dot_matrices(thetas, zs)
+    column = spec.coefficient_matrix[:, degree, None]
+    marg = (column * circle_table(spec.kmax, t.ravel())).sum(axis=0)
+    sph = gegenbauer_table(degree, spec.space.m, s.ravel())[degree]
+    return (marg * sph).reshape(t.shape)
+
+
+def reference_check_duplicates(thetas, zs):
+    n = len(thetas) if thetas is not None else len(zs)
+    rows = max(1, REFERENCE_CHUNK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        same = np.triu(np.ones((hi - lo, n - lo), dtype=bool), k=1)
+        if thetas is not None:
+            d = np.abs(thetas[lo:hi, None] - thetas[None, lo:]) % TWO_PI
+            same &= np.minimum(d, TWO_PI - d) <= 1e-12
+        if zs is not None and same.any():
+            same &= np.linalg.norm(zs[lo:hi, None, :] - zs[None, lo:, :], axis=-1) <= 1e-12
+        if same.any():
+            i, j = np.unravel_index(np.argmax(same), same.shape)
+            raise ValueError(f"invalid configuration: points {lo + i} and {lo + j} coincide")
+
+
 def reference_check_circle_distinct(xs, tol):
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -168,9 +203,10 @@ def reference_check_circle_distinct(xs, tol):
 @st.composite
 def arguments(draw):
     """Arguments in [-1, 1]: hypothesis values for one or two, a seeded
-    uniform array one longer than a contraction chunk otherwise; the first
-    entries may be planted at the endpoints +/-1."""
-    n = draw(st.sampled_from([1, 2, CHUNK_PAIRS + 1]))
+    uniform array one longer than the earlier contraction slice otherwise (a
+    lone last pair in both slicings); the first entries may be planted at the
+    endpoints +/-1."""
+    n = draw(st.sampled_from([1, 2, REFERENCE_CHUNK + 1]))
     if n <= 2:
         x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     else:
@@ -221,7 +257,7 @@ def test_product_contraction_is_bit_identical(space, support, kmax, lmax, rates,
     spec = KernelSpec(space, support, geometric_scheme(*rates), (kmax, lmax))
     s = np.random.default_rng(seed).uniform(-1.0, 1.0, t.size)
     s[: t.size // 2] = t[: t.size // 2]  # the planted endpoints on both axes
-    # one contraction chunk, or two
+    # one contraction chunk, or three
     assert np.array_equal(kernel_values(spec, t, s), reference_kernel_values(spec, t, s))
 
 
@@ -243,19 +279,138 @@ def test_single_contraction_is_bit_identical(space, support, cap, rate, t):
 
 @pytest.mark.filterwarnings("ignore:degenerate kernel spec")
 @pytest.mark.parametrize("kind", ["circle", "sphere", "circle_sphere"])
-@pytest.mark.parametrize("n, trunc, seed", [(1, 40, 0), (2, 0, 1), (37, 120, 2), (190, 60, 3)])
+@pytest.mark.parametrize(
+    "n, trunc, seed",
+    [(1, 40, 0), (2, 0, 1), (37, 120, 2), (190, 60, 3), (200, 20, 4), (260, 120, 5), (280, 60, 6)],
+)
 def test_gram_matrix_is_bit_identical(kind, n, trunc, seed):
-    # 190 points give 18 145 upper-triangle pairs: two contraction chunks
+    # 190, 200, 260 and 280 points give 18 145, 20 100, 33 930 and 39 340
+    # upper-triangle pairs: three to five chunks here, two or three before;
+    # every earlier slice is cut into whole chunks and a last chunk that
+    # starts where the earlier last slice did
+    spec, points = _gram_case(kind, n, trunc, seed)
+    assert np.array_equal(gram_matrix(spec, points), reference_gram_matrix(spec, points))
+
+
+def _gram_case(kind, n, trunc, seed):
     m = 2 + seed
     xs, zs = sample_config(m, n, n, seed)
     if kind == "circle":
-        spec, points = KernelSpec(circle_space(), battery_1d(seed, 1)[0], geometric_scheme(), (trunc, 0)), xs
-    elif kind == "sphere":
-        spec, points = KernelSpec(sphere_space(m), battery_1d(seed, 1)[0], geometric_scheme(), (0, trunc)), zs
+        return KernelSpec(circle_space(), battery_1d(seed, 1)[0], geometric_scheme(), (trunc, 0)), xs
+    if kind == "sphere":
+        return KernelSpec(sphere_space(m), battery_1d(seed, 1)[0], geometric_scheme(), (0, trunc)), zs
+    support = SPD_PRODUCT_SUPPORTS[seed]
+    return KernelSpec(circle_sphere_space(m), support, geometric_scheme(), (trunc, trunc)), list(zip(xs, zs))
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "circle_sphere"])
+@pytest.mark.parametrize("n, trunc, seed", [(129, 120, 1), (134, 60, 1), (300, 60, 1), (300, 120, 4)])
+def test_gram_matrix_where_the_earlier_last_slice_was_wider_than_a_chunk(kind, n, trunc, seed):
+    # 8385, 9045 and 45 150 pairs leave an earlier last slice of 8385, 9045
+    # and 12 382 pairs, which is now cut in two.  BLAS may round a few of its
+    # columns differently at another width (a threaded gemv splits the slice
+    # between threads and takes the columns before each split apart): those
+    # entries move by round-off, every other entry keeps its bits.
+    spec, points = _gram_case(kind, n, trunc, seed)
+    iu = np.triu_indices(n)
+    got, want = gram_matrix(spec, points)[iu], reference_gram_matrix(spec, points)[iu]
+    last = len(want) - len(want) % REFERENCE_CHUNK
+    assert len(want) - last > CHUNK_PAIRS
+    assert np.array_equal(got[:last], want[:last])
+    moved = got[last:] != want[last:]
+    assert np.count_nonzero(moved) <= 8
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * spec.value_at_one
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere"])
+def test_single_space_gram_is_bit_identical_at_degree_500(kind):
+    xs, zs = sample_config(3, 200, 200, seed=7)
+    support = battery_1d(8, 1)[0]
+    if kind == "circle":
+        spec, points = KernelSpec(circle_space(), support, geometric_scheme(), (500, 0)), xs
     else:
-        support = SPD_PRODUCT_SUPPORTS[seed]
-        spec, points = KernelSpec(circle_sphere_space(m), support, geometric_scheme(), (trunc, trunc)), list(zip(xs, zs))
+        spec, points = KernelSpec(sphere_space(3), support, geometric_scheme(), (0, 500)), zs
     assert np.array_equal(gram_matrix(spec, points), reference_gram_matrix(spec, points))
+
+
+@pytest.mark.parametrize("p, q", [(8, 6), (10, 10)])  # 9 216 and 40 000 pairs
+def test_layer_matrix_is_bit_identical(p, q):
+    xs, zs = sample_config(2, p, q, seed=p)
+    enhanced = build_enhanced(xs, zs)
+    spec = KernelSpec(circle_sphere_space(2), SPD_PRODUCT_SUPPORTS[0], geometric_scheme(), (40, 30))
+    for degree in (0, 1, 2, 5, 30):
+        assert np.array_equal(_layer_matrix(spec, enhanced, degree), reference_layer_matrix(spec, enhanced, degree))
+
+
+# --- the duplicate screen -------------------------------------------------------------
+
+def _fault(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _plant(thetas, zs, i, j, angle_shift=0.0, coord_shift=0.0):
+    """Point j moved onto point i, then nudged by the shifts."""
+    if thetas is not None:
+        thetas[j] = (thetas[i] + angle_shift) % TWO_PI
+    if zs is not None:
+        zs[j] = zs[i]
+        zs[j, 1] += coord_shift
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "circle_sphere"])
+def test_duplicate_screen_keeps_the_block_scans_message(kind):
+    n = 300  # rows of one block: 27 now, 54 before
+    rng = np.random.default_rng(21)
+    thetas = None if kind == "sphere" else rng.uniform(0.0, TWO_PI, n)
+    zs = None
+    if kind != "circle":
+        zs = rng.standard_normal((n, 3))
+        zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    assert _fault(_check_duplicates, thetas, zs) is None
+    rows = CHUNK_PAIRS // n
+    placements = [
+        [(0, 1)],  # the first pair
+        [(0, n - 1)],  # the first row's last column
+        [(n - 2, n - 1)],  # the last pair
+        [(rows - 1, rows)],  # across a block boundary
+        [(rows, 2 * rows + 3), (rows - 1, n - 1)],  # last row of block one wins
+        [(5, 250), (5, 40)],  # the first column of a row wins
+        [(120, 250), (130, 140)],  # row order, not column order
+        [(3, 4, 1e-12), (7, 9)],  # a gap at the tolerance, in the margin
+        [(3, 4, 2e-12)],  # a gap past it: no fault
+    ]
+    for faults in placements:
+        th = None if thetas is None else thetas.copy()
+        z = None if zs is None else zs.copy()
+        for i, j, *shift in faults:
+            _plant(th, z, i, j, *shift, *shift)
+        want = _fault(reference_check_duplicates, th, z)
+        assert _fault(_check_duplicates, th, z) == want
+    assert want is None
+    if thetas is not None:
+        # straddling zero: just above 0 and just below 2pi
+        th = thetas.copy()
+        th[17], th[250] = 4e-13, TWO_PI - 5e-13
+        z = None if zs is None else zs.copy()
+        if z is not None:
+            z[250] = z[17]
+        want = _fault(reference_check_duplicates, th, z)
+        assert want == "invalid configuration: points 17 and 250 coincide"
+        assert _fault(_check_duplicates, th, z) == want
+    if zs is not None:
+        # equal keys of distinct points: the screen passes them to the scan
+        z = zs.copy()
+        if thetas is None:
+            z[200] = z[100] * np.array([1.0, -1.0, -1.0])  # same first coordinate
+        th = None if thetas is None else thetas.copy()
+        if th is not None:
+            th[200] = th[100]
+        assert _fault(reference_check_duplicates, th, z) is None
+        assert _fault(_check_duplicates, th, z) is None
 
 
 # --- the blocked circle check --------------------------------------------------------
