@@ -35,7 +35,7 @@ from .certify import (
     Verdict,
 )
 from .errors import NotApplicableError, NumericalError, SamplingError, SpecFileError
-from .geometry import sample_config
+from .geometry import CirclePoint, SpherePoint, sample_config
 from .kernels import (
     CoefficientScheme,
     KernelSpec,
@@ -323,8 +323,6 @@ def _certificate_to_dict(cert: Certificate) -> dict:
 
 
 def _point_to_jsonable(p):
-    from .geometry import CirclePoint, SpherePoint
-
     if isinstance(p, CirclePoint):
         return {"theta": p.theta}
     if isinstance(p, SpherePoint):

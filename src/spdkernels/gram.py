@@ -3,16 +3,21 @@
 Everything here is numerical evidence on the effective (truncated) support:
 positive-definiteness checks through a symmetric eigensolve, the per-degree
 quadratic-form decomposition, the 2 x 2 block structure over enhanced sets,
-and three witness builders that exhibit vanishing quadratic forms:
+and exact witnesses of vanishing quadratic forms.  A witness is the tensor
+of two axis factors, each a set of points with weights that cancel known
+degrees:
 
-* ``witness_parity_sphere``: a point and its antipode with coefficients
-  (1, -1) or (1, 1) when the sphere-axis support is parity-pure;
-* ``witness_progression_circle``: the n-th roots of unity weighted by
-  cos(j * theta) when the symmetrized circle-axis support misses the class
-  j mod n -- the character sums over the support then vanish;
-* ``witness_product``: for a product refutation at any tail cutoff, the two
-  composed: roots of unity crossed with q sphere points, weighted to cancel
-  the layers below the cutoff, and their antipodes (q = 1 at cutoff 0).
+* the circle factor (n, j): the n-th roots of unity weighted by
+  cos(j * theta), whose character sums vanish at every k not +/-j mod n;
+* the sphere factor (low, keep): e0 and q - 1 sampled points weighted to
+  cancel the degrees in ``low``, q = 1 + sum of dim H_l(S^m), then their
+  antipodes signed to cancel the parity that is not kept.
+
+``witness_progression_circle`` takes the circle factor of a missed class
+alone; ``witness_parity_sphere`` the sphere factor, with a one-point circle
+factor, when the sphere-axis support has finitely many degrees of one
+parity; ``witness_product`` the two for a product refutation at any tail
+cutoff (q = 1 at cutoff 0).
 
 Witnesses past ``MAX_POINTS`` points are refused before any Gram is built,
 and the command line samples no more points than that for a Gram matrix.
@@ -40,7 +45,6 @@ from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
-    Term1D,
     one,
     witness_avoids_window,
 )
@@ -63,8 +67,9 @@ logger = logging.getLogger(__name__)
 _DUP_TOL = 1e-12
 
 # Largest configuration a witness may build (the n roots of unity of a circle
-# witness, the 2 n q points of a product witness, q growing like gamma^m) and
-# the most points `spdkernels gram` may sample.
+# witness, the 2 q points of a sphere parity witness, the 2 n q points of a
+# product witness, q growing like gamma^m) and the most points
+# `spdkernels gram` may sample.
 MAX_POINTS = 2048
 
 
@@ -312,95 +317,96 @@ def enhanced_block_check(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -
     return BlockCheck(degree, dev_diag, dev_off, spec.value_at_one)
 
 
-def _first_basis_point(m: int) -> SpherePoint:
-    return SpherePoint((1.0,) + (0.0,) * m)
+def _sphere_factor_size(m: int, low: list[int]) -> int:
+    """q = 1 + sum of dim H_l(S^m) over l in low: the sphere points that
+    leave room for weights cancelling every degree in low."""
+    return 1 + sum(math.comb(l + m, m) - math.comb(l + m - 2, m) for l in low)
 
 
-def _report(kind: str, spec: KernelSpec, points: tuple, c: np.ndarray) -> WitnessReport:
-    """The witness with its form c' G c and scale f(1, 1) * c' c."""
+def _tensor_witness(
+    kind: str, spec: KernelSpec, n: int, j: int, sphere: Optional[tuple[list[int], str]] = None
+) -> WitnessReport:
+    """The circle factor (n, j), crossed with the sphere factor (low, keep)
+    when one is given; (1, 0) is the one point theta = 0.
+
+    The points follow ``build_enhanced``, sphere blocks outer and the circle
+    index fastest, so the coefficients are kron(sphere weights, circle
+    weights); a sphere spec takes the sphere halves.  The antipodes carry
+    eta to keep the even layers, -eta to keep the odd ones.  The point count
+    is checked before anything is sampled.  The report carries the form
+    c' G c and the scale f(1, 1) * c' c.
+    """
+    m = spec.space.m
+    total = n
+    if sphere:
+        q = _sphere_factor_size(m, sphere[0])
+        total = n * 2 * q
+    if total > MAX_POINTS:
+        name = "product" if kind == "composed" else kind
+        raise NotApplicableError(f"{name} witness needs {total} points, past the limit of {MAX_POINTS}")
+    xs = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
+    d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
+    points, c = tuple(xs), d
+    if sphere:
+        low, keep = sphere
+        zs = [SpherePoint((1.0,) + (0.0,) * m)] + sample_config(m, 0, q - 1, seed=0)[1]
+        eta = _null_weights(m, zs, low)
+        points = build_enhanced(xs, zs).points
+        if spec.space.kind == "sphere":
+            points = tuple(z for _, z in points)
+        c = np.kron(np.concatenate([eta, eta if keep == "even" else -eta]), d)
     residual = float(c @ gram_matrix(spec, points) @ c)
     return WitnessReport(kind, points, tuple(c), residual, spec.value_at_one * float(c @ c))
 
 
-def _sphere_axis_terms(spec: KernelSpec) -> list[Term1D]:
-    if spec.space.is_product:
-        return spec.support.l_terms()
-    if spec.space.kind == "sphere":
-        return list(spec.support.terms)
-    raise NotApplicableError("no sphere axis on a circle spec")
-
-
 def witness_parity_sphere(spec: KernelSpec) -> WitnessReport:
-    """Antipodal two-point witness for a parity-pure sphere-axis support.
+    """Antipodal witness for a sphere-axis support with finitely many
+    degrees of one parity, the kept one.
 
-    An all-even support makes the two Gram rows identical, an all-odd one
-    makes them opposite; the matching sign vector annihilates the form.
+    One circle point crossed with e0, q - 1 sampled sphere points and their
+    antipodes: the antipodes' signs cancel the other parity and the sphere
+    weights the kept degrees up to L that carry a coefficient.  When both
+    parities are finite the one with the smaller q, so fewer points, is
+    kept.  A parity-pure support keeps no low degree, q = 1: e0 and -e0
+    with c = (1, -1) (even) or (1, 1) (odd).
     """
-    if spec.space.kind == "circle_tph":
+    kind = spec.space.kind
+    if kind == "circle_tph":
         raise NotApplicableError("no geometric point model for projective-space products")
-    terms = _sphere_axis_terms(spec)
+    if kind == "circle":
+        raise NotApplicableError("no sphere axis on a circle spec")
+    terms = spec.support.l_terms() if spec.space.is_product else spec.support.terms
     if not terms:
         raise NotApplicableError("empty sphere-axis support has no parity class")
-    purity = []
-    for t in terms:
-        if t.is_progression and t.step % 2 == 1:
-            raise NotApplicableError("odd-step term spans both parities; support is not parity-pure")
-        purity.append(t.base % 2)
-    if len(set(purity)) != 1:
-        raise NotApplicableError("sphere-axis support mixes parities")
-    parity_even = purity[0] == 0
-
-    z = _first_basis_point(spec.space.m)
-    if spec.space.is_product:
-        x = CirclePoint(0.0)
-        points: tuple = ((x, z), (x, z.antipode()))
-    else:
-        points = (z, z.antipode())
-    c = np.array([1.0, -1.0]) if parity_even else np.array([1.0, 1.0])
-    return _report("parity", spec, points, c)
-
-
-def _circle_axis_support(spec: KernelSpec) -> SupportSet1D:
-    if spec.space.kind == "circle":
-        return spec.support
-    if spec.space.kind == "circle_sphere":
-        return spec.support.k_projection()
-    raise NotApplicableError("no circle-axis point model for this space")
-
-
-def _roots_of_unity_weights(n: int, j: int) -> tuple[list[CirclePoint], np.ndarray]:
-    thetas = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
-    d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
-    return thetas, d
-
-
-def _check_point_count(kind: str, points: int) -> None:
-    if points > MAX_POINTS:
-        raise NotApplicableError(f"{kind} witness needs {points} points, past the limit of {MAX_POINTS}")
+    carried = np.flatnonzero((spec.coefficient_matrix.reshape(-1, spec.lmax + 1) > 0).any(axis=0))
+    low = {}
+    for rest, parity in enumerate(("even", "odd")):
+        # a progression of odd step holds both parities, one of even step its base's
+        if not any(t.is_progression and (t.step % 2 or t.base % 2 == rest) for t in terms):
+            low[parity] = [int(l) for l in carried if l % 2 == rest]
+    if not low:
+        raise NotApplicableError("sphere-axis support has infinitely many degrees of each parity")
+    keep = min(low, key=lambda parity: _sphere_factor_size(spec.space.m, low[parity]))
+    return _tensor_witness("parity", spec, 1, 0, (low[keep], keep))
 
 
 def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) -> WitnessReport:
-    """Roots-of-unity witness for a missed circle residue class.
+    """Roots-of-unity witness for a missed residue class of a circle spec.
 
-    Requires that the symmetrized circle-axis support avoid the class
-    j mod n; this is re-checked exactly, term by term, and the operation
-    refuses when the check fails.  The weights cos(j theta_mu) then make
-    every supported character sum vanish.
+    Requires that the symmetrized support avoid the class j mod n; this is
+    re-checked exactly, term by term, and the operation refuses when the
+    check fails.  The weights cos(j theta_mu) then make every supported
+    character sum vanish.  Circle x sphere refutations go to
+    ``witness_product``.
     """
-    support = _circle_axis_support(spec)
-    if not witness_avoids_window(support, witness):
+    if spec.space.kind != "circle":
+        raise NotApplicableError("progression witnesses need a circle spec")
+    if not witness_avoids_window(spec.support, witness):
         raise NotApplicableError(
             f"class {witness.residue} mod {witness.modulus} is hit by the declared support; "
             "refusing to build a vanishing form"
         )
-    _check_point_count("progression", witness.modulus)
-    xs, d = _roots_of_unity_weights(witness.modulus, witness.residue)
-    if spec.space.kind == "circle":
-        points: tuple = tuple(xs)
-    else:
-        z = _first_basis_point(spec.space.m)
-        points = tuple((x, z) for x in xs)
-    return _report("progression", spec, points, d)
+    return _tensor_witness("progression", spec, witness.modulus, witness.residue)
 
 
 def _low_layers(spec: KernelSpec, failure: GammaFailure) -> list[int]:
@@ -427,12 +433,11 @@ def _null_weights(m: int, zs: list[SpherePoint], low: list[int]) -> np.ndarray:
 def witness_product(spec: KernelSpec, certificate: Certificate) -> WitnessReport:
     """Exact degeneracy witness for a refuted circle x sphere support.
 
-    The failure's tail set misses the class j mod n: the n-th roots of unity,
-    weighted by cos(j theta), are crossed with q sphere points weighted by
-    ``_null_weights`` and their antipodes signed by the parity.  Each layer
-    of c' G c vanishes: the other parity by the signs, ``_low_layers`` by
-    the sphere weights, the rest by the character sums.  At gamma = 0 no
-    layer is low, so q = 1 and the sphere weight is 1.
+    The failure's tail set misses the class j mod n: the circle factor (n, j)
+    crossed with the sphere factor that keeps the failing parity and cancels
+    ``_low_layers``.  Each layer of c' G c vanishes: the other parity by the
+    signs, the low layers by the sphere weights, the rest by the character
+    sums.  At gamma = 0 no layer is low, so q = 1 and the sphere weight is 1.
     """
     if spec.space.kind != "circle_sphere":
         raise NotApplicableError("product witnesses need a circle_sphere spec")
@@ -441,16 +446,5 @@ def witness_product(spec: KernelSpec, certificate: Certificate) -> WitnessReport
     failure = certificate.counterexample
     if not isinstance(failure, GammaFailure) or failure.witness is None:
         raise NotApplicableError("certificate carries no usable tail failure")
-    m = spec.space.m
     n, j = failure.witness.modulus, failure.witness.residue
-    low = _low_layers(spec, failure)
-    q = 1 + sum(math.comb(l + m, m) - math.comb(l + m - 2, m) for l in low)  # dim H_l(S^m)
-    _check_point_count("product", 2 * n * q)
-    xs, d = _roots_of_unity_weights(n, j)
-    zs = [_first_basis_point(m)] + sample_config(m, 0, q - 1, seed=0)[1]
-    enhanced = build_enhanced(xs, zs)
-    # block order of build_enhanced: circle index fastest within each z-block;
-    # c = (w, w) cancels every odd layer, c = (w, -w) every even one
-    plain = np.kron(_null_weights(m, zs, low), d)
-    c = np.concatenate([plain, plain if failure.parity == "even" else -plain])
-    return _report("composed", spec, enhanced.points, c)
+    return _tensor_witness("composed", spec, n, j, (_low_layers(spec, failure), failure.parity))

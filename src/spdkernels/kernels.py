@@ -41,7 +41,6 @@ __all__ = [
     "KernelSpec",
     "eval_kernel",
     "kernel_values",
-    "marginal_matrix",
 ]
 
 # Jacobi beta parameter for each projective family; alpha is (d - 2)/2.
@@ -361,14 +360,3 @@ def eval_kernel(spec: KernelSpec, t: float, s: Optional[float] = None) -> float:
         raise ValueError("product spaces need both arguments t and s")
     return float(kernel_values(spec, np.array([float(t)]), np.array([float(s)]))[0])
 
-
-def marginal_matrix(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """All marginal values f_l(t) at once, shape (lmax+1, len(t)).
-
-    The degree-l marginal is f_l(t) = sum_k a_{k,l} P_k^circle(t).
-    """
-    if not spec.space.is_product:
-        raise NotApplicableError("marginals are defined for product specs only")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    circ = circle_table(spec.kmax, t)
-    return spec.coefficient_matrix.T @ circ

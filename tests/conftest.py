@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spdkernels import SupportSet1D, SupportSet2D, one, prog
+from spdkernels import SupportSet1D, SupportSet2D, circle_table, one, prog
 
 WINDOW = 10_000
 
@@ -279,6 +279,11 @@ def gamma_parity_members(support2d, gamma, parity, kmax=200, lmax=200):
                 ks.update(kt.members_upto(kmax))
                 break
     return ks
+
+
+def marginal_ref(spec, t):
+    """The marginals f_l(t) = sum_k a_{k,l} P_k(t), shape (lmax+1, len(t))."""
+    return spec.coefficient_matrix.T @ circle_table(spec.kmax, np.atleast_1d(np.asarray(t, dtype=float)))
 
 
 def jacobi_one_ref(l, alpha):

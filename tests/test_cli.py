@@ -327,6 +327,34 @@ def test_witness_past_the_point_limit_exit_sixtyfour(tmp_path, capsys):
     assert not out.exists()
 
 
+def _sphere_evens_plus(m, *odd):
+    return {
+        "space": {"kind": "sphere", "m": m},
+        "support": [{"type": "prog", "base": 0, "step": 2}]
+        + [{"type": "one", "value": v} for v in odd],
+        "truncation": {"kmax": 0, "lmax": 20},
+    }
+
+
+def test_witness_on_mixed_parity_sphere(tmp_path, capsys):
+    # evens plus {3, 5} on S^2: 2 * (1 + 7 + 11) = 38 points cancel layers 3 and 5
+    path = write_spec(tmp_path, _sphere_evens_plus(2, 3, 5))
+    out = tmp_path / "w.json"
+    assert main(["witness", path, "--json", str(out), "--no-timestamp"]) == 1
+    assert capsys.readouterr().out.startswith("witness kind=parity")
+    witness = json.loads(out.read_text())["witness"]
+    assert witness["kind"] == "parity"
+    assert len(witness["points"]) == len(witness["coefficients"]) == 38
+    assert abs(witness["residual"]) <= 1e-10 * witness["scale"]
+
+
+def test_parity_witness_past_the_point_limit_exit_sixtyfour(tmp_path, capsys):
+    # evens plus {11} on S^5: 2 * (1 + dim H_11(S^5)) = 4734 points
+    path = write_spec(tmp_path, _sphere_evens_plus(5, 11))
+    assert main(["witness", path]) == 64
+    assert "parity witness needs 4734 points, past the limit of 2048" in capsys.readouterr().err
+
+
 def test_witness_empty_tail_message(tmp_path, capsys):
     # evens-only sphere degrees over a full circle axis: the odd tail is empty
     data = {

@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS
+from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, marginal_ref
 from spdkernels import (
     CirclePoint,
     EnhancedSet,
@@ -30,7 +32,6 @@ from spdkernels import (
     eval_kernel,
     geometric_scheme,
     gram_matrix,
-    marginal_matrix,
     one,
     per_degree_forms,
     prog,
@@ -40,7 +41,7 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.gram import _check_duplicates, _pair_layers
+from spdkernels.gram import MAX_POINTS, _check_duplicates, _pair_layers
 from spdkernels.kernels import CHUNK_PAIRS
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
@@ -185,7 +186,7 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
     t = np.cos(rng.uniform(0.0, 2.0 * math.pi, pairs))
     s = rng.uniform(-1.0, 1.0, pairs)
     w = rng.normal(size=pairs)
-    expected = (marginal_matrix(spec, t) * spec.sphere_axis_table(s)) @ w
+    expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)) @ w
     got = _pair_layers(spec, t, s, w)
     assert got.shape == (spec.lmax + 1,)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -288,15 +289,103 @@ def test_parity_witness_on_product():
     assert float(c @ a @ c) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_parity_witness_refuses_mixed_support():
+def test_parity_witness_serves_mixed_support_and_refuses_empty():
+    # evens plus {3}: finitely many odd degrees, so the odd layer 3 is cancelled
+    # by weights on 1 + dim H_3(S^2) = 8 sphere points, and their antipodes
     spec = KernelSpec(
         sphere_space(2), SupportSet1D.of(prog(0, 2), one(3)), geometric_scheme(), (0, 40)
     )
-    with pytest.raises(NotApplicableError):
-        witness_parity_sphere(spec)
+    w = witness_parity_sphere(spec)
+    assert w.kind == "parity" and len(w.points) == len(w.coefficients) == 16
+    assert abs(w.residual) <= 1e-10 * w.scale
+    c = np.array(w.coefficients)
+    assert float(c @ gram_matrix(spec, list(w.points)) @ c) == pytest.approx(w.residual, abs=1e-12 * w.scale)
     empty = KernelSpec(sphere_space(2), SupportSet1D(()), geometric_scheme(), (0, 40))
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match="empty sphere-axis support has no parity class"):
         witness_parity_sphere(empty)
+
+
+def test_parity_witness_refuses_both_parities_infinite():
+    for terms in ([prog(0, 1)], [prog(0, 2), prog(5, 4)], [one(1), prog(2, 3)]):
+        spec = KernelSpec(sphere_space(3), SupportSet1D.of(*terms), geometric_scheme(), (0, 20))
+        with pytest.raises(NotApplicableError, match="infinitely many degrees of each parity"):
+            witness_parity_sphere(spec)
+
+
+def test_parity_witness_keeps_the_parity_with_fewer_points():
+    # {1, 3, 4} is finite in both parities: keeping even cancels layer 4 alone,
+    # 1 + dim H_4(S^2) = 10 points and their antipodes, signed +eta (keeping
+    # odd would take 1 + 3 + 7 = 11)
+    spec = KernelSpec(sphere_space(2), SupportSet1D.of(one(1), one(3), one(4)), geometric_scheme(), (0, 20))
+    w = witness_parity_sphere(spec)
+    assert len(w.points) == 20
+    assert w.points[10:] == tuple(z.antipode() for z in w.points[:10])
+    assert w.coefficients[10:] == w.coefficients[:10]
+    assert abs(w.residual) <= 1e-10 * w.scale
+    # {1, 3, 12} on S^5: keeping odd cancels two degrees, 1 + 6 + 50 = 57 points
+    # and their antipodes signed -eta; keeping even, the one degree 12 alone
+    # would take 1 + 3185 and pass the point limit
+    spec = KernelSpec(sphere_space(5), SupportSet1D.of(one(1), one(3), one(12)), geometric_scheme(), (0, 20))
+    w = witness_parity_sphere(spec)
+    assert len(w.points) == 114
+    assert w.points[57:] == tuple(z.antipode() for z in w.points[:57])
+    assert w.coefficients[57:] == tuple(-c for c in w.coefficients[:57])
+    assert abs(w.residual) <= 1e-10 * w.scale
+
+
+def test_parity_witness_on_mixed_product():
+    # the sphere axis holds the even degrees and l = 1, over every k: one circle
+    # point crossed with 1 + dim H_1(S^3) = 5 sphere points and their antipodes
+    support = SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(0, 2), one(1))))
+    spec = product_spec(support, trunc=(20, 20), m=3)
+    w = witness_parity_sphere(spec)
+    assert len(w.points) == 10
+    assert {x for x, _ in w.points} == {CirclePoint(0.0)}
+    total, layers = per_degree_forms(spec, list(w.points), w.coefficients)
+    assert np.max(np.abs(layers)) <= 1e-10 * w.scale
+    assert abs(w.residual) <= 1e-10 * w.scale
+
+
+def test_parity_witness_past_the_point_limit_is_refused():
+    # evens plus {11} on S^5: 2 * (1 + dim H_11(S^5)) = 4734 points
+    spec = KernelSpec(sphere_space(5), SupportSet1D.of(prog(0, 2), one(11)), geometric_scheme(), (0, 20))
+    with pytest.raises(NotApplicableError, match="parity witness needs 4734 points, past the limit of 2048"):
+        witness_parity_sphere(spec)
+
+
+def _harmonic_dimension(m, l):
+    """Homogeneous polynomials of degree l in m variables plus those of degree
+    l - 1: the harmonics of degree l in m + 1 variables."""
+    return math.comb(l + m - 1, m - 1) + (math.comb(l + m - 2, m - 1) if l else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([2, 3, 5]),
+    lmax=st.sampled_from([20, 40]),
+    keep=st.sampled_from([0, 1]),
+    start=st.integers(0, 6),
+    step=st.sampled_from([2, 4]),
+    singles=st.sets(st.integers(0, 13), max_size=3),
+    rate=st.floats(0.5, 0.95),
+)
+def test_parity_witness_on_finite_deficit_supports(m, lmax, keep, start, step, singles, rate):
+    # a progression of the other parity keeps that parity infinite; the kept
+    # parity is the singletons of its residue, all below L with a coefficient
+    base = 2 * start + 1 - keep
+    spec = KernelSpec(
+        sphere_space(m), SupportSet1D.of(prog(base, step), *map(one, sorted(singles))),
+        geometric_scheme(rate, rate), (0, lmax),
+    )
+    q = 1 + sum(_harmonic_dimension(m, l) for l in singles if l % 2 == keep)
+    event("refused" if 2 * q > MAX_POINTS else "built")
+    if 2 * q > MAX_POINTS:
+        with pytest.raises(NotApplicableError, match=f"parity witness needs {2 * q} points"):
+            witness_parity_sphere(spec)
+        return
+    w = witness_parity_sphere(spec)
+    assert len(w.points) == 2 * q
+    assert abs(w.residual) <= 1e-10 * w.scale
 
 
 # --- progression witness ---------------------------------------------------------------------------
@@ -404,6 +493,14 @@ def test_witness_past_the_point_limit_is_refused():
     # the same support on S^2 needs 2 * 2 * (1 + 23) = 96 points and is built
     small = witness_product(product_spec(support, trunc=(20, 20)), certify_circle_sphere(support, 2))
     assert len(small.points) == 96 and abs(small.residual) <= 1e-10 * small.scale
+
+
+def test_progression_witness_takes_circle_specs_only():
+    from spdkernels import ProgressionWitness
+
+    spec = product_spec(SupportSet2D(((prog(0, 2), prog(0, 1)),)))
+    with pytest.raises(NotApplicableError, match="progression witnesses need a circle spec"):
+        witness_progression_circle(spec, ProgressionWitness(2, 1))
 
 
 def test_progression_witness_past_the_point_limit_is_refused():
@@ -518,7 +615,7 @@ def _full_table_block_check(spec, enhanced, degree):
     t = np.cos(thetas[:, None] - thetas[None, :])
     s = np.clip(zs @ zs.T, -1.0, 1.0)
     mat = (
-        marginal_matrix(spec, t.ravel())[degree] * spec.sphere_axis_table(s.ravel())[degree]
+        marginal_ref(spec, t.ravel())[degree] * spec.sphere_axis_table(s.ravel())[degree]
     ).reshape(t.shape)
     half = enhanced.p * enhanced.q
     m11, m22 = mat[:half, :half], mat[half:, half:]

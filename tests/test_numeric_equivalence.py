@@ -1,15 +1,16 @@
 """The in-place polynomial recurrences, the streamed Gram matrix, the chunked
-layer matrix, the screened duplicate checks and the batched sampler against
-the code they replaced.
+layer matrix, the screened duplicate checks, the batched sampler and the
+tensored witness assembly against the code they replaced.
 
 ``reference_*`` below are verbatim copies of the earlier code: recurrences
 that allocate fresh arrays for every degree, a contraction that multiplies
 into a new array in slices of 16 384 pairs, a Gram matrix that takes the
 cosine of all n^2 angle differences, a layer matrix built in one piece, a
-block scan of every pair for duplicates, and a double loop over circle
-points.  The library must return the same floats bit for bit
-(``np.array_equal``), the same sampled points and resample counts, and the
-same first faulty pair.
+block scan of every pair for duplicates, a double loop over circle
+points, and the points and coefficients of three separate witness functions.
+The library must return the same floats bit for bit (``np.array_equal``),
+the same sampled points and resample counts, the same first faulty pair,
+and the same witness points and coefficients.
 """
 
 import logging
@@ -21,12 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPD_PRODUCT_SUPPORTS, battery_1d
+from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d
 from spdkernels import (
     CirclePoint,
     KernelSpec,
+    ProgressionWitness,
     SpherePoint,
+    SupportSet1D,
+    SupportSet2D,
     build_enhanced,
+    certify_circle_sphere,
     circle_space,
     circle_sphere_space,
     circle_tph_space,
@@ -34,11 +39,18 @@ from spdkernels import (
     gram_matrix,
     jacobi_table,
     kernel_values,
+    one,
+    prog,
     sample_config,
     sphere_space,
+    witness_parity_sphere,
+    witness_product,
+    witness_progression_circle,
 )
 from spdkernels.geometry import TWO_PI, _check_circle_distinct
-from spdkernels.gram import _check_duplicates, _dot_matrices, _layer_matrix, _split_points
+from spdkernels.gram import (
+    _check_duplicates, _dot_matrices, _layer_matrix, _low_layers, _null_weights, _split_points,
+)
 from spdkernels.kernels import BETA_BY_FAMILY, CHUNK_PAIRS
 from spdkernels.orthopoly import (
     _checked_argument,
@@ -50,6 +62,7 @@ from spdkernels.orthopoly import (
     gegenbauer_table,
 )
 from test_geometry import _pointwise_sample_config, _sampled_resamples
+from test_gram import LATE_ODD_L1
 
 
 # --- the earlier implementations ----------------------------------------------
@@ -507,3 +520,106 @@ def test_batched_sampler_matches_pointwise_reference_at_800(
         assert resamples > 0 and pointwise > 0 and batches > 1
     else:
         assert (resamples, batches, pointwise) == (0, 2, 0)
+
+
+# --- the witness assembly -----------------------------------------------------------
+
+def reference_first_basis_point(m):
+    return SpherePoint((1.0,) + (0.0,) * m)
+
+
+def reference_roots_of_unity_weights(n, j):
+    thetas = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
+    d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
+    return thetas, d
+
+
+def reference_parity_assembly(spec):
+    """Points and coefficients of the earlier parity witness (parity-pure
+    sphere-axis supports only)."""
+    terms = spec.support.l_terms() if spec.space.is_product else list(spec.support.terms)
+    parity_even = terms[0].base % 2 == 0
+    z = reference_first_basis_point(spec.space.m)
+    if spec.space.is_product:
+        x = CirclePoint(0.0)
+        points = ((x, z), (x, z.antipode()))
+    else:
+        points = (z, z.antipode())
+    c = np.array([1.0, -1.0]) if parity_even else np.array([1.0, 1.0])
+    return points, c
+
+
+def reference_progression_assembly(witness):
+    """Points and coefficients of the earlier progression witness on a circle spec."""
+    xs, d = reference_roots_of_unity_weights(witness.modulus, witness.residue)
+    return tuple(xs), d
+
+
+def reference_composed_assembly(spec, failure):
+    """Points and coefficients of the earlier product witness."""
+    m = spec.space.m
+    n, j = failure.witness.modulus, failure.witness.residue
+    low = _low_layers(spec, failure)
+    q = 1 + sum(math.comb(l + m, m) - math.comb(l + m - 2, m) for l in low)  # dim H_l(S^m)
+    xs, d = reference_roots_of_unity_weights(n, j)
+    zs = [reference_first_basis_point(m)] + sample_config(m, 0, q - 1, seed=0)[1]
+    enhanced = build_enhanced(xs, zs)
+    plain = np.kron(_null_weights(m, zs, low), d)
+    c = np.concatenate([plain, plain if failure.parity == "even" else -plain])
+    return enhanced.points, c
+
+
+def _assert_same_witness(spec, w, points, c):
+    assert w.points == points
+    assert w.coefficients == tuple(c)
+    # single-space Grams may round with the BLAS thread count, so the form is
+    # compared at round-off rather than by bits
+    residual = float(c @ gram_matrix(spec, list(points)) @ c)
+    assert abs(w.residual - residual) <= 1e-12 * w.scale
+
+
+PARITY_PURE_SPHERE = [
+    SupportSet1D.of(prog(0, 2)),
+    SupportSet1D.of(prog(1, 2)),
+    SupportSet1D.of(prog(0, 4), one(2), one(6)),
+    SupportSet1D.of(one(1), prog(3, 2), prog(5, 4)),
+    SupportSet1D.of(one(0)),
+]
+
+
+@pytest.mark.parametrize("support", PARITY_PURE_SPHERE)
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_parity_witness_matches_the_earlier_code(support, m):
+    spec = KernelSpec(sphere_space(m), support, geometric_scheme(), (0, 30))
+    _assert_same_witness(spec, witness_parity_sphere(spec), *reference_parity_assembly(spec))
+
+
+@pytest.mark.parametrize("l_terms", [(prog(0, 2),), (prog(1, 2), one(3))])
+def test_product_parity_witness_matches_the_earlier_code(l_terms):
+    spec = KernelSpec(
+        circle_sphere_space(2), SupportSet2D(tuple((prog(0, 1), lt) for lt in l_terms)),
+        geometric_scheme(), (20, 20),
+    )
+    _assert_same_witness(spec, witness_parity_sphere(spec), *reference_parity_assembly(spec))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_progression_witness_matches_the_earlier_code(n):
+    # multiples of n avoid every class j != 0 mod n
+    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, n)), geometric_scheme(), (40, 0))
+    for j in range(1, n):
+        witness = ProgressionWitness(n, j)
+        w = witness_progression_circle(spec, witness)
+        _assert_same_witness(spec, w, *reference_progression_assembly(witness))
+
+
+@pytest.mark.parametrize(
+    "support, m",
+    [(support, m) for support, _ in NOT_SPD_PRODUCT_SUPPORTS_G0 for m in (2, 5)]
+    + [(support, m) for support in LATE_ODD_L1 for m in (2, 3)],
+)
+def test_composed_witness_matches_the_earlier_code(support, m):
+    spec = KernelSpec(circle_sphere_space(m), support, geometric_scheme(), (30, 30))
+    cert = certify_circle_sphere(support, m)
+    w = witness_product(spec, cert)
+    _assert_same_witness(spec, w, *reference_composed_assembly(spec, cert.counterexample))

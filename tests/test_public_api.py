@@ -22,7 +22,7 @@ PACKAGE = {
     "circle_sphere_space", "circle_table", "circle_tph_space", "constant_scheme",
     "derived_parity_tail_set", "enhanced_block_check", "eval_kernel", "gegenbauer_table",
     "geometric_scheme", "gram_matrix", "has_infinitely_many", "jacobi_table",
-    "kernel_values", "marginal_matrix", "meets_every_progression", "one",
+    "kernel_values", "meets_every_progression", "one",
     "per_degree_forms", "prog", "s2_quadrature", "sample_config", "sph_basis_s2",
     "sphere_space", "stabilization_bound", "sufficient_product", "witness_avoids_window",
     "witness_parity_sphere", "witness_product", "witness_progression_circle",
@@ -49,7 +49,7 @@ MODULES = {
         "BETA_BY_FAMILY", "CoefficientScheme", "DEFAULT_TRUNCATION", "DIMENSION_RULES",
         "KernelSpec", "MAX_TRUNCATION_BOX", "SpaceDescriptor", "circle_space",
         "circle_sphere_space", "circle_tph_space", "constant_scheme", "eval_kernel",
-        "geometric_scheme", "kernel_values", "marginal_matrix", "sphere_space",
+        "geometric_scheme", "kernel_values", "sphere_space",
     },
     "orthopoly": {"MAX_DEGREE", "circle_table", "gegenbauer_table", "jacobi_table"},
     "supportsets": {
