@@ -27,11 +27,16 @@ drops out, so one check per checkpoint decides every gamma up to the next
 one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
 
-The window routes (the gamma loop, the tph loop and the sufficient test)
-compute which terms contain each integer of their window with numpy and call
-their predicate once per distinct membership pattern.  The outcome is kept as
-one flag per integer of the window's prefix and first period (a
-``PeriodicSet1D``), which the residue and parity tests read as arrays.
+The window routes (the gamma loop, the tph loop and the sufficient tests)
+read a window of the outer axis.  In the gamma and tph loops an integer is
+flagged when some term containing it has a tail member of the parity, so each
+checkpoint writes the union of those terms' slices of the window: O(terms)
+slice writes.  The sufficient tests run a certifier on each section, which is
+no union over terms: they compute which terms contain each integer with numpy
+and call their predicate once per distinct membership pattern.  Either way the
+outcome is kept as one flag per integer of the window's prefix and first
+period (a ``PeriodicSet1D``), which the residue and parity tests read as
+arrays.
 """
 
 from __future__ import annotations
@@ -302,24 +307,46 @@ def _membership_codes(terms: list[Term1D], length: int) -> np.ndarray:
     return codes
 
 
-def _promote_periodic(
-    axis_terms: list[Term1D], predicate: Callable[[tuple[int, ...]], bool]
-) -> PeriodicSet1D:
-    """Evaluate a predicate over an explicit window and promote the pattern
-    to a ``PeriodicSet1D``: singletons below the prefix bound, progressions
-    with the step lcm across one period, one flag per integer.  Periodicity
-    past the bound is asserted over a second period.
-
-    The predicate takes a membership pattern, the ascending indices of the
-    terms containing an integer, and is called once per distinct pattern in
-    the window.  A window longer than ``MAX_PERIOD`` raises
-    ``NotApplicableError`` before anything is allocated.
-    """
+def _window(axis_terms: list[Term1D]) -> tuple[int, int, int]:
+    """The window of an outer axis: the prefix bound (1 + the largest base),
+    the period (the lcm of the progression steps) and the length, bound + two
+    periods.  A window longer than ``MAX_PERIOD`` raises
+    ``NotApplicableError`` before anything is allocated."""
     bound = 1 + max((t.base for t in axis_terms), default=0)
     period = lcm(*(t.step for t in axis_terms if t.is_progression))
     length = bound + 2 * period
     if length > MAX_PERIOD:
         raise NotApplicableError(f"window of {length} integers is past the limit of {MAX_PERIOD}")
+    return bound, period, length
+
+
+def _promote(flags: np.ndarray, bound: int, period: int) -> PeriodicSet1D:
+    """Promote the flags of a window to a ``PeriodicSet1D``: singletons below
+    the prefix bound, progressions with the period across one period.
+    Periodicity past the bound is asserted over the second period."""
+    head, tail = flags[bound : bound + period], flags[bound + period :]
+    if not np.array_equal(head, tail):
+        v = bound + int(np.flatnonzero(head != tail)[0])
+        raise AssertionError(f"window outcome not periodic at {v} (period {period})")
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "promoted set: period %d, %d singletons, %d flagged residues",
+            period, np.count_nonzero(flags[:bound]), np.count_nonzero(head),
+        )
+    return PeriodicSet1D(bound, period, flags[: bound + period])
+
+
+def _promote_periodic(
+    axis_terms: list[Term1D], predicate: Callable[[tuple[int, ...]], bool]
+) -> PeriodicSet1D:
+    """Evaluate a predicate over the explicit window of an outer axis and
+    promote the outcome (``_window``, ``_promote``).
+
+    The predicate takes a membership pattern, the ascending indices of the
+    terms containing an integer, and is called once per distinct pattern in
+    the window.
+    """
+    bound, period, length = _window(axis_terms)
     codes = _membership_codes(axis_terms, length)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     outcomes = [
@@ -330,23 +357,29 @@ def _promote_periodic(
         "window of %d integers (bound %d, period %d): %d membership patterns",
         length, bound, period, len(outcomes),
     )
-    flags = np.array(outcomes, dtype=bool)[inverse]
-    head, tail = flags[bound : bound + period], flags[bound + period :]
-    if not np.array_equal(head, tail):
-        v = bound + int(np.flatnonzero(head != tail)[0])
-        raise AssertionError(f"window outcome not periodic at {v} (period {period})")
-    logger.debug(
-        "promoted set: period %d, %d singletons, %d flagged residues",
-        period, np.count_nonzero(flags[:bound]), np.count_nonzero(head),
-    )
-    return PeriodicSet1D(bound, period, flags[: bound + period])
+    return _promote(np.array(outcomes, dtype=bool)[inverse], bound, period)
 
 
 def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> PeriodicSet1D:
-    """Route taken by the gamma loop: decide each section by member listing,
-    then read the frequency set off a verified periodic window."""
-    l_ok = [_section_terms_have_tail([lt], gamma, parity) for _, lt in support.terms]
-    return _promote_periodic(support.k_terms(), lambda pattern: any(l_ok[i] for i in pattern))
+    """Route taken by the gamma and tph loops: decide each term's l-side by
+    member listing, then read the frequency set off a verified periodic window.
+
+    An integer is flagged when some k-term containing it has an l-term with a
+    tail member of the parity, so the flags are the union of those k-terms'
+    slices of the window: one slice write per such term.
+    """
+    bound, period, length = _window(support.k_terms())
+    flags = np.zeros(length, dtype=bool)
+    tails = 0
+    for kt, lt in support.terms:
+        if _section_terms_have_tail([lt], gamma, parity):
+            flags[kt.base :: kt.step or length] = True
+            tails += 1
+    logger.debug(
+        "window of %d integers (bound %d, period %d): %d of %d terms in the tail",
+        length, bound, period, tails, len(support.terms),
+    )
+    return _promote(flags, bound, period)
 
 
 def _window_tail_set(support: SupportSet2D, gamma: int, parity: Parity):

@@ -480,7 +480,8 @@ def test_divisors_and_windows_are_logged(caplog):
     windows = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
     # odd tail +-{1 mod 6} u {0 mod 4}: 2 mod 4 is missed at the fourth divisor of 12
     assert scans == ["step lcm 12: class 2 mod 4 missed, 4 of 6 divisors examined"]
-    assert windows[0] == "window of 26 integers (bound 2, period 12): 3 membership patterns"
+    # at gamma 0 only the two odd l-progressions have an odd tail member
+    assert windows[0] == "window of 26 integers (bound 2, period 12): 2 of 3 terms in the tail"
 
 
 def test_promoted_sets_are_logged(caplog):
@@ -490,6 +491,18 @@ def test_promoted_sets_are_logged(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
     # window of 6 + 2 * 2 integers; 0, 2, 4 and 5 flagged below it, 6 mod 2 past it
     assert messages[:2] == [
+        "window of 10 integers (bound 6, period 2): 2 of 2 terms in the tail",
+        "promoted set: period 2, 4 singletons, 1 flagged residues",
+    ]
+
+
+def test_sufficient_windows_log_their_patterns(caplog):
+    support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
+    with caplog.at_level("DEBUG", logger="spdkernels.certify"):
+        sufficient_product(support, 2, "circle-outer")
+    messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
+    # patterns (), (0,) and (1,); the sections of the last two certify on S^2
+    assert messages == [
         "window of 10 integers (bound 6, period 2): 3 membership patterns",
         "promoted set: period 2, 4 singletons, 1 flagged residues",
     ]

@@ -519,7 +519,9 @@ def _run_within_budget(argv):
 
 
 @pytest.mark.parametrize(
-    "command", [["crosscheck"], ["certify", "--method", "sufficient-circle-outer"]]
+    "command",
+    [["crosscheck"], ["certify", "--method", "sufficient-circle-outer"],
+     ["certify", "--space", "circle_tph:real_proj:2"]],
 )
 def test_window_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
     from spdkernels.supportsets import MAX_PERIOD

@@ -5,11 +5,14 @@ versions they replaced.
 residue scan that marks and lists classes one at a time, a window scan over
 every member, and a periodic window that calls its predicate once per
 integer.  The library must return the same decisions, the same missed
-class and the same promoted terms.
+class and the same promoted terms.  ``pattern_tail_frequency_set`` is the
+gamma-loop window read through membership patterns, as the sufficient tests
+still read theirs; the slice-union window must match it bit for bit.
 """
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +124,13 @@ def reference_tail_frequency_set(support, gamma, parity):
     return reference_promote_periodic(k_parts, ok)
 
 
+def pattern_tail_frequency_set(support, gamma, parity):
+    """The gamma-loop window as it was read before its flags became a union of
+    term slices: one predicate call per membership pattern."""
+    l_ok = [_section_terms_have_tail([lt], gamma, parity) for _, lt in support.terms]
+    return _promote_periodic(support.k_terms(), lambda pattern: any(l_ok[i] for i in pattern))
+
+
 def reference_qualifying_set(support, m, axis):
     working = support if axis == "circle-outer" else support.transpose()
     outer_parts = working.k_terms()
@@ -148,9 +158,22 @@ def assert_same_terms(got, want):
     assert all(type(t.base) is int and type(t.step) is int for t in got.terms)
 
 
+def assert_same_flags_at_checkpoints(support):
+    """The slice-union window against the pattern window, bit for bit, at
+    every checkpoint of the sweep: 0, v + 1 per l-singleton v, the upper end."""
+    dropouts = {lt.base + 1 for _, lt in support.terms if not lt.is_progression}
+    for gamma in sorted({0, stabilization_bound(support)} | dropouts):
+        for parity in ("odd", "even", "any"):
+            got = _tail_frequency_set(support, gamma, parity)
+            want = pattern_tail_frequency_set(support, gamma, parity)
+            assert (got.bound, got.period) == (want.bound, want.period)
+            assert got.flags.dtype == want.flags.dtype and np.array_equal(got.flags, want.flags)
+
+
 def assert_routes_agree(support):
     """Both tail routes at every gamma up to one past the stabilization bound,
     and both sufficient axes."""
+    assert_same_flags_at_checkpoints(support)
     for gamma in range(stabilization_bound(support) + 2):
         for parity in ("odd", "even", "any"):
             assert_same_decision(derived_parity_tail_set(support, gamma, parity))
@@ -234,6 +257,7 @@ def test_window_past_one_code_word(count):
     for parity in ("odd", "even"):
         freq = _tail_frequency_set(support, 0, parity)
         assert_same_terms(freq, reference_tail_frequency_set(support, 0, parity))
+    assert_same_flags_at_checkpoints(support)
     length = 1 + max(t.base for t in k_terms) + 2 * 7 * 8 * 9  # bound + two periods
     patterns = {tuple(i for i, t in enumerate(k_terms) if t.contains(v)) for v in range(length)}
     calls = []
