@@ -28,15 +28,18 @@ one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
 
 The window routes (the gamma loop, the tph loop and the sufficient tests)
-read a window of the outer axis.  In the gamma and tph loops an integer is
-flagged when some term containing it has a tail member of the parity, so each
-checkpoint writes the union of those terms' slices of the window: O(terms)
-slice writes.  The sufficient tests run a certifier on each section, which is
-no union over terms: they compute which terms contain each integer with numpy
-and call their predicate once per distinct membership pattern.  Either way the
-outcome is kept as one flag per integer of the window's prefix and first
-period (a ``PeriodicSet1D``), which the residue and parity tests read as
-arrays.
+read a window of the outer axis.  Where the row predicate is an OR over
+terms, each flag array is the union of some terms' slices of the window:
+in the gamma and tph loops an integer is flagged when some term containing
+it has a tail member of the parity, and in the circle-outer sufficient test
+a section certifies on the sphere when some term gives it infinitely many
+even degrees and some term infinitely many odd ones (the AND of two
+unions).  Such a window costs O(terms) slice writes.  The sphere-outer
+test asks whether a row meets every residue class, which is no union over
+terms: it computes which terms contain each integer with numpy and calls
+the circle certifier once per distinct membership pattern.  The outcome is
+kept as one flag per integer of the window's prefix and first period (a
+``PeriodicSet1D``), which the residue and parity tests read as arrays.
 """
 
 from __future__ import annotations
@@ -420,20 +423,45 @@ def certify_circle_tph(
     )
 
 
-def _qualifying_set(support: SupportSet2D, m: int, axis: str) -> PeriodicSet1D:
-    """The outer values of the sufficient test: circle frequencies whose
-    section certifies on S^m (circle-outer), or degrees whose row certifies on
-    the circle (sphere-outer), read off a periodic window of the outer axis."""
-    working = support if axis == "circle-outer" else support.transpose()
-    inner_parts = working.l_terms()
+def _qualifying_set(support: SupportSet2D, axis: str) -> PeriodicSet1D:
+    """The outer values of the sufficient test, read off a periodic window of
+    the outer axis.
 
-    def inner_ok(pattern: tuple[int, ...]) -> bool:
-        section = SupportSet1D(tuple(inner_parts[i] for i in pattern))
-        if axis == "circle-outer":
-            return certify_sphere(section, m).verdict is Verdict.SPD
-        return certify_circle(section).verdict is Verdict.SPD
+    circle-outer: the circle frequencies whose section certifies on S^m,
+    that is, holds infinitely many even and infinitely many odd degrees.  Each
+    half is an OR over the section's terms, so each parity's flags are the
+    union of the slices of the k-terms whose l-term has infinitely many
+    members of that parity, and the set is the AND of the two unions: O(terms)
+    slice writes.  sphere-outer: the degrees whose row certifies on the
+    circle.  Meeting every residue class is no union over terms, so the
+    certifier runs once per membership pattern (``_promote_periodic``).
+    """
+    if axis == "sphere-outer":
+        rows = support.transpose()
+        inner = rows.l_terms()
 
-    return _promote_periodic(working.k_terms(), inner_ok)
+        def row_ok(pattern: tuple[int, ...]) -> bool:
+            row = SupportSet1D(tuple(inner[i] for i in pattern))
+            return certify_circle(row).verdict is Verdict.SPD
+
+        return _promote_periodic(rows.k_terms(), row_ok)
+    bound, period, length = _window(support.k_terms())
+    unbounded = {
+        parity: [kt for kt, lt in support.terms if term_has_infinite_parity(lt, parity)]
+        for parity in ("even", "odd")
+    }
+    logger.debug(
+        "window of %d integers (bound %d, period %d): of %d terms, %d with infinitely "
+        "many even and %d with infinitely many odd degrees",
+        length, bound, period, len(support.terms), len(unbounded["even"]), len(unbounded["odd"]),
+    )
+    flags = np.ones(length, dtype=bool)
+    for k_terms in unbounded.values():
+        union = np.zeros(length, dtype=bool)
+        for kt in k_terms:
+            union[kt.base :: kt.step or length] = True
+        flags &= union
+    return _promote(flags, bound, period)
 
 
 def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
@@ -448,7 +476,7 @@ def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
     if axis not in ("circle-outer", "sphere-outer"):
         raise ValueError(f"axis must be 'circle-outer' or 'sphere-outer', got {axis!r}")
 
-    qualifying = _qualifying_set(support, m, axis)
+    qualifying = _qualifying_set(support, axis)
     if axis == "circle-outer":
         outer = certify_circle(qualifying)
         method = "sufficient-circle-outer"

@@ -8,7 +8,8 @@ Reports are JSON with stable key order; timestamps are emitted unless
 under that flag.
 
 Exit codes: 0 SPD, 1 NotSPD, 2 SufficientOnly or Inconclusive, 64 spec-file
-or usage error, 70 numerical failure.
+or usage error (an output path that cannot be written among them), 70
+numerical failure.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -358,11 +361,65 @@ def _describe_counterexample(ce) -> str:
     return ""
 
 
+def _report_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in one
+    pass: each container is one join, where ``json``'s indenting encoder runs
+    in pure Python and yields every token from a generator.  ``newline`` is
+    the line break and indent that precede the value's closing bracket.
+
+    Dicts need ``str`` keys.  Floats print with ``float.__repr__``, so a
+    numpy float64 prints as a float.  Anything else ``json`` would refuse
+    (a numpy integer, say) raises ``TypeError``.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is no str fails in sorted or in encode_basestring_ascii
+        items = [
+            encode_basestring_ascii(k) + ": " + _report_text(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_report_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_output(path: str, flag: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SpecFileError(flag, f"cannot write {flag[2:]} file: {exc}") from exc
+
+
 def _emit(report: dict, args) -> None:
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     if getattr(args, "json", None):
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_output(args.json, "--json", _report_text(report) + "\n")
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -477,7 +534,7 @@ def _cmd_gram(args) -> int:
         for n in range(2, args.points + 1):
             _, lam = gram_mod.check_pd(a[:n, :n], args.tol)
             lines.append(f"{n},{lam!r}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        _write_output(args.csv, "--csv", "\n".join(lines) + "\n")
     print(f"lambda_min = {lam_min:.6e} ({'PD' if ok else 'not PD'} at tol {args.tol})")
     return EXIT_SPD if ok else EXIT_NOT_SPD
 

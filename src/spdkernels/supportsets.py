@@ -59,12 +59,13 @@ Parity = Literal["even", "odd", "any"]
 
 # The most integers a residue scan or periodic window may span: the step lcm
 # L in ``meets_every_progression`` (a bytearray of d bytes per divisor d of L)
-# and the window of 1 + largest base + 2 * L in ``certify._promote_periodic``
-# (a numpy code and flag per integer).  Larger input is refused with
+# and the window of 1 + largest base + 2 * L in ``certify._window`` (a few bool
+# flags per integer; only the sphere-outer sufficient test adds an int64
+# membership code per integer).  Larger input is refused with
 # ``NotApplicableError`` before anything is allocated.  At the limit a residue
 # scan takes milliseconds, and a crosscheck whose window spans it (a
-# k-singleton of 2e5) well under a tenth of a second, on two cores; the
-# workloads' windows stay near 2e4.
+# k-singleton of 2e5) about a millisecond, on two cores; the workloads'
+# windows stay near 2e4.
 MAX_PERIOD = 200_000
 
 # The most work the witness search may do: a trial factor p over m distinct

@@ -500,9 +500,15 @@ def test_sufficient_windows_log_their_patterns(caplog):
     support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
     with caplog.at_level("DEBUG", logger="spdkernels.certify"):
         sufficient_product(support, 2, "circle-outer")
+        sufficient_product(support.transpose(), 2, "sphere-outer")
     messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
-    # patterns (), (0,) and (1,); the sections of the last two certify on S^2
+    # circle-outer: both l-terms are full, so both unions hold 0, 2, 4, 5 and 6 mod 2;
+    # sphere-outer reads the same window through the patterns (), (0,) and (1,),
+    # and the rows of the last two certify on the circle
     assert messages == [
+        "window of 10 integers (bound 6, period 2): of 2 terms, "
+        "2 with infinitely many even and 2 with infinitely many odd degrees",
+        "promoted set: period 2, 4 singletons, 1 flagged residues",
         "window of 10 integers (bound 6, period 2): 3 membership patterns",
         "promoted set: period 2, 4 singletons, 1 flagged residues",
     ]

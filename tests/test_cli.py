@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdkernels import SpecFileError, prog
 from spdkernels.cli import (
+    _report_text,
     load_spec_file,
     main,
     parse_spec_dict,
@@ -123,6 +127,26 @@ def test_certify_bad_spec_exit_sixtyfour(tmp_path, capsys):
 
 def test_certify_missing_file_exit_sixtyfour(tmp_path):
     assert main(["certify", str(tmp_path / "absent.json")]) == 64
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["certify"], "--json"),
+        (["witness"], "--json"),
+        (["crosscheck"], "--json"),
+        (["eval", "--t", "0.5", "--s", "0.5"], "--json"),
+        (["gram", "--points", "4"], "--json"),
+        (["gram", "--points", "4"], "--csv"),
+    ],
+)
+def test_unwritable_output_path_exit_sixtyfour(tmp_path, capsys, command, flag):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    target = tmp_path / "no" / "such" / "dir" / "out"
+    assert main([command[0], path, *command[1:], flag, str(target)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: {flag}: cannot write {flag[2:]} file: [Errno 2] ")
+    assert str(target) in err
 
 
 def test_certify_report_is_deterministic(tmp_path):
@@ -640,3 +664,46 @@ def test_many_singletons_with_a_small_witness_are_refuted(tmp_path, capsys):
     assert capsys.readouterr().out == "NotSPD (circle-residue-classes): missed residue class 3 mod 6\n"
     assert main(["witness", path]) == 1
     assert capsys.readouterr().out.startswith("witness kind=progression")
+
+
+# --- the report encoder ---------------------------------------------------------------------
+
+_report_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**40, -(10**40)]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x08\t\n\x1f\x7f", "é☃\u2028\U0001f600"]),
+)
+_reports = st.recursive(
+    _report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(report=_reports)
+@settings(max_examples=300, deadline=None)
+def test_report_text_is_json_dumps(report):
+    assert _report_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("report", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], [{}]]])
+def test_report_text_of_empty_containers(report):
+    assert _report_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("report", [np.int64(3), {"points": [1, np.int64(2)]}])
+def test_report_text_refuses_what_json_refuses(report):
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        json.dumps(report, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        _report_text(report)

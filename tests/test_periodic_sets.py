@@ -78,7 +78,7 @@ def test_promoted_sets_decide_as_their_expansion(pairs, classes):
         for parity in ("odd", "even", "any"):
             assert_same_as_expansion(_tail_frequency_set(support, gamma, parity), classes)
     for axis in ("circle-outer", "sphere-outer"):
-        assert_same_as_expansion(_qualifying_set(support, 2, axis), classes)
+        assert_same_as_expansion(_qualifying_set(support, axis), classes)
 
 
 def test_promoted_set_reads_like_its_terms():

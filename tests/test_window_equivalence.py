@@ -5,9 +5,10 @@ versions they replaced.
 residue scan that marks and lists classes one at a time, a window scan over
 every member, and a periodic window that calls its predicate once per
 integer.  The library must return the same decisions, the same missed
-class and the same promoted terms.  ``pattern_tail_frequency_set`` is the
-gamma-loop window read through membership patterns, as the sufficient tests
-still read theirs; the slice-union window must match it bit for bit.
+class and the same promoted terms.  ``pattern_tail_frequency_set`` and
+``pattern_qualifying_set`` are the gamma-loop and circle-outer windows read
+through membership patterns, as the sphere-outer test still reads its own;
+the slice-union windows must match them bit for bit.
 """
 
 from math import gcd
@@ -131,6 +132,18 @@ def pattern_tail_frequency_set(support, gamma, parity):
     return _promote_periodic(support.k_terms(), lambda pattern: any(l_ok[i] for i in pattern))
 
 
+def pattern_qualifying_set(support, m):
+    """The circle-outer window as it was read before its flags became two
+    unions of term slices: one sphere certifier call per membership pattern."""
+    inner_parts = support.l_terms()
+
+    def inner_ok(pattern):
+        section = SupportSet1D(tuple(inner_parts[i] for i in pattern))
+        return certify_sphere(section, m).verdict is Verdict.SPD
+
+    return _promote_periodic(support.k_terms(), inner_ok)
+
+
 def reference_qualifying_set(support, m, axis):
     working = support if axis == "circle-outer" else support.transpose()
     outer_parts = working.k_terms()
@@ -158,16 +171,26 @@ def assert_same_terms(got, want):
     assert all(type(t.base) is int and type(t.step) is int for t in got.terms)
 
 
+def assert_same_flags(got, want):
+    assert (got.bound, got.period) == (want.bound, want.period)
+    assert got.flags.dtype == want.flags.dtype and np.array_equal(got.flags, want.flags)
+
+
 def assert_same_flags_at_checkpoints(support):
     """The slice-union window against the pattern window, bit for bit, at
     every checkpoint of the sweep: 0, v + 1 per l-singleton v, the upper end."""
     dropouts = {lt.base + 1 for _, lt in support.terms if not lt.is_progression}
     for gamma in sorted({0, stabilization_bound(support)} | dropouts):
         for parity in ("odd", "even", "any"):
-            got = _tail_frequency_set(support, gamma, parity)
-            want = pattern_tail_frequency_set(support, gamma, parity)
-            assert (got.bound, got.period) == (want.bound, want.period)
-            assert got.flags.dtype == want.flags.dtype and np.array_equal(got.flags, want.flags)
+            assert_same_flags(
+                _tail_frequency_set(support, gamma, parity),
+                pattern_tail_frequency_set(support, gamma, parity),
+            )
+
+
+def assert_same_circle_outer_flags(support):
+    """The two-union circle-outer window against the pattern window, bit for bit."""
+    assert_same_flags(_qualifying_set(support, "circle-outer"), pattern_qualifying_set(support, 2))
 
 
 def assert_routes_agree(support):
@@ -180,8 +203,9 @@ def assert_routes_agree(support):
             freq = _tail_frequency_set(support, gamma, parity)
             assert_same_terms(freq, reference_tail_frequency_set(support, gamma, parity))
             assert_same_decision(freq)
+    assert_same_circle_outer_flags(support)
     for axis in ("circle-outer", "sphere-outer"):
-        qualifying = _qualifying_set(support, 2, axis)
+        qualifying = _qualifying_set(support, axis)
         assert_same_terms(qualifying, reference_qualifying_set(support, 2, axis))
         assert_same_decision(qualifying)
 
@@ -258,6 +282,7 @@ def test_window_past_one_code_word(count):
         freq = _tail_frequency_set(support, 0, parity)
         assert_same_terms(freq, reference_tail_frequency_set(support, 0, parity))
     assert_same_flags_at_checkpoints(support)
+    assert_same_circle_outer_flags(support)
     length = 1 + max(t.base for t in k_terms) + 2 * 7 * 8 * 9  # bound + two periods
     patterns = {tuple(i for i, t in enumerate(k_terms) if t.contains(v)) for v in range(length)}
     calls = []

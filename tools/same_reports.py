@@ -7,7 +7,7 @@ PARENT_TREE (to check another tree, run that tree's copy).  For each tree,
 a subprocess started in that tree's root runs every op of the benchmark
 workloads ``certify_deep`` and ``gram_scaling``, seeds 1-6,
 through ``bench/run.py``'s ``Session.run_op``, and writes one record per op:
-exit code, captured output (standard output and error), the
+exit code, captured output (standard output and error), the text of the
 ``--no-timestamp --json`` report and the csv.  Both trees run in the same
 scratch directory, one after the other, so spec paths in messages agree.
 The records are compared in order; the script prints the op count and the
@@ -44,7 +44,8 @@ with records.open("w") as f:
             session = run.Session(workload, seed, work / f"{workload}-{seed}")
             for item in session.items:
                 for op in item.ops:
-                    _, rc, out, report, csv_text = session.run_op(item, op)
+                    _, rc, out, _, csv_text = session.run_op(item, op)
+                    report = session.report.read_text() if session.report.exists() else None
                     f.write(json.dumps({
                         "op": [workload, seed, item.name, op.command, *op.args],
                         "exit": rc, "output": out, "report": report, "csv": csv_text,
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     if difference:
         print(f"first difference: {difference}")
         return 1
-    print("every op identical: exit code, output, --json report and csv")
+    print("every op identical: exit code, output, --json report text and csv")
     return 0
 
 
