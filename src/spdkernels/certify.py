@@ -9,11 +9,14 @@ coefficient support:
   infinitely many odd members;
 * circle x sphere: for every tail cutoff gamma and each parity, the set of
   circle frequencies whose section holds a degree >= gamma of that parity
-  must meet every residue class.  Two independent implementations are kept:
-  one derives the frequency sets term by term
-  (``certify_circle_sphere``), the other enumerates sections over a verified
-  finite window and promotes the periodic pattern
-  (``certify_circle_sphere_gamma_loop``);
+  must meet every residue class.  Two implementations are kept: one derives
+  the frequency sets term by term (``certify_circle_sphere``); the other
+  (``certify_circle_sphere_gamma_loop``) writes each set over a verified
+  finite window of the circle axis, as the union of the k-slices of the
+  terms whose l-term has a member >= gamma of the parity, promotes it, and
+  reads the promoted window as a residue mask.  Independent of the first
+  route are its per-term tail predicate, decided by listing members, and
+  that residue-mask reading;
 * circle x projective space: the same loop without the parity split;
 * sphere x sphere: each of the four parity quadrants must hold one support
   term with infinitely many members of the quadrant's parities on both axes;
@@ -265,22 +268,18 @@ def _first_tail_member(term: Term1D, gamma: int) -> int:
     return term.base + steps * term.step
 
 
-def _section_terms_have_tail(terms: list[Term1D], gamma: int, parity: Parity) -> bool:
-    """Does any listed l-term hold a member >= gamma of the parity?
+def _section_terms_have_tail(term: Term1D, gamma: int, parity: Parity) -> bool:
+    """Does the l-term hold a member >= gamma of the parity?
 
     Decided by listing explicit members: for a progression the first two
     members at or past gamma settle every parity case (consecutive members
     either alternate parity or all share the base's).
     """
     wanted = {"any": (0, 1), "even": (0,), "odd": (1,)}[parity]
-    for term in terms:
-        if term.is_progression:
-            start = _first_tail_member(term, gamma)
-            if start % 2 in wanted or (start + term.step) % 2 in wanted:
-                return True
-        elif term.base >= gamma and term.base % 2 in wanted:
-            return True
-    return False
+    if term.is_progression:
+        start = _first_tail_member(term, gamma)
+        return start % 2 in wanted or (start + term.step) % 2 in wanted
+    return term.base >= gamma and term.base % 2 in wanted
 
 
 # Membership bits per int64 code word, clear of the sign bit.  Re-labelled
@@ -375,7 +374,7 @@ def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> Pe
     flags = np.zeros(length, dtype=bool)
     tails = 0
     for kt, lt in support.terms:
-        if _section_terms_have_tail([lt], gamma, parity):
+        if _section_terms_have_tail(lt, gamma, parity):
             flags[kt.base :: kt.step or length] = True
             tails += 1
     logger.debug(
@@ -396,10 +395,13 @@ def _window_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
 def certify_circle_sphere_gamma_loop(
     support: SupportSet2D, m: int, gamma_max: Optional[int] = None
 ) -> Certificate:
-    """Product characterization re-derived through explicit section windows.
+    """Product characterization re-derived over explicit windows of the
+    circle axis: each tail frequency set is a union of term slices
+    (``_tail_frequency_set``), promoted and read as a residue mask.
 
-    Kept implementationally separate from ``certify_circle_sphere`` so the two
-    can be cross-checked against each other.
+    Its per-term tail predicate (member listing) and its residue-mask reading
+    are coded apart from ``certify_circle_sphere``, so the two can be
+    cross-checked against each other.
     """
     _check_dim(m)
     return _sweep(

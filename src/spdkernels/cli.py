@@ -40,6 +40,7 @@ from .certify import (
 from .errors import NotApplicableError, NumericalError, SamplingError, SpecFileError
 from .geometry import CirclePoint, SpherePoint, sample_config
 from .kernels import (
+    _SPACE_PARAMS,
     CoefficientScheme,
     KernelSpec,
     SpaceDescriptor,
@@ -100,14 +101,11 @@ def _term_to_dict(term: Term1D) -> dict:
     return {"type": "one", "value": term.base}
 
 
-# The fields each space or scheme kind reads; any other key is refused.
-_SPACE_FIELDS = {
-    "circle": {"kind"},
-    "sphere": {"kind", "m"},
-    "circle_sphere": {"kind", "m"},
-    "circle_tph": {"kind", "family", "d"},
-}
+# The fields each scheme kind reads; any other key is refused.  A space
+# reads its kind and the kind's parameters in kernels._SPACE_PARAMS, whose
+# types a refusal names as _TYPE_NAMES says.
 _SCHEME_FIELDS = {"constant": {"kind", "scale"}, "geometric": {"kind", "scale", "r_k", "r_l"}}
+_TYPE_NAMES = {int: "an integer", str: "a string"}
 
 
 def _refuse_unknown_keys(data: dict, fields: set, where: str) -> None:
@@ -120,28 +118,23 @@ def _space_from_dict(data) -> SpaceDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("space", "must be an object with a 'kind' field")
     kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _SPACE_FIELDS:
+    if not isinstance(kind, str) or kind not in _SPACE_PARAMS:
         raise SpecFileError("space.kind", f"unknown space kind {kind!r}")
-    _refuse_unknown_keys(data, _SPACE_FIELDS[kind], "space")
-    for name in ("m", "d"):
-        if name in data and not _is_int(data[name]):
-            raise SpecFileError(f"space.{name}", "must be an integer")
-    if "family" in data and not isinstance(data["family"], str):
-        raise SpecFileError("space.family", "must be a string")
+    params = _SPACE_PARAMS[kind]
+    _refuse_unknown_keys(data, {"kind", *params}, "space")
+    for name in sorted(params):  # in name order, as unknown fields are named
+        value = data.get(name)
+        if name in data and (isinstance(value, bool) or not isinstance(value, params[name])):
+            raise SpecFileError(f"space.{name}", f"must be {_TYPE_NAMES[params[name]]}")
     try:
-        return SpaceDescriptor(kind, m=data.get("m"), family=data.get("family"), d=data.get("d"))
+        return SpaceDescriptor(kind, **{name: data.get(name) for name in params})
     except ValueError as exc:
         raise SpecFileError("space", str(exc)) from exc
 
 
 def _space_to_dict(space: SpaceDescriptor) -> dict:
-    out = {"kind": space.kind}
-    if space.m is not None:
-        out["m"] = space.m
-    if space.family is not None:
-        out["family"] = space.family
-        out["d"] = space.d
-    return out
+    params = _SPACE_PARAMS[space.kind]
+    return {"kind": space.kind, **{name: getattr(space, name) for name in params}}
 
 
 def _support_from_list(data, product: bool):
@@ -255,22 +248,21 @@ def load_spec_file(path: str) -> SpecFile:
 
 
 def parse_space_flag(text: str) -> SpaceDescriptor:
-    """Compact space override: circle | sphere:M | circle_sphere:M |
+    """Compact space override: the kind, then ``:ARG`` for each of its
+    parameters in order: circle | sphere:M | circle_sphere:M |
     circle_tph:FAMILY:D."""
-    parts = text.split(":")
-    kind = parts[0]
-    try:
-        if kind == "circle" and len(parts) == 1:
-            return SpaceDescriptor("circle")
-        if kind in ("sphere", "circle_sphere") and len(parts) == 2:
-            return SpaceDescriptor(kind, m=int(parts[1]))
-        if kind == "circle_tph" and len(parts) == 3:
-            return SpaceDescriptor(kind, family=parts[1], d=int(parts[2]))
-    except ValueError as exc:
-        raise SpecFileError("--space", str(exc)) from exc
+    kind, *args = text.split(":")
+    params = _SPACE_PARAMS.get(kind)
+    if params is not None and len(args) == len(params):
+        try:
+            return SpaceDescriptor(
+                kind, **{name: to(arg) for (name, to), arg in zip(params.items(), args)}
+            )
+        except ValueError as exc:
+            raise SpecFileError("--space", str(exc)) from exc
+    forms = [":".join([k, *map(str.upper, p)]) for k, p in _SPACE_PARAMS.items()]
     raise SpecFileError(
-        "--space",
-        f"cannot parse {text!r}; use circle, sphere:M, circle_sphere:M or circle_tph:FAMILY:D",
+        "--space", f"cannot parse {text!r}; use {', '.join(forms[:-1])} or {forms[-1]}"
     )
 
 
@@ -534,7 +526,13 @@ def _cmd_gram(args) -> int:
         for n in range(2, args.points + 1):
             _, lam = gram_mod.check_pd(a[:n, :n], args.tol)
             lines.append(f"{n},{lam!r}")
-        _write_output(args.csv, "--csv", "\n".join(lines) + "\n")
+        try:
+            _write_output(args.csv, "--csv", "\n".join(lines) + "\n")
+        except SpecFileError:
+            # a failed command leaves no partial output: drop the report
+            if args.json:
+                Path(args.json).unlink(missing_ok=True)
+            raise
     print(f"lambda_min = {lam_min:.6e} ({'PD' if ok else 'not PD'} at tol {args.tol})")
     return EXIT_SPD if ok else EXIT_NOT_SPD
 
@@ -559,12 +557,13 @@ def _cmd_witness(args) -> int:
             wr = gram_mod.witness_product(spec, cert)
         if wr is not None:
             report["witness"] = _witness_report_to_dict(wr)
-            print(f"witness kind={wr.kind} residual={wr.residual:.3e} scale={wr.scale:.3e}")
+            line = f"witness kind={wr.kind} residual={wr.residual:.3e} scale={wr.scale:.3e}"
         else:
-            print("no witness generator applies to this space")
+            line = "no witness generator applies to this space"
     else:
-        print(f"{cert.verdict.value}: no degeneracy witness to build")
+        line = f"{cert.verdict.value}: no degeneracy witness to build"
     _emit(report, args)
+    print(line)
     return _verdict_exit(cert.verdict)
 
 

@@ -45,6 +45,7 @@ from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
+    has_infinitely_many,
     one,
     witness_avoids_window,
 )
@@ -375,14 +376,13 @@ def witness_parity_sphere(spec: KernelSpec) -> WitnessReport:
         raise NotApplicableError("no geometric point model for projective-space products")
     if kind == "circle":
         raise NotApplicableError("no sphere axis on a circle spec")
-    terms = spec.support.l_terms() if spec.space.is_product else spec.support.terms
-    if not terms:
+    axis = SupportSet1D(tuple(spec.support.l_terms())) if spec.space.is_product else spec.support
+    if axis.is_empty:
         raise NotApplicableError("empty sphere-axis support has no parity class")
     carried = np.flatnonzero((spec.coefficient_matrix.reshape(-1, spec.lmax + 1) > 0).any(axis=0))
     low = {}
     for rest, parity in enumerate(("even", "odd")):
-        # a progression of odd step holds both parities, one of even step its base's
-        if not any(t.is_progression and (t.step % 2 or t.base % 2 == rest) for t in terms):
+        if not has_infinitely_many(axis, parity):
             low[parity] = [int(l) for l in carried if l % 2 == rest]
     if not low:
         raise NotApplicableError("sphere-axis support has infinitely many degrees of each parity")

@@ -15,7 +15,7 @@ support terms are a union: each index pair carries its rule value once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Union
 
@@ -72,8 +72,16 @@ MAX_TRUNCATION_BOX = 1_000_000
 # slice width, so a new value here can move the last bits of some values.
 CHUNK_PAIRS = 8_192
 
+# The parameters each space kind takes, in order, with their types.  A kind's
+# parameters are read here alone: by SpaceDescriptor, which refuses any other,
+# and by the spec codec and the --space grammar of the command line.
+_SPACE_PARAMS = {
+    "circle": {},
+    "sphere": {"m": int},
+    "circle_sphere": {"m": int},
+    "circle_tph": {"family": str, "d": int},
+}
 _PRODUCT_KINDS = ("circle_sphere", "circle_tph")
-_ALL_KINDS = ("circle", "sphere") + _PRODUCT_KINDS
 
 
 @dataclass(frozen=True)
@@ -86,17 +94,17 @@ class SpaceDescriptor:
     d: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _ALL_KINDS:
-            raise ValueError(f"unknown space kind {self.kind!r}; expected one of {_ALL_KINDS}")
-        if self.kind == "circle":
-            if self.m is not None or self.family is not None or self.d is not None:
-                raise ValueError("circle takes no extra parameters")
-        elif self.kind in ("sphere", "circle_sphere"):
-            if self.m is None or self.m < 2:
-                raise ValueError(f"invalid dimension m={self.m} for {self.kind}: need m >= 2")
-            if self.family is not None or self.d is not None:
-                raise ValueError(f"{self.kind} takes only the dimension m")
-        else:  # circle_tph
+        if self.kind not in _SPACE_PARAMS:
+            raise ValueError(
+                f"unknown space kind {self.kind!r}; expected one of {tuple(_SPACE_PARAMS)}"
+            )
+        params = _SPACE_PARAMS[self.kind]
+        for name in (f.name for f in fields(self)):
+            if name != "kind" and name not in params and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} takes no parameter {name!r}")
+        if "m" in params and (self.m is None or self.m < 2):
+            raise ValueError(f"invalid dimension m={self.m} for {self.kind}: need m >= 2")
+        if "family" in params:
             if self.family not in BETA_BY_FAMILY:
                 raise ValueError(
                     f"unknown projective family {self.family!r}; "
@@ -104,8 +112,6 @@ class SpaceDescriptor:
                 )
             if self.d is None or not DIMENSION_RULES[self.family](self.d):
                 raise ValueError(f"invalid dimension d={self.d} for family {self.family!r}")
-            if self.m is not None:
-                raise ValueError("circle_tph takes (family, d), not m")
 
     @property
     def is_product(self) -> bool:
@@ -160,14 +166,6 @@ class CoefficientScheme:
                     raise ValueError(f"geometric rate {name} must lie in (0, 1), got {r}")
         elif self.r_k is not None or self.r_l is not None:
             raise ValueError("constant scheme takes no rates")
-
-    def coefficient_axis(self, j: int, axis: str) -> float:
-        """Rule restricted to one axis: the k-rate drives circle supports, the
-        l-rate sphere supports."""
-        if self.kind == "constant":
-            return self.scale
-        rate = self.r_k if axis == "k" else self.r_l
-        return self.scale * rate**j
 
 
 def constant_scheme(scale: float = 1.0) -> CoefficientScheme:
@@ -228,30 +226,31 @@ class KernelSpec:
         """Effective coefficients on the truncation box.
 
         Products: shape (kmax+1, lmax+1).  Single spaces: shape (cap+1,).
-        Union semantics: overlapping terms mark an index once.
+        Union semantics: overlapping terms mark an index once, each term along
+        one slice per axis (a singleton's slice steps past the box).  On a
+        single space the k-rate drives circle supports, the l-rate sphere
+        supports, and a_j is Python's ``scale * rate**j``.
         """
+        scheme = self.scheme
         if self.space.is_product:
-            mask = np.zeros((self.kmax + 1, self.lmax + 1), dtype=bool)
+            k_len, l_len = self.kmax + 1, self.lmax + 1
+            mask = np.zeros((k_len, l_len), dtype=bool)
             for kt, lt in self.support.terms:
-                ks = list(kt.members_upto(self.kmax))
-                ls = list(lt.members_upto(self.lmax))
-                if ks and ls:
-                    mask[np.ix_(ks, ls)] = True
-            if self.scheme.kind == "constant":
-                values = np.full(mask.shape, self.scheme.scale)
-            else:
-                values = self.scheme.scale * np.outer(
-                    self.scheme.r_k ** np.arange(self.kmax + 1),
-                    self.scheme.r_l ** np.arange(self.lmax + 1),
-                )
+                mask[kt.base :: kt.step or k_len, lt.base :: lt.step or l_len] = True
+            if scheme.kind == "constant":
+                return np.where(mask, scheme.scale, 0.0)
+            values = scheme.scale * np.outer(
+                scheme.r_k ** np.arange(k_len), scheme.r_l ** np.arange(l_len)
+            )
             return np.where(mask, values, 0.0)
-        cap = self.axis_cap
-        axis = "k" if self.space.kind == "circle" else "l"
-        coeffs = np.zeros(cap + 1)
-        for term in self.support.terms:
-            for j in term.members_upto(cap):
-                coeffs[j] = self.scheme.coefficient_axis(j, axis)
-        return coeffs
+        length = self.axis_cap + 1
+        mask = np.zeros(length, dtype=bool)
+        for t in self.support.terms:
+            mask[t.base :: t.step or length] = True
+        if scheme.kind == "constant":
+            return np.where(mask, scheme.scale, 0.0)
+        rate = scheme.r_k if self.space.kind == "circle" else scheme.r_l
+        return np.where(mask, [scheme.scale * rate**j for j in range(length)], 0.0)
 
     @cached_property
     def is_effectively_empty(self) -> bool:
@@ -268,9 +267,7 @@ class KernelSpec:
     @cached_property
     def value_at_one(self) -> float:
         """f(1, 1) for products, f(1) for single spaces."""
-        if self.space.is_product:
-            return float(kernel_values(self, np.array([1.0]), np.array([1.0]))[0])
-        return float(kernel_values(self, np.array([1.0]))[0])
+        return float(kernel_values(self, 1.0, 1.0 if self.space.is_product else None)[0])
 
 
 def _warn_if_empty(spec: KernelSpec) -> None:
@@ -289,7 +286,6 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     chunk and the degrees, O(CHUNK_PAIRS * (max(K, L) + L)) entries, not the
     number of pairs.
     """
-    _warn_if_empty(spec)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
         if s is None:
@@ -299,6 +295,7 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
             raise ValueError("t and s must have the same shape")
     elif s is not None:
         raise ValueError("single spaces take one argument; drop s")
+    _warn_if_empty(spec)
     out = np.empty(t.shape)
     for lo, values in _contract(spec, _slices(t, s), min(len(t), CHUNK_PAIRS)):
         out[lo : lo + len(values)] = values
@@ -352,11 +349,5 @@ def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
 
 def eval_kernel(spec: KernelSpec, t: float, s: Optional[float] = None) -> float:
     """Truncated kernel value at (t, s); single spaces take t alone."""
-    if not spec.space.is_product:
-        if s is not None:
-            raise ValueError("single spaces take one argument; drop s")
-        return float(kernel_values(spec, np.array([float(t)]))[0])
-    if s is None:
-        raise ValueError("product spaces need both arguments t and s")
-    return float(kernel_values(spec, np.array([float(t)]), np.array([float(s)]))[0])
+    return float(kernel_values(spec, float(t), None if s is None else float(s))[0])
 

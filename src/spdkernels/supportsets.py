@@ -197,11 +197,6 @@ class SupportSet2D:
     def l_terms(self) -> list[Term1D]:
         return [lt for _, lt in self.terms]
 
-    def k_projection(self) -> SupportSet1D:
-        """The set {k : (k, l) in S for some l}; terms are never empty, so this
-        is just the union of the k-parts."""
-        return SupportSet1D(tuple(self.k_terms()))
-
 
 @dataclass(frozen=True, eq=False)
 class PeriodicSet1D:

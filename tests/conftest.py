@@ -281,6 +281,19 @@ def gamma_parity_members(support2d, gamma, parity, kmax=200, lmax=200):
     return ks
 
 
+# ---------------------------------------------------------------------------
+# space kinds: valid parameters for each kind of kernels._SPACE_PARAMS, in
+# the table's order (test_kernels checks that the two name the same kinds)
+# ---------------------------------------------------------------------------
+
+SPACE_EXAMPLES = {
+    "circle": {},
+    "sphere": {"m": 3},
+    "circle_sphere": {"m": 2},
+    "circle_tph": {"family": "quat_proj", "d": 8},
+}
+
+
 def marginal_ref(spec, t):
     """The marginals f_l(t) = sum_k a_{k,l} P_k(t), shape (lmax+1, len(t))."""
     return spec.coefficient_matrix.T @ circle_table(spec.kmax, np.atleast_1d(np.asarray(t, dtype=float)))

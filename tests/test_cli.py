@@ -5,16 +5,19 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import SPACE_EXAMPLES
 from hypothesis import strategies as st
 
-from spdkernels import SpecFileError, prog
+from spdkernels import SpaceDescriptor, SpecFileError, prog
 from spdkernels.cli import (
     _report_text,
     load_spec_file,
     main,
+    parse_space_flag,
     parse_spec_dict,
     spec_file_to_dict,
 )
+from spdkernels.kernels import _SPACE_PARAMS
 
 FULL_PRODUCT = {
     "space": {"kind": "circle_sphere", "m": 2},
@@ -99,6 +102,62 @@ def test_tph_space_round_trip():
     assert spec_file_to_dict(sf)["space"] == data["space"]
 
 
+def _spec_for(kind):
+    """A spec file, every field written out, on the example space of a kind."""
+    space = {"kind": kind, **SPACE_EXAMPLES[kind]}
+    if SpaceDescriptor(**space).is_product:
+        return dict(FULL_PRODUCT, space=space)
+    return dict(FULL_PRODUCT, space=space, support=[{"type": "prog", "base": 1, "step": 2}])
+
+
+@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+def test_every_space_kind_round_trips_through_a_spec_file(tmp_path, kind):
+    data = _spec_for(kind)
+    sf = load_spec_file(write_spec(tmp_path, data))
+    assert sf.spec.space == SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
+    written = spec_file_to_dict(sf)
+    assert written == data
+    assert list(written["space"]) == ["kind", *_SPACE_PARAMS[kind]]
+
+
+SPACE_GRAMMAR = "use circle, sphere:M, circle_sphere:M or circle_tph:FAMILY:D"
+
+
+@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+def test_space_flag_takes_one_argument_per_parameter(tmp_path, capsys, kind):
+    flag = ":".join([kind, *map(str, SPACE_EXAMPLES[kind].values())])
+    space = SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
+    assert parse_space_flag(flag) == space
+    path = write_spec(tmp_path, _spec_for(kind))
+    out = tmp_path / "r.json"
+    argv = ["certify", path, "--space", flag, "--json", str(out), "--no-timestamp"]
+    assert main(argv) in (0, 1, 2)
+    assert json.loads(out.read_text())["space"] == {"kind": kind, **SPACE_EXAMPLES[kind]}
+    capsys.readouterr()
+    wrong = [flag + ":7"] + ([flag.rsplit(":", 1)[0]] if SPACE_EXAMPLES[kind] else [])
+    for text in wrong:
+        assert main(["certify", path, "--space", text]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spec error: --space: cannot parse {text!r}; {SPACE_GRAMMAR}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sphere:1", "invalid dimension m=1 for sphere: need m >= 2"),
+        ("circle_sphere:two", "invalid literal for int() with base 10: 'two'"),
+        ("circle_tph:octonion:16", "unknown projective family 'octonion'; expected one of"),
+        ("circle_tph:cayley:8", "invalid dimension d=8 for family 'cayley'"),
+        ("torus:2", "cannot parse 'torus:2'; " + SPACE_GRAMMAR),
+    ],
+)
+def test_space_flag_names_what_is_wrong(text, message):
+    with pytest.raises(SpecFileError) as info:
+        parse_space_flag(text)
+    assert str(info.value).startswith(f"--space: {message}")
+
+
 # --- command behavior --------------------------------------------------------------
 
 def test_certify_spd_exit_zero(tmp_path, capsys):
@@ -144,9 +203,32 @@ def test_unwritable_output_path_exit_sixtyfour(tmp_path, capsys, command, flag):
     path = write_spec(tmp_path, FULL_PRODUCT)
     target = tmp_path / "no" / "such" / "dir" / "out"
     assert main([command[0], path, *command[1:], flag, str(target)]) == 64
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no result is printed for a command that failed
+    err = captured.err
     assert err.startswith(f"spec error: {flag}: cannot write {flag[2:]} file: [Errno 2] ")
     assert str(target) in err
+
+
+def test_witness_with_unwritable_report_prints_no_witness(tmp_path, capsys):
+    path = write_spec(tmp_path, EVENS_CIRCLE)
+    target = tmp_path / "no" / "such" / "dir" / "out"
+    assert main(["witness", path, "--json", str(target)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("spec error: --json: cannot write json file")
+
+
+def test_gram_with_unwritable_csv_leaves_no_report(tmp_path, capsys):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    report = tmp_path / "r.json"
+    target = tmp_path / "no" / "such" / "dir" / "c.csv"
+    argv = ["gram", path, "--points", "4", "--json", str(report), "--csv", str(target)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("spec error: --csv: cannot write csv file")
+    assert not report.exists()
 
 
 def test_certify_report_is_deterministic(tmp_path):

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import jacobi_one_ref, marginal_ref
+from conftest import SPACE_EXAMPLES, jacobi_one_ref, marginal_ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from spdkernels import (
     CoefficientScheme,
     KernelSpec,
@@ -14,6 +16,7 @@ from spdkernels import (
     SpaceDescriptor,
     SupportSet1D,
     SupportSet2D,
+    Term1D,
     circle_space,
     circle_sphere_space,
     circle_tph_space,
@@ -25,7 +28,7 @@ from spdkernels import (
     prog,
     sphere_space,
 )
-from spdkernels.kernels import CHUNK_PAIRS
+from spdkernels.kernels import _SPACE_PARAMS, CHUNK_PAIRS
 from spdkernels.orthopoly import circle_table, gegenbauer_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
@@ -67,6 +70,42 @@ def test_tph_dimension_rules():
     assert circle_tph_space("real_proj", 3).alpha == pytest.approx(0.5)
 
 
+def test_space_examples_follow_the_table():
+    assert {kind: list(params) for kind, params in SPACE_EXAMPLES.items()} == {
+        kind: list(params) for kind, params in _SPACE_PARAMS.items()
+    }
+    for kind, params in _SPACE_PARAMS.items():
+        space = SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
+        assert all(type(getattr(space, name)) is typ for name, typ in params.items())
+
+
+# a valid value for each parameter of some kind
+ANY_PARAMETER = {"m": 3, "family": "real_proj", "d": 4}
+
+
+@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+def test_space_refuses_parameters_its_kind_does_not_take(kind):
+    params = SPACE_EXAMPLES[kind]
+    others = [name for name in ANY_PARAMETER if name not in params]
+    assert others
+    for name in others:
+        with pytest.raises(ValueError, match=f"^{kind} takes no parameter '{name}'$"):
+            SpaceDescriptor(kind, **params, **{name: ANY_PARAMETER[name]})
+
+
+@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+def test_space_refuses_a_missing_parameter(kind):
+    params = SPACE_EXAMPLES[kind]
+    for name in params:
+        with pytest.raises(ValueError, match=f"{name}=None|family None"):
+            SpaceDescriptor(kind, **{k: v for k, v in params.items() if k != name})
+
+
+def test_space_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown space kind 'moebius'; expected one of"):
+        SpaceDescriptor("moebius")
+
+
 # --- coefficient schemes --------------------------------------------------------
 
 def test_scheme_values():
@@ -93,6 +132,100 @@ def test_coefficient_matrix_union_not_double_counted():
 def test_coefficient_matrix_rates():
     spec = product_spec(FULL_2D, geometric_scheme(r_k=0.5, r_l=0.5), trunc=(4, 4))
     assert spec.coefficient_matrix[2, 3] == pytest.approx(0.5**5)
+
+
+def coefficients_by_member(spec):
+    """The coefficients marked member by member (``members_upto``), with each
+    single-space value a Python float ``scale * rate**j``."""
+    scheme = spec.scheme
+    if spec.space.is_product:
+        mask = np.zeros((spec.kmax + 1, spec.lmax + 1), dtype=bool)
+        for kt, lt in spec.support.terms:
+            ks, ls = list(kt.members_upto(spec.kmax)), list(lt.members_upto(spec.lmax))
+            if ks and ls:
+                mask[np.ix_(ks, ls)] = True
+        if scheme.kind == "constant":
+            return np.where(mask, np.full(mask.shape, scheme.scale), 0.0)
+        values = scheme.scale * np.outer(
+            scheme.r_k ** np.arange(spec.kmax + 1), scheme.r_l ** np.arange(spec.lmax + 1)
+        )
+        return np.where(mask, values, 0.0)
+    rate = scheme.r_k if spec.space.kind == "circle" else scheme.r_l
+    coeffs = np.zeros(spec.axis_cap + 1)
+    for term in spec.support.terms:
+        for j in term.members_upto(spec.axis_cap):
+            coeffs[j] = scheme.scale if scheme.kind == "constant" else scheme.scale * rate**j
+    return coeffs
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+HUGE = 10**30
+_bases = st.one_of(st.integers(0, 40), st.sampled_from([HUGE, HUGE + 1]))
+_steps = st.one_of(st.sampled_from([0, 0, 1, 2, 3, 4, HUGE]), st.integers(5, 50))
+_terms = st.builds(Term1D, _bases, _steps)
+_schemes = st.one_of(
+    st.builds(constant_scheme, st.floats(0.01, 100.0)),
+    st.builds(
+        geometric_scheme,
+        st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 100.0),
+    ),
+)
+_single_spaces = st.sampled_from([circle_space(), sphere_space(3)])
+_product_spaces = st.sampled_from([circle_sphere_space(2), circle_tph_space("quat_proj", 8)])
+_truncations = st.tuples(st.integers(0, 30), st.integers(0, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            KernelSpec, _single_spaces,
+            st.builds(SupportSet1D, st.lists(_terms, max_size=6).map(tuple)),
+            _schemes, _truncations,
+        ),
+        st.builds(
+            KernelSpec, _product_spaces,
+            st.builds(SupportSet2D, st.lists(st.tuples(_terms, _terms), max_size=6).map(tuple)),
+            _schemes, _truncations,
+        ),
+    )
+)
+def test_coefficient_matrix_matches_marking_member_by_member(spec):
+    assert_same_bits(spec.coefficient_matrix, coefficients_by_member(spec))
+
+
+@pytest.mark.parametrize("space", [circle_space(), sphere_space(2)])
+@pytest.mark.parametrize("scheme", [constant_scheme(1.5), geometric_scheme(0.83, 0.61, 2.5)])
+def test_single_coefficients_past_the_box_and_huge(space, scheme):
+    # singletons at and past the cap, a base and a step of 10**30, and
+    # progressions that overlap each other and a singleton
+    support = SupportSet1D.of(
+        one(12), one(13), one(HUGE), prog(HUGE, 1), prog(5, HUGE),
+        prog(0, 2), prog(2, 4), one(4), prog(3, 3),
+    )
+    spec = KernelSpec(space, support, scheme, (12, 12))
+    expected = coefficients_by_member(spec)
+    assert_same_bits(spec.coefficient_matrix, expected)
+    assert sorted(np.flatnonzero(expected)) == [0, 2, 3, 4, 5, 6, 8, 9, 10, 12]
+
+
+@pytest.mark.parametrize("scheme", [constant_scheme(1.5), geometric_scheme(0.83, 0.61, 2.5)])
+def test_product_coefficients_past_the_box_and_huge(scheme):
+    support = SupportSet2D((
+        (one(9), prog(0, 1)), (one(10), prog(0, 1)), (prog(0, 1), one(HUGE)),
+        (prog(HUGE, 2), prog(0, 1)), (prog(1, HUGE), prog(2, HUGE)),
+        (prog(0, 2), prog(1, 2)), (prog(0, 4), prog(1, 4)), (prog(3, 3), one(5)),
+    ))
+    spec = product_spec(support, scheme, trunc=(9, 7))
+    expected = coefficients_by_member(spec)
+    assert_same_bits(spec.coefficient_matrix, expected)
+    # k = 9 by every l, (1, 2), even k by odd l, and (3, 5); the rest lies
+    # past the box or inside these
+    assert np.count_nonzero(expected) == 8 + 1 + 20 + 1
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -138,6 +271,15 @@ def test_eval_circle_only():
     assert val == pytest.approx(expect)
     with pytest.raises(ValueError):
         eval_kernel(spec, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("evaluate", [eval_kernel, kernel_values])
+def test_one_argument_rule(evaluate):
+    single = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (4, 0))
+    with pytest.raises(ValueError, match="^single spaces take one argument; drop s$"):
+        evaluate(single, 0.5, 0.5)
+    with pytest.raises(ValueError, match="^product spaces need both arguments t and s$"):
+        evaluate(product_spec(trunc=(4, 4)), 0.5)
 
 
 def test_value_at_one_is_coefficient_mass():

@@ -116,7 +116,7 @@ def reference_promote_periodic(axis_terms, predicate):
 
 
 def reference_tail_frequency_set(support, gamma, parity):
-    l_ok = [_section_terms_have_tail([lt], gamma, parity) for _, lt in support.terms]
+    l_ok = [_section_terms_have_tail(lt, gamma, parity) for _, lt in support.terms]
     k_parts = support.k_terms()
 
     def ok(k):
@@ -128,7 +128,7 @@ def reference_tail_frequency_set(support, gamma, parity):
 def pattern_tail_frequency_set(support, gamma, parity):
     """The gamma-loop window as it was read before its flags became a union of
     term slices: one predicate call per membership pattern."""
-    l_ok = [_section_terms_have_tail([lt], gamma, parity) for _, lt in support.terms]
+    l_ok = [_section_terms_have_tail(lt, gamma, parity) for _, lt in support.terms]
     return _promote_periodic(support.k_terms(), lambda pattern: any(l_ok[i] for i in pattern))
 
 
