@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -254,6 +255,9 @@ def parse_space_flag(text: str) -> SpaceDescriptor:
     kind, *args = text.split(":")
     params = _SPACE_PARAMS.get(kind)
     if params is not None and len(args) == len(params):
+        for (name, to), arg in zip(params.items(), args):
+            if to is int and not (arg.isascii() and arg.isdigit()):
+                raise SpecFileError("--space", f"{name} takes the digits 0-9 alone, got {arg!r}")
         try:
             return SpaceDescriptor(
                 kind, **{name: to(arg) for (name, to), arg in zip(params.items(), args)}
@@ -399,19 +403,34 @@ def _report_text(value, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_output(path: str, flag: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is a usage error."""
+def _write_outputs(outputs: list[tuple[str, str, str]]) -> None:
+    """Write each (path, flag, text); a path that cannot be written is a
+    usage error.  Every path is opened for appending, which truncates
+    nothing, before any is written, so a failed command leaves the files it
+    was given as they were, and removes those it created."""
+    created = []
     try:
-        Path(path).write_text(text)
+        for path, flag, _ in outputs:
+            if not os.path.lexists(path):
+                created.append(path)
+            open(path, "a").close()
+        for path, flag, text in outputs:
+            Path(path).write_text(text)
     except OSError as exc:
+        for made in created:
+            Path(made).unlink(missing_ok=True)
         raise SpecFileError(flag, f"cannot write {flag[2:]} file: {exc}") from exc
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, csv_text: Optional[str] = None) -> None:
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    outputs = []
     if getattr(args, "json", None):
-        _write_output(args.json, "--json", _report_text(report) + "\n")
+        outputs.append((args.json, "--json", _report_text(report) + "\n"))
+    if csv_text is not None:
+        outputs.append((args.csv, "--csv", csv_text))
+    _write_outputs(outputs)
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -520,19 +539,14 @@ def _cmd_gram(args) -> int:
         "positive_definite": ok,
         "lambda_min": lam_min,
     }
-    _emit(report, args)
+    csv_text = None
     if args.csv:
         lines = ["n,lambda_min"]
         for n in range(2, args.points + 1):
             _, lam = gram_mod.check_pd(a[:n, :n], args.tol)
             lines.append(f"{n},{lam!r}")
-        try:
-            _write_output(args.csv, "--csv", "\n".join(lines) + "\n")
-        except SpecFileError:
-            # a failed command leaves no partial output: drop the report
-            if args.json:
-                Path(args.json).unlink(missing_ok=True)
-            raise
+        csv_text = "\n".join(lines) + "\n"
+    _emit(report, args, csv_text)
     print(f"lambda_min = {lam_min:.6e} ({'PD' if ok else 'not PD'} at tol {args.tol})")
     return EXIT_SPD if ok else EXIT_NOT_SPD
 

@@ -1,27 +1,27 @@
 """Gram matrices and constructive degeneracy witnesses for truncated kernels.
 
-Everything here is numerical evidence on the effective (truncated) support:
-positive-definiteness checks through a symmetric eigensolve, the per-degree
-quadratic-form decomposition, the 2 x 2 block structure over enhanced sets,
-and exact witnesses of vanishing quadratic forms.  A witness is the tensor
-of two axis factors, each a set of points with weights that cancel known
-degrees:
+The Gram matrices, positive-definiteness checks (a symmetric eigensolve),
+per-degree forms and block checks over enhanced sets are numerical evidence
+on the truncated support.  A witness is exact for the full expansion: its
+form vanishes at every truncation.  It is the tensor of two axis factors:
 
 * the circle factor (n, j): the n-th roots of unity weighted by
   cos(j * theta), whose character sums vanish at every k not +/-j mod n;
-* the sphere factor (low, keep): e0 and q - 1 sampled points weighted to
-  cancel the degrees in ``low``, q = 1 + sum of dim H_l(S^m), then their
-  antipodes signed to cancel the parity that is not kept.
+* the geodesic factor (a, p), a = p mod 2: 2a equally spaced points of a
+  great circle weighted (-1)^mu (e0 and -e0 weighted (1, 1) when a = 0).
+  Gegenbauer polynomials on a great circle are cosine sums with positive
+  coefficients (Szego, (4.9.19)), so it cancels every degree below a and
+  every degree of the other parity.
 
-``witness_progression_circle`` takes the circle factor of a missed class
-alone; ``witness_parity_sphere`` the sphere factor, with a one-point circle
-factor, when the sphere-axis support has finitely many degrees of one
-parity; ``witness_product`` the two for a product refutation at any tail
-cutoff (q = 1 at cutoff 0).
-
-Witnesses past ``MAX_POINTS`` points are refused before any Gram is built,
-and the command line samples no more points than that for a Gram matrix.
-Residuals are reported verbatim, never clamped.
+``witness_progression_circle`` takes the circle factor alone,
+``witness_parity_sphere`` the geodesic factor with the point theta = 0,
+``witness_product`` both: n * 2a points (n * 2 when a = 0).  One exact rule
+on the terms picks a: each is cancelled by the circle class (its k-term
+misses +/-j mod n), the antipodal sign (its l-term has no member of parity
+p) or the bound (its parity-p members lie below a).  So a = D + 2 for D,
+the largest parity-p member the first two leave (a = p if none).  A term
+none cancels, or a witness past ``MAX_POINTS`` (naming D), is refused
+before any point is built.  Residuals are reported verbatim.
 """
 
 from __future__ import annotations
@@ -35,18 +35,16 @@ import numpy as np
 
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
-from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint, build_enhanced, sample_config
+from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint
 # kernel_values stays bound here though gram contracts through _contract:
 # bench/spans.py traces the layer functions by the names each module holds
-from .kernels import (  # noqa: F401
-    CHUNK_PAIRS, KernelSpec, _contract, _rows, _slices, constant_scheme, kernel_values, sphere_space,
-)
+from .kernels import CHUNK_PAIRS, KernelSpec, _contract, _rows, _slices, kernel_values  # noqa: F401
 from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
-    has_infinitely_many,
-    one,
+    Term1D,
+    term_has_parity_member,
     witness_avoids_window,
 )
 
@@ -67,10 +65,9 @@ logger = logging.getLogger(__name__)
 
 _DUP_TOL = 1e-12
 
-# Largest configuration a witness may build (the n roots of unity of a circle
-# witness, the 2 q points of a sphere parity witness, the 2 n q points of a
-# product witness, q growing like gamma^m) and the most points
-# `spdkernels gram` may sample.
+# Largest witness (n points for the circle factor (n, j), n * 2a with the
+# geodesic factor (a, p), a = D + 2 for the largest declared degree D it
+# cancels) and the most points `spdkernels gram` may sample.
 MAX_POINTS = 2048
 
 
@@ -189,8 +186,8 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     """Gram matrix of the truncated kernel; each entry computed once, mirrored.
 
     The upper triangle is walked in row-major order, CHUNK_PAIRS pairs at a
-    time through one contraction workspace, so memory is the n x n matrix
-    and the sphere dot products plus one chunk's tables, not the n^2 pairs.
+    time through one contraction workspace, so memory is the one n x n
+    matrix plus one chunk's tables, not the n^2 pairs.
     """
     thetas, zs = _split_points(spec, points)
     _check_duplicates(thetas, zs)
@@ -201,21 +198,23 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
         n, pairs, -(-pairs // CHUNK_PAIRS),
     )
     # the sphere dot products stay one matrix product, since a per-pair sum
-    # may round differently; cosines are taken pair by pair
-    _, s = _dot_matrices(None, zs)
+    # may round differently, and the Gram is written over them: a chunk reads
+    # its upper-triangle dots before it writes, and none below the diagonal
+    a = np.empty((n, n)) if zs is None else zs @ zs.T
+    if zs is not None:
+        np.clip(a, -1.0, 1.0, out=a)
+    flat = a.ravel()
 
     def chunks():
         for i, j in _upper_triangle(n):
             upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
             t = None if thetas is None else np.cos(thetas[i] - thetas[j])
-            sij = None if s is None else s.ravel()[upper]
+            sij = None if zs is None else flat[upper]
             if spec.space.is_product:
                 yield (upper, lower), t, sij
             else:
                 yield (upper, lower), t if t is not None else sij, None
 
-    a = np.empty((n, n))
-    flat = a.ravel()
     for (upper, lower), values in _contract(spec, chunks(), min(pairs, CHUNK_PAIRS)):
         flat[upper] = values
         flat[lower] = values
@@ -318,44 +317,46 @@ def enhanced_block_check(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -
     return BlockCheck(degree, dev_diag, dev_off, spec.value_at_one)
 
 
-def _sphere_factor_size(m: int, low: list[int]) -> int:
-    """q = 1 + sum of dim H_l(S^m) over l in low: the sphere points that
-    leave room for weights cancelling every degree in low."""
-    return 1 + sum(math.comb(l + m, m) - math.comb(l + m - 2, m) for l in low)
+def _geodesic_bound(l_terms: Sequence[Term1D], parity: str) -> Optional[int]:
+    """a: the least integer of the parity above each member of the parity in
+    the l-terms, so that the geodesic factor cancels them (the antipodal sign
+    cancels the other terms); None when a progression holds infinitely many."""
+    a = int(parity == "odd")
+    for lt in l_terms:
+        if term_has_parity_member(lt, parity):
+            if lt.is_progression:
+                return None
+            a = max(a, lt.base + 2)
+    return a
 
 
-def _tensor_witness(
-    kind: str, spec: KernelSpec, n: int, j: int, sphere: Optional[tuple[list[int], str]] = None
-) -> WitnessReport:
-    """The circle factor (n, j), crossed with the sphere factor (low, keep)
-    when one is given; (1, 0) is the one point theta = 0.
-
-    The points follow ``build_enhanced``, sphere blocks outer and the circle
-    index fastest, so the coefficients are kron(sphere weights, circle
-    weights); a sphere spec takes the sphere halves.  The antipodes carry
-    eta to keep the even layers, -eta to keep the odd ones.  The point count
-    is checked before anything is sampled.  The report carries the form
-    c' G c and the scale f(1, 1) * c' c.
-    """
-    m = spec.space.m
-    total = n
-    if sphere:
-        q = _sphere_factor_size(m, sphere[0])
-        total = n * 2 * q
+def _tensor_witness(kind: str, spec: KernelSpec, n: int, j: int, a: Optional[int] = None) -> WitnessReport:
+    """The circle factor (n, j), crossed with the geodesic factor (a, a mod 2)
+    when a is given, the sphere points outer: c = kron(sphere weights, circle
+    weights); a sphere spec takes the sphere points alone.  The report
+    carries the form c' G c and the scale f(1, 1) * c' c."""
+    h = 0 if a is None else max(a, 1)
+    total = n * 2 * h if h else n
     if total > MAX_POINTS:
         name = "product" if kind == "composed" else kind
-        raise NotApplicableError(f"{name} witness needs {total} points, past the limit of {MAX_POINTS}")
+        cause = f" to cancel degree {a - 2}" if h > 1 else ""  # a = D + 2 for the kept degree D
+        raise NotApplicableError(
+            f"{name} witness needs {total} points{cause}, past the limit of {MAX_POINTS}"
+        )
     xs = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
     d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
     points, c = tuple(xs), d
-    if sphere:
-        low, keep = sphere
-        zs = [SpherePoint((1.0,) + (0.0,) * m)] + sample_config(m, 0, q - 1, seed=0)[1]
-        eta = _null_weights(m, zs, low)
-        points = build_enhanced(xs, zs).points
-        if spec.space.kind == "sphere":
-            points = tuple(z for _, z in points)
-        c = np.kron(np.concatenate([eta, eta if keep == "even" else -eta]), d)
+    if h:
+        # the points pi mu / h, mu < h, of the great circle through e0 and e1,
+        # weighted (-1)^mu, then their antipodes weighted (-1)^(mu + a); an
+        # antipode negates every coordinate, so a <= 1 gives e0 and -e0 exactly
+        rest = (0.0,) * (spec.space.m - 1)
+        half = [SpherePoint((math.cos(math.pi * mu / h), math.sin(math.pi * mu / h)) + rest)
+                for mu in range(h)]
+        zs = half + [z.antipode() for z in half]
+        w = np.resize([1.0, -1.0], h)
+        points = tuple(zs) if spec.space.kind == "sphere" else tuple((x, z) for z in zs for x in xs)
+        c = np.kron(np.concatenate([w, -w if a % 2 else w]), d)
     residual = float(c @ gram_matrix(spec, points) @ c)
     return WitnessReport(kind, points, tuple(c), residual, spec.value_at_one * float(c @ c))
 
@@ -364,30 +365,24 @@ def witness_parity_sphere(spec: KernelSpec) -> WitnessReport:
     """Antipodal witness for a sphere-axis support with finitely many
     degrees of one parity, the kept one.
 
-    One circle point crossed with e0, q - 1 sampled sphere points and their
-    antipodes: the antipodes' signs cancel the other parity and the sphere
-    weights the kept degrees up to L that carry a coefficient.  When both
-    parities are finite the one with the smaller q, so fewer points, is
-    kept.  A parity-pure support keeps no low degree, q = 1: e0 and -e0
-    with c = (1, -1) (even) or (1, 1) (odd).
+    One circle point crossed with the geodesic factor of the kept parity, a
+    just above its largest declared degree D, past L or not; when both
+    parities are finite, the one with the smaller a.  A parity-pure support
+    keeps no degree: e0 and -e0 with c = (1, -1) (even support) or (1, 1)
+    (odd support).
     """
     kind = spec.space.kind
     if kind == "circle_tph":
         raise NotApplicableError("no geometric point model for projective-space products")
     if kind == "circle":
         raise NotApplicableError("no sphere axis on a circle spec")
-    axis = SupportSet1D(tuple(spec.support.l_terms())) if spec.space.is_product else spec.support
-    if axis.is_empty:
+    axis = spec.support.l_terms() if spec.space.is_product else spec.support.terms
+    if not axis:
         raise NotApplicableError("empty sphere-axis support has no parity class")
-    carried = np.flatnonzero((spec.coefficient_matrix.reshape(-1, spec.lmax + 1) > 0).any(axis=0))
-    low = {}
-    for rest, parity in enumerate(("even", "odd")):
-        if not has_infinitely_many(axis, parity):
-            low[parity] = [int(l) for l in carried if l % 2 == rest]
-    if not low:
+    bounds = [a for p in ("even", "odd") if (a := _geodesic_bound(axis, p)) is not None]
+    if not bounds:
         raise NotApplicableError("sphere-axis support has infinitely many degrees of each parity")
-    keep = min(low, key=lambda parity: _sphere_factor_size(spec.space.m, low[parity]))
-    return _tensor_witness("parity", spec, 1, 0, (low[keep], keep))
+    return _tensor_witness("parity", spec, 1, 0, min(bounds))
 
 
 def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) -> WitnessReport:
@@ -409,35 +404,14 @@ def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) ->
     return _tensor_witness("progression", spec, witness.modulus, witness.residue)
 
 
-def _low_layers(spec: KernelSpec, failure: GammaFailure) -> list[int]:
-    """Degrees l < gamma of the failing parity with a coefficient at some
-    k = +/-j (mod n): the layers the missed class alone does not cancel."""
-    n, j = failure.witness.modulus, failure.witness.residue
-    k = np.arange(spec.kmax + 1)
-    hit = spec.coefficient_matrix[(k % n == j) | (-k % n == j)]
-    first = 0 if failure.parity == "even" else 1
-    top = min(failure.gamma, spec.lmax + 1)
-    return [l for l in range(first, top, 2) if np.any(hit[:, l] > 0)]
-
-
-def _null_weights(m: int, zs: list[SpherePoint], low: list[int]) -> np.ndarray:
-    """A unit eta with eta' [P_l(y_b . y_b')] eta = 0 for every l in low: each
-    matrix is PSD, so the lowest eigenvector of their sum is in every null space."""
-    if not low:
-        return np.ones(1)
-    layers = KernelSpec(sphere_space(m), SupportSet1D.of(*map(one, low)), constant_scheme(), (0, max(low)))
-    _, vecs = np.linalg.eigh(gram_matrix(layers, zs))
-    return vecs[:, 0]
-
-
 def witness_product(spec: KernelSpec, certificate: Certificate) -> WitnessReport:
     """Exact degeneracy witness for a refuted circle x sphere support.
 
-    The failure's tail set misses the class j mod n: the circle factor (n, j)
-    crossed with the sphere factor that keeps the failing parity and cancels
-    ``_low_layers``.  Each layer of c' G c vanishes: the other parity by the
-    signs, the low layers by the sphere weights, the rest by the character
-    sums.  At gamma = 0 no layer is low, so q = 1 and the sphere weight is 1.
+    The failure's tail set misses the class j mod n, so the terms over that
+    class hold no l >= gamma of the failing parity p: the circle factor
+    (n, j) crossed with the geodesic factor of parity p, a no more than the
+    least a >= gamma, and a = p at gamma = 0.  The rule is re-checked on the
+    terms, and a term it does not cancel is refused.
     """
     if spec.space.kind != "circle_sphere":
         raise NotApplicableError("product witnesses need a circle_sphere spec")
@@ -447,4 +421,14 @@ def witness_product(spec: KernelSpec, certificate: Certificate) -> WitnessReport
     if not isinstance(failure, GammaFailure) or failure.witness is None:
         raise NotApplicableError("certificate carries no usable tail failure")
     n, j = failure.witness.modulus, failure.witness.residue
-    return _tensor_witness("composed", spec, n, j, (_low_layers(spec, failure), failure.parity))
+    met = [
+        lt for kt, lt in spec.support.terms
+        if not witness_avoids_window(SupportSet1D((kt,)), failure.witness)
+    ]
+    a = _geodesic_bound(met, failure.parity)
+    if a is None:
+        raise NotApplicableError(
+            f"class {j} mod {n} meets a term with infinitely many {failure.parity} degrees; "
+            "refusing to build a vanishing form"
+        )
+    return _tensor_witness("composed", spec, n, j, a)

@@ -146,7 +146,13 @@ def test_space_flag_takes_one_argument_per_parameter(tmp_path, capsys, kind):
     "text, message",
     [
         ("sphere:1", "invalid dimension m=1 for sphere: need m >= 2"),
-        ("circle_sphere:two", "invalid literal for int() with base 10: 'two'"),
+        ("circle_sphere:two", "m takes the digits 0-9 alone, got 'two'"),
+        ("sphere:1_0", "m takes the digits 0-9 alone, got '1_0'"),
+        ("sphere:+4", "m takes the digits 0-9 alone, got '+4'"),
+        ("sphere: 3", "m takes the digits 0-9 alone, got ' 3'"),
+        ("sphere:", "m takes the digits 0-9 alone, got ''"),
+        ("circle_tph:cayley:1_6", "d takes the digits 0-9 alone, got '1_6'"),
+        ("circle_sphere:\u0663", "m takes the digits 0-9 alone, got '\u0663'"),
         ("circle_tph:octonion:16", "unknown projective family 'octonion'; expected one of"),
         ("circle_tph:cayley:8", "invalid dimension d=8 for family 'cayley'"),
         ("torus:2", "cannot parse 'torus:2'; " + SPACE_GRAMMAR),
@@ -229,6 +235,10 @@ def test_gram_with_unwritable_csv_leaves_no_report(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("spec error: --csv: cannot write csv file")
     assert not report.exists()
+    # a report written before the run survives byte for byte
+    report.write_bytes(b'{"earlier": true}\n')
+    assert main(argv) == 64
+    assert report.read_bytes() == b'{"earlier": true}\n'
 
 
 def test_certify_report_is_deterministic(tmp_path):
@@ -412,15 +422,15 @@ def test_eval_single_cell_example(tmp_path, capsys):
 
 
 def test_witness_past_the_point_limit_exit_sixtyfour(tmp_path, capsys):
-    # the first failure is gamma 12 (odd); cancelling layer 11 on S^6 needs
-    # 2 * 2 * (1 + dim H_11(S^6)) = 29 488 points
+    # the first failure is gamma 1102 (odd); cancelling the singleton 1101
+    # takes a = 1103, so 2 * 2 * 1103 = 4412 points
     def pair(k, l):
         return {"k": k, "l": l}
 
     data = {
         "space": {"kind": "circle_sphere", "m": 6},
         "support": [
-            pair({"type": "prog", "base": 0, "step": 1}, {"type": "one", "value": 11}),
+            pair({"type": "prog", "base": 0, "step": 1}, {"type": "one", "value": 1101}),
             pair({"type": "prog", "base": 0, "step": 1}, {"type": "prog", "base": 0, "step": 2}),
             pair({"type": "prog", "base": 0, "step": 2}, {"type": "prog", "base": 3, "step": 2}),
         ],
@@ -429,7 +439,7 @@ def test_witness_past_the_point_limit_exit_sixtyfour(tmp_path, capsys):
     path = write_spec(tmp_path, data)
     out = tmp_path / "w.json"
     assert main(["witness", path, "--json", str(out)]) == 64
-    assert "needs 29488 points, past the limit of 2048" in capsys.readouterr().err
+    assert "needs 4412 points to cancel degree 1101, past the limit of 2048" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -443,22 +453,33 @@ def _sphere_evens_plus(m, *odd):
 
 
 def test_witness_on_mixed_parity_sphere(tmp_path, capsys):
-    # evens plus {3, 5} on S^2: 2 * (1 + 7 + 11) = 38 points cancel layers 3 and 5
+    # evens plus {3, 5} on S^2: the geodesic factor a = 7, 14 points, cancels
+    # layers 3 and 5 and every even one
     path = write_spec(tmp_path, _sphere_evens_plus(2, 3, 5))
     out = tmp_path / "w.json"
     assert main(["witness", path, "--json", str(out), "--no-timestamp"]) == 1
     assert capsys.readouterr().out.startswith("witness kind=parity")
     witness = json.loads(out.read_text())["witness"]
     assert witness["kind"] == "parity"
-    assert len(witness["points"]) == len(witness["coefficients"]) == 38
+    assert len(witness["points"]) == len(witness["coefficients"]) == 14
     assert abs(witness["residual"]) <= 1e-10 * witness["scale"]
 
 
 def test_parity_witness_past_the_point_limit_exit_sixtyfour(tmp_path, capsys):
-    # evens plus {11} on S^5: 2 * (1 + dim H_11(S^5)) = 4734 points
+    # the point count follows the largest kept degree D alone: evens plus {11}
+    # on S^5 take a = 13, 26 points; evens plus {3, 5001} on S^2 would take
+    # 2 * 5003 and are refused, whatever L is
     path = write_spec(tmp_path, _sphere_evens_plus(5, 11))
+    out = tmp_path / "w.json"
+    assert main(["witness", path, "--json", str(out), "--no-timestamp"]) == 1
+    witness = json.loads(out.read_text())["witness"]
+    assert len(witness["points"]) == 26 and abs(witness["residual"]) <= 1e-10 * witness["scale"]
+    capsys.readouterr()
+    path = write_spec(tmp_path, _sphere_evens_plus(2, 3, 5001))
     assert main(["witness", path]) == 64
-    assert "parity witness needs 4734 points, past the limit of 2048" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parity witness needs 10006 points to cancel degree 5001, past the limit of 2048" in captured.err
 
 
 def test_witness_empty_tail_message(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Gram assembly, positive-definiteness checks and degeneracy witnesses."""
 
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, marginal_ref
+from conftest import (
+    LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d, marginal_ref,
+)
 from spdkernels import (
     CirclePoint,
     EnhancedSet,
@@ -22,6 +25,7 @@ from spdkernels import (
     build_enhanced,
     certify_circle,
     certify_circle_sphere,
+    certify_sphere,
     check_pd,
     circle_table,
     circle_space,
@@ -226,9 +230,9 @@ def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
 
 
 def test_gram_matrix_memory_follows_one_chunk():
-    # n = 800 at K = L = 60: the matrix and the sphere dot products take
-    # 2 x 5.1 MB, one chunk's table and marginals 2 x 4 MB; building every
-    # upper-triangle pair's arguments and values took 32.7 MB
+    # n = 800 at K = L = 60: the matrix, written over the sphere dot
+    # products, takes 5.1 MB, one chunk's table and marginals 2 x 4 MB;
+    # building every upper-triangle pair's arguments and values took 32.7 MB
     spec = product_spec(trunc=(60, 60))
     pts = product_points(800, seed=5)
     tracemalloc.start()
@@ -238,6 +242,22 @@ def test_gram_matrix_memory_follows_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_sphere_gram_is_written_over_its_dot_products():
+    # one n x n array holds the dot products and then the Gram; a copy of the
+    # dot products beside it would take n^2 doubles more
+    n = 1500
+    _, zs = sample_config(2, 0, n, seed=4)
+    spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (0, 4))
+    tracemalloc.start()
+    try:
+        gram_matrix(spec, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    workspace = 2**21  # one chunk's table, indices and values at L = 4: under 1 MB
+    assert peak <= 1.5 * n * n * 8 + workspace
 
 
 # --- enhanced block structure ----------------------------------------------------------------
@@ -290,13 +310,13 @@ def test_parity_witness_on_product():
 
 
 def test_parity_witness_serves_mixed_support_and_refuses_empty():
-    # evens plus {3}: finitely many odd degrees, so the odd layer 3 is cancelled
-    # by weights on 1 + dim H_3(S^2) = 8 sphere points, and their antipodes
+    # evens plus {3}: finitely many odd degrees, so the geodesic factor a = 5,
+    # 10 great-circle points, cancels the odd layer 3 and every even one
     spec = KernelSpec(
         sphere_space(2), SupportSet1D.of(prog(0, 2), one(3)), geometric_scheme(), (0, 40)
     )
     w = witness_parity_sphere(spec)
-    assert w.kind == "parity" and len(w.points) == len(w.coefficients) == 16
+    assert w.kind == "parity" and len(w.points) == len(w.coefficients) == 10
     assert abs(w.residual) <= 1e-10 * w.scale
     c = np.array(w.coefficients)
     assert float(c @ gram_matrix(spec, list(w.points)) @ c) == pytest.approx(w.residual, abs=1e-12 * w.scale)
@@ -313,33 +333,31 @@ def test_parity_witness_refuses_both_parities_infinite():
 
 
 def test_parity_witness_keeps_the_parity_with_fewer_points():
-    # {1, 3, 4} is finite in both parities: keeping even cancels layer 4 alone,
-    # 1 + dim H_4(S^2) = 10 points and their antipodes, signed +eta (keeping
-    # odd would take 1 + 3 + 7 = 11)
+    # {1, 3, 4} is finite in both parities: keeping odd takes a = 5, 10 points,
+    # the antipodes signed -1 as a is odd (keeping even would take a = 6)
     spec = KernelSpec(sphere_space(2), SupportSet1D.of(one(1), one(3), one(4)), geometric_scheme(), (0, 20))
     w = witness_parity_sphere(spec)
-    assert len(w.points) == 20
-    assert w.points[10:] == tuple(z.antipode() for z in w.points[:10])
-    assert w.coefficients[10:] == w.coefficients[:10]
+    assert len(w.points) == 10
+    assert w.points[5:] == tuple(z.antipode() for z in w.points[:5])
+    assert w.coefficients[5:] == tuple(-c for c in w.coefficients[:5])
     assert abs(w.residual) <= 1e-10 * w.scale
-    # {1, 3, 12} on S^5: keeping odd cancels two degrees, 1 + 6 + 50 = 57 points
-    # and their antipodes signed -eta; keeping even, the one degree 12 alone
-    # would take 1 + 3185 and pass the point limit
-    spec = KernelSpec(sphere_space(5), SupportSet1D.of(one(1), one(3), one(12)), geometric_scheme(), (0, 20))
+    # {2, 5, 7} on S^5: keeping even takes a = 4, 8 points, the antipodes
+    # signed +1 (keeping odd would take a = 9)
+    spec = KernelSpec(sphere_space(5), SupportSet1D.of(one(2), one(5), one(7)), geometric_scheme(), (0, 20))
     w = witness_parity_sphere(spec)
-    assert len(w.points) == 114
-    assert w.points[57:] == tuple(z.antipode() for z in w.points[:57])
-    assert w.coefficients[57:] == tuple(-c for c in w.coefficients[:57])
+    assert len(w.points) == 8
+    assert w.points[4:] == tuple(z.antipode() for z in w.points[:4])
+    assert w.coefficients[4:] == w.coefficients[:4]
     assert abs(w.residual) <= 1e-10 * w.scale
 
 
 def test_parity_witness_on_mixed_product():
     # the sphere axis holds the even degrees and l = 1, over every k: one circle
-    # point crossed with 1 + dim H_1(S^3) = 5 sphere points and their antipodes
+    # point crossed with the geodesic factor a = 3, six great-circle points
     support = SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(0, 2), one(1))))
     spec = product_spec(support, trunc=(20, 20), m=3)
     w = witness_parity_sphere(spec)
-    assert len(w.points) == 10
+    assert len(w.points) == 6
     assert {x for x, _ in w.points} == {CirclePoint(0.0)}
     total, layers = per_degree_forms(spec, list(w.points), w.coefficients)
     assert np.max(np.abs(layers)) <= 1e-10 * w.scale
@@ -347,16 +365,15 @@ def test_parity_witness_on_mixed_product():
 
 
 def test_parity_witness_past_the_point_limit_is_refused():
-    # evens plus {11} on S^5: 2 * (1 + dim H_11(S^5)) = 4734 points
-    spec = KernelSpec(sphere_space(5), SupportSet1D.of(prog(0, 2), one(11)), geometric_scheme(), (0, 20))
-    with pytest.raises(NotApplicableError, match="parity witness needs 4734 points, past the limit of 2048"):
+    # evens plus {3, 5001} on S^2: a = 5003 takes 10 006 points, wherever L is
+    spec = KernelSpec(
+        sphere_space(2), SupportSet1D.of(prog(0, 2), one(3), one(5001)), geometric_scheme(), (0, 20)
+    )
+    with pytest.raises(
+        NotApplicableError,
+        match="parity witness needs 10006 points to cancel degree 5001, past the limit of 2048",
+    ):
         witness_parity_sphere(spec)
-
-
-def _harmonic_dimension(m, l):
-    """Homogeneous polynomials of degree l in m variables plus those of degree
-    l - 1: the harmonics of degree l in m + 1 variables."""
-    return math.comb(l + m - 1, m - 1) + (math.comb(l + m - 2, m - 1) if l else 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,26 +383,25 @@ def _harmonic_dimension(m, l):
     keep=st.sampled_from([0, 1]),
     start=st.integers(0, 6),
     step=st.sampled_from([2, 4]),
-    singles=st.sets(st.integers(0, 13), max_size=3),
+    singles=st.sets(st.integers(0, 61), max_size=3),
     rate=st.floats(0.5, 0.95),
 )
 def test_parity_witness_on_finite_deficit_supports(m, lmax, keep, start, step, singles, rate):
     # a progression of the other parity keeps that parity infinite; the kept
-    # parity is the singletons of its residue, all below L with a coefficient
+    # parity is the singletons of its residue, below L or past it
     base = 2 * start + 1 - keep
     spec = KernelSpec(
         sphere_space(m), SupportSet1D.of(prog(base, step), *map(one, sorted(singles))),
         geometric_scheme(rate, rate), (0, lmax),
     )
-    q = 1 + sum(_harmonic_dimension(m, l) for l in singles if l % 2 == keep)
-    event("refused" if 2 * q > MAX_POINTS else "built")
-    if 2 * q > MAX_POINTS:
-        with pytest.raises(NotApplicableError, match=f"parity witness needs {2 * q} points"):
-            witness_parity_sphere(spec)
-        return
+    top = max((v for v in singles if v % 2 == keep), default=-1)
+    event("kept degree past L" if top > lmax else "kept degrees within L")
     w = witness_parity_sphere(spec)
-    assert len(w.points) == 2 * q
+    assert len(w.points) == 2 * max(top + 2 if top >= 0 else keep, 1)
     assert abs(w.residual) <= 1e-10 * w.scale
+    # the form vanishes past the largest declared degree too
+    past = dataclasses.replace(spec, truncation=(0, max(lmax, top + 1)))
+    assert abs(_relative_form(past, w)) <= 1e-10
 
 
 # --- progression witness ---------------------------------------------------------------------------
@@ -437,7 +453,7 @@ def test_product_witness_composed_at_gamma_zero():
 
 
 # Both fail first at (gamma 2, odd) and carry odd l = 1 over the frequencies
-# the witness class j mod n selects, so q = 1 + dim H_1(S^m) = m + 2.
+# the witness class j mod n selects, so the geodesic factor is a = 3.
 # The first misses 1 mod 2; the second misses 1 mod 3, and its l = 1 sits
 # over k = 2 = -1 (mod 3) only, so that layer is hit through -j alone.
 LATE_ODD_L1 = [
@@ -455,7 +471,7 @@ def test_product_witness_exact_at_gamma_positive(support, m):
     assert (failure.gamma, failure.parity) == (2, "odd")
     w = witness_product(spec, cert)
     assert w.kind == "composed"
-    assert len(w.points) == len(w.coefficients) == 2 * failure.witness.modulus * (m + 2)
+    assert len(w.points) == len(w.coefficients) == 2 * 3 * failure.witness.modulus
     assert abs(w.residual) <= 1e-10 * w.scale
     # every sphere-degree layer vanishes on its own, not just their sum
     total, layers = per_degree_forms(spec, list(w.points), w.coefficients)
@@ -481,18 +497,24 @@ def test_gamma_zero_witness_is_the_composed_construction():
             assert w.coefficients == tuple(c)
 
 
+def _late_odd_singleton(v):
+    """Odd l over odd k only at the singleton v: the first failure is gamma
+    v + 1, odd, class 1 mod 2."""
+    return SupportSet2D(((prog(0, 1), one(v)), (prog(0, 1), prog(0, 2)), (prog(0, 2), prog(3, 2))))
+
+
 def test_witness_past_the_point_limit_is_refused():
-    # odd l over odd k only at the singleton 11: the first failure is gamma 12,
-    # and cancelling layer 11 on S^6 needs 1 + dim H_11(S^6) = 7372 sphere points
-    support = SupportSet2D(((prog(0, 1), one(11)), (prog(0, 1), prog(0, 2)), (prog(0, 2), prog(3, 2))))
-    spec = product_spec(support, trunc=(20, 20), m=6)
+    # the singleton 1101 needs a = 1103: 2 * 2 * 1103 = 4412 points on any sphere
+    support = _late_odd_singleton(1101)
     cert = certify_circle_sphere(support, 6)
-    assert (cert.counterexample.gamma, cert.counterexample.parity) == (12, "odd")
-    with pytest.raises(NotApplicableError, match="needs 29488 points, past the limit of 2048"):
-        witness_product(spec, cert)
-    # the same support on S^2 needs 2 * 2 * (1 + 23) = 96 points and is built
-    small = witness_product(product_spec(support, trunc=(20, 20)), certify_circle_sphere(support, 2))
-    assert len(small.points) == 96 and abs(small.residual) <= 1e-10 * small.scale
+    assert (cert.counterexample.gamma, cert.counterexample.parity) == (1102, "odd")
+    with pytest.raises(NotApplicableError, match="needs 4412 points to cancel degree 1101, past the limit of 2048"):
+        witness_product(product_spec(support, trunc=(20, 20), m=6), cert)
+    # the singleton 11 needs a = 13, 2 * 2 * 13 = 52 points, on S^6 as on S^2
+    for m in (2, 6):
+        support = _late_odd_singleton(11)
+        small = witness_product(product_spec(support, trunc=(20, 20), m=m), certify_circle_sphere(support, m))
+        assert len(small.points) == 52 and abs(small.residual) <= 1e-10 * small.scale
 
 
 def test_progression_witness_takes_circle_specs_only():
@@ -529,6 +551,81 @@ def test_witness_reports_are_verbatim():
     a = gram_matrix(spec, pts)
     c = np.array(w.coefficients)
     assert float(c @ a @ c) == pytest.approx(w.residual, abs=1e-12 * max(1.0, w.scale))
+
+
+# --- witnesses past the truncation -------------------------------------------------------------
+
+def _form(spec, w):
+    """c' G c of a witness under another spec, such as a wider truncation."""
+    c = np.array(w.coefficients)
+    return float(c @ gram_matrix(spec, list(w.points)) @ c)
+
+
+def _declared_top(support):
+    """The largest base of any term on either axis: past it, a truncation
+    holds every declared singleton and the start of every progression."""
+    terms = [t for pair in support.terms for t in pair] if isinstance(support, SupportSet2D) else support.terms
+    return max(t.base for t in terms)
+
+
+def _relative_form(spec, w):
+    """c' G c under spec over that spec's scale f(1, 1) * c' c."""
+    return _form(spec, w) / (spec.value_at_one * math.fsum(np.square(w.coefficients)))
+
+
+def _assert_exact_at_and_past_the_truncation(spec, w):
+    assert abs(w.residual) <= 1e-10 * w.scale
+    assert abs(_form(spec, w) - w.residual) <= 1e-12 * w.scale
+    wide = _declared_top(spec.support) + 12
+    past = dataclasses.replace(spec, truncation=(wide if spec.space.is_product else 0, wide))
+    assert abs(_relative_form(past, w)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:degenerate kernel spec")
+@pytest.mark.parametrize("seed, m", [(100, 2), (101, 3), (102, 5)])
+def test_every_battery_refutation_has_a_witness_past_the_truncation(seed, m):
+    # a box of 6 x 6 leaves many declared degrees (bases up to 10) past it:
+    # the witness must cancel them all the same
+    refuted = 0
+    for support in battery_2d(seed=seed, count=150) + [s for s, _, _ in LATE_FAILURES]:
+        cert = certify_circle_sphere(support, m)
+        if cert.verdict is not Verdict.NOT_SPD:
+            continue
+        spec = product_spec(support, trunc=(6, 6), m=m)
+        _assert_exact_at_and_past_the_truncation(spec, witness_product(spec, cert))
+        refuted += 1
+    for support in battery_1d(seed=seed, count=150):
+        if certify_sphere(support, m).verdict is not Verdict.NOT_SPD:
+            continue
+        spec = KernelSpec(sphere_space(m), support, geometric_scheme(), (0, 6))
+        _assert_exact_at_and_past_the_truncation(spec, witness_parity_sphere(spec))
+        refuted += 1
+    assert refuted >= 150
+
+
+def test_late_singleton_over_the_missed_class_is_cancelled_at_every_truncation():
+    # fails at gamma 2, odd, class 1 mod 2; l = 1 sits over k = 61 + 2i, which
+    # the missed class selects, so a = 3 cancels it: 2 * 6 = 12 points
+    support = SupportSet2D((
+        (prog(0, 1), prog(0, 2)), (prog(0, 2), one(1)), (prog(61, 2), one(1)), (prog(0, 2), prog(1, 2)),
+    ))
+    spec = product_spec(support, trunc=(60, 60))
+    w = witness_product(spec, certify_circle_sphere(support, 2))
+    assert len(w.points) == 12
+    for trunc in [(20, 20), (60, 60), (200, 200)]:
+        assert abs(_relative_form(product_spec(support, trunc=trunc), w)) <= 1e-10
+
+
+def test_parity_witness_cancels_a_kept_degree_past_the_truncation():
+    # evens plus {3, 25} on S^2 at L = 20: the odd degree 25 lies past L, and
+    # a = 27 cancels it, 54 points
+    support = SupportSet1D.of(prog(0, 2), one(3), one(25))
+    spec = KernelSpec(sphere_space(2), support, geometric_scheme(), (0, 20))
+    w = witness_parity_sphere(spec)
+    assert len(w.points) == 54
+    for lmax in (20, 60, 200):
+        past = KernelSpec(sphere_space(2), support, geometric_scheme(), (0, lmax))
+        assert abs(_relative_form(past, w)) <= 1e-10
 
 
 # --- blocked duplicate check ------------------------------------------------------------------

@@ -10,7 +10,9 @@ block scan of every pair for duplicates, a double loop over circle
 points, and the points and coefficients of three separate witness functions.
 The library must return the same floats bit for bit (``np.array_equal``),
 the same sampled points and resample counts, the same first faulty pair,
-and the same witness points and coefficients.
+and the same witness points and coefficients.  Only
+``reference_geodesic_assembly`` is no earlier code: it writes the geodesic
+factor that replaced the earlier sampled sphere factor from its definition.
 """
 
 import logging
@@ -49,7 +51,7 @@ from spdkernels import (
 )
 from spdkernels.geometry import TWO_PI, _check_circle_distinct
 from spdkernels.gram import (
-    _check_duplicates, _dot_matrices, _layer_matrix, _low_layers, _null_weights, _split_points,
+    _check_duplicates, _dot_matrices, _layer_matrix, _split_points,
 )
 from spdkernels.kernels import BETA_BY_FAMILY, CHUNK_PAIRS
 from spdkernels.orthopoly import (
@@ -556,17 +558,28 @@ def reference_progression_assembly(witness):
 
 
 def reference_composed_assembly(spec, failure):
-    """Points and coefficients of the earlier product witness."""
-    m = spec.space.m
+    """Points and coefficients of the earlier product witness at gamma = 0:
+    the roots of unity crossed with e0 and its antipode."""
     n, j = failure.witness.modulus, failure.witness.residue
-    low = _low_layers(spec, failure)
-    q = 1 + sum(math.comb(l + m, m) - math.comb(l + m - 2, m) for l in low)  # dim H_l(S^m)
     xs, d = reference_roots_of_unity_weights(n, j)
-    zs = [reference_first_basis_point(m)] + sample_config(m, 0, q - 1, seed=0)[1]
-    enhanced = build_enhanced(xs, zs)
-    plain = np.kron(_null_weights(m, zs, low), d)
-    c = np.concatenate([plain, plain if failure.parity == "even" else -plain])
+    enhanced = build_enhanced(xs, [reference_first_basis_point(spec.space.m)])
+    c = np.concatenate([d, d if failure.parity == "even" else -d])
     return enhanced.points, c
+
+
+def reference_geodesic_assembly(spec, failure):
+    """Points and coefficients of the geodesic product witness when a, the
+    least integer >= gamma of the failing parity, is at least 2: the great
+    circle points pi mu / a, the last a written as the negations of the
+    first a, weighted (-1)^mu, outer to the roots of unity."""
+    n, j = failure.witness.modulus, failure.witness.residue
+    a = failure.gamma + (failure.gamma % 2 != (failure.parity == "odd"))
+    xs, d = reference_roots_of_unity_weights(n, j)
+    rest = (0.0,) * (spec.space.m - 1)
+    half = [(math.cos(math.pi * mu / a), math.sin(math.pi * mu / a)) + rest for mu in range(a)]
+    zs = [SpherePoint(z) for z in half] + [SpherePoint(tuple(-x for x in z)) for z in half]
+    w = np.array([(-1.0) ** mu for mu in range(2 * a)])
+    return tuple((x, z) for z in zs for x in xs), np.kron(w, d)
 
 
 def _assert_same_witness(spec, w, points, c):
@@ -619,7 +632,10 @@ def test_progression_witness_matches_the_earlier_code(n):
     + [(support, m) for support in LATE_ODD_L1 for m in (2, 3)],
 )
 def test_composed_witness_matches_the_earlier_code(support, m):
+    # gamma-0 witnesses are those of the earlier code; the late ones, whose
+    # l = 1 sits over the missed class, take the geodesic factor a = 3
     spec = KernelSpec(circle_sphere_space(m), support, geometric_scheme(), (30, 30))
     cert = certify_circle_sphere(support, m)
-    w = witness_product(spec, cert)
-    _assert_same_witness(spec, w, *reference_composed_assembly(spec, cert.counterexample))
+    failure = cert.counterexample
+    reference = reference_composed_assembly if failure.gamma == 0 else reference_geodesic_assembly
+    _assert_same_witness(spec, witness_product(spec, cert), *reference(spec, failure))

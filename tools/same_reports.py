@@ -10,8 +10,9 @@ through ``bench/run.py``'s ``Session.run_op``, and writes one record per op:
 exit code, captured output (standard output and error), the text of the
 ``--no-timestamp --json`` report and the csv.  Both trees run in the same
 scratch directory, one after the other, so spec paths in messages agree.
-The records are compared in order; the script prints the op count and the
-first difference, and exits 1 on any difference.  ``bench/`` is imported,
+The records are compared in order; the script prints the op count, one
+line per differing op (workload, seed, item, command and the fields that
+differ) and their count, and exits 1 on any difference.  ``bench/`` is imported,
 never written: the subprocesses write no bytecode.  Standard library only.
 """
 
@@ -67,16 +68,14 @@ def run_tree(tree: Path, scratch: Path) -> list[dict]:
     return [json.loads(line) for line in records.read_text().splitlines()]
 
 
-def first_difference(parent: list[dict], tree: list[dict]) -> str | None:
+def differing_ops(parent: list[dict], tree: list[dict]) -> list[str]:
+    """One line per op, taken in order, whose record differs."""
+    out = []
     for i, (a, b) in enumerate(zip(parent, tree)):
-        for key in ("op", "exit", "output", "report", "csv"):
-            if a[key] != b[key]:
-                return (f"op {i} {' '.join(map(str, a['op']))}: {key} differs\n"
-                        f"  parent: {json.dumps(a[key])[:600]}\n"
-                        f"  tree:   {json.dumps(b[key])[:600]}")
-    if len(parent) != len(tree):
-        return f"op counts differ: parent {len(parent)}, tree {len(tree)}"
-    return None
+        keys = [key for key in ("op", "exit", "output", "report", "csv") if a[key] != b[key]]
+        if keys:
+            out.append(f"op {i} {' '.join(map(str, a['op']))}: {', '.join(keys)} differ")
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,11 +87,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
         parent = run_tree(args.parent.resolve(), Path(tmp))
         tree = run_tree(Path(__file__).resolve().parents[1], Path(tmp))
-    difference = first_difference(parent, tree)
+    found = differing_ops(parent, tree)
     print(f"{len(parent)} ops in the parent, {len(tree)} in the tree "
           f"({', '.join(WORKLOADS)}; seeds {SEEDS})")
-    if difference:
-        print(f"first difference: {difference}")
+    if found or len(parent) != len(tree):
+        print("\n".join(found))
+        print(f"{len(found)} of {min(len(parent), len(tree))} compared ops differ")
         return 1
     print("every op identical: exit code, output, --json report text and csv")
     return 0
