@@ -241,6 +241,19 @@ def test_gram_with_unwritable_csv_leaves_no_report(tmp_path, capsys):
     assert report.read_bytes() == b'{"earlier": true}\n'
 
 
+def test_gram_with_unwritable_report_leaves_no_csv(tmp_path, capsys):
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    curve = tmp_path / "c.csv"
+    target = tmp_path / "no" / "such" / "dir" / "r.json"
+    argv = ["gram", path, "--points", "4", "--json", str(target), "--csv", str(curve)]
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith("spec error: --json: cannot write json file")
+    assert not curve.exists()
+    curve.write_text("n,lambda_min\n")
+    assert main(argv) == 64
+    assert curve.read_text() == "n,lambda_min\n"
+
+
 def test_certify_report_is_deterministic(tmp_path):
     path = write_spec(tmp_path, FULL_PRODUCT)
     out1 = tmp_path / "r1.json"
