@@ -406,9 +406,9 @@ def _report_text(value, newline: str = "\n") -> str:
 def _write_outputs(outputs: list[tuple[str, str, str]]) -> None:
     """Write each (path, flag, text) in order; a path that cannot be written
     is a usage error.  The paths after the first are opened for appending,
-    which truncates nothing, before the first is written, so a failed
-    command leaves the files it was given as they were, and removes those it
-    created.  A lone output costs one open, as an operation's report does."""
+    which truncates nothing, before the first is written, so one that cannot
+    be opened leaves the others as they were; files this call created are
+    removed.  A lone output costs one open, as an operation's report does."""
     created = []
     try:
         for path, flag, _ in outputs[1:]:

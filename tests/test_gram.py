@@ -45,7 +45,7 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.gram import MAX_POINTS, _check_duplicates, _pair_layers
+from spdkernels.gram import _check_duplicates, _pair_layers
 from spdkernels.kernels import CHUNK_PAIRS
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
