@@ -160,11 +160,14 @@ def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) ->
 
 
 def _dot_matrices(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]):
+    """The n x n angle cosines and sphere dot products (None for an absent
+    axis); the dot products are clipped to [-1, 1] in place."""
     t = s = None
     if thetas is not None:
         t = np.cos(thetas[:, None] - thetas[None, :])
     if zs is not None:
-        s = np.clip(zs @ zs.T, -1.0, 1.0)
+        s = zs @ zs.T
+        np.clip(s, -1.0, 1.0, out=s)
     return t, s
 
 
@@ -200,9 +203,9 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     # the sphere dot products stay one matrix product, since a per-pair sum
     # may round differently, and the Gram is written over them: a chunk reads
     # its upper-triangle dots before it writes, and none below the diagonal
-    a = np.empty((n, n)) if zs is None else zs @ zs.T
-    if zs is not None:
-        np.clip(a, -1.0, 1.0, out=a)
+    _, a = _dot_matrices(None, zs)
+    if a is None:
+        a = np.empty((n, n))
     flat = a.ravel()
 
     def chunks():
@@ -253,25 +256,29 @@ def per_degree_forms(
     """Split the quadratic form c' G c into its sphere-degree layers.
 
     Layer l is c' [f_l(t_ij) P_l(s_ij)] c; the layers sum to the full form.
-    The n^2 pairs are walked CHUNK_PAIRS at a time, as in ``gram_matrix``.
+    As in ``gram_matrix``, the upper triangle is walked CHUNK_PAIRS pairs at
+    a time over one n x n matrix of sphere dot products, each pair weighted
+    c_i^2 on the diagonal and 2 c_i c_j off it.
     """
     if not spec.space.is_product:
         raise NotApplicableError("per-degree layers are defined for product specs only")
     thetas, zs = _split_points(spec, points)
     c = np.asarray(c, dtype=float)
-    if c.shape != (len(points),):
+    n = len(points)
+    if c.shape != (n,):
         raise ValueError("coefficient vector length must match the point count")
-    t, s = _dot_matrices(thetas, zs)
-    layers = _pair_layers(spec, t.ravel(), s.ravel(), np.outer(c, c).ravel())
-    return float(layers.sum()), layers
+    flat = _dot_matrices(None, zs)[1].ravel()
 
+    def chunks():
+        for i, j in _upper_triangle(n):
+            w = c[i] * c[j]
+            w[i != j] *= 2.0
+            yield w, np.cos(thetas[i] - thetas[j]), flat[i * n + j]
 
-def _pair_layers(spec: KernelSpec, t: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums over the pairs p of w_p f_l(t_p) P_l(s_p), one per degree l."""
     layers = np.zeros(spec.lmax + 1)
-    for lo, products in _contract(spec, _slices(t, s), min(len(t), CHUNK_PAIRS), layers=True):
-        layers += products @ w[lo : lo + CHUNK_PAIRS]
-    return layers
+    for w, products in _contract(spec, chunks(), min(n * (n + 1) // 2, CHUNK_PAIRS), layers=True):
+        layers += products @ w
+    return float(layers.sum()), layers
 
 
 def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.ndarray:

@@ -67,9 +67,11 @@ DEFAULT_TRUNCATION = (60, 60)
 MAX_TRUNCATION_BOX = 1_000_000
 
 # Argument pairs per contraction slice: at K = L = 60 the workspace of one
-# contraction, a table and the marginals, takes 2 x 61 x 8192 x 8 bytes,
-# about 8 MB.  BLAS may round a few columns of a slice differently at another
-# slice width, so a new value here can move the last bits of some values.
+# product contraction, a 61-row table and 2r rows for the factors' products,
+# takes (61 + 2r) x 8192 x 8 bytes: 4.1 MB at r = 1, and about 8 MB on the
+# dense route (a table and min(K, L) + 1 rows).  BLAS may round a few columns of a
+# slice differently at another slice width, so a new value here can move
+# the last bits of some values.
 CHUNK_PAIRS = 8_192
 
 # The parameters each space kind takes, in order, with their types.  A kind's
@@ -221,39 +223,87 @@ class KernelSpec:
         """Degree cap for single-space specs: kmax on the circle, lmax on spheres."""
         return self.kmax if self.space.kind == "circle" else self.lmax
 
-    @cached_property
-    def coefficient_matrix(self) -> np.ndarray:
-        """Effective coefficients on the truncation box.
-
-        Products: shape (kmax+1, lmax+1).  Single spaces: shape (cap+1,).
-        Union semantics: overlapping terms mark an index once, each term along
-        one slice per axis (a singleton's slice steps past the box).  On a
-        single space the k-rate drives circle supports, the l-rate sphere
-        supports, and a_j is Python's ``scale * rate**j``.
-        """
-        scheme = self.scheme
+    def _support_mask(self) -> np.ndarray:
+        """The effective support as booleans: shape (kmax+1, lmax+1) for
+        products, (cap+1,) for single spaces.  Each term marks one slice per
+        axis (a singleton's slice steps past the box), so overlapping terms
+        mark an index once."""
         if self.space.is_product:
             k_len, l_len = self.kmax + 1, self.lmax + 1
             mask = np.zeros((k_len, l_len), dtype=bool)
             for kt, lt in self.support.terms:
                 mask[kt.base :: kt.step or k_len, lt.base :: lt.step or l_len] = True
-            if scheme.kind == "constant":
-                return np.where(mask, scheme.scale, 0.0)
-            values = scheme.scale * np.outer(
-                scheme.r_k ** np.arange(k_len), scheme.r_l ** np.arange(l_len)
-            )
-            return np.where(mask, values, 0.0)
+            return mask
         length = self.axis_cap + 1
         mask = np.zeros(length, dtype=bool)
         for t in self.support.terms:
             mask[t.base :: t.step or length] = True
+        return mask
+
+    @cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """Effective coefficients on the truncation box.
+
+        Products: shape (kmax+1, lmax+1).  Single spaces: shape (cap+1,).
+        Union semantics: each index of the support carries its rule value
+        once.  On a single space the k-rate drives circle supports, the
+        l-rate sphere supports, and a_j is Python's ``scale * rate**j``.
+        """
+        scheme = self.scheme
+        mask = self._support_mask()
         if scheme.kind == "constant":
             return np.where(mask, scheme.scale, 0.0)
+        if self.space.is_product:
+            k_len, l_len = mask.shape
+            values = scheme.scale * np.outer(
+                scheme.r_k ** np.arange(k_len), scheme.r_l ** np.arange(l_len)
+            )
+            return np.where(mask, values, 0.0)
         rate = scheme.r_k if self.space.kind == "circle" else scheme.r_l
-        return np.where(mask, [scheme.scale * rate**j for j in range(length)], 0.0)
+        return np.where(mask, [scheme.scale * rate**j for j in range(len(mask))], 0.0)
+
+    @cached_property
+    def _product_factors(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """(U, V) with coefficient_matrix = U.T @ V, U of shape r x (kmax+1)
+        and V of shape r x (lmax+1); None stands for the identity.
+
+        A coefficient is a scheme value on the support's mask, and the
+        geometric value scale * r_k**k * r_l**l splits over the axes, so the
+        k-rows fall in r groups, one per distinct nonzero l-mask: group g
+        puts scale * r_k**k on its rows in U and r_l**l on its l-mask in V
+        (the constant scheme scale and 1), and the products agree with
+        coefficient_matrix to round-off.  Every SPD support the workloads
+        sample has r = 1.  When r (K + L + 2) reaches (K + 1)(L + 1), as when
+        every row differs, r factor rows would cost at least the dense
+        product: then the axis with fewer degrees takes the identity and the
+        other coefficient_matrix (U = I when K <= L).  Either way a slice
+        costs no more than a dense contraction: (K + 1)(L + 1) products and
+        L + 1 row passes.
+        """
+        mask = self._support_mask()
+        k_len, l_len = mask.shape
+        rows = mask.view(f"V{l_len}")[:, 0]  # one l-mask a row
+        keys = dict.fromkeys(rows.tolist())
+        keys.pop(bytes(l_len), None)  # the rows with no support
+        groups = np.frombuffer(b"".join(keys), rows.dtype)
+        if len(groups) * (k_len + l_len) >= k_len * l_len:
+            a = self.coefficient_matrix
+            return (None, a) if k_len <= l_len else (a.T, None)
+        scheme = self.scheme
+        if scheme.kind == "constant":
+            k_values, l_values = scheme.scale, 1.0
+        else:
+            k_values = scheme.scale * scheme.r_k ** np.arange(k_len)
+            l_values = scheme.r_l ** np.arange(l_len)
+        u = (rows == groups[:, None]) * k_values
+        v = groups.view(bool).reshape(len(groups), l_len) * l_values
+        return u, v
 
     @cached_property
     def is_effectively_empty(self) -> bool:
+        if self.space.is_product:
+            _, v = self._product_factors
+            return v is not None and len(v) == 0  # the dense route is never empty
         return not np.any(self.coefficient_matrix > 0)
 
     def sphere_axis_table(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -283,8 +333,8 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
 
     The pairs are contracted CHUNK_PAIRS at a time in one workspace that is
     allocated once and refilled for every slice, so memory follows the
-    chunk and the degrees, O(CHUNK_PAIRS * (max(K, L) + L)) entries, not the
-    number of pairs.
+    chunk and the degrees, O(CHUNK_PAIRS * (max(K, L) + 2r)) entries for r
+    factor rows (``KernelSpec._product_factors``), not the number of pairs.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -318,12 +368,15 @@ def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
     """Contract each (key, t, s) slice of ``chunks`` (s is None for single
     spaces), none wider than ``width`` pairs, and yield (key, values).
 
-    The tables are allocated once here and refilled for every slice: one
-    (max(K, L) + 1) x width buffer holds the circle table and, once the BLAS
-    product has read it, the sphere-axis table; a second holds the
-    marginals.  With ``layers``, a product spec yields the (L + 1) x width
-    products f_l(t) P_l(s) instead of their column sums.  What a slice
-    yields is overwritten by the next one.
+    The buffers are allocated once here and refilled for every slice.  A
+    product spec contracts through its factors A = U.T @ V: a = U @ circle
+    and b = V @ P, for the sphere-axis table P, take r rows each, and the
+    values are sum_g a_g b_g.  One (max(K, L) + 1) x width buffer holds the
+    circle table and then P.  A side whose factor is the identity is its
+    table itself, so when U is, P comes first and leaves the buffer once b
+    has read it.  With ``layers``, a product spec yields the (L + 1) x width
+    products (V.T @ a) * P instead.  What a slice yields is overwritten by
+    the next one.
     """
     if not spec.space.is_product:
         cap = spec.axis_cap
@@ -337,14 +390,36 @@ def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
             yield key, spec.coefficient_matrix @ rows
         return
     kmax, lmax = spec.truncation
+    u, v = spec._product_factors
+    r = len(v if u is None else u)
     table = np.empty((max(kmax, lmax) + 1) * width)
-    marginals = np.empty((lmax + 1) * width)
-    coefficients = spec.coefficient_matrix.T
-    for key, t, s in chunks:
+    left = None if u is None else np.empty(r * width)
+    right = None if v is None else np.empty((lmax + 1 if layers else r) * width)
+
+    def circle_side(t):
         circ = circle_table(kmax, t, out=_rows(table, kmax + 1, len(t)))
-        marg = np.matmul(coefficients, circ, out=_rows(marginals, lmax + 1, len(t)))
-        marg *= spec.sphere_axis_table(s, out=_rows(table, lmax + 1, len(t)))
-        yield key, marg if layers else marg.sum(axis=0)
+        return circ if u is None else np.matmul(u, circ, out=_rows(left, r, len(t)))
+
+    def sphere_side(s):
+        sph = spec.sphere_axis_table(s, out=_rows(table, lmax + 1, len(s)))
+        return sph if v is None else np.matmul(v, sph, out=_rows(right, r, len(s)))
+
+    for key, t, s in chunks:
+        if layers:
+            a = circle_side(t)
+            if v is not None:
+                a = np.matmul(v.T, a, out=_rows(right, lmax + 1, len(t)))
+            a *= spec.sphere_axis_table(s, out=_rows(table, lmax + 1, len(s)))
+            yield key, a
+            continue
+        if u is None:  # a is the table itself, so b goes first
+            b = sphere_side(s)
+            a = circle_side(t)
+        else:
+            a = circle_side(t)
+            b = sphere_side(s)
+        a *= b
+        yield key, a[0] if r == 1 else a.sum(axis=0)
 
 
 def eval_kernel(spec: KernelSpec, t: float, s: Optional[float] = None) -> float:

@@ -45,8 +45,8 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.gram import _check_duplicates, _pair_layers
-from spdkernels.kernels import CHUNK_PAIRS
+from spdkernels.gram import _check_duplicates
+from spdkernels.kernels import CHUNK_PAIRS, _contract, _slices
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -191,7 +191,9 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
     s = rng.uniform(-1.0, 1.0, pairs)
     w = rng.normal(size=pairs)
     expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)) @ w
-    got = _pair_layers(spec, t, s, w)
+    got = np.zeros(spec.lmax + 1)
+    for lo, products in _contract(spec, _slices(t, s), min(pairs, CHUNK_PAIRS), layers=True):
+        got += products @ w[lo : lo + CHUNK_PAIRS]
     assert got.shape == (spec.lmax + 1,)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -212,9 +214,9 @@ def _record_circle_tables(monkeypatch):
 def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
     widths = _record_circle_tables(monkeypatch)
     spec = product_spec(trunc=(6, 6))
-    pts = product_points(130, seed=3)  # 16 900 pairs
+    pts = product_points(130, seed=3)  # 8515 upper-triangle pairs
     per_degree_forms(spec, pts, np.ones(130))
-    assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 130 * 130 - 2 * CHUNK_PAIRS]
+    assert widths == [CHUNK_PAIRS, 130 * 131 // 2 - CHUNK_PAIRS]
 
 
 def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
@@ -231,8 +233,9 @@ def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
 
 def test_gram_matrix_memory_follows_one_chunk():
     # n = 800 at K = L = 60: the matrix, written over the sphere dot
-    # products, takes 5.1 MB, one chunk's table and marginals 2 x 4 MB;
-    # building every upper-triangle pair's arguments and values took 32.7 MB
+    # products, takes 5.1 MB, one chunk's table 4 MB and its two factor
+    # rows 0.1 MB; building every upper-triangle pair's arguments and
+    # values took 32.7 MB
     spec = product_spec(trunc=(60, 60))
     pts = product_points(800, seed=5)
     tracemalloc.start()
@@ -242,6 +245,23 @@ def test_gram_matrix_memory_follows_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_per_degree_forms_memory_follows_one_chunk():
+    # the n x n dot products plus one chunk's table, factor rows and layers
+    # (about 3 MB at K = L = 20); the cosines, the dot products, a clipped
+    # copy and the outer product of c took 26.8 MiB at n = 1024
+    n = 1024
+    spec = product_spec(trunc=(20, 20))
+    pts = product_points(n, seed=5)
+    c = np.random.default_rng(0).normal(size=n)
+    tracemalloc.start()
+    try:
+        per_degree_forms(spec, pts, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8 + 5 * 2**20
 
 
 def test_sphere_gram_is_written_over_its_dot_products():

@@ -1,12 +1,14 @@
 """Kernel spec assembly and truncated expansion evaluation."""
 
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SPACE_EXAMPLES, jacobi_one_ref, marginal_ref
+from conftest import SPACE_EXAMPLES, SPD_PRODUCT_SUPPORTS, jacobi_one_ref, marginal_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from spdkernels import (
@@ -28,6 +30,7 @@ from spdkernels import (
     prog,
     sphere_space,
 )
+from spdkernels.cli import _support_from_list
 from spdkernels.kernels import _SPACE_PARAMS, CHUNK_PAIRS
 from spdkernels.orthopoly import circle_table, gegenbauer_table
 
@@ -226,6 +229,94 @@ def test_product_coefficients_past_the_box_and_huge(scheme):
     # k = 9 by every l, (1, 2), even k by odd l, and (3, 5); the rest lies
     # past the box or inside these
     assert np.count_nonzero(expected) == 8 + 1 + 20 + 1
+
+
+# --- the factored product coefficients -------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def assert_factors_rebuild_the_coefficients(spec):
+    """U.T @ V has the pattern of coefficient_matrix and its values within
+    2 eps relative; r is the number of distinct nonzero l-masks, unless r
+    factor rows would cost as much as the dense product (U is None)."""
+    u, v = spec._product_factors
+    a = spec.coefficient_matrix
+    product = v if u is None else u.T if v is None else u.T @ v
+    assert np.array_equal(product != 0, a != 0)
+    assert np.all(np.abs(product - a) <= 2 * EPS * a)
+    mask = coefficients_by_member(spec) != 0
+    r = len({row.tobytes() for row in mask if row.any()})
+    k_len, l_len = a.shape
+    dense = r * (k_len + l_len) >= k_len * l_len
+    if dense:  # the identity on the axis with fewer degrees
+        assert (u is None, v is None) == (k_len <= l_len, k_len > l_len)
+    else:
+        assert u.shape == (r, k_len) and v.shape == (r, l_len)
+    return u, v
+
+
+# mostly inside the box, so that most supports keep some rows
+_box_terms = st.builds(Term1D, st.one_of(st.integers(0, 12), _bases), _steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        KernelSpec, _product_spaces,
+        st.builds(SupportSet2D, st.lists(st.tuples(_box_terms, _box_terms), max_size=8).map(tuple)),
+        _schemes, _truncations,
+    )
+)
+def test_product_factors_rebuild_the_coefficients(spec):
+    # both schemes, singletons and bases past the box, overlapping terms
+    assert_factors_rebuild_the_coefficients(spec)
+
+
+def bench_spd_product_supports():
+    """The SPD product supports the benchmark's Gram items sample, decoded
+    as a spec file's support would be."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+    return [_support_from_list(support, True) for support in workloads["_SPD_PRODUCT"]]
+
+
+@pytest.mark.parametrize("trunc", [20, 60, 120])
+def test_sampled_spd_supports_have_one_factor_row(trunc):
+    bench_supports = bench_spd_product_supports()
+    assert bench_supports
+    for support in SPD_PRODUCT_SUPPORTS + bench_supports:
+        spec = product_spec(support, trunc=(trunc, trunc))
+        u, v = assert_factors_rebuild_the_coefficients(spec)
+        assert u is not None and len(u) == 1
+
+
+def test_a_support_past_a_small_box_has_no_factor_rows():
+    specs = [product_spec(support, trunc=(5, 5)) for support in SPD_PRODUCT_SUPPORTS]
+    empty = [spec for spec in specs if spec.is_effectively_empty]
+    assert len(empty) == 1  # the variant whose bases start at 8 and 9
+    (spec,) = empty
+    u, v = assert_factors_rebuild_the_coefficients(spec)
+    assert u.shape == v.shape == (0, 6)
+    with pytest.warns(UserWarning, match="degenerate kernel spec"):
+        values = kernel_values(spec, np.array([1.0, 0.3]), np.array([1.0, -0.2]))
+    assert np.array_equal(values, np.zeros(2))
+
+
+@pytest.mark.parametrize("trunc", [(0, 0), (6, 6), (20, 60), (60, 60), (120, 20)])
+def test_a_support_whose_rows_all_differ_takes_the_dense_route(trunc):
+    # row k holds the degrees l whose bit is set in k + 1, so the K + 1
+    # rows all differ
+    kmax, lmax = trunc
+    support = SupportSet2D(tuple(
+        (one(k), one(l)) for k in range(kmax + 1) for l in range(lmax + 1) if (k + 1) >> l & 1
+    ))
+    spec = product_spec(support, geometric_scheme(0.8, 0.7), trunc)
+    u, v = assert_factors_rebuild_the_coefficients(spec)
+    assert u is None or v is None
+    t, s = np.linspace(-1.0, 1.0, 7), np.linspace(1.0, -1.0, 7)
+    expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)).sum(axis=0)
+    bound = (sum(trunc) + 2) * EPS * spec.value_at_one
+    assert np.max(np.abs(kernel_values(spec, t, s) - expected)) <= bound
 
 
 # --- evaluation -----------------------------------------------------------------
