@@ -414,7 +414,7 @@ def certify_circle_tph(
     support: SupportSet2D, space: SpaceDescriptor, gamma_max: Optional[int] = None
 ) -> Certificate:
     """Circle x projective-space characterization: the tail loop without parity."""
-    if space.kind != "circle_tph":
+    if space._axes[1] != "tph":
         raise NotApplicableError(
             f"wrong certifier for space kind {space.kind!r}; "
             "spheres keep the parity split, use the circle_sphere certifiers"

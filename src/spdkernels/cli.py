@@ -39,9 +39,9 @@ from .certify import (
     Verdict,
 )
 from .errors import NotApplicableError, NumericalError, SamplingError, SpecFileError
-from .geometry import CirclePoint, SpherePoint, sample_config
+from .geometry import CirclePoint, sample_config
 from .kernels import (
-    _SPACE_PARAMS,
+    _SPACE_KINDS,
     CoefficientScheme,
     KernelSpec,
     SpaceDescriptor,
@@ -103,7 +103,7 @@ def _term_to_dict(term: Term1D) -> dict:
 
 
 # The fields each scheme kind reads; any other key is refused.  A space
-# reads its kind and the kind's parameters in kernels._SPACE_PARAMS, whose
+# reads its kind and the kind's parameters in kernels._SPACE_KINDS, whose
 # types a refusal names as _TYPE_NAMES says.
 _SCHEME_FIELDS = {"constant": {"kind", "scale"}, "geometric": {"kind", "scale", "r_k", "r_l"}}
 _TYPE_NAMES = {int: "an integer", str: "a string"}
@@ -119,9 +119,9 @@ def _space_from_dict(data) -> SpaceDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("space", "must be an object with a 'kind' field")
     kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _SPACE_PARAMS:
+    if not isinstance(kind, str) or kind not in _SPACE_KINDS:
         raise SpecFileError("space.kind", f"unknown space kind {kind!r}")
-    params = _SPACE_PARAMS[kind]
+    params = _SPACE_KINDS[kind].params
     _refuse_unknown_keys(data, {"kind", *params}, "space")
     for name in sorted(params):  # in name order, as unknown fields are named
         value = data.get(name)
@@ -134,7 +134,7 @@ def _space_from_dict(data) -> SpaceDescriptor:
 
 
 def _space_to_dict(space: SpaceDescriptor) -> dict:
-    params = _SPACE_PARAMS[space.kind]
+    params = _SPACE_KINDS[space.kind].params
     return {"kind": space.kind, **{name: getattr(space, name) for name in params}}
 
 
@@ -253,7 +253,7 @@ def parse_space_flag(text: str) -> SpaceDescriptor:
     parameters in order: circle | sphere:M | circle_sphere:M |
     circle_tph:FAMILY:D."""
     kind, *args = text.split(":")
-    params = _SPACE_PARAMS.get(kind)
+    params = _SPACE_KINDS[kind].params if kind in _SPACE_KINDS else None
     if params is not None and len(args) == len(params):
         for (name, to), arg in zip(params.items(), args):
             if to is int and not (arg.isascii() and arg.isdigit()):
@@ -264,7 +264,7 @@ def parse_space_flag(text: str) -> SpaceDescriptor:
             )
         except ValueError as exc:
             raise SpecFileError("--space", str(exc)) from exc
-    forms = [":".join([k, *map(str.upper, p)]) for k, p in _SPACE_PARAMS.items()]
+    forms = [":".join([k, *map(str.upper, row.params)]) for k, row in _SPACE_KINDS.items()]
     raise SpecFileError(
         "--space", f"cannot parse {text!r}; use {', '.join(forms[:-1])} or {forms[-1]}"
     )
@@ -322,11 +322,12 @@ def _certificate_to_dict(cert: Certificate) -> dict:
 
 
 def _point_to_jsonable(p):
+    """A point's JSON form; a product point holds one part per slot."""
+    if isinstance(p, tuple):
+        return {slot: _point_to_jsonable(x) for slot, x in zip(("circle", "sphere"), p)}
     if isinstance(p, CirclePoint):
         return {"theta": p.theta}
-    if isinstance(p, SpherePoint):
-        return {"coords": list(p.coords)}
-    return {"circle": {"theta": p[0].theta}, "sphere": {"coords": list(p[1].coords)}}
+    return {"coords": list(p.coords)}
 
 
 def _witness_report_to_dict(w: gram_mod.WitnessReport) -> dict:
@@ -446,23 +447,30 @@ def _load(args) -> SpecFile:
     return _apply_space_override(load_spec_file(args.specfile), args.space)
 
 
+# Each space kind's certifier, given the spec and --gamma-max, and witness
+# builder, given the spec and its NotSPD certificate (None: no witness).  They
+# look the functions up when called, so a tracer that rebinds them sees them.
+_BY_KIND = {
+    "circle": (lambda spec, gmax: cert_mod.certify_circle(spec.support),
+               lambda spec, cert: gram_mod.witness_progression_circle(spec, cert.counterexample)),
+    "sphere": (lambda spec, gmax: cert_mod.certify_sphere(spec.support, spec.space.m),
+               lambda spec, cert: gram_mod.witness_parity_sphere(spec)),
+    "circle_sphere": (lambda spec, gmax: cert_mod.certify_circle_sphere(spec.support, spec.space.m, gmax),
+                      lambda spec, cert: gram_mod.witness_product(spec, cert)),
+    "circle_tph": (lambda spec, gmax: cert_mod.certify_circle_tph(spec.support, spec.space, gmax),
+                   lambda spec, cert: None),
+}
+
+
 def _run_certifier(sf: SpecFile, args) -> Certificate:
     spec = sf.spec
     method = getattr(args, "method", "auto")
-    gamma_max = getattr(args, "gamma_max", None)
     if method in ("sufficient-circle-outer", "sufficient-sphere-outer"):
-        if spec.space.kind != "circle_sphere":
+        if spec.space._axes != ("circle", "sphere"):
             raise SpecFileError("space", "the sufficient test needs a circle_sphere space")
         axis = "circle-outer" if method.endswith("circle-outer") else "sphere-outer"
         return cert_mod.sufficient_product(spec.support, spec.space.m, axis)
-    kind = spec.space.kind
-    if kind == "circle":
-        return cert_mod.certify_circle(spec.support)
-    if kind == "sphere":
-        return cert_mod.certify_sphere(spec.support, spec.space.m)
-    if kind == "circle_sphere":
-        return cert_mod.certify_circle_sphere(spec.support, spec.space.m, gamma_max)
-    return cert_mod.certify_circle_tph(spec.support, spec.space, gamma_max)
+    return _BY_KIND[spec.space.kind][0](spec, getattr(args, "gamma_max", None))
 
 
 def _cmd_certify(args) -> int:
@@ -492,20 +500,16 @@ def _cmd_eval(args) -> int:
 
 
 def _sample_points(spec: KernelSpec, n: int, seed: int):
-    kind = spec.space.kind
-    if kind == "circle_tph":
-        raise SpecFileError("space", "no geometric point model for circle_tph; gram unavailable")
+    circle, sphere = spec.space._axes
+    if not all(axis in gram_mod._POINT_CLASSES for axis in (circle, sphere) if axis):
+        raise SpecFileError("space", f"no geometric point model for {spec.space.kind}; gram unavailable")
     m = spec.space.m if spec.space.m is not None else 2
-    if kind == "circle":
-        # the circle angles are drawn first, so skipping the sphere draws
-        # leaves them as they were
-        return sample_config(m, n, 0, seed)[0]
-    # sphere points come from the stream after the circle draws, so a
-    # sphere spec still draws (and discards) the circle angles
-    xs, zs = sample_config(m, n, n, seed)
-    if kind == "sphere":
-        return zs
-    return list(zip(xs, zs))
+    # the circle angles are drawn first: a spec with no sphere slot skips the
+    # sphere draws, and one with no circle slot still draws (and drops) them
+    xs, zs = sample_config(m, n, n if sphere else 0, seed)
+    if not sphere:
+        return xs
+    return list(zip(xs, zs)) if circle else zs
 
 
 def _check_gram_flags(args) -> None:
@@ -562,14 +566,7 @@ def _cmd_witness(args) -> int:
         "witness": None,
     }
     if cert.verdict is Verdict.NOT_SPD:
-        wr = None
-        kind = spec.space.kind
-        if kind == "circle" and isinstance(cert.counterexample, ProgressionWitness):
-            wr = gram_mod.witness_progression_circle(spec, cert.counterexample)
-        elif kind == "sphere":
-            wr = gram_mod.witness_parity_sphere(spec)
-        elif kind == "circle_sphere":
-            wr = gram_mod.witness_product(spec, cert)
+        wr = _BY_KIND[spec.space.kind][1](spec, cert)
         if wr is not None:
             report["witness"] = _witness_report_to_dict(wr)
             line = f"witness kind={wr.kind} residual={wr.residual:.3e} scale={wr.scale:.3e}"
@@ -585,7 +582,7 @@ def _cmd_witness(args) -> int:
 def _cmd_crosscheck(args) -> int:
     sf = _load(args)
     spec = sf.spec
-    if spec.space.kind != "circle_sphere":
+    if spec.space._axes != ("circle", "sphere"):
         raise SpecFileError("space", "crosscheck needs a circle_sphere space")
     gamma_max = getattr(args, "gamma_max", None)
     first = cert_mod.certify_circle_sphere(spec.support, spec.space.m, gamma_max)

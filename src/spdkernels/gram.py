@@ -39,7 +39,6 @@ from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint
 # kernel_values stays bound here though gram contracts through _contract:
 # bench/spans.py traces the layer functions by the names each module holds
 from .kernels import CHUNK_PAIRS, KernelSpec, _contract, _rows, _slices, kernel_values  # noqa: F401
-from .orthopoly import circle_table, gegenbauer_table
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
@@ -92,35 +91,36 @@ class BlockCheck:
     scale: float
 
 
-def _sphere_array(points: Sequence[SpherePoint]) -> np.ndarray:
-    return np.array([p.coords for p in points])
+# The point class of each axis kind that has a point model.
+_POINT_CLASSES = {"circle": CirclePoint, "sphere": SpherePoint}
+
+
+def _point_classes(spec: KernelSpec) -> list:
+    """Each slot's point class, None for an empty slot; refused for an axis with no point model."""
+    axes = spec.space._axes
+    if not all(axis in _POINT_CLASSES for axis in axes if axis):
+        raise NotApplicableError("no geometric point model for projective-space products")
+    return [_POINT_CLASSES.get(axis) for axis in axes]
 
 
 def _split_points(spec: KernelSpec, points: Sequence) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Angles and/or coordinate arrays for the point sequence, type-checked."""
-    kind = spec.space.kind
-    if kind == "circle_tph":
-        raise NotApplicableError("no geometric point model for projective-space products")
+    """The angles of the circle slot's points and the coordinate array of the
+    sphere slot's, None for an empty slot; each point type-checked."""
+    classes = _point_classes(spec)
     if not points:
         raise ValueError("need at least one point")
-    if kind == "circle":
-        if not all(isinstance(p, CirclePoint) for p in points):
-            raise ValueError("circle specs take CirclePoint sequences")
-        return np.array([p.theta for p in points]), None
-    if kind == "sphere":
-        if not all(isinstance(p, SpherePoint) for p in points):
-            raise ValueError("sphere specs take SpherePoint sequences")
-        thetas, spheres = None, points
+    if spec.space.is_product:
+        if not all(isinstance(p, tuple) and len(p) == 2 and all(map(isinstance, p, classes)) for p in points):
+            raise ValueError(f"product specs take ({', '.join(c.__name__ for c in classes)}) pairs")
+        circle, sphere = zip(*points)
     else:
-        if not all(
-            isinstance(p, tuple) and len(p) == 2
-            and isinstance(p[0], CirclePoint) and isinstance(p[1], SpherePoint)
-            for p in points
-        ):
-            raise ValueError("product specs take (CirclePoint, SpherePoint) pairs")
-        thetas, spheres = np.array([x.theta for x, _ in points]), [z for _, z in points]
-    zs = _sphere_array(spheres)
-    if zs.shape[1] != spec.space.m + 1:
+        (cls,) = filter(None, classes)
+        if not all(isinstance(p, cls) for p in points):
+            raise ValueError(f"{spec.space.kind} specs take {cls.__name__} sequences")
+        circle, sphere = (points if cls else None for cls in classes)
+    thetas = None if circle is None else np.array([x.theta for x in circle])
+    zs = None if sphere is None else np.array([z.coords for z in sphere])
+    if zs is not None and zs.shape[1] != spec.space.m + 1:
         raise ValueError(f"points live on S^{zs.shape[1]-1}, spec wants S^{spec.space.m}")
     return thetas, zs
 
@@ -212,11 +212,7 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
         for i, j in _upper_triangle(n):
             upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
             t = None if thetas is None else np.cos(thetas[i] - thetas[j])
-            sij = None if zs is None else flat[upper]
-            if spec.space.is_product:
-                yield (upper, lower), t, sij
-            else:
-                yield (upper, lower), t if t is not None else sij, None
+            yield (upper, lower), t, None if zs is None else flat[upper]
 
     for (upper, lower), values in _contract(spec, chunks(), min(pairs, CHUNK_PAIRS)):
         flat[upper] = values
@@ -284,9 +280,9 @@ def per_degree_forms(
 def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.ndarray:
     """Layer f_degree(t_ij) P_degree(s_ij) of one sphere degree; the circle
     table is contracted with that degree's coefficient column only, and the
-    Gegenbauer table stops at the degree (enhanced sets are circle x sphere
-    points, so ``_split_points`` has refused every other space).  The n^2
-    pairs are walked CHUNK_PAIRS at a time through one table buffer."""
+    sphere slot's table stops at the degree (enhanced sets are circle x
+    sphere points, so ``_split_points`` has refused every other space).  The
+    n^2 pairs are walked CHUNK_PAIRS at a time through one table buffer."""
     thetas, zs = _split_points(spec, enhanced.points)
     t, s = _dot_matrices(thetas, zs)
     column = spec.coefficient_matrix[:, degree, None]
@@ -295,10 +291,10 @@ def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.nd
     # an elementwise product summed over rows treats every pair alike, so
     # equal arguments give equal values and the block identities stay exact
     for lo, tc, sc in _slices(t.ravel(), s.ravel()):
-        circ = circle_table(spec.kmax, tc, out=_rows(table, spec.kmax + 1, len(tc)))
+        circ = spec._axis_table(0, tc, out=_rows(table, spec.kmax + 1, len(tc)))
         circ *= column
         marg = circ.sum(axis=0)
-        sph = gegenbauer_table(degree, spec.space.m, sc, out=_rows(table, degree + 1, len(sc)))
+        sph = spec._axis_table(1, sc, out=_rows(table, degree + 1, len(sc)), cap=degree)
         layer[lo : lo + len(tc)] = marg * sph[degree]
     return layer.reshape(t.shape)
 
@@ -362,7 +358,7 @@ def _tensor_witness(kind: str, spec: KernelSpec, n: int, j: int, a: Optional[int
                 for mu in range(h)]
         zs = half + [z.antipode() for z in half]
         w = np.resize([1.0, -1.0], h)
-        points = tuple(zs) if spec.space.kind == "sphere" else tuple((x, z) for z in zs for x in xs)
+        points = tuple((x, z) for z in zs for x in xs) if spec.space._axes[0] else tuple(zs)
         c = np.kron(np.concatenate([w, -w if a % 2 else w]), d)
     residual = float(c @ gram_matrix(spec, points) @ c)
     return WitnessReport(kind, points, tuple(c), residual, spec.value_at_one * float(c @ c))
@@ -376,16 +372,12 @@ def witness_parity_sphere(spec: KernelSpec) -> WitnessReport:
     just above its largest declared degree D, past L or not; when both
     parities are finite, the one with the smaller a.  A parity-pure support
     keeps no degree: e0 and -e0 with c = (1, -1) (even support) or (1, 1)
-    (odd support).
+    (odd or empty support).
     """
-    kind = spec.space.kind
-    if kind == "circle_tph":
-        raise NotApplicableError("no geometric point model for projective-space products")
-    if kind == "circle":
-        raise NotApplicableError("no sphere axis on a circle spec")
+    if spec.space._axes[1] is None:
+        raise NotApplicableError(f"no sphere axis on a {spec.space.kind} spec")
+    _point_classes(spec)  # refuses an axis with no point model
     axis = spec.support.l_terms() if spec.space.is_product else spec.support.terms
-    if not axis:
-        raise NotApplicableError("empty sphere-axis support has no parity class")
     bounds = [a for p in ("even", "odd") if (a := _geodesic_bound(axis, p)) is not None]
     if not bounds:
         raise NotApplicableError("sphere-axis support has infinitely many degrees of each parity")
@@ -401,7 +393,7 @@ def witness_progression_circle(spec: KernelSpec, witness: ProgressionWitness) ->
     character sum vanish.  Circle x sphere refutations go to
     ``witness_product``.
     """
-    if spec.space.kind != "circle":
+    if spec.space._axes != ("circle", None):
         raise NotApplicableError("progression witnesses need a circle spec")
     if not witness_avoids_window(spec.support, witness):
         raise NotApplicableError(
@@ -420,7 +412,7 @@ def witness_product(spec: KernelSpec, certificate: Certificate) -> WitnessReport
     least a >= gamma, and a = p at gamma = 0.  The rule is re-checked on the
     terms, and a term it does not cancel is refused.
     """
-    if spec.space.kind != "circle_sphere":
+    if spec.space._axes != ("circle", "sphere"):
         raise NotApplicableError("product witnesses need a circle_sphere spec")
     if certificate.verdict is not Verdict.NOT_SPD:
         raise NotApplicableError("witness construction needs a NotSPD certificate")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -74,16 +74,31 @@ MAX_TRUNCATION_BOX = 1_000_000
 # the last bits of some values.
 CHUNK_PAIRS = 8_192
 
-# The parameters each space kind takes, in order, with their types.  A kind's
-# parameters are read here alone: by SpaceDescriptor, which refuses any other,
-# and by the spec codec and the --space grammar of the command line.
-_SPACE_PARAMS = {
-    "circle": {},
-    "sphere": {"m": int},
-    "circle_sphere": {"m": int},
-    "circle_tph": {"family": str, "d": int},
+
+class _Kind(NamedTuple):
+    params: dict  # parameter name -> type, in order
+    axes: tuple  # the axis kinds of the circle and the sphere slot, None when empty
+
+
+# Each space kind, read here alone: its parameters by SpaceDescriptor, the
+# spec codec and --space, its axes by the contraction, points and witnesses.
+# The circle slot reads kmax and r_k and takes CirclePoints by their angle,
+# the sphere slot lmax and r_l and SpherePoints by their dot products; tph,
+# the projective axis, has no point model.
+_SPACE_KINDS = {
+    "circle": _Kind({}, ("circle", None)),
+    "sphere": _Kind({"m": int}, (None, "sphere")),
+    "circle_sphere": _Kind({"m": int}, ("circle", "sphere")),
+    "circle_tph": _Kind({"family": str, "d": int}, ("circle", "tph")),
 }
-_PRODUCT_KINDS = ("circle_sphere", "circle_tph")
+
+# The polynomial table of each axis kind, degrees 0..cap at x, called by this
+# module's name for it (a tracer may rebind it).
+_AXIS_TABLES = {
+    "circle": lambda space, cap, x, out: circle_table(cap, x, out=out),
+    "sphere": lambda space, cap, x, out: gegenbauer_table(cap, space.m, x, out=out),
+    "tph": lambda space, cap, x, out: jacobi_table(cap, space.alpha, space.beta, x, out=out),
+}
 
 
 @dataclass(frozen=True)
@@ -96,11 +111,11 @@ class SpaceDescriptor:
     d: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _SPACE_PARAMS:
+        if self.kind not in _SPACE_KINDS:
             raise ValueError(
-                f"unknown space kind {self.kind!r}; expected one of {tuple(_SPACE_PARAMS)}"
+                f"unknown space kind {self.kind!r}; expected one of {tuple(_SPACE_KINDS)}"
             )
-        params = _SPACE_PARAMS[self.kind]
+        params = _SPACE_KINDS[self.kind].params
         for name in (f.name for f in fields(self)):
             if name != "kind" and name not in params and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} takes no parameter {name!r}")
@@ -115,19 +130,24 @@ class SpaceDescriptor:
             if self.d is None or not DIMENSION_RULES[self.family](self.d):
                 raise ValueError(f"invalid dimension d={self.d} for family {self.family!r}")
 
+    @cached_property
+    def _axes(self) -> tuple[Optional[str], Optional[str]]:
+        """The axis kinds in the circle slot and in the sphere slot, None when empty."""
+        return _SPACE_KINDS[self.kind].axes
+
     @property
     def is_product(self) -> bool:
-        return self.kind in _PRODUCT_KINDS
+        return None not in self._axes
 
     @property
     def alpha(self) -> float:
-        if self.kind != "circle_tph":
+        if self._axes[1] != "tph":
             raise NotApplicableError("alpha is defined for circle_tph spaces only")
         return (self.d - 2) / 2.0
 
     @property
     def beta(self) -> float:
-        if self.kind != "circle_tph":
+        if self._axes[1] != "tph":
             raise NotApplicableError("beta is defined for circle_tph spaces only")
         return BETA_BY_FAMILY[self.family]
 
@@ -218,26 +238,25 @@ class KernelSpec:
     def lmax(self) -> int:
         return self.truncation[1]
 
+    @cached_property
+    def _slots(self) -> tuple[int, ...]:
+        """The occupied slots: 0 for the circle slot, 1 for the sphere slot."""
+        return tuple(slot for slot, axis in enumerate(self.space._axes) if axis)
+
     @property
     def axis_cap(self) -> int:
         """Degree cap for single-space specs: kmax on the circle, lmax on spheres."""
-        return self.kmax if self.space.kind == "circle" else self.lmax
+        return self.truncation[self._slots[-1]]
 
     def _support_mask(self) -> np.ndarray:
-        """The effective support as booleans: shape (kmax+1, lmax+1) for
-        products, (cap+1,) for single spaces.  Each term marks one slice per
-        axis (a singleton's slice steps past the box), so overlapping terms
-        mark an index once."""
-        if self.space.is_product:
-            k_len, l_len = self.kmax + 1, self.lmax + 1
-            mask = np.zeros((k_len, l_len), dtype=bool)
-            for kt, lt in self.support.terms:
-                mask[kt.base :: kt.step or k_len, lt.base :: lt.step or l_len] = True
-            return mask
-        length = self.axis_cap + 1
-        mask = np.zeros(length, dtype=bool)
-        for t in self.support.terms:
-            mask[t.base :: t.step or length] = True
+        """The effective support as booleans, an axis of its slot's bound + 1
+        per occupied slot.  Each term marks one slice per axis (a singleton's
+        slice steps past the box), so overlapping terms mark an index once."""
+        shape = tuple(self.truncation[slot] + 1 for slot in self._slots)
+        mask = np.zeros(shape, dtype=bool)
+        for term in self.support.terms:
+            parts = term if self.space.is_product else (term,)
+            mask[tuple(slice(t.base, None, t.step or n) for t, n in zip(parts, shape))] = True
         return mask
 
     @cached_property
@@ -259,15 +278,16 @@ class KernelSpec:
                 scheme.r_k ** np.arange(k_len), scheme.r_l ** np.arange(l_len)
             )
             return np.where(mask, values, 0.0)
-        rate = scheme.r_k if self.space.kind == "circle" else scheme.r_l
+        rate = (scheme.r_k, scheme.r_l)[self._slots[-1]]
         return np.where(mask, [scheme.scale * rate**j for j in range(len(mask))], 0.0)
 
     @cached_property
-    def _product_factors(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """(U, V) with coefficient_matrix = U.T @ V, U of shape r x (kmax+1)
-        and V of shape r x (lmax+1); None stands for the identity.
+    def _factors(self) -> tuple[Optional[np.ndarray], ...]:
+        """One factor of r rows per occupied slot, None for the identity: the
+        row coefficient_matrix for a single space, and for a product (U, V)
+        with coefficient_matrix = U.T @ V, U r x (kmax+1), V r x (lmax+1).
 
-        A coefficient is a scheme value on the support's mask, and the
+        A product coefficient is a scheme value on the support's mask, and the
         geometric value scale * r_k**k * r_l**l splits over the axes, so the
         k-rows fall in r groups, one per distinct nonzero l-mask: group g
         puts scale * r_k**k on its rows in U and r_l**l on its l-mask in V
@@ -280,6 +300,8 @@ class KernelSpec:
         costs no more than a dense contraction: (K + 1)(L + 1) products and
         L + 1 row passes.
         """
+        if not self.space.is_product:
+            return (self.coefficient_matrix[None],)
         mask = self._support_mask()
         k_len, l_len = mask.shape
         rows = mask.view(f"V{l_len}")[:, 0]  # one l-mask a row
@@ -302,17 +324,20 @@ class KernelSpec:
     @cached_property
     def is_effectively_empty(self) -> bool:
         if self.space.is_product:
-            _, v = self._product_factors
+            _, v = self._factors
             return v is not None and len(v) == 0  # the dense route is never empty
         return not np.any(self.coefficient_matrix > 0)
 
+    def _axis_table(self, slot: int, x: np.ndarray, out=None, cap: Optional[int] = None) -> np.ndarray:
+        """The table of a slot's axis at x, degrees 0 to cap (the slot's bound by default)."""
+        cap = self.truncation[slot] if cap is None else cap
+        return _AXIS_TABLES[self.space._axes[slot]](self.space, cap, x, out)
+
     def sphere_axis_table(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Zonal polynomial values on the second axis, all degrees up to lmax."""
-        if self.space.kind == "circle_sphere":
-            return gegenbauer_table(self.lmax, self.space.m, s, out=out)
-        if self.space.kind == "circle_tph":
-            return jacobi_table(self.lmax, self.space.alpha, self.space.beta, s, out=out)
-        raise NotApplicableError("sphere-axis table is defined for product specs only")
+        if not self.space.is_product:
+            raise NotApplicableError("sphere-axis table is defined for product specs only")
+        return self._axis_table(1, s, out)
 
     @cached_property
     def value_at_one(self) -> float:
@@ -334,7 +359,7 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     The pairs are contracted CHUNK_PAIRS at a time in one workspace that is
     allocated once and refilled for every slice, so memory follows the
     chunk and the degrees, O(CHUNK_PAIRS * (max(K, L) + 2r)) entries for r
-    factor rows (``KernelSpec._product_factors``), not the number of pairs.
+    factor rows (``KernelSpec._factors``), not the number of pairs.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -347,16 +372,17 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
         raise ValueError("single spaces take one argument; drop s")
     _warn_if_empty(spec)
     out = np.empty(t.shape)
-    for lo, values in _contract(spec, _slices(t, s), min(len(t), CHUNK_PAIRS)):
+    args = (t, s) if spec.space._axes[0] else (None, t)  # a sphere's one argument is its slot's
+    for lo, values in _contract(spec, _slices(*args), min(len(t), CHUNK_PAIRS)):
         out[lo : lo + len(values)] = values
     return out
 
 
-def _slices(t: np.ndarray, s: Optional[np.ndarray]):
-    """(offset, t, s) for consecutive CHUNK_PAIRS slices of the arguments."""
-    for lo in range(0, len(t), CHUNK_PAIRS):
+def _slices(t: Optional[np.ndarray], s: Optional[np.ndarray]):
+    """(offset, t, s) for consecutive CHUNK_PAIRS slices of the arguments; None stays None."""
+    for lo in range(0, len(s if t is None else t), CHUNK_PAIRS):
         hi = lo + CHUNK_PAIRS
-        yield lo, t[lo:hi], None if s is None else s[lo:hi]
+        yield lo, None if t is None else t[lo:hi], None if s is None else s[lo:hi]
 
 
 def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -365,60 +391,42 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
 
 
 def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
-    """Contract each (key, t, s) slice of ``chunks`` (s is None for single
-    spaces), none wider than ``width`` pairs, and yield (key, values).
+    """Contract each (key, t, s) slice of ``chunks``, t the circle slot's and
+    s the sphere slot's arguments (None for an empty slot), none wider than
+    ``width`` pairs, and yield (key, values).
 
-    The buffers are allocated once here and refilled for every slice.  A
-    product spec contracts through its factors A = U.T @ V: a = U @ circle
-    and b = V @ P, for the sphere-axis table P, take r rows each, and the
-    values are sum_g a_g b_g.  One (max(K, L) + 1) x width buffer holds the
-    circle table and then P.  A side whose factor is the identity is its
-    table itself, so when U is, P comes first and leaves the buffer once b
-    has read it.  With ``layers``, a product spec yields the (L + 1) x width
-    products (V.T @ a) * P instead.  What a slice yields is overwritten by
-    the next one.
+    Each occupied slot contracts its factor (``KernelSpec._factors``) with
+    its axis table, r rows, and the values sum the rows' products: one row
+    for a single space, sum_g a_g b_g with a = U @ circle and b = V @ P for
+    a product A = U.T @ V.  One buffer holds each table in turn, so a slot
+    whose factor is the identity, its table itself, goes last.  With
+    ``layers``, a product spec yields the (L + 1) x width products
+    (V.T @ a) * P instead.  The buffers are allocated once and refilled, so
+    what a slice yields is overwritten by the next one.
     """
-    if not spec.space.is_product:
-        cap = spec.axis_cap
-        table = np.empty((cap + 1) * width)
-        for key, t, _ in chunks:
-            rows = _rows(table, cap + 1, len(t))
-            if spec.space.kind == "circle":
-                circle_table(cap, t, out=rows)
-            else:
-                gegenbauer_table(cap, spec.space.m, t, out=rows)
-            yield key, spec.coefficient_matrix @ rows
-        return
-    kmax, lmax = spec.truncation
-    u, v = spec._product_factors
-    r = len(v if u is None else u)
-    table = np.empty((max(kmax, lmax) + 1) * width)
-    left = None if u is None else np.empty(r * width)
-    right = None if v is None else np.empty((lmax + 1 if layers else r) * width)
+    factors = dict(zip(spec._slots, spec._factors))
+    order = sorted(factors, key=lambda slot: factors[slot] is None)  # the identity last
+    r = len(factors[order[0]])
+    table = np.empty((max(spec.truncation[slot] for slot in order) + 1) * width)
+    products = {slot: np.empty((spec.lmax + 1 if layers and slot else r) * width)
+                for slot in order if factors[slot] is not None}  # layers: V.T @ a, L + 1 rows
 
-    def circle_side(t):
-        circ = circle_table(kmax, t, out=_rows(table, kmax + 1, len(t)))
-        return circ if u is None else np.matmul(u, circ, out=_rows(left, r, len(t)))
+    def side(slot, x):
+        rows = spec._axis_table(slot, x, out=_rows(table, spec.truncation[slot] + 1, len(x)))
+        f = factors[slot]
+        return rows if f is None else np.matmul(f, rows, out=_rows(products[slot], len(f), len(x)))
 
-    def sphere_side(s):
-        sph = spec.sphere_axis_table(s, out=_rows(table, lmax + 1, len(s)))
-        return sph if v is None else np.matmul(v, sph, out=_rows(right, r, len(s)))
-
-    for key, t, s in chunks:
+    for key, *args in chunks:
         if layers:
-            a = circle_side(t)
-            if v is not None:
-                a = np.matmul(v.T, a, out=_rows(right, lmax + 1, len(t)))
-            a *= spec.sphere_axis_table(s, out=_rows(table, lmax + 1, len(s)))
+            a = side(0, args[0])
+            if factors[1] is not None:
+                a = np.matmul(factors[1].T, a, out=_rows(products[1], spec.lmax + 1, a.shape[1]))
+            a *= spec._axis_table(1, args[1], out=_rows(table, spec.lmax + 1, a.shape[1]))
             yield key, a
             continue
-        if u is None:  # a is the table itself, so b goes first
-            b = sphere_side(s)
-            a = circle_side(t)
-        else:
-            a = circle_side(t)
-            b = sphere_side(s)
-        a *= b
+        a = side(order[0], args[order[0]])
+        for slot in order[1:]:
+            a *= side(slot, args[slot])
         yield key, a[0] if r == 1 else a.sum(axis=0)
 
 

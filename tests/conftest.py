@@ -282,7 +282,7 @@ def gamma_parity_members(support2d, gamma, parity, kmax=200, lmax=200):
 
 
 # ---------------------------------------------------------------------------
-# space kinds: valid parameters for each kind of kernels._SPACE_PARAMS, in
+# space kinds: valid parameters for each kind of kernels._SPACE_KINDS, in
 # the table's order (test_kernels checks that the two name the same kinds)
 # ---------------------------------------------------------------------------
 

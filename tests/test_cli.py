@@ -17,7 +17,7 @@ from spdkernels.cli import (
     parse_spec_dict,
     spec_file_to_dict,
 )
-from spdkernels.kernels import _SPACE_PARAMS
+from spdkernels.kernels import _SPACE_KINDS
 
 FULL_PRODUCT = {
     "space": {"kind": "circle_sphere", "m": 2},
@@ -110,20 +110,20 @@ def _spec_for(kind):
     return dict(FULL_PRODUCT, space=space, support=[{"type": "prog", "base": 1, "step": 2}])
 
 
-@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+@pytest.mark.parametrize("kind", list(_SPACE_KINDS))
 def test_every_space_kind_round_trips_through_a_spec_file(tmp_path, kind):
     data = _spec_for(kind)
     sf = load_spec_file(write_spec(tmp_path, data))
     assert sf.spec.space == SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
     written = spec_file_to_dict(sf)
     assert written == data
-    assert list(written["space"]) == ["kind", *_SPACE_PARAMS[kind]]
+    assert list(written["space"]) == ["kind", *_SPACE_KINDS[kind].params]
 
 
 SPACE_GRAMMAR = "use circle, sphere:M, circle_sphere:M or circle_tph:FAMILY:D"
 
 
-@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+@pytest.mark.parametrize("kind", list(_SPACE_KINDS))
 def test_space_flag_takes_one_argument_per_parameter(tmp_path, capsys, kind):
     flag = ":".join([kind, *map(str, SPACE_EXAMPLES[kind].values())])
     space = SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
@@ -140,6 +140,127 @@ def test_space_flag_takes_one_argument_per_parameter(tmp_path, capsys, kind):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"spec error: --space: cannot parse {text!r}; {SPACE_GRAMMAR}\n"
+
+
+# Each kind's example spec (``_spec_for``), the same spec with the support
+# of the other verdict, and with no support, through certify, eval,
+# gram --points 6 and witness: the exit code and the line printed, on
+# stdout (stderr for an exit of 64).  Eval lines are numbers, compared to
+# round-off; a witness residual of round-off size is written "~".
+KIND_SUPPORTS = {
+    "flipped": {
+        False: [{"type": "prog", "base": 0, "step": 1}],
+        True: [{"k": {"type": "prog", "base": 0, "step": 2}, "l": {"type": "prog", "base": 0, "step": 1}}],
+    },
+    "empty": {False: [], True: []},
+}
+NO_TPH_POINTS = (64, "spec error: space: no geometric point model for circle_tph; gram unavailable")
+SPD_WITNESS = (0, "SPD: no degeneracy witness to build")
+KIND_COMMANDS = {
+    ("circle", "example"): {
+        "certify": (1, "NotSPD (circle-residue-classes): missed residue class 0 mod 2"),
+        "eval": (0, 0.3080485606686151),
+        "gram": (0, "lambda_min = 7.311792e-03 (PD at tol 1e-10)"),
+        "witness": (1, "witness kind=progression residual=0.000e+00 scale=5.868e+00"),
+    },
+    ("circle", "flipped"): {
+        "certify": (0, "SPD (circle-residue-classes)"),
+        "eval": (0, 0.7626059604494098),
+        "gram": (0, "lambda_min = 2.522974e-02 (PD at tol 1e-10)"),
+        "witness": SPD_WITNESS,
+    },
+    ("circle", "empty"): {
+        "certify": (1, "NotSPD (circle-residue-classes): missed residue class 0 mod 1"),
+        "eval": (0, 0.0),
+        "gram": (1, "lambda_min = 0.000000e+00 (not PD at tol 1e-10)"),
+        "witness": (1, "witness kind=progression residual=0.000e+00 scale=0.000e+00"),
+    },
+    ("sphere", "example"): {
+        "certify": (1, "NotSPD (sphere-parity-count): only finitely many even degrees"),
+        "eval": (0, 0.17969236735822458),
+        "gram": (0, "lambda_min = 3.506525e+01 (PD at tol 1e-10)"),
+        "witness": (1, "witness kind=parity residual=0.000e+00 scale=8.345e+01"),
+    },
+    ("sphere", "flipped"): {
+        "certify": (0, "SPD (sphere-parity-count)"),
+        "eval": (0, 0.8056707971984046),
+        "gram": (0, "lambda_min = 7.069461e+01 (PD at tol 1e-10)"),
+        "witness": SPD_WITNESS,
+    },
+    ("sphere", "empty"): {
+        "certify": (1, "NotSPD (sphere-parity-count): only finitely many even degrees"),
+        "eval": (0, 0.0),
+        "gram": (1, "lambda_min = 0.000000e+00 (not PD at tol 1e-10)"),
+        "witness": (1, "witness kind=parity residual=0.000e+00 scale=0.000e+00"),
+    },
+    ("circle_sphere", "example"): {
+        "certify": (0, "SPD (product-parity-tail-sets)"),
+        "eval": (0, 0.6309248922657659),
+        "gram": (0, "lambda_min = 5.051147e+01 (PD at tol 1e-10)"),
+        "witness": SPD_WITNESS,
+    },
+    ("circle_sphere", "flipped"): {
+        "certify": (1, "NotSPD (product-parity-tail-sets): gamma=0 odd-set misses class 1 mod 2"),
+        "eval": (0, 0.3760678428428437),
+        "gram": (0, "lambda_min = 2.107906e+01 (PD at tol 1e-10)"),
+        "witness": (1, "witness kind=composed residual=~ scale=1.020e+02"),
+    },
+    ("circle_sphere", "empty"): {
+        "certify": (1, "NotSPD (product-parity-tail-sets): gamma=0 odd-set empty"),
+        "eval": (0, 0.0),
+        "gram": (1, "lambda_min = 0.000000e+00 (not PD at tol 1e-10)"),
+        "witness": (1, "witness kind=composed residual=0.000e+00 scale=0.000e+00"),
+    },
+    ("circle_tph", "example"): {
+        "certify": (0, "SPD (tph-tail-sets)"),
+        "eval": (0, 1.4867037632476847),
+        "gram": NO_TPH_POINTS,
+        "witness": SPD_WITNESS,
+    },
+    ("circle_tph", "flipped"): {
+        "certify": (1, "NotSPD (tph-tail-sets): gamma=0 any-set misses class 1 mod 2"),
+        "eval": (0, 0.8861617033099768),
+        "gram": NO_TPH_POINTS,
+        "witness": (1, "no witness generator applies to this space"),
+    },
+    ("circle_tph", "empty"): {
+        "certify": (1, "NotSPD (tph-tail-sets): gamma=0 any-set empty"),
+        "eval": (0, 0.0),
+        "gram": NO_TPH_POINTS,
+        "witness": (1, "no witness generator applies to this space"),
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore:degenerate kernel spec")
+@pytest.mark.parametrize("support", ["example", "flipped", "empty"])
+@pytest.mark.parametrize("kind", list(SPACE_EXAMPLES))
+def test_every_space_kind_through_every_command(tmp_path, capsys, kind, support):
+    data = _spec_for(kind)
+    product = SpaceDescriptor(**data["space"]).is_product
+    if support != "example":
+        data = dict(data, support=KIND_SUPPORTS[support][product])
+    path = write_spec(tmp_path, data)
+    argvs = {
+        "certify": ["certify", path],
+        "eval": ["eval", path, "--t", "0.3", *(["--s", "0.2"] if product else [])],
+        "gram": ["gram", path, "--points", "6"],
+        "witness": ["witness", path],
+    }
+    for command, (code, line) in KIND_COMMANDS[kind, support].items():
+        assert main(argvs[command]) == code, command
+        captured = capsys.readouterr()
+        out, quiet = (captured.err, captured.out) if code == 64 else (captured.out, captured.err)
+        assert quiet == "", command
+        if command == "eval":
+            assert float(out) == pytest.approx(line, rel=1e-13, abs=0.0)
+        elif "residual=~" in line:
+            prefix, rest = line.split("~")
+            assert out.startswith(prefix) and out.endswith(rest + "\n"), out
+            residual, scale = out[len(prefix) : -len(rest) - 1], float(rest.split("=")[1])
+            assert abs(float(residual)) <= 1e-10 * scale
+        else:
+            assert out == line + "\n", command
 
 
 @pytest.mark.parametrize(

@@ -329,7 +329,8 @@ def test_parity_witness_on_product():
     assert float(c @ a @ c) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_parity_witness_serves_mixed_support_and_refuses_empty():
+@pytest.mark.filterwarnings("ignore:degenerate kernel spec")
+def test_parity_witness_serves_mixed_and_empty_supports():
     # evens plus {3}: finitely many odd degrees, so the geodesic factor a = 5,
     # 10 great-circle points, cancels the odd layer 3 and every even one
     spec = KernelSpec(
@@ -340,9 +341,13 @@ def test_parity_witness_serves_mixed_support_and_refuses_empty():
     assert abs(w.residual) <= 1e-10 * w.scale
     c = np.array(w.coefficients)
     assert float(c @ gram_matrix(spec, list(w.points)) @ c) == pytest.approx(w.residual, abs=1e-12 * w.scale)
+    # an empty support keeps no degree of either parity: a = 0, so e0 and -e0
+    # weighted (1, 1), as for an odd support
     empty = KernelSpec(sphere_space(2), SupportSet1D(()), geometric_scheme(), (0, 40))
-    with pytest.raises(NotApplicableError, match="empty sphere-axis support has no parity class"):
-        witness_parity_sphere(empty)
+    w = witness_parity_sphere(empty)
+    assert w.kind == "parity" and w.coefficients == (1.0, 1.0)
+    assert w.points == (SpherePoint((1.0, 0.0, 0.0)), SpherePoint((-1.0, -0.0, -0.0)))
+    assert w.residual == 0.0 and w.scale == 0.0
 
 
 def test_parity_witness_refuses_both_parities_infinite():

@@ -31,7 +31,7 @@ from spdkernels import (
     sphere_space,
 )
 from spdkernels.cli import _support_from_list
-from spdkernels.kernels import _SPACE_PARAMS, CHUNK_PAIRS
+from spdkernels.kernels import _SPACE_KINDS, CHUNK_PAIRS
 from spdkernels.orthopoly import circle_table, gegenbauer_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
@@ -75,18 +75,18 @@ def test_tph_dimension_rules():
 
 def test_space_examples_follow_the_table():
     assert {kind: list(params) for kind, params in SPACE_EXAMPLES.items()} == {
-        kind: list(params) for kind, params in _SPACE_PARAMS.items()
+        kind: list(row.params) for kind, row in _SPACE_KINDS.items()
     }
-    for kind, params in _SPACE_PARAMS.items():
+    for kind, row in _SPACE_KINDS.items():
         space = SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
-        assert all(type(getattr(space, name)) is typ for name, typ in params.items())
+        assert all(type(getattr(space, name)) is typ for name, typ in row.params.items())
 
 
 # a valid value for each parameter of some kind
 ANY_PARAMETER = {"m": 3, "family": "real_proj", "d": 4}
 
 
-@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+@pytest.mark.parametrize("kind", list(_SPACE_KINDS))
 def test_space_refuses_parameters_its_kind_does_not_take(kind):
     params = SPACE_EXAMPLES[kind]
     others = [name for name in ANY_PARAMETER if name not in params]
@@ -96,7 +96,7 @@ def test_space_refuses_parameters_its_kind_does_not_take(kind):
             SpaceDescriptor(kind, **params, **{name: ANY_PARAMETER[name]})
 
 
-@pytest.mark.parametrize("kind", list(_SPACE_PARAMS))
+@pytest.mark.parametrize("kind", list(_SPACE_KINDS))
 def test_space_refuses_a_missing_parameter(kind):
     params = SPACE_EXAMPLES[kind]
     for name in params:
@@ -240,7 +240,7 @@ def assert_factors_rebuild_the_coefficients(spec):
     """U.T @ V has the pattern of coefficient_matrix and its values within
     2 eps relative; r is the number of distinct nonzero l-masks, unless r
     factor rows would cost as much as the dense product (U is None)."""
-    u, v = spec._product_factors
+    u, v = spec._factors
     a = spec.coefficient_matrix
     product = v if u is None else u.T if v is None else u.T @ v
     assert np.array_equal(product != 0, a != 0)
