@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -703,17 +704,23 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except SpecFileError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except (NotApplicableError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except (NumericalError, SamplingError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # the library warns through ``warnings``, whose default display names
+    # the source file and line; the command line prints each message once
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _COMMANDS[args.command](args)
+        except SpecFileError as exc:
+            print(f"spec error: {exc}", file=sys.stderr)
+            return EXIT_SPEC_ERROR
+        except (NotApplicableError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SPEC_ERROR
+        except (NumericalError, SamplingError, np.linalg.LinAlgError) as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -214,7 +214,7 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
             t = None if thetas is None else np.cos(thetas[i] - thetas[j])
             yield (upper, lower), t, None if zs is None else flat[upper]
 
-    for (upper, lower), values in _contract(spec, chunks(), min(pairs, CHUNK_PAIRS)):
+    for (upper, lower), values in _contract(spec, chunks(), pairs):
         flat[upper] = values
         flat[lower] = values
     return a
@@ -272,7 +272,7 @@ def per_degree_forms(
             yield w, np.cos(thetas[i] - thetas[j]), flat[i * n + j]
 
     layers = np.zeros(spec.lmax + 1)
-    for w, products in _contract(spec, chunks(), min(n * (n + 1) // 2, CHUNK_PAIRS), layers=True):
+    for w, products in _contract(spec, chunks(), n * (n + 1) // 2, layers=True):
         layers += products @ w
     return float(layers.sum()), layers
 

@@ -17,12 +17,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import NotApplicableError
-from .orthopoly import MAX_DEGREE, circle_table, gegenbauer_table, jacobi_table
+from .orthopoly import (
+    MAX_DEGREE,
+    _gegenbauer_on_chebyshev,
+    chebyshev_table,
+    circle_table,
+    gegenbauer_table,
+    jacobi_table,
+)
 from .supportsets import SupportSet1D, SupportSet2D
 
 __all__ = [
@@ -67,11 +74,12 @@ DEFAULT_TRUNCATION = (60, 60)
 MAX_TRUNCATION_BOX = 1_000_000
 
 # Argument pairs per contraction slice: at K = L = 60 the workspace of one
-# product contraction, a 61-row table and 2r rows for the factors' products,
-# takes (61 + 2r) x 8192 x 8 bytes: 4.1 MB at r = 1, and about 8 MB on the
-# dense route (a table and min(K, L) + 1 rows).  BLAS may round a few columns of a
-# slice differently at another slice width, so a new value here can move
-# the last bits of some values.
+# product contraction, a 61-row table (family or Chebyshev rows) and 2r
+# rows for the factors' products, takes (61 + 2r) x 8192 x 8 bytes: 4.1 MB
+# at r = 1, and about 8 MB on the dense route (a table and min(K, L) + 1
+# rows).  BLAS may round a few columns of a slice differently at another
+# slice width, so a new value here can move the last bits of some values;
+# whether a slot folds follows the call's pair count, not the slice.
 CHUNK_PAIRS = 8_192
 
 
@@ -92,12 +100,35 @@ _SPACE_KINDS = {
     "circle_tph": _Kind({"family": str, "d": int}, ("circle", "tph")),
 }
 
-# The polynomial table of each axis kind, degrees 0..cap at x, called by this
-# module's name for it (a tracer may rebind it).
+class _Axis(NamedTuple):
+    table: Callable  # (space, cap, x, out) -> the family's rows, degrees 0..cap at x
+    fold: Optional[Callable]  # (space, f) -> f re-expressed on T_0..T_cap; None: no fold
+    pays: Optional[Callable]  # (r, cap, pairs) -> whether one fold of r rows costs
+                              # fewer products than the passes it saves over the pairs
+
+
+# Each axis kind: its family table, called by this module's name for it (a
+# tracer may rebind it), and how a factor on that table maps onto the
+# Chebyshev rows T_k that ``chebyshev_table`` makes in two passes a degree.
 _AXIS_TABLES = {
-    "circle": lambda space, cap, x, out: circle_table(cap, x, out=out),
-    "sphere": lambda space, cap, x, out: gegenbauer_table(cap, space.m, x, out=out),
-    "tph": lambda space, cap, x, out: jacobi_table(cap, space.alpha, space.beta, x, out=out),
+    # circle row k is (2/k) T_k: the fold scales a factor once, r (K + 1)
+    # products, and saves the 2/k pass, K products a pair
+    "circle": _Axis(
+        lambda space, cap, x, out: circle_table(cap, x, out=out),
+        lambda space, f: f * np.r_[1.0, 2.0 / np.arange(1, f.shape[-1])],
+        lambda r, cap, pairs: r * (cap + 1) < cap * pairs,
+    ),
+    # Gegenbauer rows are cosine sums (Szego, (4.9.19)): the fold takes about
+    # r L^2 / 2 products and saves four of the six passes a degree, 4 L a pair
+    "sphere": _Axis(
+        lambda space, cap, x, out: gegenbauer_table(cap, space.m, x, out=out),
+        lambda space, f: _gegenbauer_on_chebyshev(f, space.m),
+        lambda r, cap, pairs: r * cap * cap < 8 * cap * pairs,
+    ),
+    # no closed form of the Jacobi rows on T_k here, and no Gram route
+    "tph": _Axis(
+        lambda space, cap, x, out: jacobi_table(cap, space.alpha, space.beta, x, out=out), None, None
+    ),
 }
 
 
@@ -298,7 +329,9 @@ class KernelSpec:
         product: then the axis with fewer degrees takes the identity and the
         other coefficient_matrix (U = I when K <= L).  Either way a slice
         costs no more than a dense contraction: (K + 1)(L + 1) products and
-        L + 1 row passes.
+        L + 1 row passes.  These factors act on the family tables; a call
+        that folds a slot takes its factor on the Chebyshev rows instead
+        (``_folded``), and the identity is never folded.
         """
         if not self.space.is_product:
             return (self.coefficient_matrix[None],)
@@ -331,7 +364,32 @@ class KernelSpec:
     def _axis_table(self, slot: int, x: np.ndarray, out=None, cap: Optional[int] = None) -> np.ndarray:
         """The table of a slot's axis at x, degrees 0 to cap (the slot's bound by default)."""
         cap = self.truncation[slot] if cap is None else cap
-        return _AXIS_TABLES[self.space._axes[slot]](self.space, cap, x, out)
+        return _AXIS_TABLES[self.space._axes[slot]].table(self.space, cap, x, out)
+
+    def _folds(self, slot: int, pairs: int) -> bool:
+        """Whether a contraction of ``pairs`` pairs takes the slot's factor
+        folded onto the Chebyshev rows: its axis has a fold, the factor is no
+        identity, and the one-off fold costs less than the passes it saves."""
+        axis = _AXIS_TABLES[self.space._axes[slot]]
+        f = self._slot_factors[slot]
+        return axis.fold is not None and f is not None and axis.pays(len(f), self.truncation[slot], pairs)
+
+    def _folded(self, slot: int) -> np.ndarray:
+        """The slot's factor on T_0..T_cap, computed on the first call that folds it."""
+        folded = self._chebyshev_factors
+        if slot not in folded:
+            folded[slot] = _AXIS_TABLES[self.space._axes[slot]].fold(self.space, self._slot_factors[slot])
+        return folded[slot]
+
+    @cached_property
+    def _slot_factors(self) -> dict[int, Optional[np.ndarray]]:
+        """``_factors`` by occupied slot."""
+        return dict(zip(self._slots, self._factors))
+
+    @cached_property
+    def _chebyshev_factors(self) -> dict[int, np.ndarray]:
+        """The folded factors made so far, by slot (filled by ``_folded``)."""
+        return {}
 
     def sphere_axis_table(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Zonal polynomial values on the second axis, all degrees up to lmax."""
@@ -373,7 +431,7 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     _warn_if_empty(spec)
     out = np.empty(t.shape)
     args = (t, s) if spec.space._axes[0] else (None, t)  # a sphere's one argument is its slot's
-    for lo, values in _contract(spec, _slices(*args), min(len(t), CHUNK_PAIRS)):
+    for lo, values in _contract(spec, _slices(*args), len(t)):
         out[lo : lo + len(values)] = values
     return out
 
@@ -390,21 +448,27 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[: rows * width].reshape(rows, width)
 
 
-def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
+def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False):
     """Contract each (key, t, s) slice of ``chunks``, t the circle slot's and
-    s the sphere slot's arguments (None for an empty slot), none wider than
-    ``width`` pairs, and yield (key, values).
+    s the sphere slot's arguments (None for an empty slot), ``pairs`` pairs
+    in all and none wider than CHUNK_PAIRS, and yield (key, values).
 
     Each occupied slot contracts its factor (``KernelSpec._factors``) with
     its axis table, r rows, and the values sum the rows' products: one row
     for a single space, sum_g a_g b_g with a = U @ circle and b = V @ P for
-    a product A = U.T @ V.  One buffer holds each table in turn, so a slot
-    whose factor is the identity, its table itself, goes last.  With
-    ``layers``, a product spec yields the (L + 1) x width products
-    (V.T @ a) * P instead.  The buffers are allocated once and refilled, so
-    what a slice yields is overwritten by the next one.
+    a product A = U.T @ V.  Where the fold pays for this many pairs
+    (``KernelSpec._folds``), a slot tabulates the Chebyshev rows and takes
+    its factor folded onto them; an identity factor keeps its family table.
+    One buffer holds each table in turn, so a slot whose factor is the
+    identity, its table itself, goes last.  With ``layers``, a product spec
+    yields the (L + 1) x width products (V.T @ a) * P instead, over the
+    family tables, which give each degree apart.  The buffers are allocated
+    once and refilled, so what a slice yields is overwritten by the next one.
     """
-    factors = dict(zip(spec._slots, spec._factors))
+    width = min(pairs, CHUNK_PAIRS)
+    factors = dict(spec._slot_factors)
+    folded = [] if layers else [slot for slot in factors if spec._folds(slot, pairs)]
+    factors.update((slot, spec._folded(slot)) for slot in folded)
     order = sorted(factors, key=lambda slot: factors[slot] is None)  # the identity last
     r = len(factors[order[0]])
     table = np.empty((max(spec.truncation[slot] for slot in order) + 1) * width)
@@ -412,7 +476,9 @@ def _contract(spec: KernelSpec, chunks, width: int, layers: bool = False):
                 for slot in order if factors[slot] is not None}  # layers: V.T @ a, L + 1 rows
 
     def side(slot, x):
-        rows = spec._axis_table(slot, x, out=_rows(table, spec.truncation[slot] + 1, len(x)))
+        cap = spec.truncation[slot]
+        out = _rows(table, cap + 1, len(x))
+        rows = chebyshev_table(cap, x, out=out) if slot in folded else spec._axis_table(slot, x, out=out)
         f = factors[slot]
         return rows if f is None else np.matmul(f, rows, out=_rows(products[slot], len(f), len(x)))
 

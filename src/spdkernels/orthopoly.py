@@ -1,10 +1,14 @@
 """Zonal polynomial families for isotropic kernel expansions.
 
-Three families on [-1, 1], each tabulated for every degree up to a cap by a
+Four tables on [-1, 1], each tabulated for every degree up to a cap by a
 three-term recurrence, one row per degree and one column per argument:
 
-* ``circle_table``: 1 for degree 0 and (2/k) cos(k arccos t) for degree
-  k >= 1, computed through the Chebyshev recurrence rather than arccos;
+* ``chebyshev_table``: T_k = cos(k arccos t), computed through the
+  Chebyshev recurrence T_k = 2t T_{k-1} - T_{k-2} rather than arccos, two
+  passes a degree;
+* ``circle_table``: the circle family, 1 for degree 0 and (2/k) T_k for
+  degree k >= 1: ``chebyshev_table`` and one closing pass that scales row k
+  by 2/k;
 * ``gegenbauer_table``: ultraspherical polynomials attached to the parameter
   (m - 1)/2 for the sphere S^m, m >= 2, normalized so the value at t = 1
   equals binom(n + m - 2, n);
@@ -19,7 +23,11 @@ The Gegenbauer recurrence is run on values divided by the value at 1,
 
 which keeps every intermediate inside [-1, 1]; the unnormalized value is
 recovered by scaling each row with an incrementally built binomial factor
-(no factorials).
+(no factorials).  That takes five passes a degree and a sixth to scale.
+A sum over Gegenbauer rows is also a sum over Chebyshev rows (Szego,
+(4.9.19)), and ``_gegenbauer_on_chebyshev`` rewrites its coefficients so,
+which lets a kernel contraction tabulate T_k alone on circle and sphere
+axes.
 Degrees are capped at MAX_DEGREE so everything stays in double precision.
 Each table is written into ``out`` when one is given: the kernel
 contraction passes views of one reused workspace, so that a Gram matrix
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MAX_DEGREE", "circle_table", "gegenbauer_table", "jacobi_table"]
+__all__ = ["MAX_DEGREE", "chebyshev_table", "circle_table", "gegenbauer_table", "jacobi_table"]
 
 MAX_DEGREE = 10_000
 _ARG_TOL = 1e-12
@@ -75,23 +83,28 @@ def _table_out(rows: int, x: np.ndarray, out) -> np.ndarray:
     return out
 
 
-def circle_table(kmax: int, t, out=None) -> np.ndarray:
-    """Values of the circle family for all degrees 0..kmax, shape (kmax+1, len(t))."""
+def chebyshev_table(kmax: int, t, out=None) -> np.ndarray:
+    """Chebyshev values T_k(t) = cos(k arccos t) for degrees 0..kmax, shape (kmax+1, len(t))."""
     kmax = _checked_degree(kmax)
     x = _checked_argument(t)
     out = _table_out(kmax + 1, x, out)
     out[0] = 1.0
     if kmax == 0:
         return out
-    # rows 1..kmax hold cos(k arccos t), each written in place from the two
-    # rows before it, until the closing scale by 2/k
+    # each row written in place from the two rows before it
     two_x = 2.0 * x
     out[1] = x
     for k in range(2, kmax + 1):
         row = out[k]
         np.multiply(two_x, out[k - 1], out=row)
         np.subtract(row, out[k - 2], out=row)
-    out[1:] *= (2.0 / np.arange(1, kmax + 1))[:, None]
+    return out
+
+
+def circle_table(kmax: int, t, out=None) -> np.ndarray:
+    """Values of the circle family for all degrees 0..kmax, shape (kmax+1, len(t))."""
+    out = chebyshev_table(kmax, t, out)
+    out[1:] *= (2.0 / np.arange(1, len(out)))[:, None]
     return out
 
 
@@ -161,3 +174,30 @@ def jacobi_table(lmax: int, alpha: float, beta: float, t, out=None) -> np.ndarra
         np.subtract(row, lower, out=row)
         np.divide(row, c0, out=row)
     return out
+
+
+def _gegenbauer_on_chebyshev(f: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients on T_0..T_L of the sums f over Gegenbauer rows 0..L.
+
+    For f of shape (r, L + 1) the result beta has the same shape and
+    ``beta @ chebyshev_table(L, t)`` equals ``f @ gegenbauer_table(L, m, t)``
+    up to round-off.  Szego (4.9.19) writes Gegenbauer row n as
+    sum_k g_k g_{n-k} T_{|n - 2k|} with g_0 = 1, g_k = g_{k-1} (lam + k - 1)/k
+    and lam = (m - 1)/2, so
+
+        beta_j = c_j sum_{k >= 0, j + 2k <= L} g_k g_{j+k} f_{j+2k},
+
+    c_0 = 1 and c_j = 2 otherwise: L/2 + 1 slice updates of about r L^2 / 4
+    entries in all, two products each.  Every g_k is positive, so
+    nonnegative f gives nonnegative beta.
+    """
+    m = _checked_dimension(m)
+    width = f.shape[-1]
+    lam = (m - 1) / 2.0
+    g = np.cumprod(np.r_[1.0, (lam + np.arange(width - 1)) / np.arange(1, width)])
+    beta = np.zeros_like(f, dtype=float)
+    for k in range((width + 1) // 2):
+        n = width - 2 * k  # the degrees j = 0..L - 2k
+        beta[..., :n] += (g[k] * g[k : k + n]) * f[..., 2 * k :]
+    beta[..., 1:] *= 2.0
+    return beta

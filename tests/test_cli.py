@@ -232,7 +232,14 @@ KIND_COMMANDS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:degenerate kernel spec")
+DEGENERATE = "warning: degenerate kernel spec: effective support is empty, evaluating to 0\n"
+# the commands that evaluate the kernel of an empty support, and say so on stderr
+WARNS_WHEN_EMPTY = {
+    ("circle", "eval"), ("circle", "witness"), ("sphere", "eval"), ("sphere", "witness"),
+    ("circle_sphere", "eval"), ("circle_sphere", "witness"), ("circle_tph", "eval"),
+}
+
+
 @pytest.mark.parametrize("support", ["example", "flipped", "empty"])
 @pytest.mark.parametrize("kind", list(SPACE_EXAMPLES))
 def test_every_space_kind_through_every_command(tmp_path, capsys, kind, support):
@@ -251,7 +258,8 @@ def test_every_space_kind_through_every_command(tmp_path, capsys, kind, support)
         assert main(argvs[command]) == code, command
         captured = capsys.readouterr()
         out, quiet = (captured.err, captured.out) if code == 64 else (captured.out, captured.err)
-        assert quiet == "", command
+        warned = support == "empty" and (kind, command) in WARNS_WHEN_EMPTY
+        assert quiet == (DEGENERATE if warned else ""), command
         if command == "eval":
             assert float(out) == pytest.approx(line, rel=1e-13, abs=0.0)
         elif "residual=~" in line:
@@ -261,6 +269,22 @@ def test_every_space_kind_through_every_command(tmp_path, capsys, kind, support)
             assert abs(float(residual)) <= 1e-10 * scale
         else:
             assert out == line + "\n", command
+
+
+@pytest.mark.parametrize("command", [["eval", "--t", "0.3"], ["witness"]])
+def test_a_degenerate_spec_warns_in_one_line_that_names_no_source(tmp_path, capsys, command):
+    path = write_spec(tmp_path, {"space": {"kind": "circle"}, "support": []})
+    main([command[0], path, *command[1:]])
+    err = capsys.readouterr().err
+    assert err == DEGENERATE
+    assert ".py:" not in err
+
+
+@pytest.mark.filterwarnings("ignore:degenerate kernel spec")
+def test_an_ignored_warning_prints_nothing(tmp_path, capsys):
+    path = write_spec(tmp_path, {"space": {"kind": "circle"}, "support": []})
+    assert main(["eval", path, "--t", "0.3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from spdkernels import (
 )
 from spdkernels.gram import _check_duplicates
 from spdkernels.kernels import CHUNK_PAIRS, _contract, _slices
+from spdkernels.orthopoly import chebyshev_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -192,27 +193,28 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
     w = rng.normal(size=pairs)
     expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)) @ w
     got = np.zeros(spec.lmax + 1)
-    for lo, products in _contract(spec, _slices(t, s), min(pairs, CHUNK_PAIRS), layers=True):
+    for lo, products in _contract(spec, _slices(t, s), pairs, layers=True):
         got += products @ w[lo : lo + CHUNK_PAIRS]
     assert got.shape == (spec.lmax + 1,)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _record_circle_tables(monkeypatch):
+def _record_tables(monkeypatch, table):
+    """Record the width of every call the contraction makes of ``table``."""
     import spdkernels.kernels as kernels_mod
 
     widths = []
 
-    def recording_circle_table(kmax, t, out=None):
+    def recording_table(kmax, t, out=None):
         widths.append(np.size(t))
-        return circle_table(kmax, t, out=out)
+        return table(kmax, t, out=out)
 
-    monkeypatch.setattr(kernels_mod, "circle_table", recording_circle_table)
+    monkeypatch.setattr(kernels_mod, table.__name__, recording_table)
     return widths
 
 
 def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
-    widths = _record_circle_tables(monkeypatch)
+    widths = _record_tables(monkeypatch, circle_table)  # layers keep the family tables
     spec = product_spec(trunc=(6, 6))
     pts = product_points(130, seed=3)  # 8515 upper-triangle pairs
     per_degree_forms(spec, pts, np.ones(130))
@@ -220,11 +222,12 @@ def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
 
 
 def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
-    widths = _record_circle_tables(monkeypatch)
+    widths = _record_tables(monkeypatch, chebyshev_table)
     spec = product_spec(trunc=(6, 6))
     pts = product_points(200, seed=3)  # 20 100 upper-triangle pairs
     a = gram_matrix(spec, pts)
-    assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 200 * 201 // 2 - 2 * CHUNK_PAIRS]
+    # both slots fold onto T_k, each tabulated once a chunk
+    assert widths == [CHUNK_PAIRS] * 4 + [200 * 201 // 2 - 2 * CHUNK_PAIRS] * 2
     assert np.array_equal(a, a.T)
     for i, j in [(0, 0), (0, 199), (40, 41), (41, 199), (199, 199)]:  # row starts and ends
         t, s = pts[i][0].dot(pts[j][0]), pts[i][1].dot(pts[j][1])

@@ -32,7 +32,7 @@ from spdkernels import (
 )
 from spdkernels.cli import _support_from_list
 from spdkernels.kernels import _SPACE_KINDS, CHUNK_PAIRS
-from spdkernels.orthopoly import circle_table, gegenbauer_table
+from spdkernels.orthopoly import chebyshev_table, circle_table, gegenbauer_table, jacobi_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -319,6 +319,128 @@ def test_a_support_whose_rows_all_differ_takes_the_dense_route(trunc):
     assert np.max(np.abs(kernel_values(spec, t, s) - expected)) <= bound
 
 
+# --- the Chebyshev fold -----------------------------------------------------------
+
+def _record(monkeypatch, name):
+    """Record the width of every call of the kernels module's ``name`` table."""
+    import spdkernels.kernels as kernels_mod
+
+    widths = []
+    table = getattr(kernels_mod, name)
+
+    def recording(*args, out=None):
+        widths.append(np.size(args[-1]))
+        return table(*args, out=out)
+
+    monkeypatch.setattr(kernels_mod, name, recording)
+    return widths
+
+
+def _family_contraction(spec, t, s=None):
+    """sum_g (U @ circle)_g (V @ P)_g over the family tables; f @ table for a single space."""
+    tables = {0: lambda x: circle_table(spec.kmax, x), 1: lambda x: gegenbauer_table(spec.lmax, spec.space.m, x)}
+    args = dict(zip(spec._slots, (t, s)))
+    sides = [tables[slot](args[slot]) if f is None else f @ tables[slot](args[slot])
+             for slot, f in spec._slot_factors.items()]
+    return np.prod(sides, axis=0).sum(axis=0)
+
+
+def _fold_bound(spec):
+    """2 (K + L + 2) eps f(1, 1), the absent axis of a single space at degree 0."""
+    degrees = sum(spec.truncation[slot] for slot in spec._slots)
+    return 2 * (degrees + 2) * EPS * spec.value_at_one
+
+
+def _fold_arguments(pairs, seed):
+    rng = np.random.default_rng(seed)
+    t, s = rng.uniform(-1.0, 1.0, pairs), rng.uniform(-1.0, 1.0, pairs)
+    t[:4], s[:4] = [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]
+    return t, s
+
+
+FOLD_SUPPORTS = {  # r distinct nonzero l-masks
+    1: FULL_2D,
+    2: SupportSet2D(((prog(0, 2), prog(0, 1)), (prog(1, 2), prog(0, 2)))),
+    3: SupportSet2D(((prog(0, 3), prog(0, 1)), (prog(1, 3), prog(0, 2)), (prog(2, 3), prog(1, 2)))),
+}
+FOLD_SCHEMES = [constant_scheme(1.5), geometric_scheme(0.9, 0.8)]
+
+
+@pytest.mark.parametrize("scheme", FOLD_SCHEMES, ids=["constant", "geometric"])
+@pytest.mark.parametrize("space", [circle_space()] + [sphere_space(m) for m in range(2, 8)], ids=str)
+@pytest.mark.parametrize("cap", [20, 120])
+def test_folded_single_contraction_agrees_with_the_family_table(space, scheme, cap):
+    support = SupportSet1D.of(prog(1, 3), one(4), prog(cap - 6, 2))
+    spec = KernelSpec(space, support, scheme, (cap, cap))
+    t, _ = _fold_arguments(400, cap)
+    got = kernel_values(spec, t)
+    assert spec._folds(spec._slots[0], len(t))
+    assert np.max(np.abs(got - _family_contraction(spec, t))) <= _fold_bound(spec)
+
+
+@pytest.mark.parametrize("scheme", FOLD_SCHEMES, ids=["constant", "geometric"])
+@pytest.mark.parametrize("r", sorted(FOLD_SUPPORTS))
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("trunc", [(60, 60), (120, 20)])
+def test_folded_product_contraction_agrees_with_the_family_tables(m, r, scheme, trunc):
+    spec = product_spec(FOLD_SUPPORTS[r], scheme, trunc, m)
+    assert len(spec._factors[0]) == r
+    t, s = _fold_arguments(400, m + r)
+    got = kernel_values(spec, t, s)
+    assert spec._folds(0, len(t)) and spec._folds(1, len(t))
+    assert np.max(np.abs(got - _family_contraction(spec, t, s))) <= _fold_bound(spec)
+
+
+@pytest.mark.parametrize("trunc", [(20, 60), (60, 20)])
+def test_the_dense_routes_identity_keeps_its_family_rows(monkeypatch, trunc):
+    kmax, lmax = trunc
+    support = SupportSet2D(tuple(
+        (one(k), one(l)) for k in range(kmax + 1) for l in range(lmax + 1) if (k + 1) >> l & 1
+    ))
+    spec = product_spec(support, geometric_scheme(0.8, 0.7), trunc, m=3)
+    identity = int(spec._factors[1] is None)  # the axis with fewer degrees
+    assert spec._factors[identity] is None
+    folded = 1 - identity
+    t, s = _fold_arguments(400, kmax)
+    family = {0: "circle_table", 1: "gegenbauer_table"}
+    widths = {name: _record(monkeypatch, name) for name in ("chebyshev_table", *family.values())}
+    got = kernel_values(spec, t, s)
+    # the folded slot tabulates T_k, the identity its family, once each
+    assert widths == {"chebyshev_table": [400], family[identity]: [400], family[folded]: []}
+    args = (t, s)
+    rows = spec._axis_table(identity, args[identity])
+    expected = ((spec._folded(folded) @ chebyshev_table(spec.truncation[folded], args[folded])) * rows)
+    assert np.array_equal(got, expected.sum(axis=0))
+    assert np.max(np.abs(got - _family_contraction(spec, t, s))) <= _fold_bound(spec)
+
+
+def test_one_pair_never_folds_and_a_gram_does(monkeypatch):
+    # the fold at L = 10 000 costs about L^2 / 2 products: a one-pair call
+    # saves 4 L, a Gram of 1830 pairs 4 L a pair
+    from spdkernels import gram_matrix, sample_config
+
+    widths = _record(monkeypatch, "chebyshev_table")
+    spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.9, 0.999), (0, 10_000))
+    value = kernel_values(spec, np.array([0.3]))
+    assert spec.value_at_one > value[0] > 0.0
+    assert widths == [] and not spec._chebyshev_factors
+    _, zs = sample_config(2, 1, 60, seed=3)
+    a = gram_matrix(spec, zs)
+    assert widths == [60 * 61 // 2]
+    assert a[0, 0] == pytest.approx(spec.value_at_one, rel=1e-12)
+
+
+def test_the_tph_axis_never_folds(monkeypatch):
+    widths = _record(monkeypatch, "jacobi_table")
+    spec = CHUNK_SPECS["circle_tph"]
+    pairs = CHUNK_PAIRS + 3
+    t, s = _fold_arguments(pairs, 0)
+    kernel_values(spec, t, s)
+    assert widths == [CHUNK_PAIRS, 3]
+    assert not any(spec._folds(1, n) for n in (1, pairs, 10**12))
+    assert 1 not in spec._chebyshev_factors
+
+
 # --- evaluation -----------------------------------------------------------------
 
 def test_eval_single_cell():
@@ -570,16 +692,17 @@ def test_tables_are_built_one_chunk_at_a_time(monkeypatch):
 
     widths, buffers = [], []
 
-    def recording_circle_table(kmax, t, out=None):
+    def recording_chebyshev_table(kmax, t, out=None):
         widths.append(np.size(t))
         buffers.append(out.base)
-        return circle_table(kmax, t, out=out)
+        return chebyshev_table(kmax, t, out=out)
 
-    monkeypatch.setattr(kernels_mod, "circle_table", recording_circle_table)
+    monkeypatch.setattr(kernels_mod, "chebyshev_table", recording_chebyshev_table)
     pairs = 2 * CHUNK_PAIRS + 5
     spec = CHUNK_SPECS["circle_sphere"]
     kernel_values(spec, np.zeros(pairs), np.zeros(pairs))
-    assert widths == [CHUNK_PAIRS, CHUNK_PAIRS, 5]
+    # both slots fold, so each chunk tabulates T_k twice
+    assert widths == [CHUNK_PAIRS] * 4 + [5, 5]
     # one workspace, refilled for every chunk
     assert all(b is buffers[0] for b in buffers)
     assert buffers[0].size == (max(spec.kmax, spec.lmax) + 1) * CHUNK_PAIRS

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import jacobi_one_ref
 from spdkernels import circle_table, gegenbauer_table, jacobi_table
-from spdkernels.orthopoly import _ratio_table
+from spdkernels.orthopoly import _gegenbauer_on_chebyshev, _ratio_table, chebyshev_table
 
 
 # --- reference implementations, deliberately slow and direct ---------------
@@ -54,6 +54,45 @@ def test_circle_table_matches_cosines():
     for k in range(1, 13):
         expect = (2.0 / k) * np.cos(k * theta)
         assert np.allclose(table[k], expect, atol=1e-10), k
+
+
+def test_chebyshev_table_matches_cosines_and_the_circle_rows():
+    theta = np.linspace(0.0, math.pi, 31)
+    table = chebyshev_table(12, np.cos(theta))
+    for k in range(13):
+        assert np.allclose(table[k], np.cos(k * theta), atol=1e-12), k
+    scaled = table * np.r_[1.0, 2.0 / np.arange(1, 13)][:, None]
+    assert np.array_equal(circle_table(12, np.cos(theta)), scaled)
+
+
+def szego_ref(f, m):
+    """Coefficients on T_j of sum_n f_n C_n^lam, lam = (m - 1)/2, by a
+    double loop over Szego (4.9.19): C_n = sum_k g_k g_{n-k} cos((n - 2k) theta)."""
+    lam = (m - 1) / 2.0
+    g = [1.0]
+    for k in range(1, len(f)):
+        g.append(g[-1] * (lam + k - 1) / k)
+    beta = [0.0] * len(f)
+    for n, fn in enumerate(f):
+        for k in range(n + 1):
+            beta[abs(n - 2 * k)] += g[k] * g[n - k] * fn
+    return np.array(beta)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+@pytest.mark.parametrize("lmax", [0, 1, 2, 7, 30])
+def test_gegenbauer_rows_fold_onto_chebyshev_rows(m, lmax):
+    rng = np.random.default_rng(lmax * 10 + m)
+    f = rng.uniform(0.0, 1.0, (3, lmax + 1))
+    f[1, ::2] = 0.0  # one parity alone
+    beta = _gegenbauer_on_chebyshev(f, m)
+    assert beta.shape == f.shape and np.all(beta >= 0.0)
+    for row, got in zip(f, beta):
+        want = szego_ref(list(row), m)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    x = np.cos(np.linspace(0.0, math.pi, 41))
+    family = f @ gegenbauer_table(lmax, m, x)
+    assert np.allclose(beta @ chebyshev_table(lmax, x), family, rtol=0.0, atol=1e-13 * np.max(family))
 
 
 def test_gegenbauer_frozen_values():

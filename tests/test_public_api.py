@@ -51,7 +51,7 @@ MODULES = {
         "circle_sphere_space", "circle_tph_space", "constant_scheme", "eval_kernel",
         "geometric_scheme", "kernel_values", "sphere_space",
     },
-    "orthopoly": {"MAX_DEGREE", "circle_table", "gegenbauer_table", "jacobi_table"},
+    "orthopoly": {"MAX_DEGREE", "chebyshev_table", "circle_table", "gegenbauer_table", "jacobi_table"},
     "supportsets": {
         "MAX_PERIOD", "MAX_WITNESS_WORK", "Parity", "PeriodicSet1D", "ProgressionWitness",
         "SupportSet1D", "SupportSet2D", "Term1D", "derived_parity_tail_set",

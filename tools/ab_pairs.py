@@ -11,8 +11,15 @@ run's metrics are printed as it ends.  Then, for each end-to-end metric that
 ``BENCHMARK.json`` names, one markdown table row gives each side's median
 [q1, q3] over its ten runs and the pairs the tree won (better in the
 direction the benchmark declares; ties count for neither side), with the
-change of the median.  ``bench/`` is only run, never written.  Standard
-library only.
+change of the median, and two verdicts:
+
+* gain: the tree won at least nine tenths of the pairs and its median is
+  better than the parent's by more than the parent's q3 - q1;
+* in bound: the tree's median is worse than the parent's by no more than
+  the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's
+  median.
+
+``bench/`` is only run, never written.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,6 +54,18 @@ def spread(values: list[float]) -> str:
     return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def verdicts(parent: list[float], tree: list[float], better: str, bound: float) -> tuple[int, str, str]:
+    """The pairs the tree won, and "yes" or "no" for a gain and for its
+    median in bound, by the rules the docstring states."""
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (y - x) > 0 for x, y in zip(parent, tree))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    base = statistics.median(parent)
+    lead = sign * (statistics.median(tree) - base)
+    gain = won >= 0.9 * len(parent) and lead > q3 - q1
+    return won, "yes" if gain else "no", "yes" if lead >= -bound * abs(base) else "no"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the tree to compare against")
@@ -70,17 +89,16 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}, seeds {args.first_seed}-{args.first_seed + PAIRS - 1}, "
           f"{SECONDS}-s runs; median [q1, q3]\n")
-    print("| metric | parent | tree | tree better |")
-    print("|---|---|---|---|")
+    print("| metric | parent | tree | tree better | gain | in bound |")
+    print("|---|---|---|---|---|---|")
     for metric in declared:
         name = metric["name"]
         a = [r["metrics"][name]["value"] for r in runs["parent"]]
         b = [r["metrics"][name]["value"] for r in runs["tree"]]
-        sign = 1 if metric["better"] == "higher" else -1
-        won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        won, gain, in_bound = verdicts(a, b, metric["better"], metric["bound"])
         base = statistics.median(a)
         change = f" ({(statistics.median(b) - base) / base:+.1%})" if base else ""
-        print(f"| `{name}` | {spread(a)} | {spread(b)} | {won}/{PAIRS}{change} |")
+        print(f"| `{name}` | {spread(a)} | {spread(b)} | {won}/{PAIRS}{change} | {gain} | {in_bound} |")
     print()
     for side, results in runs.items():
         correct = sum(r["correct"] for r in results)
