@@ -38,7 +38,18 @@ from .errors import NotApplicableError, NumericalError
 from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint
 # kernel_values stays bound here though gram contracts through _contract:
 # bench/spans.py traces the layer functions by the names each module holds
-from .kernels import CHUNK_PAIRS, KernelSpec, _contract, _rows, _slices, kernel_values  # noqa: F401
+from .kernels import (  # noqa: F401
+    _WORKSPACE,
+    CHUNK_PAIRS,
+    KernelSpec,
+    _contract,
+    _rows,
+    _slice_width,
+    _slices,
+    _warn_if_empty,
+    _width,
+    kernel_values,
+)
 from .supportsets import (
     ProgressionWitness,
     SupportSet1D,
@@ -171,34 +182,82 @@ def _dot_matrices(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]):
     return t, s
 
 
-def _upper_triangle(n: int):
+def _upper_triangle(n: int, width: int):
     """Indices (i, j), i <= j, of the upper triangle of an n x n matrix in
-    row-major order, CHUNK_PAIRS pairs at a time."""
+    row-major order, ``width`` pairs at a time."""
     rows = np.arange(n)
     starts = rows * n - rows * (rows - 1) // 2  # flat offset of (i, i)
     pairs = n * (n + 1) // 2
     edges = np.append(starts, pairs)
-    for lo in range(0, pairs, CHUNK_PAIRS):
-        hi = min(lo + CHUNK_PAIRS, pairs)
+    for lo in range(0, pairs, width):
+        hi = min(lo + width, pairs)
         first, last = np.searchsorted(starts, [lo, hi - 1], "right") - 1
         i = np.repeat(rows[first : last + 1], np.diff(np.clip(edges[first : last + 2], lo, hi)))
         yield i, np.arange(lo, hi) - starts[i] + i
 
 
+def _circle_features(spec: KernelSpec, thetas: Optional[np.ndarray]):
+    """The circle slot's factor rows at a chunk's pairs (i, j) from the
+    points' Fourier features, as a function of (i, j); None where the slot
+    keeps its table.
+
+    T_k(cos(theta_i - theta_j)) = cos k theta_i cos k theta_j + sin k theta_i
+    sin k theta_j.  So for the factor folded onto T_k, g (``KernelSpec._folded``,
+    nonnegative: scheme values on the support's mask times 2/k), row rho at
+    (i, j) is entry (i, j) of Psi_rho Psi_rho^T, where the n x (2K + 1)
+    features Psi_rho = [cos k theta | sin k theta] (k = 0..K and 1..K) have
+    their columns scaled by sqrt(g_rho).  A chunk takes one product: rows
+    i_first..i_last of Psi against the rows its columns touch (about twice
+    the chunk's pairs at most, and n more a row), gathered at the pairs.
+    The route is taken when every slot has a factor (a circle spec, or a
+    product off the dense route, whose identity slot keeps its family
+    table) and the r features fit _WORKSPACE.
+    """
+    if spec.space._axes[0] != "circle" or any(f is None for f in spec._factors):
+        return None
+    cap, r = spec.kmax, len(spec._factors[0])
+    if r == 0 or r * len(thetas) * (2 * cap + 1) > _WORKSPACE:
+        return None  # r = 0, an empty product support: the table route writes its zeros
+    psi = np.empty((r, len(thetas), 2 * cap + 1))
+    phi = psi[0]  # built in place: k theta goes where its sines end up
+    k_theta = phi[:, cap + 1 :]
+    np.multiply.outer(thetas, np.arange(1, cap + 1), out=k_theta)
+    phi[:, 0] = 1.0
+    np.cos(k_theta, out=phi[:, 1 : cap + 1])
+    np.sin(k_theta, out=k_theta)
+    psi[1:] = phi
+    roots = np.sqrt(spec._folded(0))
+    psi *= np.concatenate([roots, roots[:, 1:]], axis=1)[:, None, :]
+
+    def rows(i, j):
+        first, last = i[0], i[-1] + 1
+        left, right = j.min(), j.max() + 1
+        block = np.matmul(psi[:, first:last], psi[:, left:right].transpose(0, 2, 1))
+        return block.reshape(r, (last - first) * (right - left))[:, (i - first) * (right - left) + (j - left)]
+
+    return rows
+
+
 def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     """Gram matrix of the truncated kernel; each entry computed once, mirrored.
 
-    The upper triangle is walked in row-major order, CHUNK_PAIRS pairs at a
-    time through one contraction workspace, so memory is the one n x n
-    matrix plus one chunk's tables, not the n^2 pairs.
+    The upper triangle is walked in row-major order, a slice of pairs at a
+    time (CHUNK_PAIRS up to degree 120) through one contraction workspace,
+    so memory is the one n x n matrix plus one chunk's tables, not the n^2
+    pairs.  Where ``_circle_features`` applies, the circle slot's rows come
+    from one matrix product a chunk and only the sphere slot is tabulated.
     """
     thetas, zs = _split_points(spec, points)
     _check_duplicates(thetas, zs)
+    _warn_if_empty(spec)
     n = len(points)
     pairs = n * (n + 1) // 2
+    features = _circle_features(spec, thetas)
+    ready = () if features is None else (0,)
+    width = _slice_width(spec, pairs, ready)
     logger.debug(
-        "gram_matrix: %d points, %d pairs, %d contraction chunks",
-        n, pairs, -(-pairs // CHUNK_PAIRS),
+        "gram_matrix: %d points, %d pairs, %d contraction chunks, circle %s",
+        n, pairs, -(-pairs // width), "features" if ready else "table",
     )
     # the sphere dot products stay one matrix product, since a per-pair sum
     # may round differently, and the Gram is written over them: a chunk reads
@@ -209,12 +268,15 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     flat = a.ravel()
 
     def chunks():
-        for i, j in _upper_triangle(n):
+        for i, j in _upper_triangle(n, width):
             upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
-            t = None if thetas is None else np.cos(thetas[i] - thetas[j])
+            if ready:
+                t = features(i, j)
+            else:
+                t = None if thetas is None else np.cos(thetas[i] - thetas[j])
             yield (upper, lower), t, None if zs is None else flat[upper]
 
-    for (upper, lower), values in _contract(spec, chunks(), pairs):
+    for (upper, lower), values in _contract(spec, chunks(), pairs, ready=ready):
         flat[upper] = values
         flat[lower] = values
     return a
@@ -252,7 +314,7 @@ def per_degree_forms(
     """Split the quadratic form c' G c into its sphere-degree layers.
 
     Layer l is c' [f_l(t_ij) P_l(s_ij)] c; the layers sum to the full form.
-    As in ``gram_matrix``, the upper triangle is walked CHUNK_PAIRS pairs at
+    As in ``gram_matrix``, the upper triangle is walked a slice of pairs at
     a time over one n x n matrix of sphere dot products, each pair weighted
     c_i^2 on the diagonal and 2 c_i c_j off it.
     """
@@ -264,15 +326,16 @@ def per_degree_forms(
     if c.shape != (n,):
         raise ValueError("coefficient vector length must match the point count")
     flat = _dot_matrices(None, zs)[1].ravel()
+    pairs = n * (n + 1) // 2
 
     def chunks():
-        for i, j in _upper_triangle(n):
+        for i, j in _upper_triangle(n, _slice_width(spec, pairs)):
             w = c[i] * c[j]
             w[i != j] *= 2.0
             yield w, np.cos(thetas[i] - thetas[j]), flat[i * n + j]
 
     layers = np.zeros(spec.lmax + 1)
-    for w, products in _contract(spec, chunks(), n * (n + 1) // 2, layers=True):
+    for w, products in _contract(spec, chunks(), pairs, layers=True):
         layers += products @ w
     return float(layers.sum()), layers
 
@@ -282,15 +345,18 @@ def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.nd
     table is contracted with that degree's coefficient column only, and the
     sphere slot's table stops at the degree (enhanced sets are circle x
     sphere points, so ``_split_points`` has refused every other space).  The
-    n^2 pairs are walked CHUNK_PAIRS at a time through one table buffer."""
+    n^2 pairs are walked a ``_width`` slice at a time through one table
+    buffer."""
     thetas, zs = _split_points(spec, enhanced.points)
     t, s = _dot_matrices(thetas, zs)
     column = spec.coefficient_matrix[:, degree, None]
     layer = np.empty(t.size)
-    table = np.empty((max(spec.kmax, degree) + 1) * min(t.size, CHUNK_PAIRS))
+    cap = max(spec.kmax, degree)
+    width = _width(cap, t.size)
+    table = np.empty((cap + 1) * width)
     # an elementwise product summed over rows treats every pair alike, so
     # equal arguments give equal values and the block identities stay exact
-    for lo, tc, sc in _slices(t.ravel(), s.ravel()):
+    for lo, tc, sc in _slices(t.ravel(), s.ravel(), width):
         circ = spec._axis_table(0, tc, out=_rows(table, spec.kmax + 1, len(tc)))
         circ *= column
         marg = circ.sum(axis=0)

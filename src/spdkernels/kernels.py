@@ -82,6 +82,12 @@ MAX_TRUNCATION_BOX = 1_000_000
 # whether a slot folds follows the call's pair count, not the slice.
 CHUNK_PAIRS = 8_192
 
+# Table entries one contraction slice may hold: the degree-120 table of a
+# CHUNK_PAIRS slice, 7.9 MB.  A table past degree 120 takes narrower slices
+# (``_width``), so every shape with K, L <= 120 keeps CHUNK_PAIRS, and a
+# factor's product rows, never more than the table's, stay within it too.
+_WORKSPACE = 121 * CHUNK_PAIRS
+
 
 class _Kind(NamedTuple):
     params: dict  # parameter name -> type, in order
@@ -414,10 +420,12 @@ def _warn_if_empty(spec: KernelSpec) -> None:
 def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized truncated-kernel evaluation over paired argument arrays.
 
-    The pairs are contracted CHUNK_PAIRS at a time in one workspace that is
+    The pairs are contracted a slice at a time (``_slice_width``: CHUNK_PAIRS
+    pairs up to degree 120, fewer past it) in one workspace that is
     allocated once and refilled for every slice, so memory follows the
-    chunk and the degrees, O(CHUNK_PAIRS * (max(K, L) + 2r)) entries for r
-    factor rows (``KernelSpec._factors``), not the number of pairs.
+    slice and the degrees, at most the table's _WORKSPACE entries and as
+    many for each slot's factor rows (``KernelSpec._factors``), not the
+    number of pairs.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -431,15 +439,29 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     _warn_if_empty(spec)
     out = np.empty(t.shape)
     args = (t, s) if spec.space._axes[0] else (None, t)  # a sphere's one argument is its slot's
-    for lo, values in _contract(spec, _slices(*args), len(t)):
+    for lo, values in _contract(spec, _slices(*args, _slice_width(spec, len(t))), len(t)):
         out[lo : lo + len(values)] = values
     return out
 
 
-def _slices(t: Optional[np.ndarray], s: Optional[np.ndarray]):
-    """(offset, t, s) for consecutive CHUNK_PAIRS slices of the arguments; None stays None."""
-    for lo in range(0, len(s if t is None else t), CHUNK_PAIRS):
-        hi = lo + CHUNK_PAIRS
+def _width(cap: int, pairs: int) -> int:
+    """Pairs per slice for a table of degrees 0..cap over ``pairs`` pairs:
+    CHUNK_PAIRS, narrowed so that the table keeps within _WORKSPACE entries,
+    and no more than the pairs (at least one)."""
+    return max(1, min(pairs, CHUNK_PAIRS, _WORKSPACE // (cap + 1)))
+
+
+def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = ()) -> int:
+    """The slice width of ``_contract`` over ``pairs`` pairs whose ``ready``
+    slots come as factor rows: the ``_width`` of the other slots' table."""
+    cap = max((spec.truncation[slot] for slot in spec._slots if slot not in ready), default=0)
+    return _width(cap, pairs)
+
+
+def _slices(t: Optional[np.ndarray], s: Optional[np.ndarray], width: int):
+    """(offset, t, s) for consecutive slices of ``width`` arguments; None stays None."""
+    for lo in range(0, len(s if t is None else t), width):
+        hi = lo + width
         yield lo, None if t is None else t[lo:hi], None if s is None else s[lo:hi]
 
 
@@ -448,10 +470,13 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[: rows * width].reshape(rows, width)
 
 
-def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False):
+def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready: tuple = ()):
     """Contract each (key, t, s) slice of ``chunks``, t the circle slot's and
     s the sphere slot's arguments (None for an empty slot), ``pairs`` pairs
-    in all and none wider than CHUNK_PAIRS, and yield (key, values).
+    in all and none wider than ``_slice_width(spec, pairs, ready)``, and
+    yield (key, values).  A slot in ``ready`` comes as its r factor rows at
+    the slice's pairs, made by the caller, in place of its arguments; the
+    rows are multiplied in place.
 
     Each occupied slot contracts its factor (``KernelSpec._factors``) with
     its axis table, r rows, and the values sum the rows' products: one row
@@ -465,17 +490,20 @@ def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False):
     family tables, which give each degree apart.  The buffers are allocated
     once and refilled, so what a slice yields is overwritten by the next one.
     """
-    width = min(pairs, CHUNK_PAIRS)
+    width = _slice_width(spec, pairs, ready)
     factors = dict(spec._slot_factors)
-    folded = [] if layers else [slot for slot in factors if spec._folds(slot, pairs)]
+    tabulated = [slot for slot in factors if slot not in ready]
+    folded = [] if layers else [slot for slot in tabulated if spec._folds(slot, pairs)]
     factors.update((slot, spec._folded(slot)) for slot in folded)
     order = sorted(factors, key=lambda slot: factors[slot] is None)  # the identity last
     r = len(factors[order[0]])
-    table = np.empty((max(spec.truncation[slot] for slot in order) + 1) * width)
+    table = np.empty((max((spec.truncation[slot] for slot in tabulated), default=-1) + 1) * width)
     products = {slot: np.empty((spec.lmax + 1 if layers and slot else r) * width)
-                for slot in order if factors[slot] is not None}  # layers: V.T @ a, L + 1 rows
+                for slot in tabulated if factors[slot] is not None}  # layers: V.T @ a, L + 1 rows
 
     def side(slot, x):
+        if slot in ready:
+            return x
         cap = spec.truncation[slot]
         out = _rows(table, cap + 1, len(x))
         rows = chebyshev_table(cap, x, out=out) if slot in folded else spec._axis_table(slot, x, out=out)

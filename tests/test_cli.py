@@ -235,8 +235,10 @@ KIND_COMMANDS = {
 DEGENERATE = "warning: degenerate kernel spec: effective support is empty, evaluating to 0\n"
 # the commands that evaluate the kernel of an empty support, and say so on stderr
 WARNS_WHEN_EMPTY = {
-    ("circle", "eval"), ("circle", "witness"), ("sphere", "eval"), ("sphere", "witness"),
-    ("circle_sphere", "eval"), ("circle_sphere", "witness"), ("circle_tph", "eval"),
+    ("circle", "eval"), ("circle", "witness"), ("circle", "gram"),
+    ("sphere", "eval"), ("sphere", "witness"), ("sphere", "gram"),
+    ("circle_sphere", "eval"), ("circle_sphere", "witness"), ("circle_sphere", "gram"),
+    ("circle_tph", "eval"),
 }
 
 

@@ -46,7 +46,7 @@ from spdkernels import (
     witness_progression_circle,
 )
 from spdkernels.gram import _check_duplicates
-from spdkernels.kernels import CHUNK_PAIRS, _contract, _slices
+from spdkernels.kernels import _WORKSPACE, CHUNK_PAIRS, _contract, _slices
 from spdkernels.orthopoly import chebyshev_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
@@ -193,7 +193,7 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
     w = rng.normal(size=pairs)
     expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)) @ w
     got = np.zeros(spec.lmax + 1)
-    for lo, products in _contract(spec, _slices(t, s), pairs, layers=True):
+    for lo, products in _contract(spec, _slices(t, s, CHUNK_PAIRS), pairs, layers=True):
         got += products @ w[lo : lo + CHUNK_PAIRS]
     assert got.shape == (spec.lmax + 1,)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -226,12 +226,90 @@ def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
     spec = product_spec(trunc=(6, 6))
     pts = product_points(200, seed=3)  # 20 100 upper-triangle pairs
     a = gram_matrix(spec, pts)
-    # both slots fold onto T_k, each tabulated once a chunk
-    assert widths == [CHUNK_PAIRS] * 4 + [200 * 201 // 2 - 2 * CHUNK_PAIRS] * 2
+    # the sphere slot folds onto T_k, tabulated once a chunk; the circle
+    # slot's rows come from its features
+    assert widths == [CHUNK_PAIRS] * 2 + [200 * 201 // 2 - 2 * CHUNK_PAIRS]
     assert np.array_equal(a, a.T)
     for i, j in [(0, 0), (0, 199), (40, 41), (41, 199), (199, 199)]:  # row starts and ends
         t, s = pts[i][0].dot(pts[j][0]), pts[i][1].dot(pts[j][1])
         assert a[i, j] == pytest.approx(eval_kernel(spec, t, s), abs=1e-12 * spec.value_at_one)
+
+
+def _record_calls(monkeypatch, names):
+    """Record (degree cap, width) of every call the contraction makes of each named table."""
+    import spdkernels.kernels as kernels_mod
+
+    calls = {name: [] for name in names}
+
+    def recorder(name, table):
+        def recording(cap, *args, out=None):
+            calls[name].append((cap, np.size(args[-1])))
+            return table(cap, *args, out=out)
+        return recording
+
+    for name in names:
+        monkeypatch.setattr(kernels_mod, name, recorder(name, getattr(kernels_mod, name)))
+    return calls
+
+
+def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
+    calls = _record_calls(monkeypatch, ("chebyshev_table", "circle_table"))
+    xs, zs = sample_config(2, 60, 60, seed=8)
+    pairs = 60 * 61 // 2
+    # a circle spec and a product off the dense route (r = 1): no circle rows
+    circle = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (120, 0))
+    gram_matrix(circle, xs)
+    product = product_spec(trunc=(120, 40))
+    gram_matrix(product, list(zip(xs, zs)))
+    assert calls == {"chebyshev_table": [(40, pairs)], "circle_table": []}
+    # the dense route's identity circle slot keeps its family table
+    dense = product_spec(SupportSet2D(tuple((one(k), one(k)) for k in range(6))), trunc=(5, 5))
+    assert dense._factors[0] is None
+    calls["chebyshev_table"].clear()
+    gram_matrix(dense, list(zip(xs, zs)))
+    assert calls == {"chebyshev_table": [(5, pairs)], "circle_table": [(5, pairs)]}
+    # past the workspace, 60 x (2K + 1) > _WORKSPACE, the circle slot
+    # tabulates T_k, in slices of _WORKSPACE // (K + 1) pairs
+    calls["chebyshev_table"].clear()
+    calls["circle_table"].clear()
+    wide = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (8_500, 0))
+    a = gram_matrix(wide, xs)
+    width = _WORKSPACE // 8_501
+    assert calls["circle_table"] == []
+    assert calls["chebyshev_table"] == [(8_500, width)] * (pairs // width) + [(8_500, pairs % width)]
+    i, j = 3, 41
+    assert a[i, j] == pytest.approx(eval_kernel(wide, xs[i].dot(xs[j])), abs=1e-12 * wide.value_at_one)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_a_circle_gram_past_degree_120_stays_within_the_workspace(n):
+    # K = 10 000: 30 points take the features, 5.0 MiB, and 60 points the
+    # table in slices of _WORKSPACE // 10 001 = 99 pairs, 7.6 MiB; one
+    # slice of all the pairs took 35.7 and 140 MiB
+    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.999), (10_000, 0))
+    xs, _ = sample_config(2, n, 0, seed=5)
+    tracemalloc.start()
+    try:
+        gram_matrix(spec, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+
+
+@pytest.mark.parametrize("trunc", [(20, 2_000), (2_000, 20)])
+def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, trunc):
+    names = ("chebyshev_table", "circle_table", "gegenbauer_table")
+    calls = _record_calls(monkeypatch, names)
+    spec = product_spec(trunc=trunc)
+    pts = product_points(40, seed=6)
+    gram_matrix(spec, pts)
+    per_degree_forms(spec, pts, np.ones(40))
+    enhanced = build_enhanced(*sample_config(2, 2, 2, seed=6))
+    enhanced_block_check(spec, enhanced, trunc[1])
+    made = [call for name in names for call in calls[name]]
+    assert {cap for cap, _ in made} >= {2_000}
+    assert all((cap + 1) * width <= _WORKSPACE for cap, width in made)
 
 
 def test_gram_matrix_memory_follows_one_chunk():
@@ -779,4 +857,4 @@ def test_gram_matrix_logs_its_size_at_debug(caplog):
     gram_matrix(product_spec(trunc=(4, 4)), product_points(200, seed=2))
     (record,) = [r for r in caplog.records if r.name == "spdkernels.gram"]
     assert record.levelno == logging.DEBUG
-    assert record.getMessage() == "gram_matrix: 200 points, 20100 pairs, 3 contraction chunks"
+    assert record.getMessage() == "gram_matrix: 200 points, 20100 pairs, 3 contraction chunks, circle features"

@@ -14,22 +14,29 @@ and the same witness points and coefficients.  Only
 ``reference_geodesic_assembly`` is no earlier code: it writes the geodesic
 factor that replaced the earlier sampled sphere factor from its definition.
 
-Kernel values are the one exception to the bits.  The library contracts a
-product through the factors of its coefficient matrix, where the earlier
-code took the dense product, and where the fold pays it contracts circle
-and sphere factors with the Chebyshev rows T_k, where the earlier code took
-the family tables; the two round differently.  Product values of both
-must lie within (K + L + 2) eps f(1, 1) of a long-double contraction of the
-same float64 tables, and single-space values within 2 (K + L + 2) eps f(1),
-the absent axis at degree 0, of a 40-digit decimal evaluation of the
-truncated expansion.  The earlier Gram assembly is still pinned bit for
-bit, over the library's contraction of the same pairs.
+Kernel values and Grams with a circle slot are the exceptions to the bits.
+The library contracts a product through the factors of its coefficient
+matrix, where the earlier code took the dense product, and where the fold
+pays it contracts circle and sphere factors with the Chebyshev rows T_k,
+where the earlier code took the family tables; the two round differently.
+Product values of both must lie within (K + L + 2) eps f(1, 1) of a
+long-double contraction of the same float64 tables, and single-space values
+within 2 (K + L + 2) eps f(1), the absent axis at degree 0, of a 40-digit
+decimal evaluation of the truncated expansion.  The earlier assembly of
+sphere Grams is still pinned bit for bit, over the library's contraction of
+the same pairs.  A Gram's factored circle slot takes its rows from the
+points' Fourier features (cos k theta, sin k theta) and one matrix product a
+chunk, not from cos(theta_i - theta_j): circle and circle x sphere Gram
+entries, of the library and of the earlier assembly, must lie within
+(2 pi (K + 1) + 2 (K + L + 2)) eps f(1, 1) of a 40-digit decimal evaluation
+at the points' exact angle differences, L = 0 on a circle, and the Gram
+must equal its transpose bit for bit.
 """
 
 import logging
 import math
 import re
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -311,33 +318,78 @@ def test_product_contraction_lies_within_the_oracle_bound(space, support, kmax, 
         assert np.max(np.abs(values[sample] - oracle)) <= bound
 
 
+def decimal_rows(cap, m, arg):
+    """P_0..P_cap at the Decimal arg, at the context's precision: P_n = (2/n)
+    T_n on the circle (m None, P_0 = 1), the Gegenbauer polynomial
+    C_n^((m - 1)/2) on S^m, each by its three-term recurrence."""
+    rows = [Decimal(1)]
+    prev, cur = Decimal(1), arg if m is None else (m - 1) * arg  # degrees 0 and 1
+    for n in range(1, cap + 1):
+        if n > 1:
+            if m is None:
+                prev, cur = cur, 2 * arg * cur - prev
+            else:
+                prev, cur = cur, ((2 * n + m - 3) * arg * cur - (n + m - 3) * prev) / n
+        rows.append(cur * 2 / n if m is None else cur)
+    return rows
+
+
 def decimal_values(spec, x):
     """sum_n a_n P_n(x) of a single-space spec in 40-digit decimal
-    arithmetic, over its float64 coefficients and at the float arguments x:
-    P_n = (2/n) T_n on the circle (P_0 = 1), the Gegenbauer polynomial
-    C_n^((m - 1)/2) on S^m, each by its three-term recurrence."""
+    arithmetic, over its float64 coefficients and at the float arguments x
+    (``decimal_rows``)."""
     a = spec.coefficient_matrix
     nonzero = np.flatnonzero(a)
     if not len(nonzero):
         return np.zeros(len(x))
     a = [Decimal(float(v)) for v in a[: nonzero[-1] + 1]]
-    m = spec.space.m
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return np.array([
+            float(sum(c * p for c, p in zip(a, decimal_rows(len(a) - 1, spec.space.m, Decimal(float(arg))))))
+            for arg in x
+        ])
+
+
+def decimal_cos(x):
+    """cos x of a Decimal x, |x| < 2 pi, by its Taylor series at the context's precision."""
+    term = total = Decimal(1)
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    n = 0
+    while abs(term) > tiny:
+        n += 2
+        term = -term * x * x / (n * (n - 1))
+        total += term
+    return total
+
+
+def decimal_gram_entries(spec, points, pairs):
+    """Gram entries (i, j) of a spec with a circle slot in 40-digit decimal
+    arithmetic, over its float64 coefficients: the circle slot at the
+    points' exact angle difference theta_i - theta_j, the sphere slot of a
+    product at the library's float dot product z_i . z_j, clipped."""
+    thetas, zs = _split_points(spec, points)
+    _, s = reference_dot_matrices(None, zs)
+    a = np.atleast_2d(spec.coefficient_matrix.T).T  # (K + 1) x (L + 1), one column on a circle
+    terms = [(k, [(l, Decimal(float(a[k, l]))) for l in np.flatnonzero(a[k])]) for k in range(len(a))]
+    terms = [(k, row) for k, row in terms if row]
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for arg in x:
-            arg = Decimal(float(arg))
-            prev, cur = Decimal(1), arg if m is None else (m - 1) * arg  # degrees 0 and 1
-            total = a[0]
-            for n in range(1, len(a)):
-                if n > 1:
-                    if m is None:
-                        prev, cur = cur, 2 * arg * cur - prev
-                    else:
-                        prev, cur = cur, ((2 * n + m - 3) * arg * cur - (n + m - 3) * prev) / n
-                total += a[n] * (cur * 2 / n if m is None else cur)
-            out.append(float(total))
+        for i, j in pairs:
+            circ = decimal_rows(spec.kmax, None, decimal_cos(Decimal(float(thetas[i])) - Decimal(float(thetas[j]))))
+            sph = [Decimal(1)] if s is None else decimal_rows(spec.lmax, spec.space.m, Decimal(float(s[i, j])))
+            out.append(float(sum((circ[k] * sum(c * sph[l] for l, c in row) for k, row in terms), Decimal(0))))
     return np.array(out)
+
+
+def angle_bound(spec):
+    """(2 pi (K + 1) + 2 (K + L + 2)) eps f(1, 1) for a spec with a circle
+    slot, L = 0 on a circle: the first term bounds the rounding of k theta
+    (or of theta_i - theta_j, where the circle slot takes its table), the
+    second the sums."""
+    lmax = spec.lmax if spec.space.is_product else 0
+    return (2 * math.pi * (spec.kmax + 1) + 2 * (spec.kmax + lmax + 2)) * np.finfo(float).eps * spec.value_at_one
 
 
 def single_bound(spec):
@@ -383,23 +435,51 @@ def _sampled_entries(spec, points, a, count=160, seed=0):
     return x[pick], a[np.triu_indices(len(points))][pick], reference_kernel_values(spec, x)[pick]
 
 
+GRAM_CASES = [(1, 40, 0), (2, 0, 1), (37, 120, 2), (190, 60, 3), (200, 20, 4), (260, 120, 5), (280, 60, 6)]
+
+
 @pytest.mark.filterwarnings("ignore:degenerate kernel spec")
-@pytest.mark.parametrize("kind", ["circle", "sphere", "circle_sphere"])
-@pytest.mark.parametrize(
-    "n, trunc, seed",
-    [(1, 40, 0), (2, 0, 1), (37, 120, 2), (190, 60, 3), (200, 20, 4), (260, 120, 5), (280, 60, 6)],
-)
+@pytest.mark.parametrize("kind", ["sphere"])
+@pytest.mark.parametrize("n, trunc, seed", GRAM_CASES)
 def test_gram_matrix_is_bit_identical(kind, n, trunc, seed):
     # 190, 200, 260 and 280 points give 18 145, 20 100, 33 930 and 39 340
     # upper-triangle pairs: three to five chunks here, two or three before;
     # every earlier slice is cut into whole chunks and a last chunk that
-    # starts where the earlier last slice did.  Single-space values, of the
-    # library and of the earlier contraction, lie within the decimal bound.
+    # starts where the earlier last slice did.  The values, of the library
+    # and of the earlier contraction, lie within the decimal bound.
     spec, points = _gram_case(kind, n, trunc, seed)
     a = gram_matrix(spec, points)
     assert np.array_equal(a, reference_gram_matrix(spec, points))
-    if not spec.space.is_product:
-        assert_within_the_decimal_bound(spec, *_sampled_entries(spec, points, a, seed=seed))
+    assert_within_the_decimal_bound(spec, *_sampled_entries(spec, points, a, seed=seed))
+
+
+def assert_circle_gram_within_the_angle_bound(spec, points, a, count=160, seed=0):
+    """The Gram a is symmetric bit for bit, and at ``count`` upper-triangle
+    entries (its first and last among them) a and the earlier assembly over
+    the library's contraction at cos(theta_i - theta_j) lie within
+    ``angle_bound`` of ``decimal_gram_entries``."""
+    assert np.array_equal(a, a.T)
+    i, j = np.triu_indices(len(points))
+    pick = np.unique(np.r_[0, np.random.default_rng(seed).integers(0, len(i), count), len(i) - 1])
+    want = decimal_gram_entries(spec, points, zip(i[pick], j[pick]))
+    bound = angle_bound(spec)
+    for got in (a, reference_gram_matrix(spec, points)):
+        assert np.max(np.abs(got[i[pick], j[pick]] - want)) <= bound
+
+
+@pytest.mark.filterwarnings("ignore:degenerate kernel spec")
+@pytest.mark.parametrize(
+    "kind, n, trunc, seed",
+    [(kind, *case) for kind in ("circle", "circle_sphere") for case in GRAM_CASES]
+    # the circle cases whose earlier last slice was wider than a chunk
+    + [("circle", 129, 120, 1), ("circle", 134, 60, 1), ("circle", 300, 60, 1), ("circle", 300, 120, 4)],
+)
+def test_circle_gram_matrix_lies_within_the_angle_bound(kind, n, trunc, seed):
+    # the circle slot takes its rows from the points' features: every entry
+    # moves at round-off against the earlier assembly, and both lie within
+    # the bound of the exact angle differences
+    spec, points = _gram_case(kind, n, trunc, seed)
+    assert_circle_gram_within_the_angle_bound(spec, points, gram_matrix(spec, points), seed=seed)
 
 
 def _gram_case(kind, n, trunc, seed):
@@ -413,7 +493,7 @@ def _gram_case(kind, n, trunc, seed):
     return KernelSpec(circle_sphere_space(m), support, geometric_scheme(), (trunc, trunc)), list(zip(xs, zs))
 
 
-@pytest.mark.parametrize("kind", ["circle", "sphere"])
+@pytest.mark.parametrize("kind", ["sphere"])
 @pytest.mark.parametrize("n, trunc, seed", [(129, 120, 1), (134, 60, 1), (300, 60, 1), (300, 120, 4)])
 def test_gram_matrix_where_the_earlier_last_slice_was_wider_than_a_chunk(kind, n, trunc, seed):
     # 8385, 9045 and 45 150 pairs leave an earlier last slice of 8385, 9045
@@ -439,17 +519,21 @@ def test_gram_matrix_where_the_earlier_last_slice_was_wider_than_a_chunk(kind, n
     assert_within_the_decimal_bound(spec, x, a[iu][tail], reference_kernel_values(spec, x))
 
 
-@pytest.mark.parametrize("kind", ["circle", "sphere"])
+@pytest.mark.parametrize("kind", ["sphere"])
 def test_single_space_gram_is_bit_identical_at_degree_500(kind):
-    xs, zs = sample_config(3, 200, 200, seed=7)
-    support = battery_1d(8, 1)[0]
-    if kind == "circle":
-        spec, points = KernelSpec(circle_space(), support, geometric_scheme(), (500, 0)), xs
-    else:
-        spec, points = KernelSpec(sphere_space(3), support, geometric_scheme(), (0, 500)), zs
-    a = gram_matrix(spec, points)
-    assert np.array_equal(a, reference_gram_matrix(spec, points))
-    assert_within_the_decimal_bound(spec, *_sampled_entries(spec, points, a, count=60))
+    _, zs = sample_config(3, 200, 200, seed=7)
+    spec = KernelSpec(sphere_space(3), battery_1d(8, 1)[0], geometric_scheme(), (0, 500))
+    a = gram_matrix(spec, zs)
+    assert np.array_equal(a, reference_gram_matrix(spec, zs))
+    assert_within_the_decimal_bound(spec, *_sampled_entries(spec, zs, a, count=60))
+
+
+@pytest.mark.parametrize("kmax", [500, 2000])
+def test_circle_gram_matrix_lies_within_the_angle_bound_at_high_degree(kmax):
+    # 200 points: features at K = 500, the table in narrowed slices at K = 2000
+    xs, _ = sample_config(3, 200, 200, seed=7)
+    spec = KernelSpec(circle_space(), battery_1d(8, 1)[0], geometric_scheme(0.999), (kmax, 0))
+    assert_circle_gram_within_the_angle_bound(spec, xs, gram_matrix(spec, xs), count=60)
 
 
 @pytest.mark.parametrize("p, q", [(8, 6), (10, 10)])  # 9 216 and 40 000 pairs
