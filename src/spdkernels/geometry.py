@@ -1,10 +1,8 @@
-"""Point configurations on circles and spheres, and real harmonics on S^2.
+"""Points on the circle and on spheres, and the sampler of point configurations.
 
-An "enhanced" configuration doubles a p x q grid of (circle, sphere) pairs
-with the antipodes of the sphere points: the 2pq product points are ordered
-z-block by z-block with the circle index moving fastest, all plain blocks
-first, then all antipodal blocks in the same order.  This ordering is what
-gives the Gram matrices of such sets their 2 x 2 block structure.
+``CirclePoint`` stores a canonical angle and ``SpherePoint`` a unit vector;
+``sample_config`` draws distinct circle points and pairwise non-antipodal
+sphere points from a seed, the points of ``spdkernels gram``.
 """
 
 from __future__ import annotations
@@ -22,19 +20,12 @@ from .kernels import CHUNK_PAIRS
 __all__ = [
     "CirclePoint",
     "SpherePoint",
-    "EnhancedSet",
-    "build_enhanced",
     "sample_config",
-    "sph_basis_s2",
-    "S2HarmonicBasis",
-    "s2_quadrature",
 ]
 
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
-_DISTINCT_TOL = 1e-12
-_ANTIPODAL_TOL = 1e-9
 _SAMPLING_GAP = 1e-9
 _MAX_RESAMPLES = 1000
 
@@ -100,26 +91,6 @@ class SpherePoint:
         return SpherePoint(tuple(-c for c in self.coords))
 
 
-ProductPoint = tuple[CirclePoint, SpherePoint]
-
-
-@dataclass(frozen=True)
-class EnhancedSet:
-    """The ordered 2pq product points built from p circle and q sphere points."""
-
-    xs: tuple[CirclePoint, ...]
-    zs: tuple[SpherePoint, ...]
-    points: tuple[ProductPoint, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.xs)
-
-    @property
-    def q(self) -> int:
-        return len(self.zs)
-
-
 def _trusted_circle_points(thetas: list[float]) -> list[CirclePoint]:
     """``CirclePoint(t)`` for each angle, without re-running the validation.
 
@@ -146,74 +117,6 @@ def _trusted_sphere_points(coords: np.ndarray) -> list[SpherePoint]:
         object.__setattr__(z, "coords", tuple(row))
         out.append(z)
     return out
-
-
-def _check_circle_distinct(xs: Sequence[CirclePoint], tol: float) -> None:
-    """Refuse two circle points within tol of each other, naming the first
-    pair (i, j), i < j, in row order.
-
-    Rows are compared in blocks of about CHUNK_PAIRS pairs.  numpy's gaps
-    only clear the pairs that are farther apart than tol by far more than
-    rounding; ``CirclePoint.gap`` decides the rest.
-    """
-    thetas = np.array([x.theta for x in xs])
-    n = len(thetas)
-    clear = tol * (1.0 + 1e-9)
-    rows = max(1, CHUNK_PAIRS // n)
-    for lo in range(0, n, rows):
-        d = np.abs(thetas[lo : lo + rows, None] - thetas[None, lo:])  # < 2pi: canonical angles
-        near = np.triu(~(np.minimum(d, TWO_PI - d) > clear), k=1)
-        for i, j in np.argwhere(near).tolist():
-            if xs[lo + i].gap(xs[lo + j]) <= tol:
-                raise ValueError(f"circle points {lo + i} and {lo + j} coincide within {tol}")
-
-
-def _sphere_pair_fault(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> str:
-    """Why two sphere points may not share a configuration, or ""."""
-    if math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))) <= _DISTINCT_TOL:
-        return "coincide"
-    if math.sqrt(sum((x + y) ** 2 for x, y in zip(a, b))) <= tol:
-        return f"are antipodal within {tol}"
-    return ""
-
-
-def _check_sphere_admissible(zs: Sequence[SpherePoint], tol: float) -> None:
-    """Refuse coinciding or near-antipodal sphere points, naming the first
-    pair (i, j), i < j, in row order.
-
-    Rows are compared in blocks of about CHUNK_PAIRS pairs.  numpy's squared
-    distances only clear the pairs that are farther apart than the
-    tolerances by far more than rounding; ``_sphere_pair_fault`` decides the
-    rest with the pointwise test.
-    """
-    coords = np.array([z.coords for z in zs])
-    n = len(coords)
-    clear = (max(_DISTINCT_TOL, tol) * (1.0 + 1e-9)) ** 2
-    rows = max(1, CHUNK_PAIRS // n)
-    for lo in range(0, n, rows):
-        block = coords[lo : lo + rows, None, :]
-        diff, summ = block - coords[None, lo:, :], block + coords[None, lo:, :]
-        squared = np.minimum(np.einsum("ijk,ijk->ij", diff, diff), np.einsum("ijk,ijk->ij", summ, summ))
-        near = np.triu(~(squared > clear), k=1)  # a NaN distance leaves the pair near
-        for i, j in np.argwhere(near).tolist():
-            fault = _sphere_pair_fault(zs[lo + i].coords, zs[lo + j].coords, tol)
-            if fault:
-                raise ValueError(f"sphere points {lo + i} and {lo + j} {fault}")
-
-
-def build_enhanced(xs: Sequence[CirclePoint], zs: Sequence[SpherePoint]) -> EnhancedSet:
-    """Validate the generators and lay out the 2pq points in block order."""
-    if not xs or not zs:
-        raise ValueError("need at least one circle and one sphere point")
-    if len({z.dim for z in zs}) != 1:
-        raise ValueError("sphere points must share one ambient dimension")
-    _check_circle_distinct(xs, _DISTINCT_TOL)
-    _check_sphere_admissible(zs, _ANTIPODAL_TOL)
-    plain = [(x, z) for z in zs for x in xs]
-    mirrored = [(x, z.antipode()) for z in zs for x in xs]
-    points = tuple(plain + mirrored)
-    assert len(points) == 2 * len(xs) * len(zs)
-    return EnhancedSet(tuple(xs), tuple(zs), points)
 
 
 @dataclass
@@ -360,79 +263,3 @@ def _sphere_batch_near(accepted: np.ndarray, unit: np.ndarray, clear: float) -> 
         if np.any(inner >= bound):
             return True
     return False
-
-
-class S2HarmonicBasis:
-    """Real orthonormal spherical harmonics of one degree on S^2.
-
-    Calling the basis on an (n, 3) array of unit vectors returns a
-    (2l+1, n) array; rows are ordered [m=0, cos terms m=1..l, sin terms
-    m=1..l].  Normalization is L^2(S^2)-orthonormal, so the summed products
-    over one degree reproduce (2l+1)/(4pi) times the zonal polynomial of the
-    dot product.
-    """
-
-    def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
-
-    @property
-    def size(self) -> int:
-        return 2 * self.degree + 1
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != 3:
-            raise ValueError("S^2 harmonics take points in R^3")
-        l = self.degree
-        ct = np.clip(pts[:, 2], -1.0, 1.0)
-        st = np.hypot(pts[:, 0], pts[:, 1])
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-
-        # normalized associated Legendre values N_l^m(ct), built per order m
-        plm = np.empty((l + 1, pts.shape[0]))
-        pmm = np.full(pts.shape[0], math.sqrt(1.0 / (4.0 * math.pi)))
-        for mo in range(l + 1):
-            if mo > 0:
-                pmm = -math.sqrt((2 * mo + 1) / (2.0 * mo)) * st * pmm
-            if mo == l:
-                plm[mo] = pmm
-                continue
-            prev, cur = pmm, math.sqrt(2 * mo + 3) * ct * pmm
-            for ll in range(mo + 2, l + 1):
-                a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mo * mo))
-                b = math.sqrt(((ll - 1.0) ** 2 - mo * mo) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-                prev, cur = cur, a * (ct * cur - b * prev)
-            plm[mo] = cur
-
-        out = np.empty((self.size, pts.shape[0]))
-        out[0] = plm[0]
-        root2 = math.sqrt(2.0)
-        for mo in range(1, l + 1):
-            out[mo] = root2 * plm[mo] * np.cos(mo * phi)
-            out[l + mo] = root2 * plm[mo] * np.sin(mo * phi)
-        return out
-
-
-def sph_basis_s2(l: int) -> S2HarmonicBasis:
-    """Real orthonormal degree-l harmonic basis on S^2, 2l+1 functions."""
-    return S2HarmonicBasis(l)
-
-
-def s2_quadrature(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product quadrature on S^2 exact for harmonic products up to max_degree.
-
-    Gauss-Legendre in the polar cosine crossed with a uniform azimuthal grid;
-    returns (points (N, 3), weights (N,)) with weights summing to 4pi.
-    """
-    n_theta = max_degree + 2
-    n_phi = 2 * max_degree + 2
-    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
-    phi = TWO_PI * np.arange(n_phi) / n_phi
-    ct = np.repeat(nodes, n_phi)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    ph = np.tile(phi, n_theta)
-    points = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
-    weights = np.repeat(wts, n_phi) * (TWO_PI / n_phi)
-    return points, weights

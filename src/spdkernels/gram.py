@@ -1,9 +1,9 @@
 """Gram matrices and constructive degeneracy witnesses for truncated kernels.
 
-The Gram matrices, positive-definiteness checks (a symmetric eigensolve),
-per-degree forms and block checks over enhanced sets are numerical evidence
-on the truncated support.  A witness is exact for the full expansion: its
-form vanishes at every truncation.  It is the tensor of two axis factors:
+The Gram matrices, positive-definiteness checks (a symmetric eigensolve)
+and per-degree forms are numerical evidence on the truncated support.  A
+witness is exact for the full expansion: its form vanishes at every
+truncation.  It is the tensor of two axis factors:
 
 * the circle factor (n, j): the n-th roots of unity weighted by
   cos(j * theta), whose character sums vanish at every k not +/-j mod n;
@@ -35,7 +35,7 @@ import numpy as np
 
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
-from .geometry import TWO_PI, CirclePoint, EnhancedSet, SpherePoint
+from .geometry import TWO_PI, CirclePoint, SpherePoint
 # kernel_values stays bound here though gram contracts through _contract:
 # bench/spans.py traces the layer functions by the names each module holds
 from .kernels import (  # noqa: F401
@@ -43,11 +43,8 @@ from .kernels import (  # noqa: F401
     CHUNK_PAIRS,
     KernelSpec,
     _contract,
-    _rows,
     _slice_width,
-    _slices,
     _warn_if_empty,
-    _width,
     kernel_values,
 )
 from .supportsets import (
@@ -61,11 +58,9 @@ from .supportsets import (
 __all__ = [
     "MAX_POINTS",
     "WitnessReport",
-    "BlockCheck",
     "gram_matrix",
     "check_pd",
     "per_degree_forms",
-    "enhanced_block_check",
     "witness_parity_sphere",
     "witness_progression_circle",
     "witness_product",
@@ -89,16 +84,6 @@ class WitnessReport:
     points: tuple
     coefficients: tuple[float, ...]
     residual: float
-    scale: float
-
-
-@dataclass(frozen=True)
-class BlockCheck:
-    """Deviations of one degree's enhanced Gram from its block identities."""
-
-    degree: int
-    max_abs_m22_minus_m11: float
-    max_abs_m12_minus_signed_m11: float
     scale: float
 
 
@@ -170,16 +155,14 @@ def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) ->
             raise ValueError(f"invalid configuration: points {lo + i} and {lo + j} coincide")
 
 
-def _dot_matrices(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]):
-    """The n x n angle cosines and sphere dot products (None for an absent
-    axis); the dot products are clipped to [-1, 1] in place."""
-    t = s = None
-    if thetas is not None:
-        t = np.cos(thetas[:, None] - thetas[None, :])
-    if zs is not None:
-        s = zs @ zs.T
-        np.clip(s, -1.0, 1.0, out=s)
-    return t, s
+def _dot_products(zs: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The n x n sphere dot products clipped to [-1, 1] in place, None for
+    no sphere slot."""
+    if zs is None:
+        return None
+    s = zs @ zs.T
+    np.clip(s, -1.0, 1.0, out=s)
+    return s
 
 
 def _upper_triangle(n: int, width: int):
@@ -262,7 +245,7 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     # the sphere dot products stay one matrix product, since a per-pair sum
     # may round differently, and the Gram is written over them: a chunk reads
     # its upper-triangle dots before it writes, and none below the diagonal
-    _, a = _dot_matrices(None, zs)
+    a = _dot_products(zs)
     if a is None:
         a = np.empty((n, n))
     flat = a.ravel()
@@ -325,7 +308,7 @@ def per_degree_forms(
     n = len(points)
     if c.shape != (n,):
         raise ValueError("coefficient vector length must match the point count")
-    flat = _dot_matrices(None, zs)[1].ravel()
+    flat = _dot_products(zs).ravel()
     pairs = n * (n + 1) // 2
 
     def chunks():
@@ -338,52 +321,6 @@ def per_degree_forms(
     for w, products in _contract(spec, chunks(), pairs, layers=True):
         layers += products @ w
     return float(layers.sum()), layers
-
-
-def _layer_matrix(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> np.ndarray:
-    """Layer f_degree(t_ij) P_degree(s_ij) of one sphere degree; the circle
-    table is contracted with that degree's coefficient column only, and the
-    sphere slot's table stops at the degree (enhanced sets are circle x
-    sphere points, so ``_split_points`` has refused every other space).  The
-    n^2 pairs are walked a ``_width`` slice at a time through one table
-    buffer."""
-    thetas, zs = _split_points(spec, enhanced.points)
-    t, s = _dot_matrices(thetas, zs)
-    column = spec.coefficient_matrix[:, degree, None]
-    layer = np.empty(t.size)
-    cap = max(spec.kmax, degree)
-    width = _width(cap, t.size)
-    table = np.empty((cap + 1) * width)
-    # an elementwise product summed over rows treats every pair alike, so
-    # equal arguments give equal values and the block identities stay exact
-    for lo, tc, sc in _slices(t.ravel(), s.ravel(), width):
-        circ = spec._axis_table(0, tc, out=_rows(table, spec.kmax + 1, len(tc)))
-        circ *= column
-        marg = circ.sum(axis=0)
-        sph = spec._axis_table(1, sc, out=_rows(table, degree + 1, len(sc)), cap=degree)
-        layer[lo : lo + len(tc)] = marg * sph[degree]
-    return layer.reshape(t.shape)
-
-
-def enhanced_block_check(spec: KernelSpec, enhanced: EnhancedSet, degree: int) -> BlockCheck:
-    """Measure the block identities of one degree layer over an enhanced set.
-
-    With the block ordering of ``build_enhanced``, the antipodal diagonal
-    block repeats the plain one and the off-diagonal blocks carry the sign
-    (-1)^degree.
-    """
-    if not 0 <= degree <= spec.lmax:
-        raise ValueError(f"degree {degree} outside the truncation box [0, {spec.lmax}]")
-    mat = _layer_matrix(spec, enhanced, degree)
-    half = enhanced.p * enhanced.q
-    m11 = mat[:half, :half]
-    m22 = mat[half:, half:]
-    m12 = mat[:half, half:]
-    m21 = mat[half:, :half]
-    sign = -1.0 if degree % 2 else 1.0
-    dev_diag = float(np.max(np.abs(m22 - m11)))
-    dev_off = float(max(np.max(np.abs(m12 - sign * m11)), np.max(np.abs(m21 - sign * m11))))
-    return BlockCheck(degree, dev_diag, dev_off, spec.value_at_one)
 
 
 def _geodesic_bound(l_terms: Sequence[Term1D], parity: str) -> Optional[int]:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import NotApplicableError
+from .errors import NotApplicableError, NumericalError
 from .orthopoly import (
     MAX_DEGREE,
     _gegenbauer_on_chebyshev,
@@ -367,10 +367,9 @@ class KernelSpec:
             return v is not None and len(v) == 0  # the dense route is never empty
         return not np.any(self.coefficient_matrix > 0)
 
-    def _axis_table(self, slot: int, x: np.ndarray, out=None, cap: Optional[int] = None) -> np.ndarray:
-        """The table of a slot's axis at x, degrees 0 to cap (the slot's bound by default)."""
-        cap = self.truncation[slot] if cap is None else cap
-        return _AXIS_TABLES[self.space._axes[slot]].table(self.space, cap, x, out)
+    def _axis_table(self, slot: int, x: np.ndarray, out=None) -> np.ndarray:
+        """The table of a slot's axis at x, degrees 0 to the slot's bound."""
+        return _AXIS_TABLES[self.space._axes[slot]].table(self.space, self.truncation[slot], x, out)
 
     def _folds(self, slot: int, pairs: int) -> bool:
         """Whether a contraction of ``pairs`` pairs takes the slot's factor
@@ -396,12 +395,6 @@ class KernelSpec:
     def _chebyshev_factors(self) -> dict[int, np.ndarray]:
         """The folded factors made so far, by slot (filled by ``_folded``)."""
         return {}
-
-    def sphere_axis_table(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Zonal polynomial values on the second axis, all degrees up to lmax."""
-        if not self.space.is_product:
-            raise NotApplicableError("sphere-axis table is defined for product specs only")
-        return self._axis_table(1, s, out)
 
     @cached_property
     def value_at_one(self) -> float:
@@ -489,6 +482,7 @@ def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready:
     yields the (L + 1) x width products (V.T @ a) * P instead, over the
     family tables, which give each degree apart.  The buffers are allocated
     once and refilled, so what a slice yields is overwritten by the next one.
+    A slice that holds a non-finite value raises ``NumericalError``.
     """
     width = _slice_width(spec, pairs, ready)
     factors = dict(spec._slot_factors)
@@ -516,12 +510,15 @@ def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready:
             if factors[1] is not None:
                 a = np.matmul(factors[1].T, a, out=_rows(products[1], spec.lmax + 1, a.shape[1]))
             a *= spec._axis_table(1, args[1], out=_rows(table, spec.lmax + 1, a.shape[1]))
-            yield key, a
-            continue
-        a = side(order[0], args[order[0]])
-        for slot in order[1:]:
-            a *= side(slot, args[slot])
-        yield key, a[0] if r == 1 else a.sum(axis=0)
+            values = a
+        else:
+            a = side(order[0], args[order[0]])
+            for slot in order[1:]:
+                a *= side(slot, args[slot])
+            values = a[0] if r == 1 else a.sum(axis=0)
+        if not np.isfinite(values).all():
+            raise NumericalError("a kernel value is not finite: the expansion overflows float64")
+        yield key, values
 
 
 def eval_kernel(spec: KernelSpec, t: float, s: Optional[float] = None) -> float:

@@ -1,9 +1,12 @@
-"""Shared fixtures: fixed support batteries and independent oracle helpers.
+"""Shared fixtures: fixed support batteries, independent oracle helpers and
+reference constructions of the paper.
 
 The oracles here re-derive expected answers from first principles (window
 scans over integer ranges, modular arithmetic) without touching the
 library's own decision procedures, so the tests cross-examine rather than
-echo the implementation.
+echo the implementation.  The paper's enhanced point sets and the real
+spherical harmonics on S^2, with a quadrature for them, live here too: the
+library itself has no use for them.
 """
 
 import math
@@ -11,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from spdkernels import SupportSet1D, SupportSet2D, circle_table, one, prog
+from spdkernels import SupportSet1D, SupportSet2D, circle_table, gegenbauer_table, one, prog
+from spdkernels.geometry import TWO_PI
 
 WINDOW = 10_000
 
@@ -305,6 +309,123 @@ def jacobi_one_ref(l, alpha):
         math.lgamma(l + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(l + 1)
     )
 
+
+
+# ---------------------------------------------------------------------------
+# enhanced point sets and their block identities
+# ---------------------------------------------------------------------------
+
+def enhanced_points(xs, zs):
+    """The 2pq (circle, sphere) points of the enhanced set of p circle and q
+    sphere points: z-block by z-block with the circle index moving fastest,
+    all plain blocks first, then all antipodal blocks in the same order."""
+    plain = [(x, z) for z in zs for x in xs]
+    mirrored = [(x, z.antipode()) for z in zs for x in xs]
+    return tuple(plain + mirrored)
+
+
+def layer_matrix_ref(spec, points, degree):
+    """Layer f_degree(t_ij) P_degree(s_ij) of one sphere degree of a
+    circle x sphere spec, in one piece.  The degree's coefficient column
+    times the circle table is summed over its rows, which treats every pair
+    alike, so equal arguments give equal values."""
+    thetas = np.array([x.theta for x, _ in points])
+    zs = np.array([z.coords for _, z in points])
+    t = np.cos(thetas[:, None] - thetas[None, :])
+    s = np.clip(zs @ zs.T, -1.0, 1.0)
+    column = spec.coefficient_matrix[:, degree, None]
+    marg = (column * circle_table(spec.kmax, t.ravel())).sum(axis=0)
+    sph = gegenbauer_table(degree, spec.space.m, s.ravel())[degree]
+    return (marg * sph).reshape(t.shape)
+
+
+def block_deviations(spec, points, degree):
+    """How far one degree's layer over ``enhanced_points`` is from its block
+    identities: max |M22 - M11|, and the largest |M12 - sign M11| and
+    |M21 - sign M11| for sign = (-1)^degree.  The antipodal diagonal block
+    repeats the plain one and the off-diagonal blocks carry the sign."""
+    mat = layer_matrix_ref(spec, points, degree)
+    half = len(points) // 2
+    m11, m12 = mat[:half, :half], mat[:half, half:]
+    m21, m22 = mat[half:, :half], mat[half:, half:]
+    sign = -1.0 if degree % 2 else 1.0
+    dev_off = max(np.max(np.abs(m12 - sign * m11)), np.max(np.abs(m21 - sign * m11)))
+    return float(np.max(np.abs(m22 - m11))), float(dev_off)
+
+
+# ---------------------------------------------------------------------------
+# real spherical harmonics on S^2 and a quadrature for them
+# ---------------------------------------------------------------------------
+
+class S2HarmonicBasis:
+    """Real orthonormal spherical harmonics of one degree on S^2.
+
+    Calling the basis on an (n, 3) array of unit vectors returns a
+    (2l+1, n) array; rows are ordered [m=0, cos terms m=1..l, sin terms
+    m=1..l].  Normalization is L^2(S^2)-orthonormal, so the summed products
+    over one degree reproduce (2l+1)/(4pi) times the zonal polynomial of the
+    dot product.
+    """
+
+    def __init__(self, degree: int):
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        self.degree = degree
+
+    @property
+    def size(self) -> int:
+        return 2 * self.degree + 1
+
+    def __call__(self, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != 3:
+            raise ValueError("S^2 harmonics take points in R^3")
+        l = self.degree
+        ct = np.clip(pts[:, 2], -1.0, 1.0)
+        st = np.hypot(pts[:, 0], pts[:, 1])
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+
+        # normalized associated Legendre values N_l^m(ct), built per order m
+        plm = np.empty((l + 1, pts.shape[0]))
+        pmm = np.full(pts.shape[0], math.sqrt(1.0 / (4.0 * math.pi)))
+        for mo in range(l + 1):
+            if mo > 0:
+                pmm = -math.sqrt((2 * mo + 1) / (2.0 * mo)) * st * pmm
+            if mo == l:
+                plm[mo] = pmm
+                continue
+            prev, cur = pmm, math.sqrt(2 * mo + 3) * ct * pmm
+            for ll in range(mo + 2, l + 1):
+                a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - mo * mo))
+                b = math.sqrt(((ll - 1.0) ** 2 - mo * mo) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+                prev, cur = cur, a * (ct * cur - b * prev)
+            plm[mo] = cur
+
+        out = np.empty((self.size, pts.shape[0]))
+        out[0] = plm[0]
+        root2 = math.sqrt(2.0)
+        for mo in range(1, l + 1):
+            out[mo] = root2 * plm[mo] * np.cos(mo * phi)
+            out[l + mo] = root2 * plm[mo] * np.sin(mo * phi)
+        return out
+
+
+def s2_quadrature(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product quadrature on S^2 exact for harmonic products up to max_degree.
+
+    Gauss-Legendre in the polar cosine crossed with a uniform azimuthal grid;
+    returns (points (N, 3), weights (N,)) with weights summing to 4pi.
+    """
+    n_theta = max_degree + 2
+    n_phi = 2 * max_degree + 2
+    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    phi = TWO_PI * np.arange(n_phi) / n_phi
+    ct = np.repeat(nodes, n_phi)
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    ph = np.tile(phi, n_theta)
+    points = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
+    weights = np.repeat(wts, n_phi) * (TWO_PI / n_phi)
+    return points, weights
 
 @pytest.fixture
 def rng():

@@ -15,8 +15,11 @@ from conftest import (
     NOT_SPD_PRODUCT_SUPPORTS_G0,
     SPD_BUT_INCONCLUSIVE,
     SPD_PRODUCT_SUPPORTS,
+    S2HarmonicBasis,
     battery_1d,
     battery_2d,
+    block_deviations,
+    enhanced_points,
     jacobi_one_ref,
     oracle_class_member,
     oracle_witness_sound,
@@ -25,7 +28,6 @@ from spdkernels import (
     KernelSpec,
     SupportSet2D,
     Verdict,
-    build_enhanced,
     certify_circle_sphere,
     certify_circle_sphere_gamma_loop,
     certify_circle_tph,
@@ -33,16 +35,13 @@ from spdkernels import (
     circle_sphere_space,
     circle_table,
     circle_tph_space,
-    enhanced_block_check,
     gegenbauer_table,
     geometric_scheme,
     gram_matrix,
     jacobi_table,
     meets_every_progression,
     prog,
-    s2_quadrature,
     sample_config,
-    sph_basis_s2,
     sufficient_product,
     witness_product,
 )
@@ -93,7 +92,7 @@ def test_criterion_1_polynomial_normalization(capsys):
 def test_criterion_2_addition_theorem(capsys):
     rng = np.random.default_rng(42)
     for l in range(16):
-        basis = sph_basis_s2(l)
+        basis = S2HarmonicBasis(l)
         u = rng.normal(size=(100, 3))
         v = rng.normal(size=(100, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -119,11 +118,11 @@ def test_criterion_3_enhanced_block_structure(capsys):
         p = int(rng.integers(1, 5))
         q = int(rng.integers(1, 5))
         xs, zs = sample_config(2, p, q, seed=1000 + trial)
-        enh = build_enhanced(xs, zs)
+        points = enhanced_points(xs, zs)
         for degree in range(41):
-            report = enhanced_block_check(spec, enh, degree)
-            assert report.max_abs_m22_minus_m11 <= bound, (trial, degree)
-            assert report.max_abs_m12_minus_signed_m11 <= bound, (trial, degree)
+            dev_diag, dev_off = block_deviations(spec, points, degree)
+            assert dev_diag <= bound, (trial, degree)
+            assert dev_off <= bound, (trial, degree)
     _announce(capsys, "[3] 20 enhanced configurations: block identities exact through degree 40")
 
 

@@ -687,6 +687,34 @@ def test_crosscheck_report_structure(tmp_path):
     assert set(report["sufficient"]) == {"circle-outer", "sphere-outer"}
 
 
+def _overflowing_circle(step):
+    """A circle spec whose 61 coefficients of 1e308 sum past float64 at t = 1."""
+    return {
+        "space": {"kind": "circle"},
+        "support": [{"type": "prog", "base": 0, "step": step}],
+        "scheme": {"kind": "constant", "scale": 1e308},
+        "truncation": {"kmax": 60, "lmax": 0},
+        "seed": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, step",
+    [(["eval", "--t", "1"], 1), (["gram", "--points", "5"], 1), (["witness"], 3)],
+    ids=["eval", "gram", "witness"],
+)
+def test_non_finite_kernel_values_are_a_numerical_failure(tmp_path, capsys, command, step):
+    # eval printed inf and exited 0, gram refused its NaN Gram as asymmetric
+    # (64), and witness wrote "residual": NaN and "scale": Infinity (1)
+    path = write_spec(tmp_path, _overflowing_circle(step))
+    out = tmp_path / "r.json"
+    assert main([command[0], path, *command[1:], "--json", str(out), "--no-timestamp"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical error: a kernel value is not finite" in captured.err
+    assert not out.exists()
+
+
 # --- JSON booleans are not integers ----------------------------------------------------
 
 @pytest.mark.parametrize(

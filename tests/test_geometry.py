@@ -1,4 +1,5 @@
-"""Point models, sampling, spherical harmonics and quadrature."""
+"""Point models and sampling, and the reference enhanced sets, spherical
+harmonics and quadrature of ``conftest``."""
 
 import logging
 import math
@@ -6,16 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from spdkernels import (
-    CirclePoint,
-    SamplingError,
-    SpherePoint,
-    build_enhanced,
-    gegenbauer_table,
-    s2_quadrature,
-    sample_config,
-    sph_basis_s2,
-)
+from conftest import S2HarmonicBasis, enhanced_points, s2_quadrature
+from spdkernels import CirclePoint, SamplingError, SpherePoint, gegenbauer_table, sample_config
 
 
 # --- point models -----------------------------------------------------------------
@@ -170,31 +163,19 @@ def test_sample_config_gives_up_like_the_pointwise_reference(n_circle, n_sphere)
 def test_enhanced_layout():
     xs = [CirclePoint(0.0), CirclePoint(1.0), CirclePoint(2.0)]
     zs = [SpherePoint((1.0, 0.0, 0.0)), SpherePoint((0.0, 1.0, 0.0))]
-    enh = build_enhanced(xs, zs)
-    assert enh.p == 3 and enh.q == 2
-    assert len(enh.points) == 2 * 3 * 2
+    points = enhanced_points(xs, zs)
+    assert len(points) == 2 * 3 * 2
     # plain block first, x varying fastest inside each z
     for j, z in enumerate(zs):
         for i, x in enumerate(xs):
-            px, pz = enh.points[j * 3 + i]
+            px, pz = points[j * 3 + i]
             assert px.theta == x.theta and tuple(pz.coords) == tuple(z.coords)
     # antipodal block mirrors the sphere part only
     for j, z in enumerate(zs):
         for i, x in enumerate(xs):
-            px, pz = enh.points[6 + j * 3 + i]
+            px, pz = points[6 + j * 3 + i]
             assert px.theta == x.theta
             assert tuple(pz.coords) == tuple(z.antipode().coords)
-
-
-def test_enhanced_rejects_duplicates_and_antipodes():
-    xs = [CirclePoint(0.0), CirclePoint(0.0)]
-    zs = [SpherePoint((1.0, 0.0, 0.0))]
-    with pytest.raises(ValueError):
-        build_enhanced(xs, zs)
-    xs = [CirclePoint(0.0)]
-    zs = [SpherePoint((1.0, 0.0, 0.0)), SpherePoint((-1.0, 0.0, 0.0))]
-    with pytest.raises(ValueError):
-        build_enhanced(xs, zs)
 
 
 # --- harmonics and quadrature ------------------------------------------------------------
@@ -209,7 +190,7 @@ def test_harmonics_orthonormal_under_quadrature():
     pts, w = s2_quadrature(21)
     blocks = []
     for l in range(11):
-        basis = sph_basis_s2(l)
+        basis = S2HarmonicBasis(l)
         blocks.append(basis(pts))
     stacked = np.vstack(blocks)
     gram = (stacked * w) @ stacked.T
@@ -218,7 +199,7 @@ def test_harmonics_orthonormal_under_quadrature():
 
 def test_addition_theorem_degree_three():
     rng = np.random.default_rng(12)
-    basis = sph_basis_s2(3)
+    basis = S2HarmonicBasis(3)
     for _ in range(25):
         u = rng.normal(size=3)
         v = rng.normal(size=3)
@@ -232,72 +213,6 @@ def test_addition_theorem_degree_three():
 
 def test_harmonic_count_per_degree():
     for l in (0, 1, 4, 9):
-        basis = sph_basis_s2(l)
+        basis = S2HarmonicBasis(l)
         vals = basis(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
         assert vals.shape == (2 * l + 1, 2)
-
-
-# --- admissibility of sphere generators -------------------------------------------------
-
-def _first_sphere_fault(zs, tol=1e-9):
-    """The pointwise double loop the blocked check replaced, as an oracle."""
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(zs[i].coords, zs[j].coords)))
-            if diff <= 1e-12:
-                return f"sphere points {i} and {j} coincide"
-            summ = math.sqrt(sum((a + b) ** 2 for a, b in zip(zs[i].coords, zs[j].coords)))
-            if summ <= tol:
-                return f"sphere points {i} and {j} are antipodal within {tol}"
-    return None
-
-
-def _sphere_fault(zs):
-    try:
-        build_enhanced([CirclePoint(0.0)], zs)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def _near(z, eps):
-    """A unit vector within about eps of z."""
-    direction = np.cos(np.arange(len(z.coords)) + 0.5)
-    return SpherePoint.from_vector(np.array(z.coords) + eps * direction)
-
-
-def test_coinciding_sphere_points_are_named():
-    _, zs = sample_config(2, 0, 12, seed=3)
-    zs[9] = _near(zs[4], 1e-14)
-    assert _sphere_fault(zs) == _first_sphere_fault(zs) == "sphere points 4 and 9 coincide"
-
-
-def test_near_antipodal_sphere_points_are_named():
-    _, zs = sample_config(3, 0, 12, seed=4)
-    zs[7] = _near(zs[2].antipode(), 1e-11)
-    want = "sphere points 2 and 7 are antipodal within 1e-09"
-    assert _sphere_fault(zs) == _first_sphere_fault(zs) == want
-    zs[7] = _near(zs[2].antipode(), 1e-7)  # far enough apart
-    assert _sphere_fault(zs) is None
-
-
-def test_first_sphere_fault_across_row_blocks():
-    from spdkernels.kernels import CHUNK_PAIRS
-
-    n = 200
-    rows = CHUNK_PAIRS // n  # the rows of one block
-    _, base = sample_config(2, 0, n, seed=5)
-    assert _sphere_fault(base) is None and _first_sphere_fault(base) is None
-    placements = [
-        [(rows + 5, rows + 6, "same"), (rows - 1, n - 1, "anti")],  # last row of block one
-        [(rows, rows + 1, "anti"), (2 * rows + 3, n - 2, "same")],  # first row of block two
-        [(n - 2, n - 1, "same")],  # the last pair of all
-        [(2, n - 50, "same"), (10, 60, "anti")],  # row order, not column order
-        [(3, 2 * rows + 1, "anti"), (3, rows + 1, "same")],  # two faults in one row
-    ]
-    for faults in placements:
-        zs = list(base)
-        for i, j, kind in faults:
-            zs[j] = _near(zs[i], 1e-14) if kind == "same" else _near(zs[i].antipode(), 1e-11)
-        assert _sphere_fault(zs) == _first_sphere_fault(zs)
-    assert _sphere_fault(zs) == f"sphere points 3 and {rows + 1} coincide"

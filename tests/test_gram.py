@@ -11,18 +11,17 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d, marginal_ref,
+    LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d,
+    block_deviations, enhanced_points, marginal_ref,
 )
 from spdkernels import (
     CirclePoint,
-    EnhancedSet,
     KernelSpec,
     NotApplicableError,
     SpherePoint,
     SupportSet1D,
     SupportSet2D,
     Verdict,
-    build_enhanced,
     certify_circle,
     certify_circle_sphere,
     certify_sphere,
@@ -32,7 +31,6 @@ from spdkernels import (
     circle_sphere_space,
     circle_tph_space,
     constant_scheme,
-    enhanced_block_check,
     eval_kernel,
     geometric_scheme,
     gram_matrix,
@@ -191,7 +189,7 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
     t = np.cos(rng.uniform(0.0, 2.0 * math.pi, pairs))
     s = rng.uniform(-1.0, 1.0, pairs)
     w = rng.normal(size=pairs)
-    expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)) @ w
+    expected = (marginal_ref(spec, t) * spec._axis_table(1, s)) @ w
     got = np.zeros(spec.lmax + 1)
     for lo, products in _contract(spec, _slices(t, s, CHUNK_PAIRS), pairs, layers=True):
         got += products @ w[lo : lo + CHUNK_PAIRS]
@@ -305,8 +303,6 @@ def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, tru
     pts = product_points(40, seed=6)
     gram_matrix(spec, pts)
     per_degree_forms(spec, pts, np.ones(40))
-    enhanced = build_enhanced(*sample_config(2, 2, 2, seed=6))
-    enhanced_block_check(spec, enhanced, trunc[1])
     made = [call for name in names for call in calls[name]]
     assert {cap for cap, _ in made} >= {2_000}
     assert all((cap + 1) * width <= _WORKSPACE for cap, width in made)
@@ -366,12 +362,9 @@ def test_sphere_gram_is_written_over_its_dot_products():
 def test_enhanced_blocks_exact():
     spec = product_spec(trunc=(25, 25))
     xs, zs = sample_config(2, 3, 3, seed=17)
-    enh = build_enhanced(xs, zs)
+    points = enhanced_points(xs, zs)
     for degree in (0, 1, 2, 7):
-        report = enhanced_block_check(spec, enh, degree)
-        assert report.max_abs_m22_minus_m11 == 0.0
-        assert report.max_abs_m12_minus_signed_m11 == 0.0
-        assert report.scale > 0
+        assert block_deviations(spec, points, degree) == (0.0, 0.0)
 
 
 # --- parity witness -----------------------------------------------------------------------------
@@ -599,7 +592,7 @@ def test_gamma_zero_witness_is_the_composed_construction():
             e0 = SpherePoint((1.0,) + (0.0,) * m)
             c = np.concatenate([d, d if failure.parity == "even" else -d])
             w = witness_product(product_spec(support, trunc=(20, 20), m=m), cert)
-            assert w.points == build_enhanced(roots, [e0]).points
+            assert w.points == enhanced_points(roots, [e0])
             assert w.coefficients == tuple(c)
 
 
@@ -807,47 +800,6 @@ def test_duplicate_check_reports_the_double_loops_first_pair():
     th[200] = th[100]
     assert _reported_pair(th, zs) is None
     assert _reported_pair(th, None) == (100, 200)
-
-
-# --- one-degree layer matrix --------------------------------------------------------------------
-
-def _full_table_block_check(spec, enhanced, degree):
-    """Block deviations with the layer matrix cut from the full tables."""
-    thetas = np.array([x.theta for x, _ in enhanced.points])
-    zs = np.array([z.coords for _, z in enhanced.points])
-    t = np.cos(thetas[:, None] - thetas[None, :])
-    s = np.clip(zs @ zs.T, -1.0, 1.0)
-    mat = (
-        marginal_ref(spec, t.ravel())[degree] * spec.sphere_axis_table(s.ravel())[degree]
-    ).reshape(t.shape)
-    half = enhanced.p * enhanced.q
-    m11, m22 = mat[:half, :half], mat[half:, half:]
-    m12, m21 = mat[:half, half:], mat[half:, :half]
-    sign = -1.0 if degree % 2 else 1.0
-    dev_off = max(np.max(np.abs(m12 - sign * m11)), np.max(np.abs(m21 - sign * m11)))
-    return float(np.max(np.abs(m22 - m11))), float(dev_off), float(np.max(np.abs(mat)))
-
-
-def test_block_check_matches_the_full_table_layer():
-    spec = product_spec(
-        SupportSet2D(((prog(0, 2), prog(0, 1)), (one(3), prog(1, 2)))), trunc=(18, 14), m=3
-    )
-    xs, zs = sample_config(3, 3, 2, seed=8)
-    enhanced = build_enhanced(xs, zs)
-    # mirrored blocks that are no antipodes give nonzero deviations to compare
-    _, others = sample_config(3, 0, 4, seed=9)
-    skewed = EnhancedSet(
-        enhanced.xs, enhanced.zs,
-        enhanced.points[:6] + tuple((x, others[i // 3]) for i, (x, _) in enumerate(enhanced.points[6:])),
-    )
-    for config in (enhanced, skewed):
-        for degree in (0, 1, 2, 5, 14):
-            got = enhanced_block_check(spec, config, degree)
-            dev_diag, dev_off, size = _full_table_block_check(spec, config, degree)
-            assert abs(got.max_abs_m22_minus_m11 - dev_diag) <= 1e-12 * size
-            assert abs(got.max_abs_m12_minus_signed_m11 - dev_off) <= 1e-12 * size
-            if config is skewed and degree:
-                assert dev_diag > 1e-6 * size
 
 
 # --- observability -------------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_a_support_whose_rows_all_differ_takes_the_dense_route(trunc):
     u, v = assert_factors_rebuild_the_coefficients(spec)
     assert u is None or v is None
     t, s = np.linspace(-1.0, 1.0, 7), np.linspace(1.0, -1.0, 7)
-    expected = (marginal_ref(spec, t) * spec.sphere_axis_table(s)).sum(axis=0)
+    expected = (marginal_ref(spec, t) * spec._axis_table(1, s)).sum(axis=0)
     bound = (sum(trunc) + 2) * EPS * spec.value_at_one
     assert np.max(np.abs(kernel_values(spec, t, s) - expected)) <= bound
 
@@ -667,7 +667,7 @@ def _unchunked_kernel_values(spec, t, s=None):
     """The whole-array evaluation: one table per axis over every pair."""
     a = spec.coefficient_matrix
     if spec.space.is_product:
-        return np.einsum("kp,kl,lp->p", circle_table(spec.kmax, t), a, spec.sphere_axis_table(s))
+        return np.einsum("kp,kl,lp->p", circle_table(spec.kmax, t), a, spec._axis_table(1, s))
     if spec.space.kind == "circle":
         return a @ circle_table(spec.axis_cap, t)
     return a @ gegenbauer_table(spec.axis_cap, spec.space.m, t)

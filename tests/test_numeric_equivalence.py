@@ -1,16 +1,15 @@
-"""The in-place polynomial recurrences, the streamed Gram matrix, the chunked
-layer matrix, the screened duplicate checks, the batched sampler and the
-tensored witness assembly against the code they replaced.
+"""The in-place polynomial recurrences, the streamed Gram matrix, the
+screened duplicate check, the batched sampler and the tensored witness
+assembly against the code they replaced.
 
 ``reference_*`` below are verbatim copies of the earlier code: recurrences
 that allocate fresh arrays for every degree, a contraction that multiplies
 into a new array in slices of 16 384 pairs, a Gram matrix that takes the
-cosine of all n^2 angle differences, a layer matrix built in one piece, a
-block scan of every pair for duplicates, a double loop over circle
-points, and the points and coefficients of three separate witness functions.
-The library must return the same floats bit for bit (``np.array_equal``),
-the same sampled points and resample counts, the same first faulty pair,
-and the same witness points and coefficients.  Only
+cosine of all n^2 angle differences, a block scan of every pair for
+duplicates, and the points and coefficients of three separate witness
+functions.  The library must return the same floats bit for bit
+(``np.array_equal``), the same sampled points and resample counts, the same
+first duplicate pair, and the same witness points and coefficients.  Only
 ``reference_geodesic_assembly`` is no earlier code: it writes the geodesic
 factor that replaced the earlier sampled sphere factor from its definition.
 
@@ -43,7 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d
+from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d, enhanced_points
 from spdkernels import (
     CirclePoint,
     KernelSpec,
@@ -51,7 +50,6 @@ from spdkernels import (
     SpherePoint,
     SupportSet1D,
     SupportSet2D,
-    build_enhanced,
     certify_circle_sphere,
     circle_space,
     circle_sphere_space,
@@ -69,10 +67,8 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.geometry import TWO_PI, _check_circle_distinct
-from spdkernels.gram import (
-    _check_duplicates, _dot_matrices, _layer_matrix, _split_points,
-)
+from spdkernels.geometry import TWO_PI
+from spdkernels.gram import _check_duplicates, _split_points
 from spdkernels.kernels import BETA_BY_FAMILY, CHUNK_PAIRS
 from spdkernels.orthopoly import (
     _checked_argument,
@@ -203,15 +199,6 @@ def reference_gram_matrix(spec, points):
     return a
 
 
-def reference_layer_matrix(spec, enhanced, degree):
-    thetas, zs = _split_points(spec, enhanced.points)
-    t, s = _dot_matrices(thetas, zs)
-    column = spec.coefficient_matrix[:, degree, None]
-    marg = (column * circle_table(spec.kmax, t.ravel())).sum(axis=0)
-    sph = gegenbauer_table(degree, spec.space.m, s.ravel())[degree]
-    return (marg * sph).reshape(t.shape)
-
-
 def reference_check_duplicates(thetas, zs):
     n = len(thetas) if thetas is not None else len(zs)
     rows = max(1, REFERENCE_CHUNK // n)
@@ -226,13 +213,6 @@ def reference_check_duplicates(thetas, zs):
         if same.any():
             i, j = np.unravel_index(np.argmax(same), same.shape)
             raise ValueError(f"invalid configuration: points {lo + i} and {lo + j} coincide")
-
-
-def reference_check_circle_distinct(xs, tol):
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if xs[i].gap(xs[j]) <= tol:
-                raise ValueError(f"circle points {i} and {j} coincide within {tol}")
 
 
 # --- polynomial tables and the contraction --------------------------------------
@@ -286,7 +266,7 @@ def oracle_product_values(spec, t, s):
     """sum_{k,l} a_{k,l} P_k(t) P_l(s) in long double, over the library's
     float64 coefficients and tables."""
     circ = circle_table(spec.kmax, t).astype(np.longdouble)
-    sph = spec.sphere_axis_table(s).astype(np.longdouble)
+    sph = spec._axis_table(1, s).astype(np.longdouble)
     return ((spec.coefficient_matrix.astype(np.longdouble).T @ circ) * sph).sum(axis=0)
 
 
@@ -536,15 +516,6 @@ def test_circle_gram_matrix_lies_within_the_angle_bound_at_high_degree(kmax):
     assert_circle_gram_within_the_angle_bound(spec, xs, gram_matrix(spec, xs), count=60)
 
 
-@pytest.mark.parametrize("p, q", [(8, 6), (10, 10)])  # 9 216 and 40 000 pairs
-def test_layer_matrix_is_bit_identical(p, q):
-    xs, zs = sample_config(2, p, q, seed=p)
-    enhanced = build_enhanced(xs, zs)
-    spec = KernelSpec(circle_sphere_space(2), SPD_PRODUCT_SUPPORTS[0], geometric_scheme(), (40, 30))
-    for degree in (0, 1, 2, 5, 30):
-        assert np.array_equal(_layer_matrix(spec, enhanced, degree), reference_layer_matrix(spec, enhanced, degree))
-
-
 # --- the duplicate screen -------------------------------------------------------------
 
 def _fault(check, *args):
@@ -614,69 +585,6 @@ def test_duplicate_screen_keeps_the_block_scans_message(kind):
             th[200] = th[100]
         assert _fault(reference_check_duplicates, th, z) is None
         assert _fault(_check_duplicates, th, z) is None
-
-
-# --- the blocked circle check --------------------------------------------------------
-
-def _circle_fault(check, xs, tol):
-    try:
-        check(xs, tol)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def test_first_circle_fault_across_row_blocks():
-    n = 200
-    rows = CHUNK_PAIRS // n  # the rows of one block
-    base, _ = sample_config(2, n, 0, seed=6)
-    assert _circle_fault(_check_circle_distinct, base, 1e-12) is None
-    placements = [
-        [(rows + 5, rows + 6), (rows - 1, n - 1)],  # last row of block one
-        [(rows, rows + 1), (2 * rows + 3, n - 2)],  # first row of block two
-        [(n - 2, n - 1)],  # the last pair of all
-        [(2, n - 50), (10, 60)],  # row order, not column order
-        [(3, 2 * rows + 1), (3, rows + 1)],  # two faults in one row
-    ]
-    for faults in placements:
-        xs = list(base)
-        for i, j in faults:
-            xs[j] = xs[i]  # exact coincidence
-        want = _circle_fault(reference_check_circle_distinct, xs, 1e-12)
-        assert _circle_fault(_check_circle_distinct, xs, 1e-12) == want
-    assert want == f"circle points 3 and {rows + 1} coincide within 1e-12"
-
-
-@pytest.mark.parametrize("offset, coincide", [(4e-13, True), (6e-13, False)])
-def test_circle_pair_straddling_zero(offset, coincide):
-    base, _ = sample_config(2, 300, 0, seed=8)
-    xs = list(base)
-    xs[17], xs[250] = CirclePoint(offset), CirclePoint(-offset)  # the second sits just below 2pi
-    assert xs[250].theta > 6.28
-    want = _circle_fault(reference_check_circle_distinct, xs, 1e-12)
-    assert _circle_fault(_check_circle_distinct, xs, 1e-12) == want
-    assert (want == "circle points 17 and 250 coincide within 1e-12") == coincide
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 300),
-    seed=st.integers(0, 2**16),
-    pairs=st.lists(st.tuples(st.integers(0, 299), st.integers(0, 299), st.floats(-3e-12, 3e-12)), max_size=4),
-    straddle=st.booleans(),
-)
-def test_circle_check_matches_the_double_loop(n, seed, pairs, straddle):
-    thetas = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
-    if straddle:
-        thetas[0], thetas[-1] = 1e-13, TWO_PI - 1e-13
-    for i, j, shift in pairs:
-        if i < n and j < n and i != j:
-            thetas[j] = thetas[i] + shift
-    xs = [CirclePoint(float(t)) for t in thetas]
-    gaps = [xs[i].gap(xs[j]) for i, j, _ in pairs if i < n and j < n and i != j]
-    for tol in [1e-12] + [g for gap in gaps for g in (math.nextafter(gap, 0.0), gap)]:
-        want = _circle_fault(reference_check_circle_distinct, xs, tol)
-        assert _circle_fault(_check_circle_distinct, xs, tol) == want
 
 
 # --- the batched sampler ------------------------------------------------------------
@@ -750,9 +658,9 @@ def reference_composed_assembly(spec, failure):
     the roots of unity crossed with e0 and its antipode."""
     n, j = failure.witness.modulus, failure.witness.residue
     xs, d = reference_roots_of_unity_weights(n, j)
-    enhanced = build_enhanced(xs, [reference_first_basis_point(spec.space.m)])
+    points = enhanced_points(xs, [reference_first_basis_point(spec.space.m)])
     c = np.concatenate([d, d if failure.parity == "even" else -d])
-    return enhanced.points, c
+    return points, c
 
 
 def reference_geodesic_assembly(spec, failure):

@@ -12,18 +12,16 @@ import pytest
 import spdkernels
 
 PACKAGE = {
-    "BlockCheck", "Certificate", "CirclePoint", "CoefficientScheme", "EnhancedSet",
-    "GammaFailure", "KernelSpec", "NotApplicableError", "NumericalError", "ParityDeficit",
-    "ProgressionWitness", "QuadrantDeficit", "S2HarmonicBasis", "SamplingError",
-    "SpaceDescriptor", "SpecFileError", "SpherePoint", "SupportSet1D", "SupportSet2D",
-    "Term1D", "TraceEntry", "Verdict", "WitnessReport", "build_enhanced", "certify_circle",
-    "certify_circle_sphere", "certify_circle_sphere_gamma_loop", "certify_circle_tph",
-    "certify_sphere", "certify_two_spheres", "check_pd", "circle_space",
+    "Certificate", "CirclePoint", "CoefficientScheme", "GammaFailure", "KernelSpec",
+    "NotApplicableError", "NumericalError", "ParityDeficit", "ProgressionWitness",
+    "QuadrantDeficit", "SamplingError", "SpaceDescriptor", "SpecFileError", "SpherePoint",
+    "SupportSet1D", "SupportSet2D", "Term1D", "TraceEntry", "Verdict", "WitnessReport",
+    "certify_circle", "certify_circle_sphere", "certify_circle_sphere_gamma_loop",
+    "certify_circle_tph", "certify_sphere", "certify_two_spheres", "check_pd", "circle_space",
     "circle_sphere_space", "circle_table", "circle_tph_space", "constant_scheme",
-    "derived_parity_tail_set", "enhanced_block_check", "eval_kernel", "gegenbauer_table",
-    "geometric_scheme", "gram_matrix", "has_infinitely_many", "jacobi_table",
-    "kernel_values", "meets_every_progression", "one",
-    "per_degree_forms", "prog", "s2_quadrature", "sample_config", "sph_basis_s2",
+    "derived_parity_tail_set", "eval_kernel", "gegenbauer_table", "geometric_scheme",
+    "gram_matrix", "has_infinitely_many", "jacobi_table", "kernel_values",
+    "meets_every_progression", "one", "per_degree_forms", "prog", "sample_config",
     "sphere_space", "stabilization_bound", "sufficient_product", "witness_avoids_window",
     "witness_parity_sphere", "witness_product", "witness_progression_circle",
 }
@@ -36,14 +34,10 @@ MODULES = {
         "certify_two_spheres", "sufficient_product",
     },
     "cli": {"SpecFile", "load_spec_file", "main", "parse_spec_dict", "spec_file_to_dict"},
-    "geometry": {
-        "CirclePoint", "EnhancedSet", "S2HarmonicBasis", "SpherePoint", "build_enhanced",
-        "s2_quadrature", "sample_config", "sph_basis_s2",
-    },
+    "geometry": {"CirclePoint", "SpherePoint", "sample_config"},
     "gram": {
-        "MAX_POINTS", "BlockCheck", "WitnessReport", "check_pd", "enhanced_block_check",
-        "gram_matrix", "per_degree_forms", "witness_parity_sphere", "witness_product",
-        "witness_progression_circle",
+        "MAX_POINTS", "WitnessReport", "check_pd", "gram_matrix", "per_degree_forms",
+        "witness_parity_sphere", "witness_product", "witness_progression_circle",
     },
     "kernels": {
         "BETA_BY_FAMILY", "CoefficientScheme", "DEFAULT_TRUNCATION", "DIMENSION_RULES",
