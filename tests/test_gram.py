@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d,
-    block_deviations, enhanced_points, marginal_ref,
+    block_deviations, enhanced_points, layer_matrix_ref, marginal_ref,
 )
 from spdkernels import (
     CirclePoint,
     KernelSpec,
     NotApplicableError,
+    NumericalError,
     SpherePoint,
     SupportSet1D,
     SupportSet2D,
@@ -43,7 +44,7 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.gram import _check_duplicates
+from spdkernels.gram import _check_duplicates, _dot_products
 from spdkernels.kernels import _WORKSPACE, CHUNK_PAIRS, _contract, _slices
 from spdkernels.orthopoly import chebyshev_table
 
@@ -195,6 +196,19 @@ def test_chunked_layers_match_the_one_piece_tables(offset):
         got += products @ w[lo : lo + CHUNK_PAIRS]
     assert got.shape == (spec.lmax + 1,)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("p, q", [(8, 6), (10, 10)])  # 4 656 and 20 100 upper-triangle pairs
+def test_per_degree_forms_match_the_one_piece_layer_matrices(p, q):
+    # the chunked layers branch of the contraction against each degree's
+    # layer matrix built in one piece over the enhanced points
+    xs, zs = sample_config(2, p, q, seed=p)
+    points = enhanced_points(xs, zs)
+    spec = product_spec(SPD_PRODUCT_SUPPORTS[0], trunc=(40, 30))
+    c = np.random.default_rng(p).normal(size=len(points))
+    _, layers = per_degree_forms(spec, list(points), c)
+    expected = np.array([c @ layer_matrix_ref(spec, points, degree) @ c for degree in range(31)])
+    assert np.max(np.abs(layers - expected)) <= 1e-13 * spec.value_at_one * np.sum(c * c)
 
 
 def _record_tables(monkeypatch, table):
@@ -355,6 +369,48 @@ def test_sphere_gram_is_written_over_its_dot_products():
         tracemalloc.stop()
     workspace = 2**21  # one chunk's table, indices and values at L = 4: under 1 MB
     assert peak <= 1.5 * n * n * 8 + workspace
+
+
+def test_dot_products_are_the_clipped_sphere_dot_products():
+    _, zs = sample_config(3, 0, 40, seed=9)
+    coords = np.array([z.coords for z in zs])
+    coords = np.vstack([coords, coords[:1], -coords[:1]])  # a repeat and an antipode
+    s = _dot_products(coords)
+    assert s.shape == (42, 42)
+    assert np.array_equal(s, np.clip(coords @ coords.T, -1.0, 1.0))
+    assert np.all(np.abs(s) <= 1.0)
+    assert _dot_products(None) is None
+
+
+def _overflowing(space):
+    """61 circle coefficients of 1e308 at sphere degree 0: their sum at
+    t = 1 is past float64."""
+    if space == "circle":
+        return KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), constant_scheme(1e308), (60, 0))
+    return product_spec(trunc=(60, 0), scheme=constant_scheme(1e308))
+
+
+@pytest.mark.parametrize(
+    "space, call",
+    [
+        ("circle", lambda spec, pts: eval_kernel(spec, 1.0)),
+        ("circle", lambda spec, pts: gram_matrix(spec, pts)),
+        ("product", lambda spec, pts: eval_kernel(spec, 1.0, 1.0)),
+        ("product", lambda spec, pts: gram_matrix(spec, pts)),
+        ("product", lambda spec, pts: per_degree_forms(spec, pts, np.ones(len(pts)))),
+    ],
+    ids=["circle-eval", "circle-gram", "product-eval", "product-gram", "product-layers"],
+)
+def test_non_finite_kernel_values_raise_numerical_error(space, call):
+    # both branches of the contraction refuse a slice that overflows, where
+    # they passed inf and NaN on to the caller
+    spec = _overflowing(space)
+    if space == "circle":
+        pts = sample_config(2, 5, 0, seed=1)[0]
+    else:
+        pts = product_points(3, seed=1)
+    with pytest.raises(NumericalError, match="not finite"):
+        call(spec, pts)
 
 
 # --- enhanced block structure ----------------------------------------------------------------
