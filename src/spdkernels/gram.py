@@ -43,6 +43,7 @@ from .kernels import (  # noqa: F401
     CHUNK_PAIRS,
     KernelSpec,
     _contract,
+    _quiet,
     _slice_width,
     _warn_if_empty,
     kernel_values,
@@ -185,13 +186,14 @@ def _circle_features(spec: KernelSpec, thetas: Optional[np.ndarray]):
     keeps its table.
 
     T_k(cos(theta_i - theta_j)) = cos k theta_i cos k theta_j + sin k theta_i
-    sin k theta_j.  So for the factor folded onto T_k, g (``KernelSpec._folded``,
-    nonnegative: scheme values on the support's mask times 2/k), row rho at
-    (i, j) is entry (i, j) of Psi_rho Psi_rho^T, where the n x (2K + 1)
-    features Psi_rho = [cos k theta | sin k theta] (k = 0..K and 1..K) have
-    their columns scaled by sqrt(g_rho).  A chunk takes one product: rows
-    i_first..i_last of Psi against the rows its columns touch (about twice
-    the chunk's pairs at most, and n more a row), gathered at the pairs.
+    sin k theta_j.  So for the factor folded onto T_k, g (the beta of
+    ``KernelSpec._folded``, nonnegative: scheme values on the support's mask
+    times 2/k), row rho at (i, j) is entry (i, j) of Psi_rho Psi_rho^T,
+    where the n x (2K + 1) features Psi_rho = [cos k theta | sin k theta]
+    (k = 0..K and 1..K) have their columns scaled by sqrt(g_rho).  A chunk
+    takes one product: rows i_first..i_last of Psi against the rows its
+    columns touch (about twice the chunk's pairs at most, and n more a
+    row), gathered at the pairs.
     The route is taken when every slot has a factor (a circle spec, or a
     product off the dense route, whose identity slot keeps its family
     table) and the r features fit _WORKSPACE.
@@ -209,7 +211,7 @@ def _circle_features(spec: KernelSpec, thetas: Optional[np.ndarray]):
     np.cos(k_theta, out=phi[:, 1 : cap + 1])
     np.sin(k_theta, out=k_theta)
     psi[1:] = phi
-    roots = np.sqrt(spec._folded(0))
+    roots = np.sqrt(spec._folded(0).beta)
     psi *= np.concatenate([roots, roots[:, 1:]], axis=1)[:, None, :]
 
     def rows(i, j):
@@ -229,19 +231,13 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     so memory is the one n x n matrix plus one chunk's tables, not the n^2
     pairs.  Where ``_circle_features`` applies, the circle slot's rows come
     from one matrix product a chunk and only the sphere slot is tabulated.
+    The features, folds and contraction run under ``_quiet``.
     """
     thetas, zs = _split_points(spec, points)
     _check_duplicates(thetas, zs)
     _warn_if_empty(spec)
     n = len(points)
     pairs = n * (n + 1) // 2
-    features = _circle_features(spec, thetas)
-    ready = () if features is None else (0,)
-    width = _slice_width(spec, pairs, ready)
-    logger.debug(
-        "gram_matrix: %d points, %d pairs, %d contraction chunks, circle %s",
-        n, pairs, -(-pairs // width), "features" if ready else "table",
-    )
     # the sphere dot products stay one matrix product, since a per-pair sum
     # may round differently, and the Gram is written over them: a chunk reads
     # its upper-triangle dots before it writes, and none below the diagonal
@@ -249,19 +245,27 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     if a is None:
         a = np.empty((n, n))
     flat = a.ravel()
+    with _quiet():
+        features = _circle_features(spec, thetas)
+        ready = () if features is None else (0,)
+        width = _slice_width(spec, pairs, ready)
+        logger.debug(
+            "gram_matrix: %d points, %d pairs, %d contraction chunks, circle %s",
+            n, pairs, -(-pairs // width), "features" if ready else "table",
+        )
 
-    def chunks():
-        for i, j in _upper_triangle(n, width):
-            upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
-            if ready:
-                t = features(i, j)
-            else:
-                t = None if thetas is None else np.cos(thetas[i] - thetas[j])
-            yield (upper, lower), t, None if zs is None else flat[upper]
+        def chunks():
+            for i, j in _upper_triangle(n, width):
+                upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
+                if ready:
+                    t = features(i, j)
+                else:
+                    t = None if thetas is None else np.cos(thetas[i] - thetas[j])
+                yield (upper, lower), t, None if zs is None else flat[upper]
 
-    for (upper, lower), values in _contract(spec, chunks(), pairs, ready=ready):
-        flat[upper] = values
-        flat[lower] = values
+        for (upper, lower), values in _contract(spec, chunks(), pairs, ready=ready):
+            flat[upper] = values
+            flat[lower] = values
     return a
 
 
@@ -312,14 +316,15 @@ def per_degree_forms(
     pairs = n * (n + 1) // 2
 
     def chunks():
-        for i, j in _upper_triangle(n, _slice_width(spec, pairs)):
+        for i, j in _upper_triangle(n, _slice_width(spec, pairs, layers=True)):
             w = c[i] * c[j]
             w[i != j] *= 2.0
             yield w, np.cos(thetas[i] - thetas[j]), flat[i * n + j]
 
     layers = np.zeros(spec.lmax + 1)
-    for w, products in _contract(spec, chunks(), pairs, layers=True):
-        layers += products @ w
+    with _quiet():
+        for w, products in _contract(spec, chunks(), pairs, layers=True):
+            layers += products @ w
     return float(layers.sum()), layers
 
 

@@ -25,7 +25,9 @@ from .errors import NotApplicableError, NumericalError
 from .orthopoly import (
     MAX_DEGREE,
     _gegenbauer_on_chebyshev,
-    chebyshev_table,
+    _halved_coefficients,
+    _halved_table,
+    _recombine,
     circle_table,
     gegenbauer_table,
     jacobi_table,
@@ -74,19 +76,30 @@ DEFAULT_TRUNCATION = (60, 60)
 MAX_TRUNCATION_BOX = 1_000_000
 
 # Argument pairs per contraction slice: at K = L = 60 the workspace of one
-# product contraction, a 61-row table (family or Chebyshev rows) and 2r
-# rows for the factors' products, takes (61 + 2r) x 8192 x 8 bytes: 4.1 MB
-# at r = 1, and about 8 MB on the dense route (a table and min(K, L) + 1
-# rows).  BLAS may round a few columns of a slice differently at another
-# slice width, so a new value here can move the last bits of some values;
+# product contraction whose slots both fold, a halved table of 8 rows
+# (``_depth``: 3 halvings), 6 rows of level arguments and 2^3 r product
+# rows a slot, takes (14 + 16r) x 8192 x 8 bytes: 2 MB at r = 1; a family
+# table takes 61 rows, and the dense route's identity slot keeps one.
+# BLAS may round a few columns of a slice differently at another slice
+# width, so a new value here can move the last bits of some values;
 # whether a slot folds follows the call's pair count, not the slice.
 CHUNK_PAIRS = 8_192
 
-# Table entries one contraction slice may hold: the degree-120 table of a
-# CHUNK_PAIRS slice, 7.9 MB.  A table past degree 120 takes narrower slices
-# (``_width``), so every shape with K, L <= 120 keeps CHUNK_PAIRS, and a
-# factor's product rows, never more than the table's, stay within it too.
+# Entries a slot's rows may hold in one contraction slice: the degree-120
+# family table of a CHUNK_PAIRS slice, 7.9 MB.  A slice is narrowed
+# (``_slice_width``) so that a family table past degree 120, or a folded
+# slot's halved table, level and product rows past 121 rows together,
+# keep within it.  Every shape with K, L <= 120 keeps CHUNK_PAIRS while
+# its folded slots have at most 15 factor rows (``KernelSpec._factors``);
+# more, as on the dense route, may narrow the slice.
 _WORKSPACE = 121 * CHUNK_PAIRS
+
+# The vectors of a slice's width that a contraction and its caller make
+# beside the buffers (indices, arguments, their checks and the temporaries
+# between them), counted with a folded slot's rows: its slices past degree
+# 120 are thousands of pairs wide, where a family table's were a few dozen,
+# and a Gram there peaks no higher than it did with the family table.
+_SLICE_VECTORS = 24
 
 
 class _Kind(NamedTuple):
@@ -106,6 +119,33 @@ _SPACE_KINDS = {
     "circle_tph": _Kind({"family": str, "d": int}, ("circle", "tph")),
 }
 
+
+def _depth(cap: int, r: int) -> int:
+    """The halvings h of a folded slot of degree ``cap`` and r factor rows
+    that cost the fewest passes a pair: 3.5 a row of the halved table
+    (Reinsch's three and half a pass of sign), 7 a level for its argument,
+    and 2 for each product row that a level adds back.  The 2^h r product
+    rows stay within the cap + 1 rows of the slot's family table."""
+    depths = [h for h in range(cap.bit_length() + 1) if r << h <= cap + 1] or [0]
+    return min(depths, key=lambda h: 3.5 * (cap >> h) + 7 * h + 2 * r * ((1 << h) - 1))
+
+
+class _Fold:
+    """A slot's factor folded onto T_0..T_cap, beta (r rows), with its
+    halvings h (``_depth``), the (cap >> h) + 1 rows of its halved table and,
+    made on first use (a circle slot on features takes beta alone), its
+    2^h r halved rows (``_halved_coefficients``)."""
+
+    def __init__(self, beta: np.ndarray, cap: int):
+        self.beta = beta
+        self.depth = _depth(cap, len(beta))
+        self.height = (cap >> self.depth) + 1
+
+    @cached_property
+    def halved(self) -> np.ndarray:
+        return _halved_coefficients(self.beta, self.depth)
+
+
 class _Axis(NamedTuple):
     table: Callable  # (space, cap, x, out) -> the family's rows, degrees 0..cap at x
     fold: Optional[Callable]  # (space, f) -> f re-expressed on T_0..T_cap; None: no fold
@@ -115,17 +155,19 @@ class _Axis(NamedTuple):
 
 # Each axis kind: its family table, called by this module's name for it (a
 # tracer may rebind it), and how a factor on that table maps onto the
-# Chebyshev rows T_k that ``chebyshev_table`` makes in two passes a degree.
+# Chebyshev rows T_k, which a folded slot sums on halved arguments
+# (``_depth``) in about 3.5 passes a halved degree.
 _AXIS_TABLES = {
     # circle row k is (2/k) T_k: the fold scales a factor once, r (K + 1)
-    # products, and saves the 2/k pass, K products a pair
+    # products, and saves more than the 2/k pass, K products a pair
     "circle": _Axis(
         lambda space, cap, x, out: circle_table(cap, x, out=out),
         lambda space, f: f * np.r_[1.0, 2.0 / np.arange(1, f.shape[-1])],
         lambda r, cap, pairs: r * (cap + 1) < cap * pairs,
     ),
     # Gegenbauer rows are cosine sums (Szego, (4.9.19)): the fold takes about
-    # r L^2 / 2 products and saves four of the six passes a degree, 4 L a pair
+    # r L^2 / 2 products and saves more than four of the six passes a degree,
+    # 4 L a pair
     "sphere": _Axis(
         lambda space, cap, x, out: gegenbauer_table(cap, space.m, x, out=out),
         lambda space, f: _gegenbauer_on_chebyshev(f, space.m),
@@ -379,11 +421,13 @@ class KernelSpec:
         f = self._slot_factors[slot]
         return axis.fold is not None and f is not None and axis.pays(len(f), self.truncation[slot], pairs)
 
-    def _folded(self, slot: int) -> np.ndarray:
-        """The slot's factor on T_0..T_cap, computed on the first call that folds it."""
+    def _folded(self, slot: int) -> _Fold:
+        """The slot's factor on T_0..T_cap (``_Fold``), computed on the first
+        call that folds it."""
         folded = self._chebyshev_factors
         if slot not in folded:
-            folded[slot] = _AXIS_TABLES[self.space._axes[slot]].fold(self.space, self._slot_factors[slot])
+            beta = _AXIS_TABLES[self.space._axes[slot]].fold(self.space, self._slot_factors[slot])
+            folded[slot] = _Fold(beta, self.truncation[slot])
         return folded[slot]
 
     @cached_property
@@ -392,14 +436,22 @@ class KernelSpec:
         return dict(zip(self._slots, self._factors))
 
     @cached_property
-    def _chebyshev_factors(self) -> dict[int, np.ndarray]:
-        """The folded factors made so far, by slot (filled by ``_folded``)."""
+    def _chebyshev_factors(self) -> dict[int, _Fold]:
+        """The folds made so far, by slot (filled by ``_folded``)."""
         return {}
 
     @cached_property
     def value_at_one(self) -> float:
         """f(1, 1) for products, f(1) for single spaces."""
         return float(kernel_values(self, 1.0, 1.0 if self.space.is_product else None)[0])
+
+
+def _quiet() -> np.errstate:
+    """numpy's overflow and invalid-value warnings off, for the contraction
+    and what feeds it: an expansion past float64 is named once, by the
+    ``NumericalError`` of ``_contract``, not by a warning from each
+    product that overflowed."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _warn_if_empty(spec: KernelSpec) -> None:
@@ -416,9 +468,8 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     The pairs are contracted a slice at a time (``_slice_width``: CHUNK_PAIRS
     pairs up to degree 120, fewer past it) in one workspace that is
     allocated once and refilled for every slice, so memory follows the
-    slice and the degrees, at most the table's _WORKSPACE entries and as
-    many for each slot's factor rows (``KernelSpec._factors``), not the
-    number of pairs.
+    slice and the degrees, about _WORKSPACE entries a slot, not the number
+    of pairs.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -432,23 +483,39 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     _warn_if_empty(spec)
     out = np.empty(t.shape)
     args = (t, s) if spec.space._axes[0] else (None, t)  # a sphere's one argument is its slot's
-    for lo, values in _contract(spec, _slices(*args, _slice_width(spec, len(t))), len(t)):
-        out[lo : lo + len(values)] = values
+    with _quiet():
+        for lo, values in _contract(spec, _slices(*args, _slice_width(spec, len(t))), len(t)):
+            out[lo : lo + len(values)] = values
     return out
 
 
-def _width(cap: int, pairs: int) -> int:
-    """Pairs per slice for a table of degrees 0..cap over ``pairs`` pairs:
-    CHUNK_PAIRS, narrowed so that the table keeps within _WORKSPACE entries,
-    and no more than the pairs (at least one)."""
-    return max(1, min(pairs, CHUNK_PAIRS, _WORKSPACE // (cap + 1)))
+def _folds_of(spec: KernelSpec, pairs: int, ready: tuple = (), layers: bool = False) -> dict:
+    """The tabulated slots of ``_contract`` over ``pairs`` pairs whose
+    ``ready`` slots come as factor rows, each with its fold
+    (``KernelSpec._folded``), None where it keeps its family table: all of
+    them with ``layers``."""
+    return {slot: spec._folded(slot) if not layers and spec._folds(slot, pairs) else None
+            for slot in spec._slots if slot not in ready}
 
 
-def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = ()) -> int:
+def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = (), layers: bool = False) -> int:
     """The slice width of ``_contract`` over ``pairs`` pairs whose ``ready``
-    slots come as factor rows: the ``_width`` of the other slots' table."""
-    cap = max((spec.truncation[slot] for slot in spec._slots if slot not in ready), default=0)
-    return _width(cap, pairs)
+    slots come as factor rows (``_width``)."""
+    return _width(spec, _folds_of(spec, pairs, ready, layers), pairs)
+
+
+def _width(spec: KernelSpec, folds: dict, pairs: int) -> int:
+    """CHUNK_PAIRS, narrowed so that no slot of ``folds`` (``_folds_of``)
+    holds more than _WORKSPACE entries a slice, and no more than the pairs
+    (at least one).  A family table takes cap + 1 rows (its factor's
+    product rows are no more); a folded slot's halved table, level rows,
+    product rows and _SLICE_VECTORS count together,
+    (cap >> h) + 1 + h + 3 + 2^h r + _SLICE_VECTORS, so that past degree
+    120 a slice holds no more than the family table's did."""
+    heights = [spec.truncation[slot] + 1 if fold is None
+               else fold.height + fold.depth + 3 + (len(fold.beta) << fold.depth) + _SLICE_VECTORS
+               for slot, fold in folds.items()]
+    return max(1, min(pairs, CHUNK_PAIRS, _WORKSPACE // max(heights, default=1)))
 
 
 def _slices(t: Optional[np.ndarray], s: Optional[np.ndarray], width: int):
@@ -475,33 +542,43 @@ def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready:
     its axis table, r rows, and the values sum the rows' products: one row
     for a single space, sum_g a_g b_g with a = U @ circle and b = V @ P for
     a product A = U.T @ V.  Where the fold pays for this many pairs
-    (``KernelSpec._folds``), a slot tabulates the Chebyshev rows and takes
-    its factor folded onto them; an identity factor keeps its family table.
-    One buffer holds each table in turn, so a slot whose factor is the
+    (``KernelSpec._folds``), a slot takes its factor folded onto the
+    Chebyshev rows T_k and sums them on arguments halved h times
+    (``KernelSpec._folded``): the 2^h r halved rows times the
+    (cap >> h) + 1 rows of ``_halved_table``, added back up over the levels
+    (``_recombine``), about 3.5 cap / 2^h passes a pair where the Chebyshev
+    recurrence took 2 cap.  An identity factor keeps its family table.  One
+    buffer holds each table in turn, so a slot whose factor is the
     identity, its table itself, goes last.  With ``layers``, a product spec
     yields the (L + 1) x width products (V.T @ a) * P instead, over the
     family tables, which give each degree apart.  The buffers are allocated
     once and refilled, so what a slice yields is overwritten by the next one.
-    A slice that holds a non-finite value raises ``NumericalError``.
+    A slice that holds a non-finite value raises ``NumericalError``; its
+    callers run it, and the folds it makes, under ``_quiet``, so that this
+    error is the one report of an overflow.
     """
-    width = _slice_width(spec, pairs, ready)
     factors = dict(spec._slot_factors)
-    tabulated = [slot for slot in factors if slot not in ready]
-    folded = [] if layers else [slot for slot in tabulated if spec._folds(slot, pairs)]
-    factors.update((slot, spec._folded(slot)) for slot in folded)
+    folds = _folds_of(spec, pairs, ready, layers)
+    width = _width(spec, folds, pairs)
     order = sorted(factors, key=lambda slot: factors[slot] is None)  # the identity last
     r = len(factors[order[0]])
-    table = np.empty((max((spec.truncation[slot] for slot in tabulated), default=-1) + 1) * width)
-    products = {slot: np.empty((spec.lmax + 1 if layers and slot else r) * width)
-                for slot in tabulated if factors[slot] is not None}  # layers: V.T @ a, L + 1 rows
+    heights = [spec.truncation[slot] + 1 if fold is None else fold.height for slot, fold in folds.items()]
+    table = np.empty(max(heights, default=0) * width)
+    levels = np.empty(max((fold.depth + 3 for fold in folds.values() if fold), default=0) * width)
+    products = {slot: np.empty((spec.lmax + 1 if layers and slot else r if fold is None else len(fold.halved))
+                               * width)  # layers: V.T @ a, L + 1 rows
+                for slot, fold in folds.items() if factors[slot] is not None}
 
     def side(slot, x):
         if slot in ready:
             return x
-        cap = spec.truncation[slot]
-        out = _rows(table, cap + 1, len(x))
-        rows = chebyshev_table(cap, x, out=out) if slot in folded else spec._axis_table(slot, x, out=out)
-        f = factors[slot]
+        cap, fold, f = spec.truncation[slot], folds[slot], factors[slot]
+        if fold is not None:
+            at = _rows(levels, fold.depth + 3, len(x))
+            rows = _halved_table(cap, fold.depth, x, out=_rows(table, fold.height, len(x)), levels=at)
+            sums = np.matmul(fold.halved, rows, out=_rows(products[slot], len(fold.halved), len(x)))
+            return _recombine(sums, at, fold.depth)
+        rows = spec._axis_table(slot, x, out=_rows(table, cap + 1, len(x)))
         return rows if f is None else np.matmul(f, rows, out=_rows(products[slot], len(f), len(x)))
 
     for key, *args in chunks:

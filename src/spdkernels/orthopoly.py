@@ -26,8 +26,19 @@ recovered by scaling each row with an incrementally built binomial factor
 (no factorials).  That takes five passes a degree and a sixth to scale.
 A sum over Gegenbauer rows is also a sum over Chebyshev rows (Szego,
 (4.9.19)), and ``_gegenbauer_on_chebyshev`` rewrites its coefficients so,
-which lets a kernel contraction tabulate T_k alone on circle and sphere
-axes.
+which lets a kernel contraction evaluate sums over T_k alone on circle and
+sphere axes.  It does so on halved arguments: with u = 2t^2 - 1,
+T_2j(t) = T_j(u) and T_2j+1(t) + T_2j-1(t) = 2t T_j(u), so a sum over
+T_0..T_L at t is A(u) + t B(u), two sums over T_0..T_{L/2} at u
+(``_halved_coefficients``).  Halved h times, a sum becomes 2^h sums over
+the L/2^h + 1 rows of ``_halved_table``, whose products with the level
+arguments ``_recombine`` adds back up.  The halved table runs Reinsch's
+modified recurrence on d = 1 - |u|, the distance from the nearer endpoint,
+which is carried exactly down the levels (1 + u = 2t^2 and
+1 - u = 2(1 - |t|)(1 + |t|)): three passes a row and half a pass for the
+sign, about 3.5L/2^h a sum in place of the 2L of ``chebyshev_table``, and
+no error from rounding u next to +/-1, where T_j moves j^2 times as fast
+as its argument.
 Degrees are capped at MAX_DEGREE so everything stays in double precision.
 Each table is written into ``out`` when one is given: the kernel
 contraction passes views of one reused workspace, so that a Gram matrix
@@ -99,6 +110,72 @@ def chebyshev_table(kmax: int, t, out=None) -> np.ndarray:
         np.multiply(two_x, out[k - 1], out=row)
         np.subtract(row, out[k - 2], out=row)
     return out
+
+
+def _halved_table(kmax: int, depth: int, t, out=None, levels=None) -> np.ndarray:
+    """Chebyshev values T_j(u_h) for j = 0..kmax >> h, h = ``depth``, at the
+    arguments halved h times, u_0 = t and u_(i+1) = 2 u_i^2 - 1, shape
+    (kmax >> h) + 1 by len(t).
+
+    ``levels``, h + 3 rows by len(t), receives u_0..u_h in its first h + 1
+    rows (``_recombine`` multiplies by u_0..u_(h-1)); its last two rows are
+    the distance d and the recurrence's differences.  d_i = 1 - |u_i| is
+    carried down exactly, d_(i+1) the lesser of 1 + u_(i+1) = 2 u_i^2 and
+    1 - u_(i+1) = 2 d_i (2 - d_i), and the rows are Reinsch's modified
+    recurrence at a = 1 - d_h = |u_h|: D_1 = -d, D_(j+1) = D_j - 2d T_j and
+    T_(j+1) = T_j + D_(j+1), whose error does not grow as a nears 1 the
+    way the plain recurrence's does.  T_j(-a) = (-1)^j T_j(a) closes it: one
+    pass over the odd rows by the sign of u_h.
+    """
+    kmax = _checked_degree(kmax)
+    x = _checked_argument(t)
+    cap = kmax >> depth
+    out = _table_out(cap + 1, x, out)
+    if levels is None:
+        levels = np.empty((depth + 3, x.size))
+    u, d, diff = levels[: depth + 1], levels[depth + 1], levels[depth + 2]
+    u[0] = x
+    np.abs(x, out=d)
+    np.subtract(1.0, d, out=d)
+    for i in range(depth):
+        nxt = u[i + 1]
+        np.multiply(u[i], u[i], out=nxt)
+        nxt *= 2.0  # 1 + u_(i+1)
+        np.subtract(2.0, d, out=diff)
+        diff *= d
+        diff *= 2.0  # 1 - u_(i+1)
+        np.minimum(nxt, diff, out=d)
+        nxt -= 1.0
+    out[0] = 1.0
+    if cap == 0:
+        return out
+    np.subtract(1.0, d, out=out[1])
+    np.negative(d, out=diff)
+    two_d = np.multiply(d, 2.0, out=d)
+    # each row written in place: 2d T_j, then D_(j+1), then T_j + D_(j+1)
+    for j in range(1, cap):
+        row = out[j + 1]
+        np.multiply(two_d, out[j], out=row)
+        np.subtract(diff, row, out=diff)
+        np.add(out[j], diff, out=row)
+    sign = np.copysign(1.0, u[depth], out=diff)
+    odd = out[1::2]
+    np.multiply(odd, sign, out=odd)
+    return out
+
+
+def _recombine(products: np.ndarray, levels: np.ndarray, depth: int) -> np.ndarray:
+    """The r sums from the 2^h r rows ``products`` of ``_halved_coefficients``
+    times ``_halved_table``, h = ``depth``, and the table's ``levels``: the
+    rows of bit i are multiplied by u_i and added to the rows without it,
+    the last level first, in place.  Returns the first r rows."""
+    rows = len(products) >> depth
+    for i in reversed(range(depth)):
+        half = rows << i
+        upper = products[half : 2 * half]
+        upper *= levels[i]
+        products[:half] += upper
+    return products[:rows]
 
 
 def circle_table(kmax: int, t, out=None) -> np.ndarray:
@@ -201,3 +278,34 @@ def _gegenbauer_on_chebyshev(f: np.ndarray, m: int) -> np.ndarray:
         beta[..., :n] += (g[k] * g[k : k + n]) * f[..., 2 * k :]
     beta[..., 1:] *= 2.0
     return beta
+
+
+def _halved_coefficients(beta: np.ndarray, depth: int) -> np.ndarray:
+    """The map of sums over T_0..T_L onto the halved table: for beta of
+    shape (r, L + 1), 2^h r rows on T_0..T_(L >> h), h = ``depth``, such
+    that ``_recombine(rows @ _halved_table(L, h, t), levels, h)`` equals
+    ``beta @ chebyshev_table(L, t)`` up to round-off.
+
+    One halving writes sum_k beta_k T_k(t) as A(u) + t B(u): A_j = beta_2j,
+    and B_i = c_i sum_(j >= i) (-1)^(j - i) beta_(2j+1), c_0 = 1 and c_i = 2
+    otherwise, the alternating tail sums of the odd coefficients, from
+    T_(2j+1)(t) = t (2 sum_(1 <= i <= j) (-1)^(j-i) T_i(u) + (-1)^j T_0(u)).
+    Each level halves every row so far and stacks the A rows over the B
+    rows, so bit i of a row's index (over r) says whether it carries the
+    factor u_i.
+    """
+    rows = np.asarray(beta, dtype=float)
+    signs = np.ones(rows.shape[-1])
+    signs[1::2] = -1.0  # (-1)^j
+    weights = 2.0 * signs  # (-1)^i c_i
+    weights[0] = 1.0
+    for _ in range(depth):
+        count, width = len(rows), rows.shape[-1]
+        n = width // 2  # the odd coefficients
+        halved = np.zeros((2 * count, width - n))
+        halved[:count] = rows[:, 0::2]
+        # S_i = sum_(j >= i) (-1)^j beta_(2j+1), B_i = (-1)^i c_i S_i
+        tails = np.cumsum((rows[:, 1::2] * signs[:n])[:, ::-1], axis=1)[:, ::-1]
+        np.multiply(tails, weights[:n], out=halved[count:, :n])
+        rows = halved
+    return rows

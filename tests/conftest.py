@@ -10,6 +10,7 @@ library itself has no use for them.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -301,6 +302,31 @@ SPACE_EXAMPLES = {
 def marginal_ref(spec, t):
     """The marginals f_l(t) = sum_k a_{k,l} P_k(t), shape (lmax+1, len(t))."""
     return spec.coefficient_matrix.T @ circle_table(spec.kmax, np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+class HalvedCall(NamedTuple):
+    cap: int
+    depth: int
+    width: int
+    out: np.ndarray  # the table buffer it wrote
+    levels: np.ndarray  # the level-argument buffer it wrote
+
+
+def record_halved_tables(monkeypatch):
+    """Record every call the contraction makes of ``_halved_table``, the
+    table of a folded slot, as a ``HalvedCall``; ``call[:3]`` is its cap,
+    depth and width."""
+    import spdkernels.kernels as kernels_mod
+
+    calls = []
+    table = kernels_mod._halved_table
+
+    def recording(cap, depth, t, out=None, levels=None):
+        calls.append(HalvedCall(cap, depth, np.size(t), out, levels))
+        return table(cap, depth, t, out=out, levels=levels)
+
+    monkeypatch.setattr(kernels_mod, "_halved_table", recording)
+    return calls
 
 
 def jacobi_one_ref(l, alpha):

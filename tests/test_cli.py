@@ -715,6 +715,20 @@ def test_non_finite_kernel_values_are_a_numerical_failure(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, step",
+    [(["eval", "--t", "1"], 1), (["gram", "--points", "5"], 1), (["witness"], 3)],
+    ids=["eval", "gram", "witness"],
+)
+def test_an_overflow_prints_one_message(tmp_path, capsys, command, step):
+    # numpy's overflow and invalid-value warnings printed as "warning:" lines
+    # after the error they led to, one or two of them
+    path = write_spec(tmp_path, _overflowing_circle(step))
+    assert main([command[0], path, *command[1:]]) == 70
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical error: a kernel value is not finite: the expansion overflows float64"]
+
+
 # --- JSON booleans are not integers ----------------------------------------------------
 
 @pytest.mark.parametrize(

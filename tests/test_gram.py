@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d,
-    block_deviations, enhanced_points, layer_matrix_ref, marginal_ref,
+    block_deviations, enhanced_points, layer_matrix_ref, marginal_ref, record_halved_tables,
 )
 from spdkernels import (
     CirclePoint,
@@ -45,8 +45,7 @@ from spdkernels import (
     witness_progression_circle,
 )
 from spdkernels.gram import _check_duplicates, _dot_products
-from spdkernels.kernels import _WORKSPACE, CHUNK_PAIRS, _contract, _slices
-from spdkernels.orthopoly import chebyshev_table
+from spdkernels.kernels import _SLICE_VECTORS, _WORKSPACE, CHUNK_PAIRS, _contract, _depth, _slices
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -234,13 +233,17 @@ def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
 
 
 def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
-    widths = _record_tables(monkeypatch, chebyshev_table)
+    calls = record_halved_tables(monkeypatch)
     spec = product_spec(trunc=(6, 6))
     pts = product_points(200, seed=3)  # 20 100 upper-triangle pairs
     a = gram_matrix(spec, pts)
-    # the sphere slot folds onto T_k, tabulated once a chunk; the circle
-    # slot's rows come from its features
-    assert widths == [CHUNK_PAIRS] * 2 + [200 * 201 // 2 - 2 * CHUNK_PAIRS]
+    # the sphere slot folds onto T_k, halved once: its 4-row table is
+    # tabulated once a chunk; the circle slot's rows come from its features
+    depth = spec._folded(1).depth
+    assert (depth, spec._folded(1).height) == (1, 4)
+    assert [call[:3] for call in calls] == [
+        (6, depth, CHUNK_PAIRS), (6, depth, CHUNK_PAIRS), (6, depth, 200 * 201 // 2 - 2 * CHUNK_PAIRS)
+    ]
     assert np.array_equal(a, a.T)
     for i, j in [(0, 0), (0, 199), (40, 41), (41, 199), (199, 199)]:  # row starts and ends
         t, s = pts[i][0].dot(pts[j][0]), pts[i][1].dot(pts[j][1])
@@ -265,7 +268,8 @@ def _record_calls(monkeypatch, names):
 
 
 def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
-    calls = _record_calls(monkeypatch, ("chebyshev_table", "circle_table"))
+    calls = _record_calls(monkeypatch, ("circle_table",))
+    halved = record_halved_tables(monkeypatch)
     xs, zs = sample_config(2, 60, 60, seed=8)
     pairs = 60 * 61 // 2
     # a circle spec and a product off the dense route (r = 1): no circle rows
@@ -273,22 +277,25 @@ def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
     gram_matrix(circle, xs)
     product = product_spec(trunc=(120, 40))
     gram_matrix(product, list(zip(xs, zs)))
-    assert calls == {"chebyshev_table": [(40, pairs)], "circle_table": []}
+    assert [call[:3] for call in halved] == [(40, _depth(40, 1), pairs)] and calls == {"circle_table": []}
     # the dense route's identity circle slot keeps its family table
     dense = product_spec(SupportSet2D(tuple((one(k), one(k)) for k in range(6))), trunc=(5, 5))
     assert dense._factors[0] is None
-    calls["chebyshev_table"].clear()
+    halved.clear()
     gram_matrix(dense, list(zip(xs, zs)))
-    assert calls == {"chebyshev_table": [(5, pairs)], "circle_table": [(5, pairs)]}
+    assert [call[:3] for call in halved] == [(5, _depth(5, 6), pairs)] and calls == {"circle_table": [(5, pairs)]}
     # past the workspace, 60 x (2K + 1) > _WORKSPACE, the circle slot
-    # tabulates T_k, in slices of _WORKSPACE // (K + 1) pairs
-    calls["chebyshev_table"].clear()
+    # tabulates T_j at halved arguments, in slices whose halved table,
+    # level and product rows and vectors keep within _WORKSPACE: one here
+    halved.clear()
     calls["circle_table"].clear()
     wide = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (8_500, 0))
     a = gram_matrix(wide, xs)
-    width = _WORKSPACE // 8_501
+    depth = _depth(8_500, 1)
+    rows = (8_500 >> depth) + 1 + depth + 3 + (1 << depth) + _SLICE_VECTORS
     assert calls["circle_table"] == []
-    assert calls["chebyshev_table"] == [(8_500, width)] * (pairs // width) + [(8_500, pairs % width)]
+    assert _WORKSPACE // rows > pairs
+    assert [call[:3] for call in halved] == [(8_500, depth, pairs)]
     i, j = 3, 41
     assert a[i, j] == pytest.approx(eval_kernel(wide, xs[i].dot(xs[j])), abs=1e-12 * wide.value_at_one)
 
@@ -311,8 +318,9 @@ def test_a_circle_gram_past_degree_120_stays_within_the_workspace(n):
 
 @pytest.mark.parametrize("trunc", [(20, 2_000), (2_000, 20)])
 def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, trunc):
-    names = ("chebyshev_table", "circle_table", "gegenbauer_table")
+    names = ("circle_table", "gegenbauer_table")
     calls = _record_calls(monkeypatch, names)
+    halved = record_halved_tables(monkeypatch)
     spec = product_spec(trunc=trunc)
     pts = product_points(40, seed=6)
     gram_matrix(spec, pts)
@@ -320,6 +328,15 @@ def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, tru
     made = [call for name in names for call in calls[name]]
     assert {cap for cap, _ in made} >= {2_000}
     assert all((cap + 1) * width <= _WORKSPACE for cap, width in made)
+    # a folded slot's buffers: the halved table, its levels (one argument
+    # per level, d and D) and the 2^h r product rows, each and together
+    assert halved
+    for call in halved:
+        products = len(spec._folded(trunc.index(call.cap)).halved) * call.width
+        assert call.out.size == ((call.cap >> call.depth) + 1) * call.width
+        assert call.levels.size == (call.depth + 3) * call.width
+        assert max(call.out.base.size, call.levels.base.size, products) <= _WORKSPACE
+        assert call.out.base.size + call.levels.base.size + products <= _WORKSPACE
 
 
 def test_gram_matrix_memory_follows_one_chunk():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SPACE_EXAMPLES, SPD_PRODUCT_SUPPORTS, jacobi_one_ref, marginal_ref
+from conftest import SPACE_EXAMPLES, SPD_PRODUCT_SUPPORTS, jacobi_one_ref, marginal_ref, record_halved_tables
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from spdkernels import (
@@ -31,8 +31,8 @@ from spdkernels import (
     sphere_space,
 )
 from spdkernels.cli import _support_from_list
-from spdkernels.kernels import _SPACE_KINDS, _WORKSPACE, CHUNK_PAIRS
-from spdkernels.orthopoly import chebyshev_table, circle_table, gegenbauer_table, jacobi_table
+from spdkernels.kernels import _SLICE_VECTORS, _SPACE_KINDS, _WORKSPACE, CHUNK_PAIRS, _depth
+from spdkernels.orthopoly import _halved_table, _recombine, circle_table, gegenbauer_table, jacobi_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -403,13 +403,19 @@ def test_the_dense_routes_identity_keeps_its_family_rows(monkeypatch, trunc):
     folded = 1 - identity
     t, s = _fold_arguments(400, kmax)
     family = {0: "circle_table", 1: "gegenbauer_table"}
-    widths = {name: _record(monkeypatch, name) for name in ("chebyshev_table", *family.values())}
+    widths = {name: _record(monkeypatch, name) for name in family.values()}
+    halved = record_halved_tables(monkeypatch)
     got = kernel_values(spec, t, s)
-    # the folded slot tabulates T_k, the identity its family, once each
-    assert widths == {"chebyshev_table": [400], family[identity]: [400], family[folded]: []}
+    # the folded slot tabulates T_j at its halved arguments, the identity
+    # its family, once each
+    fold = spec._folded(folded)
+    assert [call[:3] for call in halved] == [(max(trunc), fold.depth, 400)]
+    assert widths == {family[identity]: [400], family[folded]: []}
     args = (t, s)
     rows = spec._axis_table(identity, args[identity])
-    expected = ((spec._folded(folded) @ chebyshev_table(spec.truncation[folded], args[folded])) * rows)
+    levels = np.empty((fold.depth + 3, 400))
+    table = _halved_table(spec.truncation[folded], fold.depth, args[folded], levels=levels)
+    expected = _recombine(fold.halved @ table, levels, fold.depth) * rows
     assert np.array_equal(got, expected.sum(axis=0))
     assert np.max(np.abs(got - _family_contraction(spec, t, s))) <= _fold_bound(spec)
 
@@ -419,15 +425,22 @@ def test_one_pair_never_folds_and_a_gram_does(monkeypatch):
     # saves 4 L, a Gram of 1830 pairs 4 L a pair
     from spdkernels import gram_matrix, sample_config
 
-    widths = _record(monkeypatch, "chebyshev_table")
+    calls = record_halved_tables(monkeypatch)
     spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.9, 0.999), (0, 10_000))
     value = kernel_values(spec, np.array([0.3]))
     assert spec.value_at_one > value[0] > 0.0
-    assert widths == [] and not spec._chebyshev_factors
+    assert calls == [] and not spec._chebyshev_factors
     _, zs = sample_config(2, 1, 60, seed=3)
     a = gram_matrix(spec, zs)
-    width = _WORKSPACE // 10_001  # slices past degree 120 keep the table within the workspace
-    assert widths == [width] * (60 * 61 // 2 // width) + [60 * 61 // 2 % width]
+    # past degree 120 the slice keeps the halved table, the level and product
+    # rows and the slice's vectors within the workspace: 7 halvings leave
+    # 79 table rows and 128 product rows, 4112 pairs a slice, one here
+    depth = _depth(10_000, 1)
+    rows = (10_000 >> depth) + 1 + depth + 3 + (1 << depth) + _SLICE_VECTORS
+    width = _WORKSPACE // rows
+    pairs = 60 * 61 // 2
+    assert (depth, rows, width) == (7, 241, 4112)
+    assert [call[:3] for call in calls] == [(10_000, depth, pairs)]
     assert a[0, 0] == pytest.approx(spec.value_at_one, rel=1e-12)
 
 
@@ -689,22 +702,16 @@ def test_chunked_values_match_the_unchunked_contraction(kind, offset):
 
 
 def test_tables_are_built_one_chunk_at_a_time(monkeypatch):
-    import spdkernels.kernels as kernels_mod
-
-    widths, buffers = [], []
-
-    def recording_chebyshev_table(kmax, t, out=None):
-        widths.append(np.size(t))
-        buffers.append(out.base)
-        return chebyshev_table(kmax, t, out=out)
-
-    monkeypatch.setattr(kernels_mod, "chebyshev_table", recording_chebyshev_table)
+    calls = record_halved_tables(monkeypatch)
     pairs = 2 * CHUNK_PAIRS + 5
     spec = CHUNK_SPECS["circle_sphere"]
     kernel_values(spec, np.zeros(pairs), np.zeros(pairs))
-    # both slots fold, so each chunk tabulates T_k twice
-    assert widths == [CHUNK_PAIRS] * 4 + [5, 5]
-    # one workspace, refilled for every chunk
-    assert all(b is buffers[0] for b in buffers)
-    assert buffers[0].size == (max(spec.kmax, spec.lmax) + 1) * CHUNK_PAIRS
+    # both slots fold, so each chunk tabulates T_j at halved arguments twice
+    assert [call.width for call in calls] == [CHUNK_PAIRS] * 4 + [5, 5]
+    # one table and one level workspace, refilled for every chunk
+    assert all(call.out.base is calls[0].out.base for call in calls)
+    assert all(call.levels.base is calls[0].levels.base for call in calls)
+    folds = [spec._folded(slot) for slot in (0, 1)]
+    assert calls[0].out.base.size == max(fold.height for fold in folds) * CHUNK_PAIRS
+    assert calls[0].levels.base.size == max(fold.depth + 3 for fold in folds) * CHUNK_PAIRS
     assert kernel_values(spec, np.zeros(0), np.zeros(0)).shape == (0,)

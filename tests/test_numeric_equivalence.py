@@ -402,6 +402,31 @@ def test_single_contraction_lies_within_the_decimal_bound(space, support, cap, r
     assert_within_the_decimal_bound(spec, t[sample], library[sample], earlier[sample])
 
 
+def endpoint_arguments(seed):
+    """Arguments within 1e-4 of +/-1 and within 1e-2 of 0, and near
+    +/-cos(pi/4), +/-cos(pi/8) and +/-cos(pi/16), where the arguments halved
+    two, three and four times meet +/-1; +/-1 and 0 themselves among them."""
+    rng = np.random.default_rng(seed)
+    near = 10.0 ** -rng.uniform(4.0, 16.0, 24)
+    theta = np.pi / np.repeat([4.0, 8.0, 16.0], 8)
+    nudged = np.cos(theta + rng.choice([-1.0, 1.0], 24) * 10.0 ** -rng.uniform(3.0, 12.0, 24))
+    return np.clip(np.concatenate([
+        [1.0, -1.0, 0.0], 1.0 - near[:12], near[12:] - 1.0, rng.uniform(-1e-2, 1e-2, 12), nudged, -nudged,
+    ]), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("scheme", [constant_scheme(1.5), geometric_scheme(0.99, 0.99)], ids=["constant", "geometric"])
+@pytest.mark.parametrize("space", [circle_space(), sphere_space(2), sphere_space(5)], ids=str)
+@pytest.mark.parametrize("cap", [60, 120])
+def test_folded_values_next_to_the_endpoints_lie_within_the_decimal_bound(space, scheme, cap):
+    # the folded route at the arguments where rounding them moves T_k the
+    # most, and where the halved arguments meet their endpoints
+    spec = KernelSpec(space, SupportSet1D.of(prog(0, 1)), scheme, (cap, cap))
+    x = endpoint_arguments(cap)
+    assert spec._folds(spec._slots[0], len(x))
+    assert_within_the_decimal_bound(spec, x, kernel_values(spec, x))
+
+
 # --- Gram matrices ----------------------------------------------------------------
 
 def _sampled_entries(spec, points, a, count=160, seed=0):

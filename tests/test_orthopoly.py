@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import jacobi_one_ref
 from spdkernels import circle_table, gegenbauer_table, jacobi_table
-from spdkernels.orthopoly import _gegenbauer_on_chebyshev, _ratio_table, chebyshev_table
+from spdkernels.orthopoly import (
+    _gegenbauer_on_chebyshev,
+    _halved_coefficients,
+    _halved_table,
+    _ratio_table,
+    _recombine,
+    chebyshev_table,
+)
 
 
 # --- reference implementations, deliberately slow and direct ---------------
@@ -93,6 +100,90 @@ def test_gegenbauer_rows_fold_onto_chebyshev_rows(m, lmax):
     x = np.cos(np.linspace(0.0, math.pi, 41))
     family = f @ gegenbauer_table(lmax, m, x)
     assert np.allclose(beta @ chebyshev_table(lmax, x), family, rtol=0.0, atol=1e-13 * np.max(family))
+
+
+@st.composite
+def coefficient_rows(draw):
+    """r = 1..3 nonnegative rows on T_0..T_L, L = 0..130: scheme values (a
+    constant or a geometric rate) on a progression base mod step, parity-pure
+    at step 2, or uniform draws."""
+    r, degree = draw(st.integers(1, 3)), draw(st.integers(0, 130))
+    k = np.arange(degree + 1)
+    rows = []
+    for _ in range(r):
+        if draw(st.booleans()):
+            step = draw(st.integers(1, 4))
+            base = draw(st.integers(0, step - 1))
+            rate = draw(st.sampled_from([1.0, 0.99, 0.9, 0.5]))
+            rows.append(np.where(k % step == base, rate**k, 0.0))
+        else:
+            rows.append(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, degree + 1))
+    return np.array(rows)
+
+
+def halving_arguments(seed):
+    """+/-1 and 0, arguments within 1e-4 of +/-1 and 1e-2 of 0, arguments near
+    +/-cos(pi / 2^j), j = 2..4, where the halved arguments meet +/-1, and
+    uniform ones."""
+    rng = np.random.default_rng(seed)
+    near = 10.0 ** -rng.uniform(4.0, 16.0, 20)
+    theta = np.pi / np.repeat([4.0, 8.0, 16.0], 10)
+    x = np.concatenate([
+        [1.0, -1.0, 0.0],
+        1.0 - near[:10], near[10:] - 1.0,
+        rng.uniform(-1e-2, 1e-2, 10),
+        np.cos(theta + rng.choice([-1.0, 1.0], 30) * 10.0 ** -rng.uniform(3.0, 12.0, 30)),
+        -np.cos(theta[::3]),
+        rng.uniform(-1.0, 1.0, 40),
+    ])
+    return np.clip(x, -1.0, 1.0)
+
+
+def long_double_chebyshev_sums(beta, x):
+    """beta @ [T_0..T_L](x) by the Chebyshev recurrence in long double."""
+    x = x.astype(np.longdouble)
+    prev, cur = np.ones_like(x), x
+    total = np.outer(beta[:, 0], prev)
+    for k in range(1, beta.shape[1]):
+        if k > 1:
+            prev, cur = cur, 2 * x * cur - prev
+        total += np.outer(beta[:, k], cur)
+    return total
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double"
+)
+@settings(max_examples=80, deadline=None)
+@given(beta=coefficient_rows(), depth=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_halved_sums_agree_with_the_chebyshev_rows(beta, depth, seed):
+    # degrees below 2^h included: the halvings then leave one row.  The
+    # sums over the Chebyshev rows are taken in long double: in float64,
+    # beta @ chebyshev_table itself strays up to 1.3 times the bound within
+    # 1e-4 of +/-1, where T_k moves k^2 times as fast as its argument
+    x = halving_arguments(seed)
+    levels = np.empty((depth + 3, len(x)))
+    table = _halved_table(beta.shape[1] - 1, depth, x, levels=levels)
+    halved = _halved_coefficients(beta, depth)
+    assert table.shape == ((beta.shape[1] - 1 >> depth) + 1, len(x))
+    assert halved.shape == (len(beta) << depth, table.shape[0])
+    got = _recombine(halved @ table, levels, depth)
+    want = long_double_chebyshev_sums(beta, x)
+    # single_bound of the decimal tests, 2 (L + 2) eps f(1), f(1) a row's sum
+    bound = 2 * (beta.shape[1] + 1) * np.finfo(float).eps * beta.sum(axis=1)
+    assert np.all(np.abs(got - want).max(axis=1) <= bound)
+
+
+def test_halved_table_is_the_chebyshev_table_at_the_halved_argument():
+    x = halving_arguments(0)
+    levels = np.empty((5, len(x)))
+    table = _halved_table(43, 2, x, levels=levels)
+    assert np.array_equal(levels[0], x)
+    u2 = 2.0 * (2.0 * x * x - 1.0) ** 2 - 1.0
+    assert np.allclose(levels[2], u2, rtol=0.0, atol=1e-15)
+    assert np.allclose(table, chebyshev_table(10, u2), rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="outside"):
+        _halved_table(43, 2, [1.5])
 
 
 def test_gegenbauer_frozen_values():
