@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -87,19 +87,32 @@ CHUNK_PAIRS = 8_192
 
 # Entries a slot's rows may hold in one contraction slice: the degree-120
 # family table of a CHUNK_PAIRS slice, 7.9 MB.  A slice is narrowed
-# (``_slice_width``) so that a family table past degree 120, or a folded
-# slot's halved table, level and product rows past 121 rows together,
-# keep within it.  Every shape with K, L <= 120 keeps CHUNK_PAIRS while
-# its folded slots have at most 15 factor rows (``KernelSpec._factors``);
-# more, as on the dense route, may narrow the slice.
+# (``_slice_width``) so that a family table past degree 120 keeps within
+# it; its factor's product rows, never more than the table's, stay within
+# it too.  A fold that is not halved (``_depth``) is a family table in
+# shape, cap + 1 table rows and at most as many product rows, and is
+# sized so.  A halved fold counts its halved table, level and product
+# rows together, with _SLICE_VECTORS.  Every shape with K, L <= 120 keeps
+# CHUNK_PAIRS while its halved folds have at most 15 factor rows
+# (``KernelSpec._factors``).
 _WORKSPACE = 121 * CHUNK_PAIRS
 
 # The vectors of a slice's width that a contraction and its caller make
 # beside the buffers (indices, arguments, their checks and the temporaries
-# between them), counted with a folded slot's rows: its slices past degree
-# 120 are thousands of pairs wide, where a family table's were a few dozen,
-# and a Gram there peaks no higher than it did with the family table.
+# between them).  A family table past degree 120 takes slices of at most
+# _WORKSPACE // (cap + 1) pairs, so its vectors are under a fifth of its
+# table and shrink with the degree; a halved fold holds about
+# 2 sqrt(cap r) rows a pair, so its slices past degree 120 are thousands of
+# pairs wide and its vectors a large share of them.  Counted with a halved
+# fold's rows, they keep a Gram there no higher than the family table's.
 _SLICE_VECTORS = 24
+
+# Folds of degree up to this take their halved rows from a map cached by
+# axis, space, degree and depth (``_fold_map``), one product a spec: every
+# command builds a fresh spec, and at degree 20 a sphere fold and its two
+# halvings took about 100 us of numpy calls.  A map holds about
+# (cap + 1)(cap + 2^h) entries, 130 KB at degree 120, and 32 are kept.
+_MAPPED_DEGREE = 120
 
 
 class _Kind(NamedTuple):
@@ -131,19 +144,38 @@ def _depth(cap: int, r: int) -> int:
 
 
 class _Fold:
-    """A slot's factor folded onto T_0..T_cap, beta (r rows), with its
-    halvings h (``_depth``), the (cap >> h) + 1 rows of its halved table and,
-    made on first use (a circle slot on features takes beta alone), its
-    2^h r halved rows (``_halved_coefficients``)."""
+    """A slot's factor f (r rows) on the Chebyshev rows T_0..T_cap, with its
+    halvings h (``_depth``) and the (cap >> h) + 1 rows of its halved table.
+    Made on first use: beta, f folded onto T_0..T_cap (a circle slot on
+    features takes beta alone), and the 2^h r halved rows
+    (``_halved_coefficients``), from ``_fold_map`` up to _MAPPED_DEGREE."""
 
-    def __init__(self, beta: np.ndarray, cap: int):
-        self.beta = beta
-        self.depth = _depth(cap, len(beta))
-        self.height = (cap >> self.depth) + 1
+    def __init__(self, spec: KernelSpec, slot: int):
+        self.axis, self.space = spec.space._axes[slot], spec.space
+        self.factor, self.cap = spec._slot_factors[slot], spec.truncation[slot]
+        self.depth = _depth(self.cap, len(self.factor))
+        self.height = (self.cap >> self.depth) + 1
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return _AXIS_TABLES[self.axis].fold(self.space, self.factor)
 
     @cached_property
     def halved(self) -> np.ndarray:
-        return _halved_coefficients(self.beta, self.depth)
+        if self.cap > _MAPPED_DEGREE:
+            return _halved_coefficients(self.beta, self.depth)
+        rows = np.matmul(self.factor, _fold_map(self.axis, self.space, self.cap, self.depth))
+        return rows.reshape(-1, self.height)
+
+
+@lru_cache(maxsize=32)
+def _fold_map(axis: str, space: SpaceDescriptor, cap: int, depth: int) -> np.ndarray:
+    """The halved rows of the identity on an axis of degree ``cap``, 2^h
+    blocks of cap + 1 rows, h = ``depth``: a factor's halved rows are the
+    factor times each block, stacked (``_halved_coefficients``)."""
+    rows = _halved_coefficients(_AXIS_TABLES[axis].fold(space, np.eye(cap + 1)), depth)
+    rows.flags.writeable = False  # shared by every spec that folds so
+    return rows.reshape(1 << depth, cap + 1, -1)
 
 
 class _Axis(NamedTuple):
@@ -426,8 +458,7 @@ class KernelSpec:
         call that folds it."""
         folded = self._chebyshev_factors
         if slot not in folded:
-            beta = _AXIS_TABLES[self.space._axes[slot]].fold(self.space, self._slot_factors[slot])
-            folded[slot] = _Fold(beta, self.truncation[slot])
+            folded[slot] = _Fold(self, slot)
         return folded[slot]
 
     @cached_property
@@ -507,13 +538,13 @@ def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = (), layers: bool =
 def _width(spec: KernelSpec, folds: dict, pairs: int) -> int:
     """CHUNK_PAIRS, narrowed so that no slot of ``folds`` (``_folds_of``)
     holds more than _WORKSPACE entries a slice, and no more than the pairs
-    (at least one).  A family table takes cap + 1 rows (its factor's
-    product rows are no more); a folded slot's halved table, level rows,
-    product rows and _SLICE_VECTORS count together,
+    (at least one).  A family table, or a fold that is not halved, takes
+    cap + 1 rows (its factor's product rows are no more); a halved fold's
+    table, level rows, product rows and _SLICE_VECTORS count together,
     (cap >> h) + 1 + h + 3 + 2^h r + _SLICE_VECTORS, so that past degree
     120 a slice holds no more than the family table's did."""
-    heights = [spec.truncation[slot] + 1 if fold is None
-               else fold.height + fold.depth + 3 + (len(fold.beta) << fold.depth) + _SLICE_VECTORS
+    heights = [spec.truncation[slot] + 1 if fold is None or fold.depth == 0
+               else fold.height + fold.depth + 3 + (len(fold.factor) << fold.depth) + _SLICE_VECTORS
                for slot, fold in folds.items()]
     return max(1, min(pairs, CHUNK_PAIRS, _WORKSPACE // max(heights, default=1)))
 

@@ -284,18 +284,20 @@ def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
     halved.clear()
     gram_matrix(dense, list(zip(xs, zs)))
     assert [call[:3] for call in halved] == [(5, _depth(5, 6), pairs)] and calls == {"circle_table": [(5, pairs)]}
-    # past the workspace, 60 x (2K + 1) > _WORKSPACE, the circle slot
+    # past the workspace, 100 x (2K + 1) > _WORKSPACE, the circle slot
     # tabulates T_j at halved arguments, in slices whose halved table,
-    # level and product rows and vectors keep within _WORKSPACE: one here
+    # level and product rows and vectors keep within _WORKSPACE: 4328 pairs
     halved.clear()
     calls["circle_table"].clear()
+    xs, _ = sample_config(2, 100, 0, seed=8)
+    pairs = 100 * 101 // 2
     wide = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (8_500, 0))
     a = gram_matrix(wide, xs)
     depth = _depth(8_500, 1)
-    rows = (8_500 >> depth) + 1 + depth + 3 + (1 << depth) + _SLICE_VECTORS
+    width = _WORKSPACE // ((8_500 >> depth) + 1 + depth + 3 + (1 << depth) + _SLICE_VECTORS)
     assert calls["circle_table"] == []
-    assert _WORKSPACE // rows > pairs
-    assert [call[:3] for call in halved] == [(8_500, depth, pairs)]
+    assert width == 4_328 < pairs
+    assert [call[:3] for call in halved] == [(8_500, depth, width)] * (pairs // width) + [(8_500, depth, pairs % width)]
     i, j = 3, 41
     assert a[i, j] == pytest.approx(eval_kernel(wide, xs[i].dot(xs[j])), abs=1e-12 * wide.value_at_one)
 
@@ -303,8 +305,8 @@ def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
 @pytest.mark.parametrize("n", [30, 60])
 def test_a_circle_gram_past_degree_120_stays_within_the_workspace(n):
     # K = 10 000: 30 points take the features, 5.0 MiB, and 60 points the
-    # table in slices of _WORKSPACE // 10 001 = 99 pairs, 7.6 MiB; one
-    # slice of all the pairs took 35.7 and 140 MiB
+    # halved table, their 1830 pairs in one slice (at most 4112 pairs),
+    # 3.4 MiB; one family-table slice of all the pairs took 35.7 and 140 MiB
     spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.999), (10_000, 0))
     xs, _ = sample_config(2, n, 0, seed=5)
     tracemalloc.start()

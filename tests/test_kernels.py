@@ -31,8 +31,8 @@ from spdkernels import (
     sphere_space,
 )
 from spdkernels.cli import _support_from_list
-from spdkernels.kernels import _SLICE_VECTORS, _SPACE_KINDS, _WORKSPACE, CHUNK_PAIRS, _depth
-from spdkernels.orthopoly import _halved_table, _recombine, circle_table, gegenbauer_table, jacobi_table
+from spdkernels.kernels import _SLICE_VECTORS, _SPACE_KINDS, _WORKSPACE, CHUNK_PAIRS, _depth, _fold_map, _slice_width
+from spdkernels.orthopoly import _halved_coefficients, _halved_table, _recombine, circle_table, gegenbauer_table, jacobi_table
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -422,7 +422,7 @@ def test_the_dense_routes_identity_keeps_its_family_rows(monkeypatch, trunc):
 
 def test_one_pair_never_folds_and_a_gram_does(monkeypatch):
     # the fold at L = 10 000 costs about L^2 / 2 products: a one-pair call
-    # saves 4 L, a Gram of 1830 pairs 4 L a pair
+    # saves 4 L, a Gram of 5050 pairs 4 L a pair
     from spdkernels import gram_matrix, sample_config
 
     calls = record_halved_tables(monkeypatch)
@@ -430,18 +430,48 @@ def test_one_pair_never_folds_and_a_gram_does(monkeypatch):
     value = kernel_values(spec, np.array([0.3]))
     assert spec.value_at_one > value[0] > 0.0
     assert calls == [] and not spec._chebyshev_factors
-    _, zs = sample_config(2, 1, 60, seed=3)
+    _, zs = sample_config(2, 1, 100, seed=3)
     a = gram_matrix(spec, zs)
     # past degree 120 the slice keeps the halved table, the level and product
     # rows and the slice's vectors within the workspace: 7 halvings leave
-    # 79 table rows and 128 product rows, 4112 pairs a slice, one here
+    # 79 table rows and 128 product rows, 4112 pairs a slice
     depth = _depth(10_000, 1)
     rows = (10_000 >> depth) + 1 + depth + 3 + (1 << depth) + _SLICE_VECTORS
     width = _WORKSPACE // rows
-    pairs = 60 * 61 // 2
+    pairs = 100 * 101 // 2
     assert (depth, rows, width) == (7, 241, 4112)
-    assert [call[:3] for call in calls] == [(10_000, depth, pairs)]
+    assert [call[:3] for call in calls] == [(10_000, depth, width)] * (pairs // width) + [(10_000, depth, pairs % width)]
     assert a[0, 0] == pytest.approx(spec.value_at_one, rel=1e-12)
+
+
+def test_a_fold_that_is_not_halved_is_sized_as_its_family_table():
+    # every circle row differs, so the dense route folds the sphere slot's
+    # 121 rows; a halving would double them past the family table's 121
+    # rows, so the fold keeps depth 0 and its slices CHUNK_PAIRS, as the
+    # family table did
+    support = SupportSet2D(tuple((one(k), prog(k, 121)) for k in range(121)))
+    spec = product_spec(support, trunc=(120, 120))
+    assert spec._factors[0] is None and spec._folded(1).depth == 0
+    assert _slice_width(spec, 10 * CHUNK_PAIRS) == CHUNK_PAIRS
+
+
+@pytest.mark.parametrize("space", [circle_space(), sphere_space(3)], ids=["circle", "S3"])
+@pytest.mark.parametrize("cap", [20, 120, 121])
+def test_fresh_specs_share_the_fold_map_up_to_degree_120(space, cap):
+    def fold():
+        spec = KernelSpec(space, SupportSet1D.of(prog(0, 1)), geometric_scheme(0.99), (cap, cap))
+        return spec._folded(1 - space._axes.index(None))
+
+    first = fold()
+    first.halved
+    hits = _fold_map.cache_info().hits
+    second = fold()
+    second.halved
+    assert _fold_map.cache_info().hits == hits + (cap <= 120)
+    # the map's product and the halving of the folded rows agree to round-off
+    expected = _halved_coefficients(first.beta, first.depth)
+    assert np.max(np.abs(first.halved - expected)) <= 4 * cap * np.finfo(float).eps * first.beta.sum()
+    assert np.array_equal(first.halved, second.halved)
 
 
 def test_the_tph_axis_never_folds(monkeypatch):
