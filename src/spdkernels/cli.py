@@ -670,8 +670,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate the truncated kernel at (t, s)")
     common(p_eval)
-    p_eval.add_argument("--t", type=float, required=True)
-    p_eval.add_argument("--s", type=float, default=None)
+    p_eval.add_argument(
+        "--t", type=float, required=True,
+        help="the circle argument cos(theta), or the dot product on a sphere spec",
+    )
+    p_eval.add_argument(
+        "--s", type=float, default=None, help="the sphere dot product, for product specs only"
+    )
 
     p_gram = sub.add_parser("gram", help="assemble a Gram matrix at sampled points and test it")
     common(p_gram)

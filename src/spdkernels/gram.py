@@ -1,9 +1,9 @@
 """Gram matrices and constructive degeneracy witnesses for truncated kernels.
 
-The Gram matrices, positive-definiteness checks (a symmetric eigensolve)
-and per-degree forms are numerical evidence on the truncated support.  A
-witness is exact for the full expansion: its form vanishes at every
-truncation.  It is the tensor of two axis factors:
+The Gram matrices and positive-definiteness checks (a symmetric
+eigensolve) are numerical evidence on the truncated support.  A witness is
+exact for the full expansion: its form vanishes at every truncation.  It
+is the tensor of two axis factors:
 
 * the circle factor (n, j): the n-th roots of unity weighted by
   cos(j * theta), whose character sums vanish at every k not +/-j mod n;
@@ -61,7 +61,6 @@ __all__ = [
     "WitnessReport",
     "gram_matrix",
     "check_pd",
-    "per_degree_forms",
     "witness_parity_sphere",
     "witness_progression_circle",
     "witness_product",
@@ -293,39 +292,6 @@ def check_pd(a: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     lam_min = float(eigs[0])
     threshold = tol * max(1.0, float(np.max(np.diag(a))))
     return lam_min > threshold, lam_min
-
-
-def per_degree_forms(
-    spec: KernelSpec, points: Sequence, c: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """Split the quadratic form c' G c into its sphere-degree layers.
-
-    Layer l is c' [f_l(t_ij) P_l(s_ij)] c; the layers sum to the full form.
-    As in ``gram_matrix``, the upper triangle is walked a slice of pairs at
-    a time over one n x n matrix of sphere dot products, each pair weighted
-    c_i^2 on the diagonal and 2 c_i c_j off it.
-    """
-    if not spec.space.is_product:
-        raise NotApplicableError("per-degree layers are defined for product specs only")
-    thetas, zs = _split_points(spec, points)
-    c = np.asarray(c, dtype=float)
-    n = len(points)
-    if c.shape != (n,):
-        raise ValueError("coefficient vector length must match the point count")
-    flat = _dot_products(zs).ravel()
-    pairs = n * (n + 1) // 2
-
-    def chunks():
-        for i, j in _upper_triangle(n, _slice_width(spec, pairs, layers=True)):
-            w = c[i] * c[j]
-            w[i != j] *= 2.0
-            yield w, np.cos(thetas[i] - thetas[j]), flat[i * n + j]
-
-    layers = np.zeros(spec.lmax + 1)
-    with _quiet():
-        for w, products in _contract(spec, chunks(), pairs, layers=True):
-            layers += products @ w
-    return float(layers.sum()), layers
 
 
 def _geodesic_bound(l_terms: Sequence[Term1D], parity: str) -> Optional[int]:

@@ -82,7 +82,7 @@ MAX_TRUNCATION_BOX = 1_000_000
 # table takes 61 rows, and the dense route's identity slot keeps one.
 # BLAS may round a few columns of a slice differently at another slice
 # width, so a new value here can move the last bits of some values;
-# whether a slot folds follows the call's pair count, not the slice.
+# whether a slot folds follows its spec alone, not the slice or the pairs.
 CHUNK_PAIRS = 8_192
 
 # Entries a slot's rows may hold in one contraction slice: the degree-120
@@ -181,34 +181,30 @@ def _fold_map(axis: str, space: SpaceDescriptor, cap: int, depth: int) -> np.nda
 class _Axis(NamedTuple):
     table: Callable  # (space, cap, x, out) -> the family's rows, degrees 0..cap at x
     fold: Optional[Callable]  # (space, f) -> f re-expressed on T_0..T_cap; None: no fold
-    pays: Optional[Callable]  # (r, cap, pairs) -> whether one fold of r rows costs
-                              # fewer products than the passes it saves over the pairs
 
 
 # Each axis kind: its family table, called by this module's name for it (a
 # tracer may rebind it), and how a factor on that table maps onto the
 # Chebyshev rows T_k, which a folded slot sums on halved arguments
-# (``_depth``) in about 3.5 passes a halved degree.
+# (``_depth``) in about 3.5 passes a halved degree.  An axis with a fold
+# folds every factor, whatever the pair count, and keeps its family table
+# for an identity slot alone.
 _AXIS_TABLES = {
     # circle row k is (2/k) T_k: the fold scales a factor once, r (K + 1)
-    # products, and saves more than the 2/k pass, K products a pair
+    # products
     "circle": _Axis(
         lambda space, cap, x, out: circle_table(cap, x, out=out),
         lambda space, f: f * np.r_[1.0, 2.0 / np.arange(1, f.shape[-1])],
-        lambda r, cap, pairs: r * (cap + 1) < cap * pairs,
     ),
     # Gegenbauer rows are cosine sums (Szego, (4.9.19)): the fold takes about
-    # r L^2 / 2 products and saves more than four of the six passes a degree,
-    # 4 L a pair
+    # r L^2 / 2 products, made once a spec, or one product with a cached map
+    # up to _MAPPED_DEGREE (``_Fold``)
     "sphere": _Axis(
         lambda space, cap, x, out: gegenbauer_table(cap, space.m, x, out=out),
         lambda space, f: _gegenbauer_on_chebyshev(f, space.m),
-        lambda r, cap, pairs: r * cap * cap < 8 * cap * pairs,
     ),
     # no closed form of the Jacobi rows on T_k here, and no Gram route
-    "tph": _Axis(
-        lambda space, cap, x, out: jacobi_table(cap, space.alpha, space.beta, x, out=out), None, None
-    ),
+    "tph": _Axis(lambda space, cap, x, out: jacobi_table(cap, space.alpha, space.beta, x, out=out), None),
 }
 
 
@@ -409,9 +405,9 @@ class KernelSpec:
         product: then the axis with fewer degrees takes the identity and the
         other coefficient_matrix (U = I when K <= L).  Either way a slice
         costs no more than a dense contraction: (K + 1)(L + 1) products and
-        L + 1 row passes.  These factors act on the family tables; a call
-        that folds a slot takes its factor on the Chebyshev rows instead
-        (``_folded``), and the identity is never folded.
+        L + 1 row passes.  These factors act on the family tables; the
+        contraction takes each on the Chebyshev rows instead (``_folded``)
+        where its axis has a fold, and the identity keeps its family table.
         """
         if not self.space.is_product:
             return (self.coefficient_matrix[None],)
@@ -444,14 +440,6 @@ class KernelSpec:
     def _axis_table(self, slot: int, x: np.ndarray, out=None) -> np.ndarray:
         """The table of a slot's axis at x, degrees 0 to the slot's bound."""
         return _AXIS_TABLES[self.space._axes[slot]].table(self.space, self.truncation[slot], x, out)
-
-    def _folds(self, slot: int, pairs: int) -> bool:
-        """Whether a contraction of ``pairs`` pairs takes the slot's factor
-        folded onto the Chebyshev rows: its axis has a fold, the factor is no
-        identity, and the one-off fold costs less than the passes it saves."""
-        axis = _AXIS_TABLES[self.space._axes[slot]]
-        f = self._slot_factors[slot]
-        return axis.fold is not None and f is not None and axis.pays(len(f), self.truncation[slot], pairs)
 
     def _folded(self, slot: int) -> _Fold:
         """The slot's factor on T_0..T_cap (``_Fold``), computed on the first
@@ -500,7 +488,8 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     pairs up to degree 120, fewer past it) in one workspace that is
     allocated once and refilled for every slice, so memory follows the
     slice and the degrees, about _WORKSPACE entries a slot, not the number
-    of pairs.
+    of pairs.  One pair takes the route a Gram takes: each slot with a
+    factor on an axis with a fold sums it on halved arguments.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -520,19 +509,19 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     return out
 
 
-def _folds_of(spec: KernelSpec, pairs: int, ready: tuple = (), layers: bool = False) -> dict:
-    """The tabulated slots of ``_contract`` over ``pairs`` pairs whose
-    ``ready`` slots come as factor rows, each with its fold
-    (``KernelSpec._folded``), None where it keeps its family table: all of
-    them with ``layers``."""
-    return {slot: spec._folded(slot) if not layers and spec._folds(slot, pairs) else None
+def _folds_of(spec: KernelSpec, ready: tuple = ()) -> dict:
+    """The tabulated slots of ``_contract`` whose ``ready`` slots come as
+    factor rows, each with its fold (``KernelSpec._folded``), None where it
+    keeps its family table: an identity slot, or an axis with no fold."""
+    axes, factors = spec.space._axes, spec._slot_factors
+    return {slot: spec._folded(slot) if _AXIS_TABLES[axes[slot]].fold and factors[slot] is not None else None
             for slot in spec._slots if slot not in ready}
 
 
-def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = (), layers: bool = False) -> int:
+def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = ()) -> int:
     """The slice width of ``_contract`` over ``pairs`` pairs whose ``ready``
     slots come as factor rows (``_width``)."""
-    return _width(spec, _folds_of(spec, pairs, ready, layers), pairs)
+    return _width(spec, _folds_of(spec, ready), pairs)
 
 
 def _width(spec: KernelSpec, folds: dict, pairs: int) -> int:
@@ -561,7 +550,7 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[: rows * width].reshape(rows, width)
 
 
-def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready: tuple = ()):
+def _contract(spec: KernelSpec, chunks, pairs: int, ready: tuple = ()):
     """Contract each (key, t, s) slice of ``chunks``, t the circle slot's and
     s the sphere slot's arguments (None for an empty slot), ``pairs`` pairs
     in all and none wider than ``_slice_width(spec, pairs, ready)``, and
@@ -572,32 +561,29 @@ def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready:
     Each occupied slot contracts its factor (``KernelSpec._factors``) with
     its axis table, r rows, and the values sum the rows' products: one row
     for a single space, sum_g a_g b_g with a = U @ circle and b = V @ P for
-    a product A = U.T @ V.  Where the fold pays for this many pairs
-    (``KernelSpec._folds``), a slot takes its factor folded onto the
-    Chebyshev rows T_k and sums them on arguments halved h times
-    (``KernelSpec._folded``): the 2^h r halved rows times the
-    (cap >> h) + 1 rows of ``_halved_table``, added back up over the levels
-    (``_recombine``), about 3.5 cap / 2^h passes a pair where the Chebyshev
-    recurrence took 2 cap.  An identity factor keeps its family table.  One
-    buffer holds each table in turn, so a slot whose factor is the
-    identity, its table itself, goes last.  With ``layers``, a product spec
-    yields the (L + 1) x width products (V.T @ a) * P instead, over the
-    family tables, which give each degree apart.  The buffers are allocated
-    once and refilled, so what a slice yields is overwritten by the next one.
+    a product A = U.T @ V.  Each slot whose axis has a fold (``_folds_of``)
+    takes its factor folded onto the Chebyshev rows T_k and sums them on
+    arguments halved h times (``KernelSpec._folded``), at one pair as at
+    a Gram's many: the 2^h r halved rows times the (cap >> h) + 1 rows of
+    ``_halved_table``, added back up over the levels (``_recombine``),
+    about 3.5 cap / 2^h passes a pair where the Chebyshev recurrence took
+    2 cap.  An identity factor keeps its family table.  One buffer holds
+    each table in turn, so a slot whose factor is the identity, its table
+    itself, goes last.  The buffers are allocated once and refilled, so
+    what a slice yields is overwritten by the next one.
     A slice that holds a non-finite value raises ``NumericalError``; its
     callers run it, and the folds it makes, under ``_quiet``, so that this
     error is the one report of an overflow.
     """
     factors = dict(spec._slot_factors)
-    folds = _folds_of(spec, pairs, ready, layers)
+    folds = _folds_of(spec, ready)
     width = _width(spec, folds, pairs)
     order = sorted(factors, key=lambda slot: factors[slot] is None)  # the identity last
     r = len(factors[order[0]])
     heights = [spec.truncation[slot] + 1 if fold is None else fold.height for slot, fold in folds.items()]
     table = np.empty(max(heights, default=0) * width)
     levels = np.empty(max((fold.depth + 3 for fold in folds.values() if fold), default=0) * width)
-    products = {slot: np.empty((spec.lmax + 1 if layers and slot else r if fold is None else len(fold.halved))
-                               * width)  # layers: V.T @ a, L + 1 rows
+    products = {slot: np.empty((r if fold is None else len(fold.halved)) * width)
                 for slot, fold in folds.items() if factors[slot] is not None}
 
     def side(slot, x):
@@ -613,17 +599,10 @@ def _contract(spec: KernelSpec, chunks, pairs: int, layers: bool = False, ready:
         return rows if f is None else np.matmul(f, rows, out=_rows(products[slot], len(f), len(x)))
 
     for key, *args in chunks:
-        if layers:
-            a = side(0, args[0])
-            if factors[1] is not None:
-                a = np.matmul(factors[1].T, a, out=_rows(products[1], spec.lmax + 1, a.shape[1]))
-            a *= spec._axis_table(1, args[1], out=_rows(table, spec.lmax + 1, a.shape[1]))
-            values = a
-        else:
-            a = side(order[0], args[order[0]])
-            for slot in order[1:]:
-                a *= side(slot, args[slot])
-            values = a[0] if r == 1 else a.sum(axis=0)
+        a = side(order[0], args[order[0]])
+        for slot in order[1:]:
+            a *= side(slot, args[slot])
+        values = a[0] if r == 1 else a.sum(axis=0)
         if not np.isfinite(values).all():
             raise NumericalError("a kernel value is not finite: the expansion overflows float64")
         yield key, values

@@ -365,6 +365,15 @@ def layer_matrix_ref(spec, points, degree):
     return (marg * sph).reshape(t.shape)
 
 
+def per_degree_forms_ref(spec, points, c):
+    """The quadratic form c' G c of a circle x sphere spec over ``points``
+    split into its sphere-degree layers c' ``layer_matrix_ref`` c, with
+    their sum: (total, layers), layers of shape (lmax + 1,)."""
+    c = np.asarray(c, dtype=float)
+    layers = np.array([c @ layer_matrix_ref(spec, points, degree) @ c for degree in range(spec.lmax + 1)])
+    return float(layers.sum()), layers
+
+
 def block_deviations(spec, points, degree):
     """How far one degree's layer over ``enhanced_points`` is from its block
     identities: max |M22 - M11|, and the largest |M12 - sign M11| and

@@ -429,6 +429,15 @@ def test_eval_prints_value(tmp_path, capsys):
     assert val == pytest.approx(sf.spec.value_at_one)
 
 
+def test_eval_help_describes_both_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--t T the circle argument cos(theta), or the dot product on a sphere spec" in out
+    assert "--s S the sphere dot product, for product specs only" in out
+
+
 def test_eval_missing_s_on_product(tmp_path):
     path = write_spec(tmp_path, FULL_PRODUCT)
     assert main(["eval", path, "--t", "0.5"]) == 64

@@ -4,9 +4,8 @@ A name in either module's ``__all__`` must be referenced by another module
 of the package: the command line, the certifiers or the other layer.  The
 package's ``__init__`` re-exports every name and does not count.  What only
 tests use, such as the paper's enhanced point sets and the harmonics on
-S^2, lives in ``tests/conftest.py``.  ``per_degree_forms`` is the one
-exception, until the opt-in statistics decide whether they report
-per-degree witness layers.
+S^2, and the per-degree layers of a quadratic form, lives in
+``tests/conftest.py``.
 """
 
 import ast
@@ -19,7 +18,6 @@ import spdkernels
 
 SOURCES = sorted(Path(spdkernels.__file__).parent.glob("*.py"))
 MODULES = ("geometry", "gram")
-UNUSED_ALLOWED = {"gram": {"per_degree_forms"}}
 
 
 def referenced_names(source: str) -> set:
@@ -42,7 +40,7 @@ def test_every_export_is_used_by_another_module(module):
     used = set().union(*(
         referenced_names(path.read_text()) for path in SOURCES if path.stem not in (module, "__init__")
     ))
-    assert sorted(exports - used - UNUSED_ALLOWED.get(module, set())) == []
+    assert sorted(exports - used) == []
 
 
 def test_the_check_sees_every_form_of_a_reference():

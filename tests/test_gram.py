@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d,
-    block_deviations, enhanced_points, layer_matrix_ref, marginal_ref, record_halved_tables,
+    block_deviations, enhanced_points, per_degree_forms_ref, record_halved_tables,
 )
 from spdkernels import (
     CirclePoint,
@@ -27,7 +27,6 @@ from spdkernels import (
     certify_circle_sphere,
     certify_sphere,
     check_pd,
-    circle_table,
     circle_space,
     circle_sphere_space,
     circle_tph_space,
@@ -35,8 +34,8 @@ from spdkernels import (
     eval_kernel,
     geometric_scheme,
     gram_matrix,
+    kernel_values,
     one,
-    per_degree_forms,
     prog,
     sample_config,
     sphere_space,
@@ -45,7 +44,7 @@ from spdkernels import (
     witness_progression_circle,
 )
 from spdkernels.gram import _check_duplicates, _dot_products
-from spdkernels.kernels import _SLICE_VECTORS, _WORKSPACE, CHUNK_PAIRS, _contract, _depth, _slices
+from spdkernels.kernels import _SLICE_VECTORS, _WORKSPACE, CHUNK_PAIRS, _depth
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
 
@@ -165,7 +164,7 @@ def test_per_degree_forms_reconstruct_quadratic_form():
     rng = np.random.default_rng(2)
     c = rng.normal(size=8)
     a = gram_matrix(spec, pts)
-    total, layers = per_degree_forms(spec, pts, c)
+    total, layers = per_degree_forms_ref(spec, pts, c)
     assert layers.shape == (21,)
     assert total == pytest.approx(float(c @ a @ c), abs=1e-11 * spec.value_at_one)
     assert layers.sum() == pytest.approx(total, abs=1e-11 * spec.value_at_one)
@@ -175,61 +174,8 @@ def test_per_degree_layers_nonnegative():
     spec = product_spec(trunc=(15, 15))
     pts = product_points(7, seed=13)
     c = np.linspace(-1, 1, 7)
-    _, layers = per_degree_forms(spec, pts, c)
+    _, layers = per_degree_forms_ref(spec, pts, c)
     assert (layers > -1e-12 * spec.value_at_one).all()
-
-
-@pytest.mark.parametrize("offset", [None, -1, 0, 1])
-def test_chunked_layers_match_the_one_piece_tables(offset):
-    spec = product_spec(
-        SupportSet2D(((prog(0, 2), prog(0, 1)), (one(3), prog(1, 2)))), trunc=(11, 9), m=3
-    )
-    pairs = 1 if offset is None else CHUNK_PAIRS + offset
-    rng = np.random.default_rng(pairs)
-    t = np.cos(rng.uniform(0.0, 2.0 * math.pi, pairs))
-    s = rng.uniform(-1.0, 1.0, pairs)
-    w = rng.normal(size=pairs)
-    expected = (marginal_ref(spec, t) * spec._axis_table(1, s)) @ w
-    got = np.zeros(spec.lmax + 1)
-    for lo, products in _contract(spec, _slices(t, s, CHUNK_PAIRS), pairs, layers=True):
-        got += products @ w[lo : lo + CHUNK_PAIRS]
-    assert got.shape == (spec.lmax + 1,)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("p, q", [(8, 6), (10, 10)])  # 4 656 and 20 100 upper-triangle pairs
-def test_per_degree_forms_match_the_one_piece_layer_matrices(p, q):
-    # the chunked layers branch of the contraction against each degree's
-    # layer matrix built in one piece over the enhanced points
-    xs, zs = sample_config(2, p, q, seed=p)
-    points = enhanced_points(xs, zs)
-    spec = product_spec(SPD_PRODUCT_SUPPORTS[0], trunc=(40, 30))
-    c = np.random.default_rng(p).normal(size=len(points))
-    _, layers = per_degree_forms(spec, list(points), c)
-    expected = np.array([c @ layer_matrix_ref(spec, points, degree) @ c for degree in range(31)])
-    assert np.max(np.abs(layers - expected)) <= 1e-13 * spec.value_at_one * np.sum(c * c)
-
-
-def _record_tables(monkeypatch, table):
-    """Record the width of every call the contraction makes of ``table``."""
-    import spdkernels.kernels as kernels_mod
-
-    widths = []
-
-    def recording_table(kmax, t, out=None):
-        widths.append(np.size(t))
-        return table(kmax, t, out=out)
-
-    monkeypatch.setattr(kernels_mod, table.__name__, recording_table)
-    return widths
-
-
-def test_per_degree_forms_walk_the_pairs_in_chunks(monkeypatch):
-    widths = _record_tables(monkeypatch, circle_table)  # layers keep the family tables
-    spec = product_spec(trunc=(6, 6))
-    pts = product_points(130, seed=3)  # 8515 upper-triangle pairs
-    per_degree_forms(spec, pts, np.ones(130))
-    assert widths == [CHUNK_PAIRS, 130 * 131 // 2 - CHUNK_PAIRS]
 
 
 def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
@@ -320,16 +266,12 @@ def test_a_circle_gram_past_degree_120_stays_within_the_workspace(n):
 
 @pytest.mark.parametrize("trunc", [(20, 2_000), (2_000, 20)])
 def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, trunc):
-    names = ("circle_table", "gegenbauer_table")
+    names = ("circle_table", "gegenbauer_table", "jacobi_table")
     calls = _record_calls(monkeypatch, names)
     halved = record_halved_tables(monkeypatch)
     spec = product_spec(trunc=trunc)
     pts = product_points(40, seed=6)
     gram_matrix(spec, pts)
-    per_degree_forms(spec, pts, np.ones(40))
-    made = [call for name in names for call in calls[name]]
-    assert {cap for cap, _ in made} >= {2_000}
-    assert all((cap + 1) * width <= _WORKSPACE for cap, width in made)
     # a folded slot's buffers: the halved table, its levels (one argument
     # per level, d and D) and the 2^h r product rows, each and together
     assert halved
@@ -339,6 +281,14 @@ def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, tru
         assert call.levels.size == (call.depth + 3) * call.width
         assert max(call.out.base.size, call.levels.base.size, products) <= _WORKSPACE
         assert call.out.base.size + call.levels.base.size + products <= _WORKSPACE
+    # no factor slot keeps its family table, so here the one past degree 120
+    # is the tph axis's: 2001 rows, and a slice holds 495 of the 820 pairs
+    tph = KernelSpec(circle_tph_space("quat_proj", 8), FULL_2D, geometric_scheme(), trunc)
+    t, s = np.random.default_rng(6).uniform(-1.0, 1.0, (2, 820))
+    kernel_values(tph, t, s)
+    made = [call for name in names for call in calls[name]]
+    assert {cap for cap, _ in made} == {trunc[1]}
+    assert all((cap + 1) * width <= _WORKSPACE for cap, width in made)
 
 
 def test_gram_matrix_memory_follows_one_chunk():
@@ -355,23 +305,6 @@ def test_gram_matrix_memory_follows_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
-
-
-def test_per_degree_forms_memory_follows_one_chunk():
-    # the n x n dot products plus one chunk's table, factor rows and layers
-    # (about 3 MB at K = L = 20); the cosines, the dot products, a clipped
-    # copy and the outer product of c took 26.8 MiB at n = 1024
-    n = 1024
-    spec = product_spec(trunc=(20, 20))
-    pts = product_points(n, seed=5)
-    c = np.random.default_rng(0).normal(size=n)
-    tracemalloc.start()
-    try:
-        per_degree_forms(spec, pts, c)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * n * 8 + 5 * 2**20
 
 
 def test_sphere_gram_is_written_over_its_dot_products():
@@ -416,9 +349,8 @@ def _overflowing(space):
         ("circle", lambda spec, pts: gram_matrix(spec, pts)),
         ("product", lambda spec, pts: eval_kernel(spec, 1.0, 1.0)),
         ("product", lambda spec, pts: gram_matrix(spec, pts)),
-        ("product", lambda spec, pts: per_degree_forms(spec, pts, np.ones(len(pts)))),
     ],
-    ids=["circle-eval", "circle-gram", "product-eval", "product-gram", "product-layers"],
+    ids=["circle-eval", "circle-gram", "product-eval", "product-gram"],
 )
 def test_non_finite_kernel_values_raise_numerical_error(space, call):
     # both branches of the contraction refuse a slice that overflows, where
@@ -533,7 +465,7 @@ def test_parity_witness_on_mixed_product():
     w = witness_parity_sphere(spec)
     assert len(w.points) == 6
     assert {x for x, _ in w.points} == {CirclePoint(0.0)}
-    total, layers = per_degree_forms(spec, list(w.points), w.coefficients)
+    total, layers = per_degree_forms_ref(spec, list(w.points), w.coefficients)
     assert np.max(np.abs(layers)) <= 1e-10 * w.scale
     assert abs(w.residual) <= 1e-10 * w.scale
 
@@ -648,7 +580,7 @@ def test_product_witness_exact_at_gamma_positive(support, m):
     assert len(w.points) == len(w.coefficients) == 2 * 3 * failure.witness.modulus
     assert abs(w.residual) <= 1e-10 * w.scale
     # every sphere-degree layer vanishes on its own, not just their sum
-    total, layers = per_degree_forms(spec, list(w.points), w.coefficients)
+    total, layers = per_degree_forms_ref(spec, list(w.points), w.coefficients)
     assert np.max(np.abs(layers)) <= 1e-10 * w.scale
     assert total == pytest.approx(w.residual, abs=1e-10 * w.scale)
 

@@ -374,7 +374,7 @@ def test_folded_single_contraction_agrees_with_the_family_table(space, scheme, c
     spec = KernelSpec(space, support, scheme, (cap, cap))
     t, _ = _fold_arguments(400, cap)
     got = kernel_values(spec, t)
-    assert spec._folds(spec._slots[0], len(t))
+    assert spec._slots[0] in spec._chebyshev_factors
     assert np.max(np.abs(got - _family_contraction(spec, t))) <= _fold_bound(spec)
 
 
@@ -387,7 +387,7 @@ def test_folded_product_contraction_agrees_with_the_family_tables(m, r, scheme, 
     assert len(spec._factors[0]) == r
     t, s = _fold_arguments(400, m + r)
     got = kernel_values(spec, t, s)
-    assert spec._folds(0, len(t)) and spec._folds(1, len(t))
+    assert sorted(spec._chebyshev_factors) == [0, 1]
     assert np.max(np.abs(got - _family_contraction(spec, t, s))) <= _fold_bound(spec)
 
 
@@ -420,16 +420,16 @@ def test_the_dense_routes_identity_keeps_its_family_rows(monkeypatch, trunc):
     assert np.max(np.abs(got - _family_contraction(spec, t, s))) <= _fold_bound(spec)
 
 
-def test_one_pair_never_folds_and_a_gram_does(monkeypatch):
-    # the fold at L = 10 000 costs about L^2 / 2 products: a one-pair call
-    # saves 4 L, a Gram of 5050 pairs 4 L a pair
+def test_one_pair_folds_as_a_gram_does(monkeypatch):
+    # a one-pair call sums the halved table a Gram sums, one column of it
     from spdkernels import gram_matrix, sample_config
 
     calls = record_halved_tables(monkeypatch)
     spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.9, 0.999), (0, 10_000))
     value = kernel_values(spec, np.array([0.3]))
+    assert [call[:3] for call in calls] == [(10_000, 7, 1)]
     assert spec.value_at_one > value[0] > 0.0
-    assert calls == [] and not spec._chebyshev_factors
+    calls.clear()
     _, zs = sample_config(2, 1, 100, seed=3)
     a = gram_matrix(spec, zs)
     # past degree 120 the slice keeps the halved table, the level and product
@@ -481,7 +481,8 @@ def test_the_tph_axis_never_folds(monkeypatch):
     t, s = _fold_arguments(pairs, 0)
     kernel_values(spec, t, s)
     assert widths == [CHUNK_PAIRS, 3]
-    assert not any(spec._folds(1, n) for n in (1, pairs, 10**12))
+    kernel_values(spec, t[:1], s[:1])  # one pair takes the same route
+    assert widths[2:] == [1]
     assert 1 not in spec._chebyshev_factors
 
 

@@ -15,9 +15,9 @@ factor that replaced the earlier sampled sphere factor from its definition.
 
 Kernel values and Grams with a circle slot are the exceptions to the bits.
 The library contracts a product through the factors of its coefficient
-matrix, where the earlier code took the dense product, and where the fold
-pays it contracts circle and sphere factors with the Chebyshev rows T_k,
-where the earlier code took the family tables; the two round differently.
+matrix, where the earlier code took the dense product, and it contracts
+circle and sphere factors with the Chebyshev rows T_k, where the earlier
+code took the family tables; the two round differently.
 Product values of both must lie within (K + L + 2) eps f(1, 1) of a
 long-double contraction of the same float64 tables, and single-space values
 within 2 (K + L + 2) eps f(1), the absent axis at degree 0, of a 40-digit
@@ -55,6 +55,7 @@ from spdkernels import (
     circle_sphere_space,
     circle_tph_space,
     constant_scheme,
+    eval_kernel,
     geometric_scheme,
     gram_matrix,
     jacobi_table,
@@ -420,11 +421,12 @@ def endpoint_arguments(seed):
 @pytest.mark.parametrize("cap", [60, 120])
 def test_folded_values_next_to_the_endpoints_lie_within_the_decimal_bound(space, scheme, cap):
     # the folded route at the arguments where rounding them moves T_k the
-    # most, and where the halved arguments meet their endpoints
+    # most, and where the halved arguments meet their endpoints: all at once
+    # and each alone, as the eval command takes it
     spec = KernelSpec(space, SupportSet1D.of(prog(0, 1)), scheme, (cap, cap))
     x = endpoint_arguments(cap)
-    assert spec._folds(spec._slots[0], len(x))
-    assert_within_the_decimal_bound(spec, x, kernel_values(spec, x))
+    alone = np.array([eval_kernel(spec, v) for v in x])
+    assert_within_the_decimal_bound(spec, x, kernel_values(spec, x), alone)
 
 
 # --- Gram matrices ----------------------------------------------------------------

@@ -21,7 +21,7 @@ PACKAGE = {
     "circle_sphere_space", "circle_table", "circle_tph_space", "constant_scheme",
     "derived_parity_tail_set", "eval_kernel", "gegenbauer_table", "geometric_scheme",
     "gram_matrix", "has_infinitely_many", "jacobi_table", "kernel_values",
-    "meets_every_progression", "one", "per_degree_forms", "prog", "sample_config",
+    "meets_every_progression", "one", "prog", "sample_config",
     "sphere_space", "stabilization_bound", "sufficient_product", "witness_avoids_window",
     "witness_parity_sphere", "witness_product", "witness_progression_circle",
 }
@@ -36,8 +36,8 @@ MODULES = {
     "cli": {"SpecFile", "load_spec_file", "main", "parse_spec_dict", "spec_file_to_dict"},
     "geometry": {"CirclePoint", "SpherePoint", "sample_config"},
     "gram": {
-        "MAX_POINTS", "WitnessReport", "check_pd", "gram_matrix", "per_degree_forms",
-        "witness_parity_sphere", "witness_product", "witness_progression_circle",
+        "MAX_POINTS", "WitnessReport", "check_pd", "gram_matrix", "witness_parity_sphere",
+        "witness_product", "witness_progression_circle",
     },
     "kernels": {
         "BETA_BY_FAMILY", "CoefficientScheme", "DEFAULT_TRUNCATION", "DIMENSION_RULES",
