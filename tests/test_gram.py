@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d,
-    block_deviations, enhanced_points, per_degree_forms_ref, record_halved_tables,
+    block_deviations, enhanced_points, layer_matrix_ref, per_degree_forms_ref, record_halved_tables,
 )
 from spdkernels import (
     CirclePoint,
@@ -178,6 +178,19 @@ def test_per_degree_layers_nonnegative():
     assert (layers > -1e-12 * spec.value_at_one).all()
 
 
+@pytest.mark.parametrize("p, q", [(8, 6), (10, 10)])  # 4 656 and 20 100 upper-triangle pairs
+def test_gram_matrix_matches_the_one_piece_layer_matrices(p, q):
+    # the chunked, folded Gram over the enhanced points against the sum of
+    # each sphere degree's layer matrix built in one piece from the family
+    # tables
+    xs, zs = sample_config(2, p, q, seed=p)
+    points = enhanced_points(xs, zs)
+    spec = product_spec(SPD_PRODUCT_SUPPORTS[0], trunc=(40, 30))
+    a = gram_matrix(spec, list(points))
+    expected = sum(layer_matrix_ref(spec, points, degree) for degree in range(31))
+    assert np.max(np.abs(a - expected)) <= 1e-13 * spec.value_at_one
+
+
 def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
     calls = record_halved_tables(monkeypatch)
     spec = product_spec(trunc=(6, 6))
@@ -335,10 +348,12 @@ def test_dot_products_are_the_clipped_sphere_dot_products():
 
 
 def _overflowing(space):
-    """61 circle coefficients of 1e308 at sphere degree 0: their sum at
-    t = 1 is past float64."""
+    """61 coefficients of 1e308, on the circle at sphere degree 0 or on the
+    sphere alone: their sum at 1 is past float64."""
     if space == "circle":
         return KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), constant_scheme(1e308), (60, 0))
+    if space == "sphere":
+        return KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), constant_scheme(1e308), (0, 60))
     return product_spec(trunc=(60, 0), scheme=constant_scheme(1e308))
 
 
@@ -347,10 +362,12 @@ def _overflowing(space):
     [
         ("circle", lambda spec, pts: eval_kernel(spec, 1.0)),
         ("circle", lambda spec, pts: gram_matrix(spec, pts)),
+        ("sphere", lambda spec, pts: eval_kernel(spec, 1.0)),
+        ("sphere", lambda spec, pts: gram_matrix(spec, pts)),
         ("product", lambda spec, pts: eval_kernel(spec, 1.0, 1.0)),
         ("product", lambda spec, pts: gram_matrix(spec, pts)),
     ],
-    ids=["circle-eval", "circle-gram", "product-eval", "product-gram"],
+    ids=["circle-eval", "circle-gram", "sphere-eval", "sphere-gram", "product-eval", "product-gram"],
 )
 def test_non_finite_kernel_values_raise_numerical_error(space, call):
     # both branches of the contraction refuse a slice that overflows, where
@@ -358,6 +375,8 @@ def test_non_finite_kernel_values_raise_numerical_error(space, call):
     spec = _overflowing(space)
     if space == "circle":
         pts = sample_config(2, 5, 0, seed=1)[0]
+    elif space == "sphere":
+        pts = sample_config(2, 0, 5, seed=1)[1]
     else:
         pts = product_points(3, seed=1)
     with pytest.raises(NumericalError, match="not finite"):

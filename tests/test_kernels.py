@@ -2,6 +2,7 @@
 
 import math
 import runpy
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -444,6 +445,33 @@ def test_one_pair_folds_as_a_gram_does(monkeypatch):
     assert a[0, 0] == pytest.approx(spec.value_at_one, rel=1e-12)
 
 
+ONE_PAIR_SPECS = {
+    "circle": KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.999), (10_000, 0)),
+    "S2": KernelSpec(sphere_space(2), SupportSet1D.of(prog(1, 2)), constant_scheme(1.5), (0, 1_000)),
+    "circle_S3": product_spec(FOLD_SUPPORTS[2], geometric_scheme(0.99, 0.98), (400, 400), m=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_PAIR_SPECS))
+def test_each_pair_alone_folds_every_factor_slot(monkeypatch, kind):
+    # the route is the spec's alone: each pair evaluated on its own tabulates
+    # every factor slot at halved arguments, one column wide, and its value
+    # is its column of the many-pair call
+    spec = ONE_PAIR_SPECS[kind]
+    t, s = _fold_arguments(400, 11)
+    s = s if spec.space.is_product else None
+    many = kernel_values(spec, t, s)
+    slots = [slot for slot, f in spec._slot_factors.items() if f is not None]
+    assert sorted(spec._chebyshev_factors) == sorted(slots)
+    bound = _fold_bound(spec)
+    calls = record_halved_tables(monkeypatch)
+    for i in (0, 1, 2, 3, 200):
+        alone = eval_kernel(spec, t[i], None if s is None else s[i])
+        assert abs(alone - many[i]) <= bound
+    folds = [(spec.truncation[slot], spec._folded(slot).depth, 1) for slot in slots]
+    assert [call[:3] for call in calls] == folds * 5
+
+
 def test_a_fold_that_is_not_halved_is_sized_as_its_family_table():
     # every circle row differs, so the dense route folds the sphere slot's
     # 121 rows; a halving would double them past the family table's 121
@@ -746,3 +774,20 @@ def test_tables_are_built_one_chunk_at_a_time(monkeypatch):
     assert calls[0].out.base.size == max(fold.height for fold in folds) * CHUNK_PAIRS
     assert calls[0].levels.base.size == max(fold.depth + 3 for fold in folds) * CHUNK_PAIRS
     assert kernel_values(spec, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("trunc, workspace", [((60, 60), 4 * 2**20), ((400, 400), 2 * 8 * _WORKSPACE)])
+def test_kernel_values_memory_follows_one_slice(trunc, workspace):
+    # 200 000 pairs: the values take 1.5 MiB, one slice's tables, levels and
+    # products 1.9 MiB at K = L = 60 and 5.4 MiB at 400, within _WORKSPACE
+    # entries a slot; one table per axis over every pair takes 98 MiB at 60
+    spec = product_spec(trunc=trunc)
+    t, s = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 200_000))
+    spec.value_at_one  # the folds, made once a spec
+    tracemalloc.start()
+    try:
+        kernel_values(spec, t, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= t[0].nbytes + workspace
