@@ -505,6 +505,8 @@ def _sample_points(spec: KernelSpec, n: int, seed: int):
     if not all(axis in gram_mod._POINT_CLASSES for axis in (circle, sphere) if axis):
         raise SpecFileError("space", f"no geometric point model for {spec.space.kind}; gram unavailable")
     m = spec.space.m if spec.space.m is not None else 2
+    if sphere:
+        gram_mod._check_coordinates("gram", n, m)
     # the circle angles are drawn first: a spec with no sphere slot skips the
     # sphere draws, and one with no circle slot still draws (and drops) them
     xs, zs = sample_config(m, n, n if sphere else 0, seed)

@@ -76,6 +76,14 @@ _DUP_TOL = 1e-12
 MAX_POINTS = 2048
 
 
+def _check_coordinates(what: str, points: int, m: int) -> None:
+    """Refuse points on S^m whose coordinates, points x (m + 1), pass
+    MAX_POINTS^2, the entries of the largest Gram: before any is built."""
+    if points * (m + 1) > MAX_POINTS**2:
+        raise NotApplicableError(f"{what} needs {points} points on S^{m}, {points * (m + 1)} coordinates, "
+                                 f"past the limit of {MAX_POINTS**2}")
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
     """A configuration and coefficient vector with a (near-)vanishing form."""
@@ -185,9 +193,9 @@ def _circle_features(spec: KernelSpec, thetas: Optional[np.ndarray]):
     keeps its table.
 
     T_k(cos(theta_i - theta_j)) = cos k theta_i cos k theta_j + sin k theta_i
-    sin k theta_j.  So for the factor folded onto T_k, g (the beta of
-    ``KernelSpec._folded``, nonnegative: scheme values on the support's mask
-    times 2/k), row rho at (i, j) is entry (i, j) of Psi_rho Psi_rho^T,
+    sin k theta_j.  So for the factor folded onto T_k, g (the circle slot's
+    ``_Slot.beta``, nonnegative: scheme values on the support's mask times
+    2/k), row rho at (i, j) is entry (i, j) of Psi_rho Psi_rho^T,
     where the n x (2K + 1) features Psi_rho = [cos k theta | sin k theta]
     (k = 0..K and 1..K) have their columns scaled by sqrt(g_rho).  A chunk
     takes one product: rows i_first..i_last of Psi against the rows its
@@ -210,7 +218,7 @@ def _circle_features(spec: KernelSpec, thetas: Optional[np.ndarray]):
     np.cos(k_theta, out=phi[:, 1 : cap + 1])
     np.sin(k_theta, out=k_theta)
     psi[1:] = phi
-    roots = np.sqrt(spec._folded(0).beta)
+    roots = np.sqrt(spec._slot_plan[0].beta)
     psi *= np.concatenate([roots, roots[:, 1:]], axis=1)[:, None, :]
 
     def rows(i, j):
@@ -262,7 +270,7 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
                     t = None if thetas is None else np.cos(thetas[i] - thetas[j])
                 yield (upper, lower), t, None if zs is None else flat[upper]
 
-        for (upper, lower), values in _contract(spec, chunks(), pairs, ready=ready):
+        for (upper, lower), values in _contract(spec, chunks(), width, ready=ready):
             flat[upper] = values
             flat[lower] = values
     return a
@@ -314,12 +322,14 @@ def _tensor_witness(kind: str, spec: KernelSpec, n: int, j: int, a: Optional[int
     carries the form c' G c and the scale f(1, 1) * c' c."""
     h = 0 if a is None else max(a, 1)
     total = n * 2 * h if h else n
+    name = "product" if kind == "composed" else kind
     if total > MAX_POINTS:
-        name = "product" if kind == "composed" else kind
         cause = f" to cancel degree {a - 2}" if h > 1 else ""  # a = D + 2 for the kept degree D
         raise NotApplicableError(
             f"{name} witness needs {total} points{cause}, past the limit of {MAX_POINTS}"
         )
+    if h:
+        _check_coordinates(f"{name} witness", total, spec.space.m)
     xs = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
     d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
     points, c = tuple(xs), d

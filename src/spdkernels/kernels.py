@@ -81,20 +81,18 @@ MAX_TRUNCATION_BOX = 1_000_000
 # rows a slot, takes (14 + 16r) x 8192 x 8 bytes: 2 MB at r = 1; a family
 # table takes 61 rows, and the dense route's identity slot keeps one.
 # BLAS may round a few columns of a slice differently at another slice
-# width, so a new value here can move the last bits of some values;
-# whether a slot folds follows its spec alone, not the slice or the pairs.
+# width, so a new value here can move the last bits of some values; each
+# slot's route is decided with the spec (``_Slot``), not by the slice.
 CHUNK_PAIRS = 8_192
 
 # Entries a slot's rows may hold in one contraction slice: the degree-120
 # family table of a CHUNK_PAIRS slice, 7.9 MB.  A slice is narrowed
-# (``_slice_width``) so that a family table past degree 120 keeps within
-# it; its factor's product rows, never more than the table's, stay within
-# it too.  A fold that is not halved (``_depth``) is a family table in
-# shape, cap + 1 table rows and at most as many product rows, and is
-# sized so.  A halved fold counts its halved table, level and product
-# rows together, with _SLICE_VECTORS.  Every shape with K, L <= 120 keeps
-# CHUNK_PAIRS while its halved folds have at most 15 factor rows
-# (``KernelSpec._factors``).
+# (``_slice_width``) so that no slot's ``_Slot.entries`` a pair pass it.
+# A family table, or a fold that is not halved (``_depth``), counts its
+# cap + 1 table rows; its product rows are never more.  A halved fold
+# counts its halved table, level and product rows together, with
+# _SLICE_VECTORS.  Every shape with K, L <= 120 keeps CHUNK_PAIRS while
+# its halved folds have at most 15 factor rows (``KernelSpec._factors``).
 _WORKSPACE = 121 * CHUNK_PAIRS
 
 # The vectors of a slice's width that a contraction and its caller make
@@ -103,8 +101,8 @@ _WORKSPACE = 121 * CHUNK_PAIRS
 # _WORKSPACE // (cap + 1) pairs, so its vectors are under a fifth of its
 # table and shrink with the degree; a halved fold holds about
 # 2 sqrt(cap r) rows a pair, so its slices past degree 120 are thousands of
-# pairs wide and its vectors a large share of them.  Counted with a halved
-# fold's rows, they keep a Gram there no higher than the family table's.
+# pairs wide and its vectors a large share of them.  Counted in its
+# ``_Slot.entries``, they keep a Gram there no higher than the family table's.
 _SLICE_VECTORS = 24
 
 # Folds of degree up to this take their halved rows from a map cached by
@@ -143,18 +141,29 @@ def _depth(cap: int, r: int) -> int:
     return min(depths, key=lambda h: 3.5 * (cap >> h) + 7 * h + 2 * r * ((1 << h) - 1))
 
 
-class _Fold:
-    """A slot's factor f (r rows) on the Chebyshev rows T_0..T_cap, with its
-    halvings h (``_depth``) and the (cap >> h) + 1 rows of its halved table.
-    Made on first use: beta, f folded onto T_0..T_cap (a circle slot on
-    features takes beta alone), and the 2^h r halved rows
+class _Slot:
+    """An occupied slot's route, decided once a spec (``KernelSpec._slot_plan``):
+    its axis, degree cap and factor of r rows (None for the identity), and
+    whether it folds, as every factor on an axis with a fold does.  A fold
+    sums the factor on T_0..T_cap at arguments halved h times (``_depth``);
+    any other slot keeps its family table, h = 0.  A pair takes
+    (cap >> h) + 1 table rows, h + 3 level rows when it folds and 2^h r
+    product rows, and ``entries`` of a slice's workspace (``_slice_width``).
+    Made on first use: beta, the factor folded onto T_0..T_cap (a circle
+    slot on features takes beta alone), and the 2^h r halved rows
     (``_halved_coefficients``), from ``_fold_map`` up to _MAPPED_DEGREE."""
 
-    def __init__(self, spec: KernelSpec, slot: int):
-        self.axis, self.space = spec.space._axes[slot], spec.space
-        self.factor, self.cap = spec._slot_factors[slot], spec.truncation[slot]
-        self.depth = _depth(self.cap, len(self.factor))
-        self.height = (self.cap >> self.depth) + 1
+    def __init__(self, space: SpaceDescriptor, axis: str, cap: int, factor: Optional[np.ndarray]):
+        self.space, self.axis, self.cap, self.factor = space, axis, cap, factor
+        self.folds = factor is not None and _AXIS_TABLES[axis].fold is not None
+        self.depth = _depth(cap, len(factor)) if self.folds else 0
+        self.table_rows = (cap >> self.depth) + 1
+        self.level_rows = self.depth + 3 if self.folds else 0
+        self.product_rows = 0 if factor is None else len(factor) << self.depth
+        # a halved fold counts every row a pair takes and _SLICE_VECTORS; a
+        # table of cap + 1 rows bounds the rest (its product rows are no more)
+        self.entries = (self.table_rows + self.level_rows + self.product_rows + _SLICE_VECTORS
+                        if self.depth else cap + 1)
 
     @cached_property
     def beta(self) -> np.ndarray:
@@ -165,7 +174,20 @@ class _Fold:
         if self.cap > _MAPPED_DEGREE:
             return _halved_coefficients(self.beta, self.depth)
         rows = np.matmul(self.factor, _fold_map(self.axis, self.space, self.cap, self.depth))
-        return rows.reshape(-1, self.height)
+        return rows.reshape(-1, self.table_rows)
+
+    def rows(self, x: np.ndarray, table: np.ndarray, levels: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """The slot's r factor rows at the arguments x, written into the flat
+        buffers; the identity's are its family table itself."""
+        width = len(x)
+        if self.folds:
+            at = _rows(levels, self.level_rows, width)
+            rows = _halved_table(self.cap, self.depth, x, out=_rows(table, self.table_rows, width), levels=at)
+            sums = np.matmul(self.halved, rows, out=_rows(products, self.product_rows, width))
+            return _recombine(sums, at, self.depth)
+        rows = _AXIS_TABLES[self.axis].table(self.space, self.cap, x, _rows(table, self.table_rows, width))
+        f = self.factor
+        return rows if f is None else np.matmul(f, rows, out=_rows(products, self.product_rows, width))
 
 
 @lru_cache(maxsize=32)
@@ -198,7 +220,7 @@ _AXIS_TABLES = {
     ),
     # Gegenbauer rows are cosine sums (Szego, (4.9.19)): the fold takes about
     # r L^2 / 2 products, made once a spec, or one product with a cached map
-    # up to _MAPPED_DEGREE (``_Fold``)
+    # up to _MAPPED_DEGREE (``_Slot``)
     "sphere": _Axis(
         lambda space, cap, x, out: gegenbauer_table(cap, space.m, x, out=out),
         lambda space, f: _gegenbauer_on_chebyshev(f, space.m),
@@ -406,8 +428,8 @@ class KernelSpec:
         other coefficient_matrix (U = I when K <= L).  Either way a slice
         costs no more than a dense contraction: (K + 1)(L + 1) products and
         L + 1 row passes.  These factors act on the family tables; the
-        contraction takes each on the Chebyshev rows instead (``_folded``)
-        where its axis has a fold, and the identity keeps its family table.
+        contraction takes each on the Chebyshev rows instead where its
+        axis has a fold (``_Slot``), and the identity keeps its family table.
         """
         if not self.space.is_product:
             return (self.coefficient_matrix[None],)
@@ -437,27 +459,11 @@ class KernelSpec:
             return v is not None and len(v) == 0  # the dense route is never empty
         return not np.any(self.coefficient_matrix > 0)
 
-    def _axis_table(self, slot: int, x: np.ndarray, out=None) -> np.ndarray:
-        """The table of a slot's axis at x, degrees 0 to the slot's bound."""
-        return _AXIS_TABLES[self.space._axes[slot]].table(self.space, self.truncation[slot], x, out)
-
-    def _folded(self, slot: int) -> _Fold:
-        """The slot's factor on T_0..T_cap (``_Fold``), computed on the first
-        call that folds it."""
-        folded = self._chebyshev_factors
-        if slot not in folded:
-            folded[slot] = _Fold(self, slot)
-        return folded[slot]
-
     @cached_property
-    def _slot_factors(self) -> dict[int, Optional[np.ndarray]]:
-        """``_factors`` by occupied slot."""
-        return dict(zip(self._slots, self._factors))
-
-    @cached_property
-    def _chebyshev_factors(self) -> dict[int, _Fold]:
-        """The folds made so far, by slot (filled by ``_folded``)."""
-        return {}
+    def _slot_plan(self) -> dict[int, _Slot]:
+        """Each occupied slot's record (``_Slot``), by slot."""
+        return {slot: _Slot(self.space, self.space._axes[slot], self.truncation[slot], factor)
+                for slot, factor in zip(self._slots, self._factors)}
 
     @cached_property
     def value_at_one(self) -> float:
@@ -488,8 +494,8 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     pairs up to degree 120, fewer past it) in one workspace that is
     allocated once and refilled for every slice, so memory follows the
     slice and the degrees, about _WORKSPACE entries a slot, not the number
-    of pairs.  One pair takes the route a Gram takes: each slot with a
-    factor on an axis with a fold sums it on halved arguments.
+    of pairs.  One pair takes the route a Gram takes, set with the spec
+    (``_Slot``): a slot that folds sums its factor on halved arguments.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if spec.space.is_product:
@@ -504,38 +510,19 @@ def kernel_values(spec: KernelSpec, t: np.ndarray, s: Optional[np.ndarray] = Non
     out = np.empty(t.shape)
     args = (t, s) if spec.space._axes[0] else (None, t)  # a sphere's one argument is its slot's
     with _quiet():
-        for lo, values in _contract(spec, _slices(*args, _slice_width(spec, len(t))), len(t)):
+        width = _slice_width(spec, len(t))
+        for lo, values in _contract(spec, _slices(*args, width), width):
             out[lo : lo + len(values)] = values
     return out
 
 
-def _folds_of(spec: KernelSpec, ready: tuple = ()) -> dict:
-    """The tabulated slots of ``_contract`` whose ``ready`` slots come as
-    factor rows, each with its fold (``KernelSpec._folded``), None where it
-    keeps its family table: an identity slot, or an axis with no fold."""
-    axes, factors = spec.space._axes, spec._slot_factors
-    return {slot: spec._folded(slot) if _AXIS_TABLES[axes[slot]].fold and factors[slot] is not None else None
-            for slot in spec._slots if slot not in ready}
-
-
 def _slice_width(spec: KernelSpec, pairs: int, ready: tuple = ()) -> int:
     """The slice width of ``_contract`` over ``pairs`` pairs whose ``ready``
-    slots come as factor rows (``_width``)."""
-    return _width(spec, _folds_of(spec, ready), pairs)
-
-
-def _width(spec: KernelSpec, folds: dict, pairs: int) -> int:
-    """CHUNK_PAIRS, narrowed so that no slot of ``folds`` (``_folds_of``)
-    holds more than _WORKSPACE entries a slice, and no more than the pairs
-    (at least one).  A family table, or a fold that is not halved, takes
-    cap + 1 rows (its factor's product rows are no more); a halved fold's
-    table, level rows, product rows and _SLICE_VECTORS count together,
-    (cap >> h) + 1 + h + 3 + 2^h r + _SLICE_VECTORS, so that past degree
-    120 a slice holds no more than the family table's did."""
-    heights = [spec.truncation[slot] + 1 if fold is None or fold.depth == 0
-               else fold.height + fold.depth + 3 + (len(fold.factor) << fold.depth) + _SLICE_VECTORS
-               for slot, fold in folds.items()]
-    return max(1, min(pairs, CHUNK_PAIRS, _WORKSPACE // max(heights, default=1)))
+    slots come as factor rows: CHUNK_PAIRS, narrowed so that no other slot
+    holds more than _WORKSPACE entries a slice (``_Slot.entries``), and no
+    more than the pairs (at least one)."""
+    entries = [record.entries for slot, record in spec._slot_plan.items() if slot not in ready]
+    return max(1, min(pairs, CHUNK_PAIRS, _WORKSPACE // max(entries, default=1)))
 
 
 def _slices(t: Optional[np.ndarray], s: Optional[np.ndarray], width: int):
@@ -550,53 +537,46 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[: rows * width].reshape(rows, width)
 
 
-def _contract(spec: KernelSpec, chunks, pairs: int, ready: tuple = ()):
+def _contract(spec: KernelSpec, chunks, width: int, ready: tuple = ()):
     """Contract each (key, t, s) slice of ``chunks``, t the circle slot's and
-    s the sphere slot's arguments (None for an empty slot), ``pairs`` pairs
-    in all and none wider than ``_slice_width(spec, pairs, ready)``, and
-    yield (key, values).  A slot in ``ready`` comes as its r factor rows at
-    the slice's pairs, made by the caller, in place of its arguments; the
-    rows are multiplied in place.
+    s the sphere slot's arguments (None for an empty slot), none wider than
+    ``width`` (``_slice_width(spec, pairs, ready)``, by which the caller
+    sliced), and yield (key, values).  A slot in ``ready`` comes as its r
+    factor rows at the slice's pairs, made by the caller, in place of its
+    arguments; the rows are multiplied in place.
 
     Each occupied slot contracts its factor (``KernelSpec._factors``) with
     its axis table, r rows, and the values sum the rows' products: one row
     for a single space, sum_g a_g b_g with a = U @ circle and b = V @ P for
-    a product A = U.T @ V.  Each slot whose axis has a fold (``_folds_of``)
-    takes its factor folded onto the Chebyshev rows T_k and sums them on
-    arguments halved h times (``KernelSpec._folded``), at one pair as at
-    a Gram's many: the 2^h r halved rows times the (cap >> h) + 1 rows of
-    ``_halved_table``, added back up over the levels (``_recombine``),
-    about 3.5 cap / 2^h passes a pair where the Chebyshev recurrence took
-    2 cap.  An identity factor keeps its family table.  One buffer holds
-    each table in turn, so a slot whose factor is the identity, its table
-    itself, goes last.  The buffers are allocated once and refilled, so
-    what a slice yields is overwritten by the next one.
+    a product A = U.T @ V.  Each slot that folds (``_Slot``) takes its
+    factor folded onto the Chebyshev rows T_k and sums them on arguments
+    halved h times, at one pair as at a Gram's many: the 2^h r halved rows
+    times the (cap >> h) + 1 rows of ``_halved_table``, added back up over
+    the levels (``_recombine``), about 3.5 cap / 2^h passes a pair where
+    the Chebyshev recurrence took 2 cap.  An identity factor keeps its
+    family table.  One buffer holds each table in turn, so a slot whose
+    factor is the identity, its table itself, goes last.  The buffers,
+    sized by the slots' rows, are allocated once and refilled, so what a
+    slice yields is overwritten by the next one.
     A slice that holds a non-finite value raises ``NumericalError``; its
     callers run it, and the folds it makes, under ``_quiet``, so that this
     error is the one report of an overflow.
     """
-    factors = dict(spec._slot_factors)
-    folds = _folds_of(spec, ready)
-    width = _width(spec, folds, pairs)
-    order = sorted(factors, key=lambda slot: factors[slot] is None)  # the identity last
-    r = len(factors[order[0]])
-    heights = [spec.truncation[slot] + 1 if fold is None else fold.height for slot, fold in folds.items()]
-    table = np.empty(max(heights, default=0) * width)
-    levels = np.empty(max((fold.depth + 3 for fold in folds.values() if fold), default=0) * width)
-    products = {slot: np.empty((r if fold is None else len(fold.halved)) * width)
-                for slot, fold in folds.items() if factors[slot] is not None}
+    plan = spec._slot_plan
+    order = sorted(plan, key=lambda slot: plan[slot].factor is None)  # the identity last
+    r = len(plan[order[0]].factor)
+    tabulated = [slot for slot in plan if slot not in ready]
+    # the folds' cached rows before the buffers, below them on the heap, which
+    # then shrinks once they are freed: after them, a Gram's peak RSS rose 2.8 MB
+    for slot in tabulated:
+        if plan[slot].folds:
+            plan[slot].halved
+    table = np.empty(max((plan[slot].table_rows for slot in tabulated), default=0) * width)
+    levels = np.empty(max((plan[slot].level_rows for slot in tabulated), default=0) * width)
+    products = {slot: np.empty(plan[slot].product_rows * width) for slot in tabulated}
 
     def side(slot, x):
-        if slot in ready:
-            return x
-        cap, fold, f = spec.truncation[slot], folds[slot], factors[slot]
-        if fold is not None:
-            at = _rows(levels, fold.depth + 3, len(x))
-            rows = _halved_table(cap, fold.depth, x, out=_rows(table, fold.height, len(x)), levels=at)
-            sums = np.matmul(fold.halved, rows, out=_rows(products[slot], len(fold.halved), len(x)))
-            return _recombine(sums, at, fold.depth)
-        rows = spec._axis_table(slot, x, out=_rows(table, cap + 1, len(x)))
-        return rows if f is None else np.matmul(f, rows, out=_rows(products[slot], len(f), len(x)))
+        return x if slot in ready else plan[slot].rows(x, table, levels, products[slot])
 
     for key, *args in chunks:
         a = side(order[0], args[order[0]])

@@ -329,6 +329,13 @@ def record_halved_tables(monkeypatch):
     return calls
 
 
+def axis_table(spec, slot, x):
+    """The family table of a slot's axis at x, degrees 0 to the slot's bound."""
+    from spdkernels.kernels import _AXIS_TABLES
+
+    return _AXIS_TABLES[spec.space._axes[slot]].table(spec.space, spec.truncation[slot], x, None)
+
+
 def jacobi_one_ref(l, alpha):
     """binom(l + alpha, l), the Jacobi value at t = 1, by log-gamma."""
     return math.exp(

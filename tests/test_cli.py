@@ -496,6 +496,41 @@ def test_gram_points_past_the_limit_exit_sixtyfour(tmp_path, capsys):
     assert f"--points: {MAX_POINTS + 1} points is past the limit of {MAX_POINTS}" in capsys.readouterr().err
 
 
+HUGE_M = 10**15
+HUGE_M_SPECS = {
+    "sphere": {"space": {"kind": "sphere", "m": HUGE_M}, "support": [{"type": "prog", "base": 0, "step": 2}]},
+    "circle_sphere": {
+        "space": {"kind": "circle_sphere", "m": HUGE_M},
+        "support": [{"k": {"type": "prog", "base": 0, "step": 1}, "l": {"type": "prog", "base": 0, "step": 2}}],
+    },
+}
+
+
+@pytest.mark.parametrize("kind, witness", [("sphere", "parity"), ("circle_sphere", "product")])
+@pytest.mark.parametrize("command", ["gram", "witness"])
+def test_points_on_a_huge_sphere_exit_sixtyfour(tmp_path, capsys, kind, witness, command):
+    # refused before any point is built: gram samples 5 points and the
+    # witness needs e0 and -e0, each with m + 1 coordinates
+    from spdkernels.gram import MAX_POINTS
+
+    path = write_spec(tmp_path, HUGE_M_SPECS[kind])
+    argv, what, points = {"gram": (["--points", "5"], "gram", 5), "witness": ([], f"{witness} witness", 2)}[command]
+    assert _run_within_budget([command, path, *argv]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (
+        f"error: {what} needs {points} points on S^{HUGE_M}, {points * (HUGE_M + 1)} coordinates, "
+        f"past the limit of {MAX_POINTS**2}"
+    ) in err
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_M_SPECS))
+def test_certify_holds_no_points_on_a_huge_sphere(tmp_path, capsys, kind):
+    path = write_spec(tmp_path, HUGE_M_SPECS[kind])
+    assert _run_within_budget(["certify", path]) == 1
+    assert capsys.readouterr().out.startswith("NotSPD")
+
+
 def test_gram_csv_past_the_limit_exit_sixtyfour(tmp_path, capsys):
     from spdkernels.cli import CSV_MAX_POINTS
 

@@ -198,8 +198,8 @@ def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
     a = gram_matrix(spec, pts)
     # the sphere slot folds onto T_k, halved once: its 4-row table is
     # tabulated once a chunk; the circle slot's rows come from its features
-    depth = spec._folded(1).depth
-    assert (depth, spec._folded(1).height) == (1, 4)
+    depth = spec._slot_plan[1].depth
+    assert (depth, spec._slot_plan[1].table_rows) == (1, 4)
     assert [call[:3] for call in calls] == [
         (6, depth, CHUNK_PAIRS), (6, depth, CHUNK_PAIRS), (6, depth, 200 * 201 // 2 - 2 * CHUNK_PAIRS)
     ]
@@ -207,6 +207,21 @@ def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
     for i, j in [(0, 0), (0, 199), (40, 41), (41, 199), (199, 199)]:  # row starts and ends
         t, s = pts[i][0].dot(pts[j][0]), pts[i][1].dot(pts[j][1])
         assert a[i, j] == pytest.approx(eval_kernel(spec, t, s), abs=1e-12 * spec.value_at_one)
+
+
+def test_the_feature_route_reads_only_the_circle_slots_beta():
+    # a circle slot on features takes beta alone: its halved rows are never
+    # made, while the sphere slot, tabulated, makes its own
+    xs, zs = sample_config(2, 30, 30, seed=4)
+    circle = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (40, 0))
+    product = product_spec(trunc=(40, 20))
+    assert len(product._factors[0]) == 1
+    gram_matrix(circle, xs)
+    gram_matrix(product, list(zip(xs, zs)))
+    for spec in (circle, product):
+        assert tuple(spec._slot_plan) == spec._slots
+        assert "beta" in vars(spec._slot_plan[0]) and "halved" not in vars(spec._slot_plan[0])
+    assert "halved" in vars(product._slot_plan[1])
 
 
 def _record_calls(monkeypatch, names):
@@ -289,7 +304,7 @@ def test_every_table_past_degree_120_stays_within_the_workspace(monkeypatch, tru
     # per level, d and D) and the 2^h r product rows, each and together
     assert halved
     for call in halved:
-        products = len(spec._folded(trunc.index(call.cap)).halved) * call.width
+        products = len(spec._slot_plan[trunc.index(call.cap)].halved) * call.width
         assert call.out.size == ((call.cap >> call.depth) + 1) * call.width
         assert call.levels.size == (call.depth + 3) * call.width
         assert max(call.out.base.size, call.levels.base.size, products) <= _WORKSPACE

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SPACE_EXAMPLES, SPD_PRODUCT_SUPPORTS, jacobi_one_ref, marginal_ref, record_halved_tables
+from conftest import (
+    SPACE_EXAMPLES, SPD_PRODUCT_SUPPORTS, axis_table, jacobi_one_ref, marginal_ref, record_halved_tables,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from spdkernels import (
@@ -315,7 +317,7 @@ def test_a_support_whose_rows_all_differ_takes_the_dense_route(trunc):
     u, v = assert_factors_rebuild_the_coefficients(spec)
     assert u is None or v is None
     t, s = np.linspace(-1.0, 1.0, 7), np.linspace(1.0, -1.0, 7)
-    expected = (marginal_ref(spec, t) * spec._axis_table(1, s)).sum(axis=0)
+    expected = (marginal_ref(spec, t) * axis_table(spec, 1, s)).sum(axis=0)
     bound = (sum(trunc) + 2) * EPS * spec.value_at_one
     assert np.max(np.abs(kernel_values(spec, t, s) - expected)) <= bound
 
@@ -342,8 +344,13 @@ def _family_contraction(spec, t, s=None):
     tables = {0: lambda x: circle_table(spec.kmax, x), 1: lambda x: gegenbauer_table(spec.lmax, spec.space.m, x)}
     args = dict(zip(spec._slots, (t, s)))
     sides = [tables[slot](args[slot]) if f is None else f @ tables[slot](args[slot])
-             for slot, f in spec._slot_factors.items()]
+             for slot, f in zip(spec._slots, spec._factors)]
     return np.prod(sides, axis=0).sum(axis=0)
+
+
+def _halved_slots(spec):
+    """The slots whose halved rows were made, sorted."""
+    return [slot for slot, plan in spec._slot_plan.items() if "halved" in vars(plan)]
 
 
 def _fold_bound(spec):
@@ -375,7 +382,7 @@ def test_folded_single_contraction_agrees_with_the_family_table(space, scheme, c
     spec = KernelSpec(space, support, scheme, (cap, cap))
     t, _ = _fold_arguments(400, cap)
     got = kernel_values(spec, t)
-    assert spec._slots[0] in spec._chebyshev_factors
+    assert spec._slots[0] in _halved_slots(spec)
     assert np.max(np.abs(got - _family_contraction(spec, t))) <= _fold_bound(spec)
 
 
@@ -388,7 +395,7 @@ def test_folded_product_contraction_agrees_with_the_family_tables(m, r, scheme, 
     assert len(spec._factors[0]) == r
     t, s = _fold_arguments(400, m + r)
     got = kernel_values(spec, t, s)
-    assert sorted(spec._chebyshev_factors) == [0, 1]
+    assert _halved_slots(spec) == [0, 1]
     assert np.max(np.abs(got - _family_contraction(spec, t, s))) <= _fold_bound(spec)
 
 
@@ -409,11 +416,11 @@ def test_the_dense_routes_identity_keeps_its_family_rows(monkeypatch, trunc):
     got = kernel_values(spec, t, s)
     # the folded slot tabulates T_j at its halved arguments, the identity
     # its family, once each
-    fold = spec._folded(folded)
+    fold = spec._slot_plan[folded]
     assert [call[:3] for call in halved] == [(max(trunc), fold.depth, 400)]
     assert widths == {family[identity]: [400], family[folded]: []}
     args = (t, s)
-    rows = spec._axis_table(identity, args[identity])
+    rows = axis_table(spec, identity, args[identity])
     levels = np.empty((fold.depth + 3, 400))
     table = _halved_table(spec.truncation[folded], fold.depth, args[folded], levels=levels)
     expected = _recombine(fold.halved @ table, levels, fold.depth) * rows
@@ -461,14 +468,14 @@ def test_each_pair_alone_folds_every_factor_slot(monkeypatch, kind):
     t, s = _fold_arguments(400, 11)
     s = s if spec.space.is_product else None
     many = kernel_values(spec, t, s)
-    slots = [slot for slot, f in spec._slot_factors.items() if f is not None]
-    assert sorted(spec._chebyshev_factors) == sorted(slots)
+    slots = [slot for slot, plan in spec._slot_plan.items() if plan.factor is not None]
+    assert _halved_slots(spec) == sorted(slots)
     bound = _fold_bound(spec)
     calls = record_halved_tables(monkeypatch)
     for i in (0, 1, 2, 3, 200):
         alone = eval_kernel(spec, t[i], None if s is None else s[i])
         assert abs(alone - many[i]) <= bound
-    folds = [(spec.truncation[slot], spec._folded(slot).depth, 1) for slot in slots]
+    folds = [(spec.truncation[slot], spec._slot_plan[slot].depth, 1) for slot in slots]
     assert [call[:3] for call in calls] == folds * 5
 
 
@@ -479,7 +486,7 @@ def test_a_fold_that_is_not_halved_is_sized_as_its_family_table():
     # family table did
     support = SupportSet2D(tuple((one(k), prog(k, 121)) for k in range(121)))
     spec = product_spec(support, trunc=(120, 120))
-    assert spec._factors[0] is None and spec._folded(1).depth == 0
+    assert spec._factors[0] is None and spec._slot_plan[1].folds and spec._slot_plan[1].depth == 0
     assert _slice_width(spec, 10 * CHUNK_PAIRS) == CHUNK_PAIRS
 
 
@@ -488,7 +495,7 @@ def test_a_fold_that_is_not_halved_is_sized_as_its_family_table():
 def test_fresh_specs_share_the_fold_map_up_to_degree_120(space, cap):
     def fold():
         spec = KernelSpec(space, SupportSet1D.of(prog(0, 1)), geometric_scheme(0.99), (cap, cap))
-        return spec._folded(1 - space._axes.index(None))
+        return spec._slot_plan[1 - space._axes.index(None)]
 
     first = fold()
     first.halved
@@ -502,6 +509,24 @@ def test_fresh_specs_share_the_fold_map_up_to_degree_120(space, cap):
     assert np.array_equal(first.halved, second.halved)
 
 
+def test_the_slot_plan_folds_all_but_the_dense_identity_and_the_tph_axis():
+    # one record per occupied slot; every factor on a circle or sphere axis
+    # folds, and only the dense route's identity and the tph axis keep
+    # their family tables
+    dense = [
+        product_spec(SupportSet2D(tuple(
+            (one(k), one(l)) for k in range(kmax + 1) for l in range(lmax + 1) if (k + 1) >> l & 1
+        )), geometric_scheme(0.8, 0.7), (kmax, lmax), m=3)
+        for kmax, lmax in [(20, 60), (60, 20)]
+    ]
+    kept = []
+    for spec in [*CHUNK_SPECS.values(), *ONE_PAIR_SPECS.values(), *dense]:
+        assert tuple(spec._slot_plan) == spec._slots
+        kept += [(spec.space.kind, slot, record.factor is None)
+                 for slot, record in spec._slot_plan.items() if not record.folds]
+    assert kept == [("circle_tph", 1, False), ("circle_sphere", 0, True), ("circle_sphere", 1, True)]
+
+
 def test_the_tph_axis_never_folds(monkeypatch):
     widths = _record(monkeypatch, "jacobi_table")
     spec = CHUNK_SPECS["circle_tph"]
@@ -511,7 +536,7 @@ def test_the_tph_axis_never_folds(monkeypatch):
     assert widths == [CHUNK_PAIRS, 3]
     kernel_values(spec, t[:1], s[:1])  # one pair takes the same route
     assert widths[2:] == [1]
-    assert 1 not in spec._chebyshev_factors
+    assert not spec._slot_plan[1].folds
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -739,7 +764,7 @@ def _unchunked_kernel_values(spec, t, s=None):
     """The whole-array evaluation: one table per axis over every pair."""
     a = spec.coefficient_matrix
     if spec.space.is_product:
-        return np.einsum("kp,kl,lp->p", circle_table(spec.kmax, t), a, spec._axis_table(1, s))
+        return np.einsum("kp,kl,lp->p", circle_table(spec.kmax, t), a, axis_table(spec, 1, s))
     if spec.space.kind == "circle":
         return a @ circle_table(spec.axis_cap, t)
     return a @ gegenbauer_table(spec.axis_cap, spec.space.m, t)
@@ -770,8 +795,8 @@ def test_tables_are_built_one_chunk_at_a_time(monkeypatch):
     # one table and one level workspace, refilled for every chunk
     assert all(call.out.base is calls[0].out.base for call in calls)
     assert all(call.levels.base is calls[0].levels.base for call in calls)
-    folds = [spec._folded(slot) for slot in (0, 1)]
-    assert calls[0].out.base.size == max(fold.height for fold in folds) * CHUNK_PAIRS
+    folds = [spec._slot_plan[slot] for slot in (0, 1)]
+    assert calls[0].out.base.size == max(fold.table_rows for fold in folds) * CHUNK_PAIRS
     assert calls[0].levels.base.size == max(fold.depth + 3 for fold in folds) * CHUNK_PAIRS
     assert kernel_values(spec, np.zeros(0), np.zeros(0)).shape == (0,)
 

@@ -42,7 +42,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d, enhanced_points
+from conftest import (
+    NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, axis_table, battery_1d, battery_2d, enhanced_points,
+)
 from spdkernels import (
     CirclePoint,
     KernelSpec,
@@ -267,7 +269,7 @@ def oracle_product_values(spec, t, s):
     """sum_{k,l} a_{k,l} P_k(t) P_l(s) in long double, over the library's
     float64 coefficients and tables."""
     circ = circle_table(spec.kmax, t).astype(np.longdouble)
-    sph = spec._axis_table(1, s).astype(np.longdouble)
+    sph = axis_table(spec, 1, s).astype(np.longdouble)
     return ((spec.coefficient_matrix.astype(np.longdouble).T @ circ) * sph).sum(axis=0)
 
 

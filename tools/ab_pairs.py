@@ -7,11 +7,14 @@ PARENT_TREE.  Pair i (i = 0 .. 9) runs ``bench/run.py --workload WORKLOAD
 --seed FIRST_SEED+i --seconds 50 --trace 0`` once in each tree, the parent
 first in even pairs and the tree first in odd ones; each run is a subprocess
 started in its tree's root, one at a time, and writes no bytecode.  Every
-run's metrics are printed as it ends.  Then, for each end-to-end metric that
-``BENCHMARK.json`` names, one markdown table row gives each side's median
-[q1, q3] over its ten runs and the pairs the tree won (better in the
-direction the benchmark declares; ties count for neither side), with the
-change of the median, and two verdicts:
+run's metrics are printed as it ends, with the 1-minute load average read
+just before it started and the ``OPENBLAS_NUM_THREADS`` it inherited
+("unset" if none): a threaded BLAS call slows sharply while other jobs
+load the machine, so a pair's spread can be read against its load.  Then,
+for each end-to-end metric that ``BENCHMARK.json`` names, one markdown
+table row gives each side's median [q1, q3] over its ten runs and the
+pairs the tree won (better in the direction the benchmark declares; ties
+count for neither side), with the change of the median, and two verdicts:
 
 * gain: the tree won at least nine tenths of the pairs and its median is
   better than the parent's by more than the parent's q3 - q1;
@@ -78,14 +81,17 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((trees["tree"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs: dict[str, list[dict]] = {"parent": [], "tree": []}
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     for i in range(PAIRS):
         seed = args.first_seed + i
         for side in ("parent", "tree") if i % 2 == 0 else ("tree", "parent"):
+            load = os.getloadavg()[0]
             result = run_once(trees[side], args.workload, seed)
             runs[side].append(result)
             values = ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
-            print(f"pair {i} seed {seed} {side}: correct {result['correct']}, "
-                  f"{result['failed']} of {result['attempted']} failed; {values}", flush=True)
+            print(f"pair {i} seed {seed} {side}: load {load:.2f}, OPENBLAS_NUM_THREADS {threads}; "
+                  f"correct {result['correct']}, {result['failed']} of {result['attempted']} failed; "
+                  f"{values}", flush=True)
 
     print(f"\n{args.workload}, seeds {args.first_seed}-{args.first_seed + PAIRS - 1}, "
           f"{SECONDS}-s runs; median [q1, q3]\n")
