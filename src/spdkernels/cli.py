@@ -218,8 +218,8 @@ def parse_spec_dict(data: dict) -> SpecFile:
         if not _is_int(bound) or bound < 0:
             raise SpecFileError(f"truncation.{name}", "must be an integer >= 0")
     seed = data.get("seed", 0)
-    if not _is_int(seed):
-        raise SpecFileError("seed", "must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise SpecFileError("seed", "must be an integer >= 0")
     try:
         spec = KernelSpec(space, support, scheme, (kmax, lmax))
     except ValueError as exc:
@@ -516,8 +516,13 @@ def _sample_points(spec: KernelSpec, n: int, seed: int):
 
 
 def _check_gram_flags(args) -> None:
-    """Refuse point counts past the budgets and tolerances that decide nothing,
-    before any spec is loaded or point sampled."""
+    """Refuse point counts below one or past the budgets, negative seeds and
+    tolerances that decide nothing, before any spec is loaded or point
+    sampled."""
+    if args.points < 1:
+        raise SpecFileError("--points", f"{args.points} must be an integer >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise SpecFileError("--seed", f"{args.seed} must be an integer >= 0")
     if args.points > gram_mod.MAX_POINTS:
         raise SpecFileError("--points", f"{args.points} points is past the limit of {gram_mod.MAX_POINTS}")
     if args.csv and args.points > CSV_MAX_POINTS:

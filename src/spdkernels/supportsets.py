@@ -9,11 +9,12 @@ integer arithmetic.
 
 The central operation is ``meets_every_progression``: does the symmetrized
 set +/-S intersect every residue class j mod n for every modulus n >= 1?
-Progressions reduce the question to finitely many moduli (the divisors of the
-lcm of their steps): the members of {a + kn : k >= 0} modulo M are precisely
-the class of a modulo gcd(n, M), each hit infinitely often.  When coverage
-fails, a concrete missed class is produced, and checked exactly against every
-term before being returned.
+The members of {a + kn : k >= 0} modulo M are precisely the class of a
+modulo gcd(n, M), each hit infinitely often, so coverage mod the lcm L of
+the steps is coverage mod every n, and one O(L) scan proves it.  When that
+scan misses a class, an ascending walk over the divisors of L names the least
+missed one, and a concrete missed class is produced and checked exactly
+against every term before being returned.
 
 A periodic window that the certifiers promote to a set is held as a
 ``PeriodicSet1D``: one flag per integer of a prefix and of one period.  The
@@ -58,7 +59,8 @@ logger = logging.getLogger(__name__)
 Parity = Literal["even", "odd", "any"]
 
 # The most integers a residue scan or periodic window may span: the step lcm
-# L in ``meets_every_progression`` (a bytearray of d bytes per divisor d of L)
+# L in ``meets_every_progression`` (a bytearray of L bytes, and one of d bytes
+# per divisor d of L walked to name a missed class)
 # and the window of 1 + largest base + 2 * L in ``certify._window`` (a few bool
 # flags per integer; only the sphere-outer sufficient test adds an int64
 # membership code per integer).  Larger input is refused with
@@ -204,9 +206,8 @@ class PeriodicSet1D:
 
     ``flags`` is a boolean array of length ``bound + period``: the flagged
     v < bound are singletons, and each flagged v in [bound, bound + period)
-    starts the progression {v, v + period, ...}.  The set answers the read
-    API of ``SupportSet1D``; ``terms`` expands it on demand, singletons first
-    and then the progressions by ascending base.
+    starts the progression {v, v + period, ...}.  It is read only as these
+    flags: each reader of a ``Set1D`` branches on its type.
     """
 
     bound: int
@@ -221,20 +222,8 @@ class PeriodicSet1D:
         return self.bound + np.flatnonzero(self.flags[self.bound :])
 
     @property
-    def terms(self) -> tuple[Term1D, ...]:
-        return tuple(map(one, self.singletons())) + tuple(self.progressions())
-
-    @property
     def is_empty(self) -> bool:
         return not self.flags.any()
-
-    def contains(self, v: int) -> bool:
-        if v < self.bound:
-            return v >= 0 and bool(self.flags[v])
-        return bool(self.flags[self.bound + (v - self.bound) % self.period])
-
-    def progressions(self) -> list[Term1D]:
-        return [prog(b, self.period) for b in self.base_array().tolist()]
 
     def singletons(self) -> list[int]:
         return self.singleton_array().tolist()
@@ -441,17 +430,19 @@ def _search_witness(support: Set1D, lcm_steps: int, d: int, j0: int) -> Progress
 def meets_every_progression(support: Set1D) -> tuple[bool, Optional[ProgressionWitness]]:
     """Decide whether +/-S meets every residue class of every modulus.
 
-    Coverage by the progressions only depends on the residue of the modulus'
-    gcd with the step lcm L, so checking every divisor of L is exhaustive.
-    Singletons cover finitely many classes per modulus and therefore never
-    rescue a failed divisor; they only constrain the returned witness, which
-    is checked exactly against the support before being emitted.  A support
-    with no progressions always fails.  An L past ``MAX_PERIOD`` raises
-    ``NotApplicableError`` before anything is allocated.
+    Coverage by the progressions of a class mod n only depends on its class
+    mod gcd(n, L), L the step lcm, so one scan mod L that misses no class
+    proves SPD.  A scan that misses one walks the divisors of L in ascending
+    order to the least missed class.  Singletons cover finitely many classes
+    per modulus and therefore never rescue a missed class; they only
+    constrain the returned witness, which is checked exactly against the
+    support before being emitted.  A support with no progressions always
+    fails.  An L past ``MAX_PERIOD`` raises ``NotApplicableError`` before
+    anything is allocated.
 
     A ``PeriodicSet1D`` enters with its one step P (when it has a
-    progression) and a mask of the residues +/-base mod P; every divisor of P
-    folds that mask.
+    progression) and a mask of the residues +/-base mod P: the scan reads
+    the mask, and a walked divisor d folds it into rows of d.
     """
     if isinstance(support, PeriodicSet1D):
         bases = support.base_array()
@@ -469,17 +460,20 @@ def meets_every_progression(support: Set1D) -> tuple[bool, Optional[ProgressionW
         if lcm_steps > MAX_PERIOD:
             raise NotApplicableError(f"step lcm {lcm_steps} is past the limit of {MAX_PERIOD}")
         first_uncovered = partial(_first_uncovered, steps)
+    if first_uncovered(lcm_steps) < 0:
+        logger.debug("step lcm %d: every class covered in one scan", lcm_steps)
+        return True, None
+    # the walk ends at L at the latest, whose scan just missed a class
     divisors = _divisors(lcm_steps)
     for examined, d in enumerate(divisors, 1):
         j0 = first_uncovered(d)
         if j0 >= 0:
-            logger.debug(
-                "step lcm %d: class %d mod %d missed, %d of %d divisors examined",
-                lcm_steps, j0, d, examined, len(divisors),
-            )
-            witness = _search_witness(support, lcm_steps, d, j0)
-            if not witness_avoids_window(support, witness):
-                raise AssertionError(f"class {witness.residue} mod {witness.modulus} meets the support")
-            return False, witness
-    logger.debug("step lcm %d: all %d divisors covered", lcm_steps, len(divisors))
-    return True, None
+            break
+    logger.debug(
+        "step lcm %d: class %d mod %d missed, %d of %d divisors examined",
+        lcm_steps, j0, d, examined, len(divisors),
+    )
+    witness = _search_witness(support, lcm_steps, d, j0)
+    if not witness_avoids_window(support, witness):
+        raise AssertionError(f"class {witness.residue} mod {witness.modulus} meets the support")
+    return False, witness

@@ -218,6 +218,16 @@ def battery_2d(seed, count):
 # oracle helpers (independent of the library's decision procedures)
 # ---------------------------------------------------------------------------
 
+def expand_promoted(promoted):
+    """The ``SupportSet1D`` a promoted window stands for, read flag by flag:
+    a singleton per flagged v below the bound, then a progression of the
+    period per flagged v of the period past it, by ascending base."""
+    bound, period, flags = promoted.bound, promoted.period, promoted.flags.tolist()
+    singles = [one(v) for v in range(bound) if flags[v]]
+    progressions = [prog(v, period) for v in range(bound, bound + period) if flags[v]]
+    return SupportSet1D(tuple(singles + progressions))
+
+
 def window_members(support, hi=WINDOW):
     """All members of a 1-axis support in [0, hi], computed by brute force."""
     vals = set()

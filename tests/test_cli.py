@@ -496,6 +496,22 @@ def test_gram_points_past_the_limit_exit_sixtyfour(tmp_path, capsys):
     assert f"--points: {MAX_POINTS + 1} points is past the limit of {MAX_POINTS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, least", [("--points", "0", 1), ("--points", "-3", 1), ("--seed", "-1", 0)])
+def test_gram_refuses_a_flag_below_its_least_before_loading(tmp_path, capsys, flag, value, least):
+    # the spec file does not exist: the flag is refused before it is read
+    assert main(["gram", str(tmp_path / "missing.json"), flag, value]) == 64
+    assert f"{flag}: {value} must be an integer >= {least}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["certify"], ["crosscheck"], ["eval", "--t", "0.3"], ["gram", "--points", "4"], ["witness"]]
+)
+def test_every_command_refuses_a_negative_spec_seed(tmp_path, capsys, command):
+    path = write_spec(tmp_path, dict(EVENS_CIRCLE, seed=-5))
+    assert main([command[0], path, *command[1:]]) == 64
+    assert "seed: must be an integer >= 0" in capsys.readouterr().err
+
+
 HUGE_M = 10**15
 HUGE_M_SPECS = {
     "sphere": {"space": {"kind": "sphere", "m": HUGE_M}, "support": [{"type": "prog", "base": 0, "step": 2}]},

@@ -29,13 +29,17 @@ chunk, not from cos(theta_i - theta_j): circle and circle x sphere Gram
 entries, of the library and of the earlier assembly, must lie within
 (2 pi (K + 1) + 2 (K + L + 2)) eps f(1, 1) of a 40-digit decimal evaluation
 at the points' exact angle differences, L = 0 on a circle, and the Gram
-must equal its transpose bit for bit.
+must equal its transpose bit for bit.  Sphere and circle x sphere Gram
+entries must lie within that contraction term plus the rounding of the dot
+product s times a Lipschitz bound in s (``sphere_bound``) of a 40-digit
+decimal evaluation at the exact dot products of the float coordinates.
 """
 
 import logging
 import math
 import re
 from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -346,22 +350,38 @@ def decimal_cos(x):
     return total
 
 
-def decimal_gram_entries(spec, points, pairs):
-    """Gram entries (i, j) of a spec with a circle slot in 40-digit decimal
-    arithmetic, over its float64 coefficients: the circle slot at the
-    points' exact angle difference theta_i - theta_j, the sphere slot of a
-    product at the library's float dot product z_i . z_j, clipped."""
+def exact_dot(y, z):
+    """y . z of float coordinates in Decimal, exact at the context's 40
+    digits (each product of two doubles has at most 106 bits), clipped to
+    [-1, 1] as the library clips its float dot products."""
+    dot = sum((Decimal(float(a)) * Decimal(float(b)) for a, b in zip(y, z)), Decimal(0))
+    return min(max(dot, Decimal(-1)), Decimal(1))
+
+
+def decimal_gram_entries(spec, points, pairs, exact_dots=False):
+    """Gram entries (i, j) in 40-digit decimal arithmetic, over the spec's
+    float64 coefficients: a circle slot at the points' exact angle
+    difference theta_i - theta_j, a sphere slot at the library's float dot
+    product z_i . z_j, clipped, or with ``exact_dots`` at ``exact_dot`` of
+    the float coordinates."""
     thetas, zs = _split_points(spec, points)
     _, s = reference_dot_matrices(None, zs)
-    a = np.atleast_2d(spec.coefficient_matrix.T).T  # (K + 1) x (L + 1), one column on a circle
+    # (K + 1) x (L + 1): one column on a circle, one row on a sphere
+    a = spec.coefficient_matrix.reshape(spec.kmax + 1 if thetas is not None else 1, -1)
     terms = [(k, [(l, Decimal(float(a[k, l]))) for l in np.flatnonzero(a[k])]) for k in range(len(a))]
     terms = [(k, row) for k, row in terms if row]
     out = []
     with localcontext() as ctx:
         ctx.prec = 40
         for i, j in pairs:
-            circ = decimal_rows(spec.kmax, None, decimal_cos(Decimal(float(thetas[i])) - Decimal(float(thetas[j]))))
-            sph = [Decimal(1)] if s is None else decimal_rows(spec.lmax, spec.space.m, Decimal(float(s[i, j])))
+            circ = [Decimal(1)] if thetas is None else decimal_rows(
+                spec.kmax, None, decimal_cos(Decimal(float(thetas[i])) - Decimal(float(thetas[j])))
+            )
+            if s is None:
+                sph = [Decimal(1)]
+            else:
+                dot = exact_dot(zs[i], zs[j]) if exact_dots else Decimal(float(s[i, j]))
+                sph = decimal_rows(spec.lmax, spec.space.m, dot)
             out.append(float(sum((circ[k] * sum(c * sph[l] for l, c in row) for k, row in terms), Decimal(0))))
     return np.array(out)
 
@@ -373,6 +393,17 @@ def angle_bound(spec):
     second the sums."""
     lmax = spec.lmax if spec.space.is_product else 0
     return (2 * math.pi * (spec.kmax + 1) + 2 * (spec.kmax + lmax + 2)) * np.finfo(float).eps * spec.value_at_one
+
+
+def sphere_bound(spec):
+    """The contraction term, ``angle_bound`` with a circle slot and
+    ``single_bound`` without one, plus (m + 1) eps, which bounds the
+    rounding of a float dot product of two unit (m + 1)-vectors, times the
+    Lipschitz bound in s: sum f_l l (l + m - 1)/m <= f(1) L (L + m - 1)/m,
+    since |P_l'| <= P_l'(1) = P_l(1) l (l + m - 1)/m on [-1, 1]."""
+    m, lmax = spec.space.m, spec.lmax
+    contraction = angle_bound(spec) if spec.space.is_product else single_bound(spec)
+    return contraction + (m + 1) * np.finfo(float).eps * spec.value_at_one * lmax * (lmax + m - 1) / m
 
 
 def single_bound(spec):
@@ -429,6 +460,28 @@ def test_folded_values_next_to_the_endpoints_lie_within_the_decimal_bound(space,
     x = endpoint_arguments(cap)
     alone = np.array([eval_kernel(spec, v) for v in x])
     assert_within_the_decimal_bound(spec, x, kernel_values(spec, x), alone)
+
+
+def fraction_gegenbauer_sum(coefficients, m, t):
+    """sum_l a_l C_l^((m - 1)/2)(t) in exact rationals, over the float
+    coefficients a_l and at the float t, by the three-term recurrence."""
+    t = Fraction(t)
+    rows = [Fraction(1), (m - 1) * t]
+    for n in range(2, len(coefficients)):
+        rows.append(((2 * n + m - 3) * t * rows[-1] - (n + m - 3) * rows[-2]) / n)
+    return sum(Fraction(float(a)) * p for a, p in zip(coefficients, rows))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the folded route keeps an absolute bound, 2 (K + L + 2) eps f(1): on S^100 a value "
+    "23 orders of magnitude below f(1) loses every digit and its sign",
+)
+def test_eval_on_a_high_dimensional_sphere_keeps_its_digits():
+    spec = KernelSpec(sphere_space(100), SupportSet1D.of(prog(0, 2)), geometric_scheme(0.9, 0.9), (0, 60))
+    exact = float(fraction_gegenbauer_sum(spec.coefficient_matrix, 100, 0.3))
+    assert exact == pytest.approx(5.1886e18, rel=1e-4)
+    assert eval_kernel(spec, 0.3) == pytest.approx(exact, rel=1e-10)
 
 
 # --- Gram matrices ----------------------------------------------------------------
@@ -543,6 +596,28 @@ def test_circle_gram_matrix_lies_within_the_angle_bound_at_high_degree(kmax):
     xs, _ = sample_config(3, 200, 200, seed=7)
     spec = KernelSpec(circle_space(), battery_1d(8, 1)[0], geometric_scheme(0.999), (kmax, 0))
     assert_circle_gram_within_the_angle_bound(spec, xs, gram_matrix(spec, xs), count=60)
+
+
+def _sphere_gram_case(m, lmax, product):
+    xs, zs = sample_config(m, 200, 200, seed=lmax + m)
+    scheme = geometric_scheme(0.99, 0.99)
+    if product:
+        return KernelSpec(circle_sphere_space(m), SPD_PRODUCT_SUPPORTS[0], scheme, (lmax, lmax)), list(zip(xs, zs))
+    return KernelSpec(sphere_space(m), SupportSet1D.of(prog(0, 1)), scheme, (0, lmax)), zs
+
+
+@pytest.mark.parametrize(
+    "m, lmax, product", [(m, lmax, False) for m in (2, 3, 5) for lmax in (20, 60, 120)] + [(2, 60, True)]
+)
+def test_sphere_gram_lies_within_the_sphere_bound_at_exact_dot_products(m, lmax, product):
+    # the bound is fixed from the spec alone, before the Gram is built
+    spec, points = _sphere_gram_case(m, lmax, product)
+    bound = sphere_bound(spec)
+    a = gram_matrix(spec, points)
+    i, j = np.triu_indices(len(points))
+    pick = np.unique(np.r_[0, np.random.default_rng(m).integers(0, len(i), 160), len(i) - 1])
+    want = decimal_gram_entries(spec, points, zip(i[pick], j[pick]), exact_dots=True)
+    assert np.max(np.abs(a[i[pick], j[pick]] - want)) <= bound
 
 
 # --- the duplicate screen -------------------------------------------------------------

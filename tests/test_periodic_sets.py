@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_witness_sound
+from conftest import expand_promoted, oracle_witness_sound
 from spdkernels import (
     KernelSpec,
     NotApplicableError,
@@ -46,20 +46,13 @@ small_term = st.one_of(
 )
 
 
-def expanded(promoted):
-    return SupportSet1D(promoted.terms)
-
-
 def assert_same_as_expansion(promoted, classes=()):
-    plain = expanded(promoted)
+    plain = expand_promoted(promoted)
     assert meets_every_progression(promoted) == meets_every_progression(plain)
     for parity in ("even", "odd", "any"):
         assert has_infinitely_many(promoted, parity) == has_infinitely_many(plain, parity)
     assert promoted.is_empty == plain.is_empty
     assert promoted.singletons() == plain.singletons()
-    assert promoted.progressions() == plain.progressions()
-    for v in range(promoted.bound + 2 * promoted.period + 3):
-        assert promoted.contains(v) == plain.contains(v)
     for n, j in classes:
         witness = ProgressionWitness(n, j % n)
         assert witness_avoids_window(promoted, witness) == witness_avoids_window(plain, witness)
@@ -85,12 +78,32 @@ def test_promoted_sets_decide_as_their_expansion(pairs, classes):
 def test_promoted_set_reads_like_its_terms():
     promoted = _promote_periodic([prog(0, 2), one(5)], lambda pattern: bool(pattern))
     assert (promoted.bound, promoted.period) == (6, 2)
-    assert promoted.terms == (one(0), one(2), one(4), one(5), prog(6, 2))
+    assert expand_promoted(promoted).terms == (one(0), one(2), one(4), one(5), prog(6, 2))
     assert promoted.singletons() == [0, 2, 4, 5]
-    assert promoted.progressions() == [prog(6, 2)]
-    assert [v for v in range(-2, 12) if promoted.contains(v)] == [0, 2, 4, 5, 6, 8, 10]
+    assert promoted.base_array().tolist() == [6]
     assert not promoted.is_empty
     assert _promote_periodic([prog(0, 2)], lambda pattern: False).is_empty
+
+
+def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
+    import spdkernels.supportsets as supportsets_mod
+
+    def refuse(n):
+        raise AssertionError(f"divisors of {n} listed for a covered set")
+
+    monkeypatch.setattr(supportsets_mod, "_divisors", refuse)
+    # steps 3 and 4: 0 and 1 mod 3 with their negatives cover every class mod 12
+    terms = SupportSet1D.of(prog(0, 3), prog(1, 3), prog(2, 4))
+    # the bases 3 and 4 of period 3 past the bound 2, and -4 = 2 mod 3
+    window = _promote_periodic([prog(0, 3), prog(1, 3)], lambda pattern: bool(pattern))
+    assert (window.period, window.base_array().tolist()) == (3, [3, 4])
+    with caplog.at_level("DEBUG", logger="spdkernels.supportsets"):
+        assert meets_every_progression(terms) == (True, None)
+        assert meets_every_progression(window) == (True, None)
+    assert [r.getMessage() for r in caplog.records] == [
+        "step lcm 12: every class covered in one scan",
+        "step lcm 3: every class covered in one scan",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -112,7 +125,7 @@ def test_promoted_parity_reads_the_flagged_bases(period, bases, want):
     promoted = PeriodicSet1D(bound, period, flags)
     for parity, expected in want.items():
         assert has_infinitely_many(promoted, parity) is expected
-        assert has_infinitely_many(expanded(promoted), parity) is expected
+        assert has_infinitely_many(expand_promoted(promoted), parity) is expected
 
 
 # --- exact class avoidance ----------------------------------------------------------------
