@@ -40,7 +40,7 @@ from .certify import (
     Verdict,
 )
 from .errors import NotApplicableError, NumericalError, SamplingError, SpecFileError
-from .geometry import CirclePoint, sample_config
+from .geometry import sample_config
 from .kernels import (
     _SPACE_KINDS,
     CoefficientScheme,
@@ -322,19 +322,18 @@ def _certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def _point_to_jsonable(p):
-    """A point's JSON form; a product point holds one part per slot."""
-    if isinstance(p, tuple):
-        return {slot: _point_to_jsonable(x) for slot, x in zip(("circle", "sphere"), p)}
-    if isinstance(p, CirclePoint):
-        return {"theta": p.theta}
-    return {"coords": list(p.coords)}
-
-
-def _witness_report_to_dict(w: gram_mod.WitnessReport) -> dict:
+def _witness_report_to_dict(spec: KernelSpec, w: gram_mod.WitnessReport) -> dict:
+    """The report's points in their JSON forms (``geometry._PointModel``);
+    a product point's holds one form a slot, keyed by the slot's axis kind."""
+    axes = [axis for axis in spec.space._axes if axis]
+    forms = [gram_mod._POINT_CLASSES[axis].jsonable for axis in axes]
+    if len(axes) == 1:
+        points = list(map(forms[0], w.points))
+    else:
+        points = [{axis: form(x) for axis, form, x in zip(axes, forms, p)} for p in w.points]
     return {
         "kind": w.kind,
-        "points": [_point_to_jsonable(p) for p in w.points],
+        "points": points,
         "coefficients": list(w.coefficients),
         "residual": w.residual,
         "scale": w.scale,
@@ -501,18 +500,16 @@ def _cmd_eval(args) -> int:
 
 
 def _sample_points(spec: KernelSpec, n: int, seed: int):
-    circle, sphere = spec.space._axes
-    if not all(axis in gram_mod._POINT_CLASSES for axis in (circle, sphere) if axis):
+    axes = spec.space._axes
+    if not all(axis in gram_mod._POINT_CLASSES for axis in axes if axis):
         raise SpecFileError("space", f"no geometric point model for {spec.space.kind}; gram unavailable")
     m = spec.space.m if spec.space.m is not None else 2
+    sphere = axes[1] is not None
     if sphere:
         gram_mod._check_coordinates("gram", n, m)
     # the circle angles are drawn first: a spec with no sphere slot skips the
     # sphere draws, and one with no circle slot still draws (and drops) them
-    xs, zs = sample_config(m, n, n if sphere else 0, seed)
-    if not sphere:
-        return xs
-    return list(zip(xs, zs)) if circle else zs
+    return gram_mod._join_points(spec, sample_config(m, n, n if sphere else 0, seed))
 
 
 def _check_gram_flags(args) -> None:
@@ -576,7 +573,7 @@ def _cmd_witness(args) -> int:
     if cert.verdict is Verdict.NOT_SPD:
         wr = _BY_KIND[spec.space.kind][1](spec, cert)
         if wr is not None:
-            report["witness"] = _witness_report_to_dict(wr)
+            report["witness"] = _witness_report_to_dict(spec, wr)
             line = f"witness kind={wr.kind} residual={wr.residual:.3e} scale={wr.scale:.3e}"
         else:
             line = "no witness generator applies to this space"
@@ -593,29 +590,32 @@ def _cmd_crosscheck(args) -> int:
     if spec.space._axes != ("circle", "sphere"):
         raise SpecFileError("space", "crosscheck needs a circle_sphere space")
     gamma_max = getattr(args, "gamma_max", None)
-    first = cert_mod.certify_circle_sphere(spec.support, spec.space.m, gamma_max)
-    second = cert_mod.certify_circle_sphere_gamma_loop(spec.support, spec.space.m, gamma_max)
-    sufficient = {
-        axis: cert_mod.sufficient_product(spec.support, spec.space.m, axis)
-        for axis in ("circle-outer", "sphere-outer")
+    routes = {
+        "tail-sets": (cert_mod.certify_circle_sphere, gamma_max),
+        "gamma-loop": (cert_mod.certify_circle_sphere_gamma_loop, gamma_max),
+        "circle-outer": (cert_mod.sufficient_product, "circle-outer"),
+        "sphere-outer": (cert_mod.sufficient_product, "sphere-outer"),
     }
+    certs = {}
+    for name, (certifier, arg) in routes.items():
+        try:
+            certs[name] = certifier(spec.support, spec.space.m, arg)
+        except NotApplicableError as exc:
+            raise NotApplicableError(f"{exc}; the {name} route refused") from None
+    first, second, *sufficient = certs.values()
     report = {
         "space": _space_to_dict(spec.space),
         "tail_sets": _certificate_to_dict(first),
         "gamma_loop": _certificate_to_dict(second),
-        "sufficient": {k: _certificate_to_dict(v) for k, v in sufficient.items()},
+        "sufficient": {k: _certificate_to_dict(certs[k]) for k in ("circle-outer", "sphere-outer")},
     }
     coherent = first.verdict == second.verdict
-    for cert in sufficient.values():
+    for cert in sufficient:
         if cert.verdict is Verdict.SUFFICIENT_ONLY and first.verdict is not Verdict.SPD:
             coherent = False
     report["coherent"] = coherent
     _emit(report, args)
-    print(
-        f"tail-sets={first.verdict.value} gamma-loop={second.verdict.value} "
-        f"circle-outer={sufficient['circle-outer'].verdict.value} "
-        f"sphere-outer={sufficient['sphere-outer'].verdict.value}"
-    )
+    print(" ".join(f"{name}={cert.verdict.value}" for name, cert in certs.items()))
     if not coherent:
         print("certifier implementations disagree", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,32 +91,28 @@ class SpherePoint:
         return SpherePoint(tuple(-c for c in self.coords))
 
 
-def _trusted_circle_points(thetas: list[float]) -> list[CirclePoint]:
-    """``CirclePoint(t)`` for each angle, without re-running the validation.
+class _PointModel(NamedTuple):
+    """A point class and its coordinate field, an angle or a coordinate
+    tuple (``gram._POINT_CLASSES`` holds each axis kind's).  ``array`` takes
+    points to one array of their fields; ``points`` takes it back without
+    the classes' validation, for finite angles canonical in [0, 2pi) or
+    finite rows of norm 1 within 1e-12; ``jsonable`` gives a point's JSON
+    form {field: value}, a tuple written as a list."""
 
-    For the sampler's output; the caller guarantees finite Python floats
-    already canonical in [0, 2pi).
-    """
-    out = []
-    for theta in thetas:
-        x = object.__new__(CirclePoint)
-        object.__setattr__(x, "theta", theta)
-        out.append(x)
-    return out
+    cls: type
+    field: str
 
+    def array(self, points: Sequence) -> np.ndarray:
+        return np.array([getattr(p, self.field) for p in points])
 
-def _trusted_sphere_points(coords: np.ndarray) -> list[SpherePoint]:
-    """``SpherePoint(tuple(row))`` for each row, without re-summing the norms.
+    def points(self, values: np.ndarray) -> list:
+        points = [object.__new__(self.cls) for _ in range(len(values))]
+        for p, value in zip(points, values.tolist() if values.ndim == 1 else map(tuple, values.tolist())):
+            object.__setattr__(p, self.field, value)
+        return points
 
-    For the sampler's output; the caller guarantees rows normalized as
-    ``SpherePoint.from_vector`` normalizes them.
-    """
-    out = []
-    for row in coords.tolist():
-        z = object.__new__(SpherePoint)
-        object.__setattr__(z, "coords", tuple(row))
-        out.append(z)
-    return out
+    def jsonable(self, point) -> dict:
+        return {self.field: getattr(point, self.field)}
 
 
 @dataclass
@@ -161,7 +157,7 @@ def sample_config(
         "sample_config(seed=%s) used %d resamples, %d batches, %d pointwise",
         seed, tally.resamples, tally.batches, tally.pointwise,
     )
-    return _trusted_circle_points(thetas.tolist()), _trusted_sphere_points(coords)
+    return _PointModel(CirclePoint, "theta").points(thetas), _PointModel(SpherePoint, "coords").points(coords)
 
 
 def _sample_circle(rng: np.random.Generator, n: int, min_gap: float, tally: _Tally) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
-from .geometry import TWO_PI, CirclePoint, SpherePoint
+from .geometry import TWO_PI, CirclePoint, SpherePoint, _PointModel
 # kernel_values stays bound here though gram contracts through _contract:
 # bench/spans.py traces the layer functions by the names each module holds
 from .kernels import (  # noqa: F401
@@ -95,38 +95,42 @@ class WitnessReport:
     scale: float
 
 
-# The point class of each axis kind that has a point model.
-_POINT_CLASSES = {"circle": CirclePoint, "sphere": SpherePoint}
+# The point model of each axis kind that has one; tph, the projective axis, has none.
+_POINT_CLASSES = {"circle": _PointModel(CirclePoint, "theta"), "sphere": _PointModel(SpherePoint, "coords")}
 
 
-def _point_classes(spec: KernelSpec) -> list:
-    """Each slot's point class, None for an empty slot; refused for an axis with no point model."""
-    axes = spec.space._axes
-    if not all(axis in _POINT_CLASSES for axis in axes if axis):
+def _point_models(spec: KernelSpec) -> list:
+    """Each slot's point model, None for an empty slot; refused for an axis with no point model."""
+    if not all(axis in _POINT_CLASSES for axis in spec.space._axes if axis):
         raise NotApplicableError("no geometric point model for projective-space products")
-    return [_POINT_CLASSES.get(axis) for axis in axes]
+    return [_POINT_CLASSES.get(axis) for axis in spec.space._axes]
 
 
-def _split_points(spec: KernelSpec, points: Sequence) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """The angles of the circle slot's points and the coordinate array of the
-    sphere slot's, None for an empty slot; each point type-checked."""
-    classes = _point_classes(spec)
+def _split_points(spec: KernelSpec, points: Sequence) -> list[Optional[np.ndarray]]:
+    """Each slot's array of coordinate fields, None for an empty slot; each point type-checked."""
+    models = _point_models(spec)
+    classes = [model.cls for model in models if model]
     if not points:
         raise ValueError("need at least one point")
-    if spec.space.is_product:
-        if not all(isinstance(p, tuple) and len(p) == 2 and all(map(isinstance, p, classes)) for p in points):
+    if len(classes) > 1:
+        if not all(isinstance(p, tuple) and len(p) == len(classes) and all(map(isinstance, p, classes))
+                   for p in points):
             raise ValueError(f"product specs take ({', '.join(c.__name__ for c in classes)}) pairs")
-        circle, sphere = zip(*points)
-    else:
-        (cls,) = filter(None, classes)
-        if not all(isinstance(p, cls) for p in points):
-            raise ValueError(f"{spec.space.kind} specs take {cls.__name__} sequences")
-        circle, sphere = (points if cls else None for cls in classes)
-    thetas = None if circle is None else np.array([x.theta for x in circle])
-    zs = None if sphere is None else np.array([z.coords for z in sphere])
-    if zs is not None and zs.shape[1] != spec.space.m + 1:
-        raise ValueError(f"points live on S^{zs.shape[1]-1}, spec wants S^{spec.space.m}")
-    return thetas, zs
+    elif not all(isinstance(p, classes[0]) for p in points):
+        raise ValueError(f"{spec.space.kind} specs take {classes[0].__name__} sequences")
+    parts = iter(zip(*points) if len(classes) > 1 else [points])
+    arrays = [model.array(next(parts)) if model else None for model in models]
+    for x in arrays:
+        if x is not None and x.ndim == 2 and x.shape[1] != spec.space.m + 1:
+            raise ValueError(f"points live on S^{x.shape[1]-1}, spec wants S^{spec.space.m}")
+    return arrays
+
+
+def _join_points(spec: KernelSpec, parts: Sequence) -> list:
+    """The points of the spec's space from each slot's points, an empty
+    slot's part dropped: a product's points are tuples, one point a slot."""
+    used = [part for axis, part in zip(spec.space._axes, parts) if axis]
+    return list(zip(*used)) if len(used) > 1 else list(used[0])
 
 
 def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) -> None:
@@ -328,22 +332,22 @@ def _tensor_witness(kind: str, spec: KernelSpec, n: int, j: int, a: Optional[int
         raise NotApplicableError(
             f"{name} witness needs {total} points{cause}, past the limit of {MAX_POINTS}"
         )
+    thetas = 2.0 * math.pi * np.arange(n) / n  # below 2pi: canonical, as CirclePoint stores them
+    d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
+    factors, c = [thetas, None], d
     if h:
         _check_coordinates(f"{name} witness", total, spec.space.m)
-    xs = [CirclePoint(2.0 * math.pi * mu / n) for mu in range(n)]
-    d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
-    points, c = tuple(xs), d
-    if h:
         # the points pi mu / h, mu < h, of the great circle through e0 and e1,
         # weighted (-1)^mu, then their antipodes weighted (-1)^(mu + a); an
         # antipode negates every coordinate, so a <= 1 gives e0 and -e0 exactly
-        rest = (0.0,) * (spec.space.m - 1)
-        half = [SpherePoint((math.cos(math.pi * mu / h), math.sin(math.pi * mu / h)) + rest)
-                for mu in range(h)]
-        zs = half + [z.antipode() for z in half]
+        half = np.zeros((h, spec.space.m + 1))
+        half[:, :2] = [(math.cos(math.pi * mu / h), math.sin(math.pi * mu / h)) for mu in range(h)]
+        factors[1] = np.concatenate([half, -half])
         w = np.resize([1.0, -1.0], h)
-        points = tuple((x, z) for z in zs for x in xs) if spec.space._axes[0] else tuple(zs)
         c = np.kron(np.concatenate([w, -w if a % 2 else w]), d)
+    # each factor's points, made once; the sphere points outer
+    xs, zs = (model.points(x) if model else None for model, x in zip(_point_models(spec), factors))
+    points = tuple((x, z) for z in zs for x in xs) if xs and zs else tuple(xs or zs)
     residual = float(c @ gram_matrix(spec, points) @ c)
     return WitnessReport(kind, points, tuple(c), residual, spec.value_at_one * float(c @ c))
 
@@ -360,7 +364,7 @@ def witness_parity_sphere(spec: KernelSpec) -> WitnessReport:
     """
     if spec.space._axes[1] is None:
         raise NotApplicableError(f"no sphere axis on a {spec.space.kind} spec")
-    _point_classes(spec)  # refuses an axis with no point model
+    _point_models(spec)  # refuses an axis with no point model
     axis = spec.support.l_terms() if spec.space.is_product else spec.support.terms
     bounds = [a for p in ("even", "odd") if (a := _geodesic_bound(axis, p)) is not None]
     if not bounds:

@@ -120,9 +120,8 @@ class _Kind(NamedTuple):
 
 # Each space kind, read here alone: its parameters by SpaceDescriptor, the
 # spec codec and --space, its axes by the contraction, points and witnesses.
-# The circle slot reads kmax and r_k and takes CirclePoints by their angle,
-# the sphere slot lmax and r_l and SpherePoints by their dot products; tph,
-# the projective axis, has no point model.
+# The circle slot reads kmax and r_k, the sphere slot lmax and r_l; each
+# axis kind's point model is a row of ``gram._POINT_CLASSES``.
 _SPACE_KINDS = {
     "circle": _Kind({}, ("circle", None)),
     "sphere": _Kind({"m": int}, (None, "sphere")),

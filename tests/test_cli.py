@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from conftest import SPACE_EXAMPLES
 from hypothesis import strategies as st
 
-from spdkernels import SpaceDescriptor, SpecFileError, prog
+from spdkernels import (
+    CirclePoint,
+    SpaceDescriptor,
+    SpecFileError,
+    SpherePoint,
+    check_pd,
+    gram_matrix,
+    prog,
+    sample_config,
+)
 from spdkernels.cli import (
     _report_text,
     load_spec_file,
@@ -454,6 +463,8 @@ def test_gram_pd_and_csv(tmp_path, capsys):
     for line in lines[1:]:
         n, lam = line.split(",")
         assert int(n) >= 2 and float(lam) > 0
+    assert main(["gram", path, "--points", "1", "--csv", str(csv_path), "--no-timestamp"]) == 0
+    assert csv_path.read_text() == "n,lambda_min\n"  # no block of two points
 
 
 def test_gram_json_report(tmp_path):
@@ -464,6 +475,27 @@ def test_gram_json_report(tmp_path):
     assert report["positive_definite"] is True
     assert report["lambda_min"] > 0
     assert report["seed"] == 5
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "circle_sphere"])
+def test_gram_samples_the_points_of_sample_config(tmp_path, kind):
+    # sample_config(m, n, n, seed) draws the n circle angles first: a circle
+    # spec takes them, a sphere spec the sphere points drawn after them, and
+    # a product spec the zipped pairs
+    space = {"kind": kind, **SPACE_EXAMPLES[kind]}
+    data = dict(FULL_PRODUCT, space=space)
+    if not SpaceDescriptor(**space).is_product:
+        data["support"] = [{"type": "prog", "base": 0, "step": 1}]
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "g.json"
+    assert main(["gram", path, "--points", "7", "--json", str(out), "--no-timestamp"]) in (0, 1)
+    spec = load_spec_file(path).spec
+    xs, zs = sample_config(spec.space.m or 2, 7, 7, 5)
+    points = {"circle": xs, "sphere": zs, "circle_sphere": list(zip(xs, zs))}[kind]
+    lam = json.loads(out.read_text())["lambda_min"]
+    assert lam == check_pd(gram_matrix(spec, points))[1]
+    if kind == "sphere":  # the dropped angles moved the sphere draws
+        assert lam != check_pd(gram_matrix(spec, sample_config(spec.space.m, 0, 7, 5)[1]))[1]
 
 
 def test_gram_seed_override_changes_nothing_structural(tmp_path):
@@ -608,6 +640,32 @@ def test_witness_on_refuted_product(tmp_path):
     report = json.loads(out.read_text())
     assert report["witness"]["kind"] == "composed"
     assert abs(report["witness"]["residual"]) <= 1e-10 * report["witness"]["scale"]
+
+
+def _points_from_json(points):
+    """A witness report's points, read back from their JSON forms."""
+    def one(form):
+        return CirclePoint(form["theta"]) if "theta" in form else SpherePoint(tuple(form["coords"]))
+
+    return [(one(p["circle"]), one(p["sphere"])) if "circle" in p else one(p) for p in points]
+
+
+@pytest.mark.parametrize("data, kind", [
+    (EVENS_CIRCLE, "progression"),
+    ({"space": {"kind": "sphere", "m": 3}, "support": [{"type": "prog", "base": 0, "step": 2},
+                                                     {"type": "one", "value": 3}]}, "parity"),
+    (dict(FULL_PRODUCT, support=[{"k": {"type": "prog", "base": 0, "step": 1},
+                                  "l": {"type": "prog", "base": 0, "step": 2}}]), "composed"),
+])
+def test_witness_json_points_give_back_the_residual(tmp_path, data, kind):
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "w.json"
+    assert main(["witness", path, "--json", str(out), "--no-timestamp"]) == 1
+    witness = json.loads(out.read_text())["witness"]
+    assert witness["kind"] == kind
+    spec = load_spec_file(path).spec
+    c = np.array(witness["coefficients"])
+    assert float(c @ gram_matrix(spec, _points_from_json(witness["points"])) @ c) == witness["residual"]
 
 
 def test_space_override_changes_certifier(tmp_path, capsys):
@@ -919,6 +977,25 @@ def test_window_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
     assert _run_within_budget([command[0], path, *command[1:]]) == 64
     err = capsys.readouterr().err
     assert f"error: window of 30000003 integers is past the limit of {MAX_PERIOD}" in err
+
+
+# certify decides on the tail sets; the gamma loop would read a window of
+# 1 + 2 * 120000 integers
+GAMMA_LOOP_WINDOW = _product_spec([((0, 1), (0, 1)), ((0, 120_000), (0, 2))])
+
+
+def test_crosscheck_names_the_route_that_refused(tmp_path, capsys):
+    from spdkernels.supportsets import MAX_PERIOD
+
+    path = write_spec(tmp_path, GAMMA_LOOP_WINDOW)
+    assert main(["certify", path]) == 0
+    assert capsys.readouterr().out.startswith("SPD")
+    assert _run_within_budget(["crosscheck", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: window of 240001 integers is past the limit of {MAX_PERIOD}; the gamma-loop route refused\n"
+    )
 
 
 def test_big_k_singleton_still_certifies(tmp_path, capsys):

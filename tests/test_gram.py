@@ -117,8 +117,10 @@ def test_gram_rejects_wrong_sphere_dimension():
 def test_gram_unavailable_for_tph():
     space = circle_tph_space("real_proj", 2)
     spec = KernelSpec(space, FULL_2D, geometric_scheme(), (10, 10))
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match="no geometric point model for projective-space products"):
         gram_matrix(spec, product_points(3, seed=2))
+    with pytest.raises(NotApplicableError, match="no geometric point model for projective-space products"):
+        witness_parity_sphere(spec)
 
 
 # --- check_pd ---------------------------------------------------------------------------
