@@ -43,10 +43,12 @@ from .errors import NotApplicableError, NumericalError, SamplingError, SpecFileE
 from .geometry import sample_config
 from .kernels import (
     _SPACE_KINDS,
+    DEFAULT_TRUNCATION,
     CoefficientScheme,
     KernelSpec,
     SpaceDescriptor,
     eval_kernel,
+    geometric_scheme,
 )
 from .supportsets import ProgressionWitness, SupportSet1D, SupportSet2D, Term1D
 
@@ -103,10 +105,13 @@ def _term_to_dict(term: Term1D) -> dict:
     return {"type": "one", "value": term.base}
 
 
-# The fields each scheme kind reads; any other key is refused.  A space
-# reads its kind and the kind's parameters in kernels._SPACE_KINDS, whose
-# types a refusal names as _TYPE_NAMES says.
-_SCHEME_FIELDS = {"constant": {"kind", "scale"}, "geometric": {"kind", "scale", "r_k", "r_l"}}
+# The numbers each scheme kind reads besides its kind, in the order they are
+# checked; any other key is refused.  A missing number, and a missing scheme,
+# take the library's default (``kernels.geometric_scheme``).  A space reads
+# its kind and the kind's parameters in kernels._SPACE_KINDS, whose types a
+# refusal names as _TYPE_NAMES says.
+_SCHEME_FIELDS = {"constant": ("scale",), "geometric": ("scale", "r_k", "r_l")}
+_DEFAULT_SCHEME = geometric_scheme()
 _TYPE_NAMES = {int: "an integer", str: "a string"}
 
 
@@ -161,9 +166,10 @@ def _support_to_list(support) -> list:
     return [_term_to_dict(t) for t in support.terms]
 
 
-def _scheme_number(data: dict, name: str, default: float) -> float:
-    """A JSON number (not a boolean, not a string) as a float."""
-    value = data.get(name, default)
+def _scheme_number(data: dict, name: str) -> float:
+    """A JSON number (not a boolean, not a string) as a float, the default
+    scheme's when missing."""
+    value = data.get(name, getattr(_DEFAULT_SCHEME, name))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError(f"scheme.{name}", "must be a number")
     try:
@@ -178,10 +184,8 @@ def _scheme_from_dict(data) -> CoefficientScheme:
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _SCHEME_FIELDS:
         raise SpecFileError("scheme.kind", f"unknown scheme kind {kind!r}")
-    _refuse_unknown_keys(data, _SCHEME_FIELDS[kind], "scheme")
-    numbers = {"scale": _scheme_number(data, "scale", 1.0)}
-    if kind == "geometric":
-        numbers.update(r_k=_scheme_number(data, "r_k", 0.9), r_l=_scheme_number(data, "r_l", 0.9))
+    _refuse_unknown_keys(data, {"kind", *_SCHEME_FIELDS[kind]}, "scheme")
+    numbers = {name: _scheme_number(data, name) for name in _SCHEME_FIELDS[kind]}
     try:
         return CoefficientScheme(kind, **numbers)
     except ValueError as exc:
@@ -189,9 +193,7 @@ def _scheme_from_dict(data) -> CoefficientScheme:
 
 
 def _scheme_to_dict(scheme: CoefficientScheme) -> dict:
-    if scheme.kind == "constant":
-        return {"kind": "constant", "scale": scheme.scale}
-    return {"kind": "geometric", "scale": scheme.scale, "r_k": scheme.r_k, "r_l": scheme.r_l}
+    return {"kind": scheme.kind, **{name: getattr(scheme, name) for name in _SCHEME_FIELDS[scheme.kind]}}
 
 
 def parse_spec_dict(data: dict) -> SpecFile:
@@ -205,15 +207,11 @@ def parse_spec_dict(data: dict) -> SpecFile:
             raise SpecFileError(required, "field is required")
     space = _space_from_dict(data["space"])
     support = _support_from_list(data["support"], space.is_product)
-    scheme = (
-        _scheme_from_dict(data["scheme"]) if "scheme" in data else CoefficientScheme(
-            "geometric", scale=1.0, r_k=0.9, r_l=0.9
-        )
-    )
-    trunc = data.get("truncation", {"kmax": 60, "lmax": 60})
+    scheme = _scheme_from_dict(data["scheme"]) if "scheme" in data else _DEFAULT_SCHEME
+    trunc = data.get("truncation", {})
     if not isinstance(trunc, dict) or set(trunc) - {"kmax", "lmax"}:
         raise SpecFileError("truncation", "takes {'kmax', 'lmax'}")
-    kmax, lmax = trunc.get("kmax", 60), trunc.get("lmax", 60)
+    kmax, lmax = trunc.get("kmax", DEFAULT_TRUNCATION[0]), trunc.get("lmax", DEFAULT_TRUNCATION[1])
     for name, bound in (("kmax", kmax), ("lmax", lmax)):
         if not _is_int(bound) or bound < 0:
             raise SpecFileError(f"truncation.{name}", "must be an integer >= 0")
@@ -284,33 +282,27 @@ def _apply_space_override(sf: SpecFile, flag: Optional[str]) -> SpecFile:
     return SpecFile(spec, sf.seed)
 
 
-def _witness_to_dict(w: ProgressionWitness) -> dict:
-    return {"type": "progression", "modulus": w.modulus, "residue": w.residue}
+# The "type" tag of each counterexample class in a report.
+_COUNTEREXAMPLE_TYPES = {
+    ProgressionWitness: "progression",
+    ParityDeficit: "parity-deficit",
+    QuadrantDeficit: "quadrant-deficit",
+    GammaFailure: "gamma-failure",
+}
 
 
 def _counterexample_to_dict(ce) -> Optional[dict]:
+    """A counterexample's "type" tag and its dataclass fields; a field that
+    holds a counterexample (a gamma failure's witness) is encoded alike."""
     if ce is None:
         return None
-    if isinstance(ce, ProgressionWitness):
-        return _witness_to_dict(ce)
-    if isinstance(ce, ParityDeficit):
-        return {"type": "parity-deficit", "parity": ce.parity}
-    if isinstance(ce, QuadrantDeficit):
-        return {
-            "type": "quadrant-deficit",
-            "k_parity": ce.k_parity,
-            "l_parity": ce.l_parity,
-            "axis": ce.axis,
-        }
-    if isinstance(ce, GammaFailure):
-        return {
-            "type": "gamma-failure",
-            "gamma": ce.gamma,
-            "parity": ce.parity,
-            "empty": ce.empty,
-            "witness": _witness_to_dict(ce.witness) if ce.witness else None,
-        }
-    raise TypeError(f"unknown counterexample type {type(ce)!r}")
+    if type(ce) not in _COUNTEREXAMPLE_TYPES:
+        raise TypeError(f"unknown counterexample type {type(ce)!r}")
+    report = {"type": _COUNTEREXAMPLE_TYPES[type(ce)]}
+    for f in dataclasses.fields(ce):
+        value = getattr(ce, f.name)
+        report[f.name] = _counterexample_to_dict(value) if type(value) in _COUNTEREXAMPLE_TYPES else value
+    return report
 
 
 def _certificate_to_dict(cert: Certificate) -> dict:
@@ -500,11 +492,9 @@ def _cmd_eval(args) -> int:
 
 
 def _sample_points(spec: KernelSpec, n: int, seed: int):
-    axes = spec.space._axes
-    if not all(axis in gram_mod._POINT_CLASSES for axis in axes if axis):
-        raise SpecFileError("space", f"no geometric point model for {spec.space.kind}; gram unavailable")
+    gram_mod._point_models(spec)  # refuses an axis with no point model before any draw
     m = spec.space.m if spec.space.m is not None else 2
-    sphere = axes[1] is not None
+    sphere = spec.space._axes[1] is not None
     if sphere:
         gram_mod._check_coordinates("gram", n, m)
     # the circle angles are drawn first: a spec with no sphere slot skips the

@@ -41,18 +41,6 @@ class CirclePoint:
             raise ValueError("angle must be finite")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
-    @property
-    def coords(self) -> tuple[float, float]:
-        return (math.cos(self.theta), math.sin(self.theta))
-
-    def dot(self, other: "CirclePoint") -> float:
-        return math.cos(self.theta - other.theta)
-
-    def gap(self, other: "CirclePoint") -> float:
-        """Angular distance mod 2pi."""
-        d = abs(self.theta - other.theta) % TWO_PI
-        return min(d, TWO_PI - d)
-
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -68,27 +56,6 @@ class SpherePoint:
             raise ValueError("sphere point coordinates must be finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"sphere point norm {norm} deviates from 1 beyond 1e-12")
-
-    @classmethod
-    def from_vector(cls, v: Sequence[float]) -> "SpherePoint":
-        arr = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(arr))
-        if not math.isfinite(norm):
-            raise ValueError("sphere point coordinates must be finite")
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(tuple(arr / norm))
-
-    @property
-    def dim(self) -> int:
-        """The sphere dimension m (ambient dimension minus one)."""
-        return len(self.coords) - 1
-
-    def dot(self, other: "SpherePoint") -> float:
-        return sum(a * b for a, b in zip(self.coords, other.coords))
-
-    def antipode(self) -> "SpherePoint":
-        return SpherePoint(tuple(-c for c in self.coords))
 
 
 class _PointModel(NamedTuple):
@@ -131,24 +98,26 @@ class _Tally:
 
 
 def sample_config(
-    m: int, n_circle: int, n_sphere: int, seed: int, min_gap: float = _SAMPLING_GAP
+    m: int, n_circle: int, n_sphere: int, seed: int
 ) -> tuple[list[CirclePoint], list[SpherePoint]]:
-    """Deterministic rejection sampling of distinct circle points and
-    pairwise non-antipodal sphere points on S^m.
+    """Deterministic rejection sampling of circle points and sphere points on
+    S^m, each pair farther apart than ``_SAMPLING_GAP``: in angle mod 2pi on
+    the circle, in distance to the point and to its antipode on the sphere.
 
     Candidates are drawn a batch at a time, as many as points are still
     missing, which consumes the generator exactly as drawing them one by
     one does.  A batch is screened against itself and the accepted points
     in one numpy pass; when the screen clears every pair, the whole batch is
     accepted.  Otherwise the batch is decided candidate by candidate with
-    the pointwise ``CirclePoint.gap`` and ``math.dist`` tests, so the
-    accepted points, resample counts and errors are those of sampling one
-    candidate at a time.
+    the pointwise angle and ``math.dist`` tests, so the accepted points,
+    resample counts and errors are those of sampling one candidate at a
+    time.
     """
     if m < 2:
         raise ValueError(f"invalid dimension m={m}: need m >= 2")
     if n_circle < 0 or n_sphere < 0:
         raise ValueError("point counts must be >= 0")
+    min_gap = _SAMPLING_GAP
     rng = np.random.default_rng(seed)
     tally = _Tally()
     thetas = _sample_circle(rng, n_circle, min_gap, tally)

@@ -102,7 +102,7 @@ _POINT_CLASSES = {"circle": _PointModel(CirclePoint, "theta"), "sphere": _PointM
 def _point_models(spec: KernelSpec) -> list:
     """Each slot's point model, None for an empty slot; refused for an axis with no point model."""
     if not all(axis in _POINT_CLASSES for axis in spec.space._axes if axis):
-        raise NotApplicableError("no geometric point model for projective-space products")
+        raise NotApplicableError(f"no geometric point model for {spec.space.kind}")
     return [_POINT_CLASSES.get(axis) for axis in spec.space._axes]
 
 

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
-from typing import Iterator, Literal, Optional, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -109,14 +109,6 @@ class Term1D:
             return v == self.base
         return v >= self.base and (v - self.base) % self.step == 0
 
-    def members_upto(self, hi: int) -> Iterator[int]:
-        """Members of the term in [0, hi], ascending."""
-        if not self.is_progression:
-            if self.base <= hi:
-                yield self.base
-            return
-        yield from range(self.base, hi + 1, self.step)
-
 
 def one(value: int) -> Term1D:
     """Singleton term {value}."""
@@ -140,28 +132,12 @@ class SupportSet1D:
         if not all(isinstance(t, Term1D) for t in self.terms):
             raise ValueError("SupportSet1D takes Term1D members")
 
-    @classmethod
-    def of(cls, *terms: Term1D) -> "SupportSet1D":
-        return cls(tuple(terms))
-
     @property
     def is_empty(self) -> bool:
         return not self.terms
 
-    def contains(self, v: int) -> bool:
-        return any(t.contains(v) for t in self.terms)
-
-    def progressions(self) -> list[Term1D]:
-        return [t for t in self.terms if t.is_progression]
-
     def singletons(self) -> list[int]:
         return [t.base for t in self.terms if not t.is_progression]
-
-    def members_upto(self, hi: int) -> set[int]:
-        out: set[int] = set()
-        for t in self.terms:
-            out.update(t.members_upto(hi))
-        return out
 
 
 @dataclass(frozen=True)
@@ -174,21 +150,6 @@ class SupportSet2D:
         for pair in self.terms:
             if len(pair) != 2 or not all(isinstance(t, Term1D) for t in pair):
                 raise ValueError("SupportSet2D takes (Term1D, Term1D) pairs")
-
-    @classmethod
-    def of(cls, *terms: tuple[Term1D, Term1D]) -> "SupportSet2D":
-        return cls(tuple(terms))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    def contains(self, k: int, l: int) -> bool:
-        return any(kt.contains(k) and lt.contains(l) for kt, lt in self.terms)
-
-    def section(self, k: int) -> SupportSet1D:
-        """The l-set {l : (k, l) in S} for a fixed circle frequency k."""
-        return SupportSet1D(tuple(lt for kt, lt in self.terms if kt.contains(k)))
 
     def transpose(self) -> "SupportSet2D":
         return SupportSet2D(tuple((lt, kt) for kt, lt in self.terms))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from spdkernels import SupportSet1D, SupportSet2D, circle_table, gegenbauer_table, one, prog
+from spdkernels import SpherePoint, SupportSet1D, SupportSet2D, circle_table, gegenbauer_table, one, prog
 from spdkernels.geometry import TWO_PI
 
 WINDOW = 10_000
@@ -190,7 +190,7 @@ def battery_1d(seed, count):
                 terms.append(one(base))
             else:
                 terms.append(prog(base, int(rng.integers(1, 9))))
-        out.append(SupportSet1D.of(*terms))
+        out.append(SupportSet1D(tuple(terms)))
     return out
 
 
@@ -289,11 +289,55 @@ def gamma_parity_members(support2d, gamma, parity, kmax=200, lmax=200):
     want = 0 if parity == "even" else 1
     ks = set()
     for kt, lt in support2d.terms:
-        for l in lt.members_upto(lmax):
+        for l in term_members(lt, lmax):
             if l >= gamma and l % 2 == want:
-                ks.update(kt.members_upto(kmax))
+                ks.update(term_members(kt, kmax))
                 break
     return ks
+
+
+# ---------------------------------------------------------------------------
+# membership and point arithmetic that only the tests need: each helper does
+# the arithmetic of the library method it replaced
+# ---------------------------------------------------------------------------
+
+def term_members(term, hi):
+    """The members of a ``Term1D`` in [0, hi], ascending."""
+    if not term.is_progression:
+        return [term.base] if term.base <= hi else []
+    return range(term.base, hi + 1, term.step)
+
+
+def contains_2d(support, k, l):
+    """Whether a ``SupportSet2D`` holds (k, l)."""
+    return any(kt.contains(k) and lt.contains(l) for kt, lt in support.terms)
+
+
+def circle_gap(p, q):
+    """The angular distance of two ``CirclePoint``s mod 2pi."""
+    d = abs(p.theta - q.theta) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+def circle_dot(p, q):
+    """The dot product of two ``CirclePoint``s, the cosine of their angle difference."""
+    return math.cos(p.theta - q.theta)
+
+
+def sphere_dot(a, b):
+    """The dot product of two ``SpherePoint``s, summed left to right in Python."""
+    return sum(x * y for x, y in zip(a.coords, b.coords))
+
+
+def sphere_point(v):
+    """The ``SpherePoint`` v / |v|, |v| from ``np.linalg.norm``."""
+    arr = np.asarray(v, dtype=float)
+    return SpherePoint(tuple(arr / float(np.linalg.norm(arr))))
+
+
+def antipode(z):
+    """The ``SpherePoint`` -z."""
+    return SpherePoint(tuple(-c for c in z.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +407,7 @@ def enhanced_points(xs, zs):
     sphere points: z-block by z-block with the circle index moving fastest,
     all plain blocks first, then all antipodal blocks in the same order."""
     plain = [(x, z) for z in zs for x in xs]
-    mirrored = [(x, z.antipode()) for z in zs for x in xs]
+    mirrored = [(x, antipode(z)) for z in zs for x in xs]
     return tuple(plain + mirrored)
 
 

@@ -11,6 +11,7 @@ from conftest import (
     SPD_BUT_INCONCLUSIVE,
     SPD_PRODUCT_SUPPORTS,
     battery_2d,
+    contains_2d,
     oracle_witness_sound,
 )
 from spdkernels import (
@@ -44,20 +45,20 @@ from test_acceptance import ALL_FIXED_2D
 # --- circle ---------------------------------------------------------------------
 
 def test_circle_accepts_full_line():
-    cert = certify_circle(SupportSet1D.of(prog(0, 1)))
+    cert = certify_circle(SupportSet1D((prog(0, 1),)))
     assert cert.verdict is Verdict.SPD
     assert cert.method == "circle-residue-classes"
     assert cert.counterexample is None
 
 
 def test_circle_rejects_even_support():
-    cert = certify_circle(SupportSet1D.of(prog(0, 2)))
+    cert = certify_circle(SupportSet1D((prog(0, 2),)))
     assert cert.verdict is Verdict.NOT_SPD
     assert cert.counterexample == ProgressionWitness(2, 1)
 
 
 def test_circle_mixed_example():
-    support = SupportSet1D.of(one(0), prog(1, 3))
+    support = SupportSet1D((one(0), prog(1, 3)))
     cert = certify_circle(support)
     assert cert.verdict is Verdict.NOT_SPD
     assert oracle_witness_sound(support, cert.counterexample)
@@ -66,34 +67,34 @@ def test_circle_mixed_example():
 # --- sphere ---------------------------------------------------------------------
 
 def test_sphere_needs_both_parities():
-    both = SupportSet1D.of(prog(0, 2), prog(1, 2))
+    both = SupportSet1D((prog(0, 2), prog(1, 2)))
     assert certify_sphere(both, 2).verdict is Verdict.SPD
     assert certify_sphere(both, 9).verdict is Verdict.SPD
 
-    evens = SupportSet1D.of(prog(0, 2))
+    evens = SupportSet1D((prog(0, 2),))
     cert = certify_sphere(evens, 3)
     assert cert.verdict is Verdict.NOT_SPD
     assert cert.counterexample == ParityDeficit("odd")
 
-    odds = SupportSet1D.of(prog(1, 2))
+    odds = SupportSet1D((prog(1, 2),))
     cert = certify_sphere(odds, 3)
     assert cert.counterexample == ParityDeficit("even")
 
 
 def test_sphere_finite_extras_do_not_help():
-    cert = certify_sphere(SupportSet1D.of(prog(0, 2), one(3), one(11)), 2)
+    cert = certify_sphere(SupportSet1D((prog(0, 2), one(3), one(11))), 2)
     assert cert.verdict is Verdict.NOT_SPD
     assert cert.counterexample == ParityDeficit("odd")
 
 
 def test_sphere_odd_step_gives_both():
-    cert = certify_sphere(SupportSet1D.of(prog(0, 3)), 4)
+    cert = certify_sphere(SupportSet1D((prog(0, 3),)), 4)
     assert cert.verdict is Verdict.SPD
 
 
 def test_sphere_dimension_validated():
     with pytest.raises(ValueError):
-        certify_sphere(SupportSet1D.of(prog(0, 1)), 1)
+        certify_sphere(SupportSet1D((prog(0, 1),)), 1)
 
 
 # --- product: the two independent routes ------------------------------------------
@@ -453,7 +454,7 @@ def _two_sphere_form(support, r=0.8, K=40, seed=11):
     t = np.clip(px @ px.T, -1.0, 1.0).ravel()
     s = np.clip(py @ py.T, -1.0, 1.0).ravel()
     coeffs = np.array([
-        [r ** (k + l) if support.contains(k, l) else 0.0 for l in range(K + 1)]
+        [r ** (k + l) if contains_2d(support, k, l) else 0.0 for l in range(K + 1)]
         for k in range(K + 1)
     ])
     gram = np.einsum(

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from spdkernels import (
     CirclePoint,
+    KernelSpec,
     SpaceDescriptor,
     SpecFileError,
     SpherePoint,
+    SupportSet1D,
+    SupportSet2D,
     check_pd,
     gram_matrix,
     prog,
@@ -67,6 +70,20 @@ def test_defaults_fill_in():
     assert sf.spec.scheme.kind == "geometric"
     assert sf.spec.truncation == (60, 60)
     assert sf.spec.support.terms == (prog(0, 2),)
+
+
+@pytest.mark.parametrize("kind", sorted(SPACE_EXAMPLES))
+def test_a_spec_of_space_and_support_alone_takes_the_library_defaults(kind):
+    space = SpaceDescriptor(kind, **SPACE_EXAMPLES[kind])
+    if space.is_product:
+        support = SupportSet2D(((prog(0, 1), prog(0, 2)),))
+        terms = [{"k": {"type": "prog", "base": 0, "step": 1}, "l": {"type": "prog", "base": 0, "step": 2}}]
+    else:
+        support = SupportSet1D((prog(0, 2),))
+        terms = [{"type": "prog", "base": 0, "step": 2}]
+    sf = parse_spec_dict({"space": {"kind": kind, **SPACE_EXAMPLES[kind]}, "support": terms})
+    assert sf.spec == KernelSpec(space, support)
+    assert sf.seed == 0
 
 
 def test_rejects_unknown_fields():
@@ -163,7 +180,7 @@ KIND_SUPPORTS = {
     },
     "empty": {False: [], True: []},
 }
-NO_TPH_POINTS = (64, "spec error: space: no geometric point model for circle_tph; gram unavailable")
+NO_TPH_POINTS = (64, "error: no geometric point model for circle_tph")
 SPD_WITNESS = (0, "SPD: no degeneracy witness to build")
 KIND_COMMANDS = {
     ("circle", "example"): {
@@ -496,6 +513,17 @@ def test_gram_samples_the_points_of_sample_config(tmp_path, kind):
     assert lam == check_pd(gram_matrix(spec, points))[1]
     if kind == "sphere":  # the dropped angles moved the sphere draws
         assert lam != check_pd(gram_matrix(spec, sample_config(spec.space.m, 0, 7, 5)[1]))[1]
+
+
+def test_gram_refuses_a_space_with_no_point_model_before_any_draw(tmp_path, monkeypatch, capsys):
+    def draw(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr("spdkernels.cli.sample_config", draw)
+    space = {"kind": "circle_tph", **SPACE_EXAMPLES["circle_tph"]}
+    path = write_spec(tmp_path, dict(FULL_PRODUCT, space=space))
+    assert main(["gram", path]) == 64
+    assert capsys.readouterr().err == "error: no geometric point model for circle_tph\n"
 
 
 def test_gram_seed_override_changes_nothing_structural(tmp_path):

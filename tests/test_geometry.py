@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import S2HarmonicBasis, enhanced_points, s2_quadrature
-from spdkernels import CirclePoint, SamplingError, SpherePoint, gegenbauer_table, sample_config
+from conftest import (
+    S2HarmonicBasis,
+    antipode,
+    circle_gap,
+    enhanced_points,
+    s2_quadrature,
+    sphere_dot,
+    sphere_point,
+)
+from spdkernels import CirclePoint, SamplingError, SpherePoint, gegenbauer_table, geometry, sample_config
 
 
 # --- point models -----------------------------------------------------------------
@@ -20,18 +28,8 @@ def test_circle_point_canonical():
     assert q.theta == pytest.approx(2 * math.pi - 0.25)
 
 
-def test_circle_dot_is_cosine_of_gap():
-    p, q = CirclePoint(0.3), CirclePoint(1.1)
-    assert p.dot(q) == pytest.approx(math.cos(0.8))
-    assert p.dot(p) == pytest.approx(1.0)
-
-
 def test_sphere_point_validation():
-    z = SpherePoint((1.0, 0.0, 0.0))
-    assert z.dim == 2
-    assert z.dot(z) == pytest.approx(1.0)
-    anti = z.antipode()
-    assert z.dot(anti) == pytest.approx(-1.0)
+    assert SpherePoint((1.0, 0.0, 0.0)).coords == (1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         SpherePoint((0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -44,14 +42,6 @@ def test_sphere_point_refuses_non_finite_coordinates(bad):
         SpherePoint((bad, 0.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
         SpherePoint((1.0, bad, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        SpherePoint.from_vector(np.array([1.0, 0.0, bad]))
-
-
-def test_sphere_from_vector_normalizes():
-    z = SpherePoint.from_vector(np.array([3.0, 4.0, 0.0]))
-    assert z.coords[0] == pytest.approx(0.6)
-    assert z.coords[1] == pytest.approx(0.8)
 
 
 # --- sampling ----------------------------------------------------------------------
@@ -70,14 +60,15 @@ def test_sample_config_separation():
     assert len(xs) == 12 and len(zs) == 12
     for i in range(12):
         for j in range(i + 1, 12):
-            assert xs[i].gap(xs[j]) > 1e-9
-            assert abs(zs[i].dot(zs[j])) < 1.0 - 1e-12
+            assert circle_gap(xs[i], xs[j]) > 1e-9
+            assert abs(sphere_dot(zs[i], zs[j])) < 1.0 - 1e-12
 
 
-def test_sample_config_rejects_overfull_circle():
+def test_sample_config_rejects_overfull_circle(monkeypatch):
     # at gap 2 radians the circle cannot hold ten points
+    monkeypatch.setattr(geometry, "_SAMPLING_GAP", 2.0)
     with pytest.raises(SamplingError):
-        sample_config(2, 10, 0, seed=0, min_gap=2.0)
+        sample_config(2, 10, 0, seed=0)
 
 
 def _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap=1e-9, max_resamples=1000):
@@ -88,7 +79,7 @@ def _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap=1e-9, max_resa
     xs = []
     while len(xs) < n_circle:
         cand = CirclePoint(float(rng.uniform(0.0, 2.0 * math.pi)))
-        if all(cand.gap(p) > min_gap for p in xs):
+        if all(circle_gap(cand, p) > min_gap for p in xs):
             xs.append(cand)
         else:
             resamples += 1
@@ -100,10 +91,10 @@ def _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap=1e-9, max_resa
         if float(np.linalg.norm(vec)) < 1e-8:
             resamples += 1
             continue
-        cand = SpherePoint.from_vector(vec)
+        cand = sphere_point(vec)
         if all(
             math.dist(cand.coords, z.coords) > min_gap
-            and math.dist(cand.coords, z.antipode().coords) > min_gap
+            and math.dist(cand.coords, antipode(z).coords) > min_gap
             for z in zs
         ):
             zs.append(cand)
@@ -125,9 +116,12 @@ def _sampled_resamples(caplog):
     "n_circle, n_sphere, min_gap",
     [(17, 5, 1e-9), (3, 40, 1e-9), (0, 9, 1e-9), (12, 0, 1e-9), (10, 6, 0.3), (4, 5, 0.8)],
 )
-def test_sample_config_matches_pointwise_reference(caplog, m, seed, n_circle, n_sphere, min_gap):
+def test_sample_config_matches_pointwise_reference(
+    caplog, monkeypatch, m, seed, n_circle, n_sphere, min_gap
+):
     caplog.set_level(logging.DEBUG, logger="spdkernels.geometry")
-    xs, zs = sample_config(m, n_circle, n_sphere, seed, min_gap=min_gap)
+    monkeypatch.setattr(geometry, "_SAMPLING_GAP", min_gap)
+    xs, zs = sample_config(m, n_circle, n_sphere, seed)
     thetas, coords, resamples = _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap)
     assert [x.theta for x in xs] == thetas
     assert [z.coords for z in zs] == coords
@@ -137,24 +131,26 @@ def test_sample_config_matches_pointwise_reference(caplog, m, seed, n_circle, n_
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_sample_config_decides_like_math_dist_at_the_gap(seed):
-    # min_gap set to the distance between the first two points the sampler
+def test_sample_config_decides_like_math_dist_at_the_gap(monkeypatch, seed):
+    # the gap set to the distance between the first two points the sampler
     # draws: the second candidate sits exactly on the boundary
     _, (z0, z1), _ = _pointwise_sample_config(2, 0, 2, seed)
     d = min(math.dist(z0, z1), math.dist(z0, [-c for c in z1]))
     for gap in (math.nextafter(d, 0.0), d, math.nextafter(d, 2.0)):
         _, coords, resamples = _pointwise_sample_config(2, 0, 3, seed, gap)
-        _, zs = sample_config(2, 0, 3, seed, min_gap=gap)
+        monkeypatch.setattr(geometry, "_SAMPLING_GAP", gap)
+        _, zs = sample_config(2, 0, 3, seed)
         assert [z.coords for z in zs] == coords
         assert (zs[1].coords == z1) == (gap < d)
 
 
 @pytest.mark.parametrize("n_circle, n_sphere", [(10, 0), (0, 12), (3, 30)])
-def test_sample_config_gives_up_like_the_pointwise_reference(n_circle, n_sphere):
+def test_sample_config_gives_up_like_the_pointwise_reference(monkeypatch, n_circle, n_sphere):
     with pytest.raises(SamplingError) as expected:
         _pointwise_sample_config(2, n_circle, n_sphere, 5, min_gap=1.5)
+    monkeypatch.setattr(geometry, "_SAMPLING_GAP", 1.5)
     with pytest.raises(SamplingError) as got:
-        sample_config(2, n_circle, n_sphere, 5, min_gap=1.5)
+        sample_config(2, n_circle, n_sphere, 5)
     assert str(got.value) == str(expected.value)
 
 
@@ -175,7 +171,7 @@ def test_enhanced_layout():
         for i, x in enumerate(xs):
             px, pz = points[6 + j * 3 + i]
             assert px.theta == x.theta
-            assert tuple(pz.coords) == tuple(z.antipode().coords)
+            assert tuple(pz.coords) == tuple(antipode(z).coords)
 
 
 # --- harmonics and quadrature ------------------------------------------------------------

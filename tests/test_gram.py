@@ -11,8 +11,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, battery_1d, battery_2d,
-    block_deviations, enhanced_points, layer_matrix_ref, per_degree_forms_ref, record_halved_tables,
+    LATE_FAILURES, NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, antipode, battery_1d, battery_2d,
+    block_deviations, circle_dot, enhanced_points, layer_matrix_ref, per_degree_forms_ref,
+    record_halved_tables, sphere_dot,
 )
 from spdkernels import (
     CirclePoint,
@@ -79,8 +80,8 @@ def test_gram_entries_match_eval():
     a = gram_matrix(spec, pts)
     for i in range(5):
         for j in range(5):
-            t = pts[i][0].dot(pts[j][0])
-            s = pts[i][1].dot(pts[j][1])
+            t = circle_dot(pts[i][0], pts[j][0])
+            s = sphere_dot(pts[i][1], pts[j][1])
             assert a[i, j] == pytest.approx(eval_kernel(spec, t, s), abs=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_gram_rejects_mismatched_points():
     spec = product_spec()
     with pytest.raises(ValueError, match="pairs"):
         gram_matrix(spec, [CirclePoint(0.1), CirclePoint(0.7)])
-    circ = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10, 0))
+    circ = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (10, 0))
     a = gram_matrix(circ, [CirclePoint(0.1), CirclePoint(0.7)])
     assert a.shape == (2, 2)
 
@@ -117,9 +118,9 @@ def test_gram_rejects_wrong_sphere_dimension():
 def test_gram_unavailable_for_tph():
     space = circle_tph_space("real_proj", 2)
     spec = KernelSpec(space, FULL_2D, geometric_scheme(), (10, 10))
-    with pytest.raises(NotApplicableError, match="no geometric point model for projective-space products"):
+    with pytest.raises(NotApplicableError, match="no geometric point model for circle_tph"):
         gram_matrix(spec, product_points(3, seed=2))
-    with pytest.raises(NotApplicableError, match="no geometric point model for projective-space products"):
+    with pytest.raises(NotApplicableError, match="no geometric point model for circle_tph"):
         witness_parity_sphere(spec)
 
 
@@ -207,7 +208,7 @@ def test_gram_matrix_walks_the_upper_triangle_in_chunks(monkeypatch):
     ]
     assert np.array_equal(a, a.T)
     for i, j in [(0, 0), (0, 199), (40, 41), (41, 199), (199, 199)]:  # row starts and ends
-        t, s = pts[i][0].dot(pts[j][0]), pts[i][1].dot(pts[j][1])
+        t, s = circle_dot(pts[i][0], pts[j][0]), sphere_dot(pts[i][1], pts[j][1])
         assert a[i, j] == pytest.approx(eval_kernel(spec, t, s), abs=1e-12 * spec.value_at_one)
 
 
@@ -215,7 +216,7 @@ def test_the_feature_route_reads_only_the_circle_slots_beta():
     # a circle slot on features takes beta alone: its halved rows are never
     # made, while the sphere slot, tabulated, makes its own
     xs, zs = sample_config(2, 30, 30, seed=4)
-    circle = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (40, 0))
+    circle = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (40, 0))
     product = product_spec(trunc=(40, 20))
     assert len(product._factors[0]) == 1
     gram_matrix(circle, xs)
@@ -249,7 +250,7 @@ def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
     xs, zs = sample_config(2, 60, 60, seed=8)
     pairs = 60 * 61 // 2
     # a circle spec and a product off the dense route (r = 1): no circle rows
-    circle = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (120, 0))
+    circle = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (120, 0))
     gram_matrix(circle, xs)
     product = product_spec(trunc=(120, 40))
     gram_matrix(product, list(zip(xs, zs)))
@@ -267,7 +268,7 @@ def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
     calls["circle_table"].clear()
     xs, _ = sample_config(2, 100, 0, seed=8)
     pairs = 100 * 101 // 2
-    wide = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (8_500, 0))
+    wide = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (8_500, 0))
     a = gram_matrix(wide, xs)
     depth = _depth(8_500, 1)
     width = _WORKSPACE // ((8_500 >> depth) + 1 + depth + 3 + (1 << depth) + _SLICE_VECTORS)
@@ -275,7 +276,7 @@ def test_a_factored_circle_slot_takes_its_rows_from_features(monkeypatch):
     assert width == 4_328 < pairs
     assert [call[:3] for call in halved] == [(8_500, depth, width)] * (pairs // width) + [(8_500, depth, pairs % width)]
     i, j = 3, 41
-    assert a[i, j] == pytest.approx(eval_kernel(wide, xs[i].dot(xs[j])), abs=1e-12 * wide.value_at_one)
+    assert a[i, j] == pytest.approx(eval_kernel(wide, circle_dot(xs[i], xs[j])), abs=1e-12 * wide.value_at_one)
 
 
 @pytest.mark.parametrize("n", [30, 60])
@@ -283,7 +284,7 @@ def test_a_circle_gram_past_degree_120_stays_within_the_workspace(n):
     # K = 10 000: 30 points take the features, 5.0 MiB, and 60 points the
     # halved table, their 1830 pairs in one slice (at most 4112 pairs),
     # 3.4 MiB; one family-table slice of all the pairs took 35.7 and 140 MiB
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.999), (10_000, 0))
+    spec = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(0.999), (10_000, 0))
     xs, _ = sample_config(2, n, 0, seed=5)
     tracemalloc.start()
     try:
@@ -342,7 +343,7 @@ def test_sphere_gram_is_written_over_its_dot_products():
     # dot products beside it would take n^2 doubles more
     n = 1500
     _, zs = sample_config(2, 0, n, seed=4)
-    spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (0, 4))
+    spec = KernelSpec(sphere_space(2), SupportSet1D((prog(0, 1),)), geometric_scheme(), (0, 4))
     tracemalloc.start()
     try:
         gram_matrix(spec, zs)
@@ -368,9 +369,9 @@ def _overflowing(space):
     """61 coefficients of 1e308, on the circle at sphere degree 0 or on the
     sphere alone: their sum at 1 is past float64."""
     if space == "circle":
-        return KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), constant_scheme(1e308), (60, 0))
+        return KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), constant_scheme(1e308), (60, 0))
     if space == "sphere":
-        return KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), constant_scheme(1e308), (0, 60))
+        return KernelSpec(sphere_space(2), SupportSet1D((prog(0, 1),)), constant_scheme(1e308), (0, 60))
     return product_spec(trunc=(60, 0), scheme=constant_scheme(1e308))
 
 
@@ -414,7 +415,7 @@ def test_enhanced_blocks_exact():
 
 def test_parity_witness_even_only_sphere():
     spec = KernelSpec(
-        sphere_space(2), SupportSet1D.of(prog(0, 2)), geometric_scheme(), (0, 40)
+        sphere_space(2), SupportSet1D((prog(0, 2),)), geometric_scheme(), (0, 40)
     )
     w = witness_parity_sphere(spec)
     assert w.kind == "parity"
@@ -430,7 +431,7 @@ def test_parity_witness_even_only_sphere():
 
 def test_parity_witness_odd_only_uses_plus_plus():
     spec = KernelSpec(
-        sphere_space(2), SupportSet1D.of(prog(1, 2)), geometric_scheme(), (0, 40)
+        sphere_space(2), SupportSet1D((prog(1, 2),)), geometric_scheme(), (0, 40)
     )
     w = witness_parity_sphere(spec)
     assert list(w.coefficients) == [1.0, 1.0]
@@ -451,7 +452,7 @@ def test_parity_witness_serves_mixed_and_empty_supports():
     # evens plus {3}: finitely many odd degrees, so the geodesic factor a = 5,
     # 10 great-circle points, cancels the odd layer 3 and every even one
     spec = KernelSpec(
-        sphere_space(2), SupportSet1D.of(prog(0, 2), one(3)), geometric_scheme(), (0, 40)
+        sphere_space(2), SupportSet1D((prog(0, 2), one(3))), geometric_scheme(), (0, 40)
     )
     w = witness_parity_sphere(spec)
     assert w.kind == "parity" and len(w.points) == len(w.coefficients) == 10
@@ -469,7 +470,7 @@ def test_parity_witness_serves_mixed_and_empty_supports():
 
 def test_parity_witness_refuses_both_parities_infinite():
     for terms in ([prog(0, 1)], [prog(0, 2), prog(5, 4)], [one(1), prog(2, 3)]):
-        spec = KernelSpec(sphere_space(3), SupportSet1D.of(*terms), geometric_scheme(), (0, 20))
+        spec = KernelSpec(sphere_space(3), SupportSet1D(tuple(terms)), geometric_scheme(), (0, 20))
         with pytest.raises(NotApplicableError, match="infinitely many degrees of each parity"):
             witness_parity_sphere(spec)
 
@@ -477,18 +478,18 @@ def test_parity_witness_refuses_both_parities_infinite():
 def test_parity_witness_keeps_the_parity_with_fewer_points():
     # {1, 3, 4} is finite in both parities: keeping odd takes a = 5, 10 points,
     # the antipodes signed -1 as a is odd (keeping even would take a = 6)
-    spec = KernelSpec(sphere_space(2), SupportSet1D.of(one(1), one(3), one(4)), geometric_scheme(), (0, 20))
+    spec = KernelSpec(sphere_space(2), SupportSet1D((one(1), one(3), one(4))), geometric_scheme(), (0, 20))
     w = witness_parity_sphere(spec)
     assert len(w.points) == 10
-    assert w.points[5:] == tuple(z.antipode() for z in w.points[:5])
+    assert w.points[5:] == tuple(map(antipode, w.points[:5]))
     assert w.coefficients[5:] == tuple(-c for c in w.coefficients[:5])
     assert abs(w.residual) <= 1e-10 * w.scale
     # {2, 5, 7} on S^5: keeping even takes a = 4, 8 points, the antipodes
     # signed +1 (keeping odd would take a = 9)
-    spec = KernelSpec(sphere_space(5), SupportSet1D.of(one(2), one(5), one(7)), geometric_scheme(), (0, 20))
+    spec = KernelSpec(sphere_space(5), SupportSet1D((one(2), one(5), one(7))), geometric_scheme(), (0, 20))
     w = witness_parity_sphere(spec)
     assert len(w.points) == 8
-    assert w.points[4:] == tuple(z.antipode() for z in w.points[:4])
+    assert w.points[4:] == tuple(map(antipode, w.points[:4]))
     assert w.coefficients[4:] == w.coefficients[:4]
     assert abs(w.residual) <= 1e-10 * w.scale
 
@@ -509,7 +510,7 @@ def test_parity_witness_on_mixed_product():
 def test_parity_witness_past_the_point_limit_is_refused():
     # evens plus {3, 5001} on S^2: a = 5003 takes 10 006 points, wherever L is
     spec = KernelSpec(
-        sphere_space(2), SupportSet1D.of(prog(0, 2), one(3), one(5001)), geometric_scheme(), (0, 20)
+        sphere_space(2), SupportSet1D((prog(0, 2), one(3), one(5001))), geometric_scheme(), (0, 20)
     )
     with pytest.raises(
         NotApplicableError,
@@ -533,7 +534,7 @@ def test_parity_witness_on_finite_deficit_supports(m, lmax, keep, start, step, s
     # parity is the singletons of its residue, below L or past it
     base = 2 * start + 1 - keep
     spec = KernelSpec(
-        sphere_space(m), SupportSet1D.of(prog(base, step), *map(one, sorted(singles))),
+        sphere_space(m), SupportSet1D((prog(base, step), *map(one, sorted(singles)))),
         geometric_scheme(rate, rate), (0, lmax),
     )
     top = max((v for v in singles if v % 2 == keep), default=-1)
@@ -549,7 +550,7 @@ def test_parity_witness_on_finite_deficit_supports(m, lmax, keep, start, step, s
 # --- progression witness ---------------------------------------------------------------------------
 
 def test_progression_witness_circle():
-    support = SupportSet1D.of(prog(0, 2))
+    support = SupportSet1D((prog(0, 2),))
     spec = KernelSpec(circle_space(), support, geometric_scheme(), (40, 0))
     cert = certify_circle(support)
     w = witness_progression_circle(spec, cert.counterexample)
@@ -563,7 +564,7 @@ def test_progression_witness_circle():
 
 
 def test_progression_witness_modulus_six():
-    support = SupportSet1D.of(one(0), prog(1, 3))
+    support = SupportSet1D((one(0), prog(1, 3)))
     spec = KernelSpec(circle_space(), support, geometric_scheme(), (50, 0))
     cert = certify_circle(support)
     w = witness_progression_circle(spec, cert.counterexample)
@@ -577,7 +578,7 @@ def test_progression_witness_modulus_six():
 def test_progression_witness_refuses_covered_class():
     from spdkernels import ProgressionWitness
 
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (40, 0))
+    spec = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (40, 0))
     with pytest.raises(NotApplicableError):
         witness_progression_circle(spec, ProgressionWitness(3, 1))
 
@@ -670,7 +671,7 @@ def test_progression_witness_takes_circle_specs_only():
 def test_progression_witness_past_the_point_limit_is_refused():
     from spdkernels import ProgressionWitness
 
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 2049)), geometric_scheme(), (40, 0))
+    spec = KernelSpec(circle_space(), SupportSet1D((prog(0, 2049),)), geometric_scheme(), (40, 0))
     with pytest.raises(NotApplicableError, match="needs 2049 points, past the limit of 2048"):
         witness_progression_circle(spec, ProgressionWitness(2049, 1))
 
@@ -761,7 +762,7 @@ def test_late_singleton_over_the_missed_class_is_cancelled_at_every_truncation()
 def test_parity_witness_cancels_a_kept_degree_past_the_truncation():
     # evens plus {3, 25} on S^2 at L = 20: the odd degree 25 lies past L, and
     # a = 27 cancels it, 54 points
-    support = SupportSet1D.of(prog(0, 2), one(3), one(25))
+    support = SupportSet1D((prog(0, 2), one(3), one(25)))
     spec = KernelSpec(sphere_space(2), support, geometric_scheme(), (0, 20))
     w = witness_parity_sphere(spec)
     assert len(w.points) == 54
@@ -798,7 +799,7 @@ def _reported_pair(thetas, zs):
 
 
 def test_duplicate_check_wraps_around_the_circle():
-    circ = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10, 0))
+    circ = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (10, 0))
     points = [CirclePoint(0.0), CirclePoint(1.0), CirclePoint(2.0 * math.pi - 1e-13)]
     with pytest.raises(ValueError, match="points 0 and 2 coincide"):
         gram_matrix(circ, points)
@@ -809,12 +810,12 @@ def test_duplicate_check_wraps_around_the_circle():
 
 
 def test_duplicate_check_on_sphere_points_alone():
-    spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (0, 10))
+    spec = KernelSpec(sphere_space(2), SupportSet1D((prog(0, 1),)), geometric_scheme(), (0, 10))
     _, zs = sample_config(2, 0, 6, seed=3)
     with pytest.raises(ValueError, match="points 1 and 5 coincide"):
         gram_matrix(spec, zs[:5] + [zs[1]])
     # an antipode is not a duplicate
-    gram_matrix(spec, [zs[0], zs[0].antipode()])
+    gram_matrix(spec, [zs[0], antipode(zs[0])])
 
 
 def test_duplicate_check_reports_the_double_loops_first_pair():

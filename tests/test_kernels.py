@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     SPACE_EXAMPLES, SPD_PRODUCT_SUPPORTS, axis_table, jacobi_one_ref, marginal_ref, record_halved_tables,
+    term_members,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,13 +142,13 @@ def test_coefficient_matrix_rates():
 
 
 def coefficients_by_member(spec):
-    """The coefficients marked member by member (``members_upto``), with each
+    """The coefficients marked member by member (``term_members``), with each
     single-space value a Python float ``scale * rate**j``."""
     scheme = spec.scheme
     if spec.space.is_product:
         mask = np.zeros((spec.kmax + 1, spec.lmax + 1), dtype=bool)
         for kt, lt in spec.support.terms:
-            ks, ls = list(kt.members_upto(spec.kmax)), list(lt.members_upto(spec.lmax))
+            ks, ls = list(term_members(kt, spec.kmax)), list(term_members(lt, spec.lmax))
             if ks and ls:
                 mask[np.ix_(ks, ls)] = True
         if scheme.kind == "constant":
@@ -159,7 +160,7 @@ def coefficients_by_member(spec):
     rate = scheme.r_k if spec.space.kind == "circle" else scheme.r_l
     coeffs = np.zeros(spec.axis_cap + 1)
     for term in spec.support.terms:
-        for j in term.members_upto(spec.axis_cap):
+        for j in term_members(term, spec.axis_cap):
             coeffs[j] = scheme.scale if scheme.kind == "constant" else scheme.scale * rate**j
     return coeffs
 
@@ -209,10 +210,10 @@ def test_coefficient_matrix_matches_marking_member_by_member(spec):
 def test_single_coefficients_past_the_box_and_huge(space, scheme):
     # singletons at and past the cap, a base and a step of 10**30, and
     # progressions that overlap each other and a singleton
-    support = SupportSet1D.of(
+    support = SupportSet1D((
         one(12), one(13), one(HUGE), prog(HUGE, 1), prog(5, HUGE),
         prog(0, 2), prog(2, 4), one(4), prog(3, 3),
-    )
+    ))
     spec = KernelSpec(space, support, scheme, (12, 12))
     expected = coefficients_by_member(spec)
     assert_same_bits(spec.coefficient_matrix, expected)
@@ -378,7 +379,7 @@ FOLD_SCHEMES = [constant_scheme(1.5), geometric_scheme(0.9, 0.8)]
 @pytest.mark.parametrize("space", [circle_space()] + [sphere_space(m) for m in range(2, 8)], ids=str)
 @pytest.mark.parametrize("cap", [20, 120])
 def test_folded_single_contraction_agrees_with_the_family_table(space, scheme, cap):
-    support = SupportSet1D.of(prog(1, 3), one(4), prog(cap - 6, 2))
+    support = SupportSet1D((prog(1, 3), one(4), prog(cap - 6, 2)))
     spec = KernelSpec(space, support, scheme, (cap, cap))
     t, _ = _fold_arguments(400, cap)
     got = kernel_values(spec, t)
@@ -433,7 +434,7 @@ def test_one_pair_folds_as_a_gram_does(monkeypatch):
     from spdkernels import gram_matrix, sample_config
 
     calls = record_halved_tables(monkeypatch)
-    spec = KernelSpec(sphere_space(2), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.9, 0.999), (0, 10_000))
+    spec = KernelSpec(sphere_space(2), SupportSet1D((prog(0, 1),)), geometric_scheme(0.9, 0.999), (0, 10_000))
     value = kernel_values(spec, np.array([0.3]))
     assert [call[:3] for call in calls] == [(10_000, 7, 1)]
     assert spec.value_at_one > value[0] > 0.0
@@ -453,8 +454,8 @@ def test_one_pair_folds_as_a_gram_does(monkeypatch):
 
 
 ONE_PAIR_SPECS = {
-    "circle": KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.999), (10_000, 0)),
-    "S2": KernelSpec(sphere_space(2), SupportSet1D.of(prog(1, 2)), constant_scheme(1.5), (0, 1_000)),
+    "circle": KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(0.999), (10_000, 0)),
+    "S2": KernelSpec(sphere_space(2), SupportSet1D((prog(1, 2),)), constant_scheme(1.5), (0, 1_000)),
     "circle_S3": product_spec(FOLD_SUPPORTS[2], geometric_scheme(0.99, 0.98), (400, 400), m=3),
 }
 
@@ -494,7 +495,7 @@ def test_a_fold_that_is_not_halved_is_sized_as_its_family_table():
 @pytest.mark.parametrize("cap", [20, 120, 121])
 def test_fresh_specs_share_the_fold_map_up_to_degree_120(space, cap):
     def fold():
-        spec = KernelSpec(space, SupportSet1D.of(prog(0, 1)), geometric_scheme(0.99), (cap, cap))
+        spec = KernelSpec(space, SupportSet1D((prog(0, 1),)), geometric_scheme(0.99), (cap, cap))
         return spec._slot_plan[1 - space._axes.index(None)]
 
     first = fold()
@@ -575,7 +576,7 @@ def test_kernel_values_vectorized_matches_scalar():
 
 
 def test_eval_circle_only():
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (20, 0))
+    spec = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (20, 0))
     val = eval_kernel(spec, 1.0)
     # sum of (2/k) 0.9^k for k >= 1 plus 1
     expect = 1.0 + sum((2.0 / k) * 0.9**k for k in range(1, 21))
@@ -586,7 +587,7 @@ def test_eval_circle_only():
 
 @pytest.mark.parametrize("evaluate", [eval_kernel, kernel_values])
 def test_one_argument_rule(evaluate):
-    single = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (4, 0))
+    single = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (4, 0))
     with pytest.raises(ValueError, match="^single spaces take one argument; drop s$"):
         evaluate(single, 0.5, 0.5)
     with pytest.raises(ValueError, match="^product spaces need both arguments t and s$"):
@@ -742,15 +743,15 @@ def test_truncation_box_is_bounded_for_products():
         with pytest.raises(ValueError, match="truncation box"):
             KernelSpec(circle_sphere_space(2), FULL_2D, geometric_scheme(), trunc)
     # single spaces hold one axis of at most MAX_DEGREE + 1 coefficients
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, 1)), geometric_scheme(), (10_000, 10_000))
+    spec = KernelSpec(circle_space(), SupportSet1D((prog(0, 1),)), geometric_scheme(), (10_000, 10_000))
     assert spec.coefficient_matrix.shape == (10_001,)
 
 
 # --- chunked contraction ------------------------------------------------------------
 
 CHUNK_SPECS = {
-    "circle": KernelSpec(circle_space(), SupportSet1D.of(prog(1, 2), one(4)), geometric_scheme(), (14, 9)),
-    "sphere": KernelSpec(sphere_space(3), SupportSet1D.of(prog(0, 1)), geometric_scheme(0.8, 0.7), (6, 12)),
+    "circle": KernelSpec(circle_space(), SupportSet1D((prog(1, 2), one(4))), geometric_scheme(), (14, 9)),
+    "sphere": KernelSpec(sphere_space(3), SupportSet1D((prog(0, 1),)), geometric_scheme(0.8, 0.7), (6, 12)),
     "circle_sphere": product_spec(
         SupportSet2D(((prog(0, 2), prog(0, 1)), (one(3), prog(1, 2)))), geometric_scheme(0.85, 0.9), (11, 9)
     ),

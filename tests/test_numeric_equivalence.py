@@ -47,7 +47,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, axis_table, battery_1d, battery_2d, enhanced_points,
+    NOT_SPD_PRODUCT_SUPPORTS_G0, SPD_PRODUCT_SUPPORTS, antipode, axis_table, battery_1d, battery_2d,
+    enhanced_points,
 )
 from spdkernels import (
     CirclePoint,
@@ -74,6 +75,7 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
+from spdkernels import geometry
 from spdkernels.geometry import TWO_PI
 from spdkernels.gram import _check_duplicates, _split_points
 from spdkernels.kernels import BETA_BY_FAMILY, CHUNK_PAIRS
@@ -456,7 +458,7 @@ def test_folded_values_next_to_the_endpoints_lie_within_the_decimal_bound(space,
     # the folded route at the arguments where rounding them moves T_k the
     # most, and where the halved arguments meet their endpoints: all at once
     # and each alone, as the eval command takes it
-    spec = KernelSpec(space, SupportSet1D.of(prog(0, 1)), scheme, (cap, cap))
+    spec = KernelSpec(space, SupportSet1D((prog(0, 1),)), scheme, (cap, cap))
     x = endpoint_arguments(cap)
     alone = np.array([eval_kernel(spec, v) for v in x])
     assert_within_the_decimal_bound(spec, x, kernel_values(spec, x), alone)
@@ -478,7 +480,7 @@ def fraction_gegenbauer_sum(coefficients, m, t):
     "23 orders of magnitude below f(1) loses every digit and its sign",
 )
 def test_eval_on_a_high_dimensional_sphere_keeps_its_digits():
-    spec = KernelSpec(sphere_space(100), SupportSet1D.of(prog(0, 2)), geometric_scheme(0.9, 0.9), (0, 60))
+    spec = KernelSpec(sphere_space(100), SupportSet1D((prog(0, 2),)), geometric_scheme(0.9, 0.9), (0, 60))
     exact = float(fraction_gegenbauer_sum(spec.coefficient_matrix, 100, 0.3))
     assert exact == pytest.approx(5.1886e18, rel=1e-4)
     assert eval_kernel(spec, 0.3) == pytest.approx(exact, rel=1e-10)
@@ -603,7 +605,7 @@ def _sphere_gram_case(m, lmax, product):
     scheme = geometric_scheme(0.99, 0.99)
     if product:
         return KernelSpec(circle_sphere_space(m), SPD_PRODUCT_SUPPORTS[0], scheme, (lmax, lmax)), list(zip(xs, zs))
-    return KernelSpec(sphere_space(m), SupportSet1D.of(prog(0, 1)), scheme, (0, lmax)), zs
+    return KernelSpec(sphere_space(m), SupportSet1D((prog(0, 1),)), scheme, (0, lmax)), zs
 
 
 @pytest.mark.parametrize(
@@ -708,10 +710,11 @@ def _sampler_counts(caplog):
     ],
 )
 def test_batched_sampler_matches_pointwise_reference_at_800(
-    caplog, m, n_circle, n_sphere, seed, min_gap, fallback
+    caplog, monkeypatch, m, n_circle, n_sphere, seed, min_gap, fallback
 ):
     caplog.set_level(logging.DEBUG, logger="spdkernels.geometry")
-    xs, zs = sample_config(m, n_circle, n_sphere, seed, min_gap=min_gap)
+    monkeypatch.setattr(geometry, "_SAMPLING_GAP", min_gap)
+    xs, zs = sample_config(m, n_circle, n_sphere, seed)
     thetas, coords, resamples = _pointwise_sample_config(m, n_circle, n_sphere, seed, min_gap)
     assert [x.theta for x in xs] == thetas
     assert [z.coords for z in zs] == coords
@@ -744,9 +747,9 @@ def reference_parity_assembly(spec):
     z = reference_first_basis_point(spec.space.m)
     if spec.space.is_product:
         x = CirclePoint(0.0)
-        points = ((x, z), (x, z.antipode()))
+        points = ((x, z), (x, antipode(z)))
     else:
-        points = (z, z.antipode())
+        points = (z, antipode(z))
     c = np.array([1.0, -1.0]) if parity_even else np.array([1.0, 1.0])
     return points, c
 
@@ -792,11 +795,11 @@ def _assert_same_witness(spec, w, points, c):
 
 
 PARITY_PURE_SPHERE = [
-    SupportSet1D.of(prog(0, 2)),
-    SupportSet1D.of(prog(1, 2)),
-    SupportSet1D.of(prog(0, 4), one(2), one(6)),
-    SupportSet1D.of(one(1), prog(3, 2), prog(5, 4)),
-    SupportSet1D.of(one(0)),
+    SupportSet1D((prog(0, 2),)),
+    SupportSet1D((prog(1, 2),)),
+    SupportSet1D((prog(0, 4), one(2), one(6))),
+    SupportSet1D((one(1), prog(3, 2), prog(5, 4))),
+    SupportSet1D((one(0),)),
 ]
 
 
@@ -819,7 +822,7 @@ def test_product_parity_witness_matches_the_earlier_code(l_terms):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_progression_witness_matches_the_earlier_code(n):
     # multiples of n avoid every class j != 0 mod n
-    spec = KernelSpec(circle_space(), SupportSet1D.of(prog(0, n)), geometric_scheme(), (40, 0))
+    spec = KernelSpec(circle_space(), SupportSet1D((prog(0, n),)), geometric_scheme(), (40, 0))
     for j in range(1, n):
         witness = ProgressionWitness(n, j)
         w = witness_progression_circle(spec, witness)

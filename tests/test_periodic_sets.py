@@ -93,7 +93,7 @@ def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
 
     monkeypatch.setattr(supportsets_mod, "_divisors", refuse)
     # steps 3 and 4: 0 and 1 mod 3 with their negatives cover every class mod 12
-    terms = SupportSet1D.of(prog(0, 3), prog(1, 3), prog(2, 4))
+    terms = SupportSet1D((prog(0, 3), prog(1, 3), prog(2, 4)))
     # the bases 3 and 4 of period 3 past the bound 2, and -4 = 2 mod 3
     window = _promote_periodic([prog(0, 3), prog(1, 3)], lambda pattern: bool(pattern))
     assert (window.period, window.base_array().tolist()) == (3, [3, 4])
@@ -132,20 +132,20 @@ def test_promoted_parity_reads_the_flagged_bases(period, bases, want):
 
 def test_avoidance_sees_members_past_any_window():
     # prog(20002, 4) fills 2 mod 4 from 20002 on
-    assert not witness_avoids_window(SupportSet1D.of(prog(0, 4), prog(20002, 4)), ProgressionWitness(4, 2))
-    assert witness_avoids_window(SupportSet1D.of(prog(0, 4)), ProgressionWitness(4, 2))
-    assert not witness_avoids_window(SupportSet1D.of(one(10**30 + 1)), ProgressionWitness(2, 1))
+    assert not witness_avoids_window(SupportSet1D((prog(0, 4), prog(20002, 4))), ProgressionWitness(4, 2))
+    assert witness_avoids_window(SupportSet1D((prog(0, 4),)), ProgressionWitness(4, 2))
+    assert not witness_avoids_window(SupportSet1D((one(10**30 + 1),)), ProgressionWitness(2, 1))
 
 
 def test_progression_witness_refuses_a_class_hit_far_out():
-    support = SupportSet1D.of(prog(0, 2), one(20001))
+    support = SupportSet1D((prog(0, 2), one(20001)))
     spec = KernelSpec(circle_space(), support, geometric_scheme(), (40, 0))
     with pytest.raises(NotApplicableError, match="class 1 mod 2 is hit by the declared support"):
         witness_progression_circle(spec, ProgressionWitness(2, 1))
 
 
 @given(
-    support=st.lists(wide_term, min_size=1, max_size=5).map(lambda ts: SupportSet1D.of(*ts)),
+    support=st.lists(wide_term, min_size=1, max_size=5).map(lambda ts: SupportSet1D(tuple(ts))),
     n=st.integers(1, 40),
     j=st.integers(0, 39),
 )

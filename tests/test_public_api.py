@@ -1,15 +1,21 @@
 """The public surface, pinned name by name.
 
-Every name exported here is used by the command line, by another module of
-the package, or by an acceptance criterion; a new export must be added to
-these lists on purpose, so the API cannot grow back unnoticed.
+Each module's ``__all__`` and each exported class's public members are
+listed here.  A class's members are its dataclass fields and the names
+without a leading underscore in its own ``__dict__``: methods, properties
+and enum members.  A new export or member must be added to these lists on
+purpose, so the API cannot grow back unnoticed.
 """
 
+import dataclasses
 import importlib
+from pathlib import Path
 
 import pytest
 
 import spdkernels
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PACKAGE = {
     "Certificate", "CirclePoint", "CoefficientScheme", "GammaFailure", "KernelSpec",
@@ -70,3 +76,67 @@ def test_module_exports_are_pinned(module):
     assert set(mod.__all__) == MODULES[module]
     for name in MODULES[module]:
         assert hasattr(mod, name), f"{module}.{name}"
+
+
+MEMBERS = {
+    "Certificate": {"counterexample", "method", "space", "trace", "verdict"},
+    "CirclePoint": {"theta"},
+    "CoefficientScheme": {"kind", "r_k", "r_l", "scale"},
+    "GammaFailure": {"empty", "gamma", "parity", "witness"},
+    "KernelSpec": {
+        "axis_cap", "coefficient_matrix", "is_effectively_empty", "kmax", "lmax", "scheme", "space",
+        "support", "truncation", "value_at_one",
+    },
+    "NotApplicableError": set(),
+    "NumericalError": set(),
+    "ParityDeficit": {"parity"},
+    "PeriodicSet1D": {"base_array", "bound", "flags", "is_empty", "period", "singleton_array", "singletons"},
+    "ProgressionWitness": {"modulus", "residue"},
+    "QuadrantDeficit": {"axis", "k_parity", "l_parity"},
+    "SamplingError": set(),
+    "SpaceDescriptor": {"alpha", "beta", "d", "family", "is_product", "kind", "m"},
+    "SpecFile": {"seed", "spec"},
+    "SpecFileError": set(),
+    "SpherePoint": {"coords"},
+    "SupportSet1D": {"is_empty", "singletons", "terms"},
+    "SupportSet2D": {"k_terms", "l_terms", "terms", "transpose"},
+    "Term1D": {"base", "contains", "is_progression", "step"},
+    "TraceEntry": {"condition", "gamma", "outcome"},
+    "Verdict": {"INCONCLUSIVE", "NOT_SPD", "SPD", "SUFFICIENT_ONLY"},
+    "WitnessReport": {"coefficients", "kind", "points", "residual", "scale"},
+}
+
+
+def exported_classes() -> dict:
+    """Every class in the package's or a module's ``__all__``, by name."""
+    classes = {}
+    for module in ["spdkernels", *(f"spdkernels.{name}" for name in MODULES)]:
+        mod = importlib.import_module(module)
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if isinstance(obj, type):
+                assert classes.setdefault(name, obj) is obj, f"two exported classes named {name}"
+    return classes
+
+
+def public_members(cls: type) -> set:
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return fields | {name for name in vars(cls) if not name.startswith("_")}
+
+
+def test_every_exported_class_is_pinned():
+    assert sorted(exported_classes()) == sorted(MEMBERS)
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERS))
+def test_class_members_are_pinned(name):
+    assert public_members(exported_classes()[name]) == MEMBERS[name]
+
+
+def test_the_readme_library_sketch_runs(capsys):
+    section = README.read_text().split("\n## Library sketch\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert capsys.readouterr().out == "Verdict.SPD\n"
+    assert namespace["ok"] and namespace["lam_min"] > 0

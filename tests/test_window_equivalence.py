@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LATE_FAILURES, WINDOW, battery_1d, battery_2d, expand_promoted
+from conftest import LATE_FAILURES, WINDOW, battery_1d, battery_2d, expand_promoted, term_members
 from spdkernels import (
     ProgressionWitness,
     SupportSet1D,
@@ -59,7 +59,7 @@ def reference_uncovered_residues(progressions, d):
 def reference_witness_avoids_window(support, witness, window=WINDOW):
     n, j = witness.modulus, witness.residue
     for t in support.terms:
-        for v in t.members_upto(window):
+        for v in term_members(t, window):
             if v % n == j or (-v) % n == j:
                 return False
     return True
@@ -89,7 +89,7 @@ def reference_search_witness(support, lcm_steps, d, j0, window):
 
 
 def reference_meets_every_progression(support, window=WINDOW):
-    progressions = support.progressions()
+    progressions = [t for t in support.terms if t.is_progression]
     lcm_steps = 1
     for t in progressions:
         lcm_steps = lcm_steps * t.step // gcd(lcm_steps, t.step)
@@ -241,14 +241,14 @@ def test_routes_match_on_random_product_supports(pairs):
     "support",
     [
         SupportSet1D(()),  # no progression: only d = 1 is examined, and it fails
-        SupportSet1D.of(one(0), one(3)),
-        SupportSet1D.of(prog(4, 1)),  # step 1 covers d = 1
-        SupportSet1D.of(prog(0, 5)),  # +0 and -0: one residue
-        SupportSet1D.of(prog(2, 4)),  # +2 and -2 agree mod 4
-        SupportSet1D.of(prog(1, 2), one(0)),  # +1 and -1 agree mod 2
-        SupportSet1D.of(prog(0, 3), prog(1, 3)),  # covered only through -1
-        SupportSet1D.of(prog(1, 6), prog(3, 6), one(2)),
-        SupportSet1D.of(prog(0, 4), prog(1, 6), prog(5, 9)),
+        SupportSet1D((one(0), one(3))),
+        SupportSet1D((prog(4, 1),)),  # step 1 covers d = 1
+        SupportSet1D((prog(0, 5),)),  # +0 and -0: one residue
+        SupportSet1D((prog(2, 4),)),  # +2 and -2 agree mod 4
+        SupportSet1D((prog(1, 2), one(0))),  # +1 and -1 agree mod 2
+        SupportSet1D((prog(0, 3), prog(1, 3))),  # covered only through -1
+        SupportSet1D((prog(1, 6), prog(3, 6), one(2))),
+        SupportSet1D((prog(0, 4), prog(1, 6), prog(5, 9))),
     ],
 )
 def test_residue_scan_edge_cases(support):
@@ -257,8 +257,8 @@ def test_residue_scan_edge_cases(support):
 
 def test_covered_only_through_the_negative_residue():
     # 0 and 1 mod 3 leave 2 uncovered unless -1 = 2 mod 3 is marked
-    assert meets_every_progression(SupportSet1D.of(prog(0, 3), prog(1, 3))) == (True, None)
-    ok, witness = meets_every_progression(SupportSet1D.of(prog(0, 4), prog(1, 4)))
+    assert meets_every_progression(SupportSet1D((prog(0, 3), prog(1, 3)))) == (True, None)
+    ok, witness = meets_every_progression(SupportSet1D((prog(0, 4), prog(1, 4))))
     assert not ok and (witness.modulus, witness.residue) == (4, 2)
 
 
