@@ -30,19 +30,18 @@ drops out, so one check per checkpoint decides every gamma up to the next
 one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
 
-The window routes (the gamma loop, the tph loop and the sufficient tests)
-read a window of the outer axis.  Where the row predicate is an OR over
-terms, each flag array is the union of some terms' slices of the window:
-in the gamma and tph loops an integer is flagged when some term containing
-it has a tail member of the parity, and in the circle-outer sufficient test
-a section certifies on the sphere when some term gives it infinitely many
-even degrees and some term infinitely many odd ones (the AND of two
-unions).  Such a window costs O(terms) slice writes.  The sphere-outer
-test asks whether a row meets every residue class, which is no union over
-terms: it computes which terms contain each integer with numpy and calls
-the circle certifier once per distinct membership pattern.  The outcome is
-kept as one flag per integer of the window's prefix and first period (a
-``PeriodicSet1D``), which the residue and parity tests read as arrays.
+The gamma and tph loops read a window of the circle axis (1 + the largest
+k-base, then two periods of the k-step lcm).  An integer is flagged when some
+term containing it has a tail member of the parity, so the flags are the
+union of those terms' slices, O(terms) slice writes, promoted to a
+``PeriodicSet1D`` (one flag per integer of the prefix and of one period)
+that the residue and parity tests read as arrays.  The sufficient tests read
+no window: past the largest outer base, the row of an outer value depends
+only on its class mod the outer step lcm P, so each reads P classes, plus
+the rows at the outer singletons when no class qualifies.  The circle-outer
+row predicate is the AND of two ORs over terms; the sphere-outer one, meeting
+every residue class, is no union over terms, so the circle certifier runs
+once per distinct membership pattern of the classes.
 """
 
 from __future__ import annotations
@@ -287,19 +286,19 @@ def _section_terms_have_tail(term: Term1D, gamma: int, parity: Parity) -> bool:
 _CODE_BITS = 62
 
 
-def _membership_codes(terms: list[Term1D], length: int) -> np.ndarray:
+def _membership_codes(slices: list[tuple[int, int]], length: int) -> np.ndarray:
     """One code per integer of [0, length): two integers share a code exactly
-    when the same terms contain them.
+    when the same slices contain them.
 
-    Each term sets its bit along one slice (a singleton's slice is one
-    entry); past _CODE_BITS terms the codes of each word of bits are
-    re-labelled and combined.
+    Each (start, step) slice sets its bit along ``start::step``; past
+    _CODE_BITS slices the codes of each word of bits are re-labelled and
+    combined.
     """
     codes = np.zeros(length, dtype=np.int64)
-    for lo in range(0, len(terms), _CODE_BITS):
+    for lo in range(0, len(slices), _CODE_BITS):
         word = np.zeros(length, dtype=np.int64)
-        for bit, t in enumerate(terms[lo : lo + _CODE_BITS]):
-            word[t.base :: t.step or length] |= 1 << bit
+        for bit, (start, step) in enumerate(slices[lo : lo + _CODE_BITS]):
+            word[start::step] |= 1 << bit
         if lo:
             word = (
                 np.unique(codes, return_inverse=True)[1] * length
@@ -310,7 +309,7 @@ def _membership_codes(terms: list[Term1D], length: int) -> np.ndarray:
 
 
 def _window(axis_terms: list[Term1D]) -> tuple[int, int, int]:
-    """The window of an outer axis: the prefix bound (1 + the largest base),
+    """The window of the circle axis: the prefix bound (1 + the largest base),
     the period (the lcm of the progression steps) and the length, bound + two
     periods.  A window longer than ``MAX_PERIOD`` raises
     ``NotApplicableError`` before anything is allocated."""
@@ -336,30 +335,6 @@ def _promote(flags: np.ndarray, bound: int, period: int) -> PeriodicSet1D:
             period, np.count_nonzero(flags[:bound]), np.count_nonzero(head),
         )
     return PeriodicSet1D(bound, period, flags[: bound + period])
-
-
-def _promote_periodic(
-    axis_terms: list[Term1D], predicate: Callable[[tuple[int, ...]], bool]
-) -> PeriodicSet1D:
-    """Evaluate a predicate over the explicit window of an outer axis and
-    promote the outcome (``_window``, ``_promote``).
-
-    The predicate takes a membership pattern, the ascending indices of the
-    terms containing an integer, and is called once per distinct pattern in
-    the window.
-    """
-    bound, period, length = _window(axis_terms)
-    codes = _membership_codes(axis_terms, length)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    outcomes = [
-        predicate(tuple(i for i, t in enumerate(axis_terms) if t.contains(v)))
-        for v in first.tolist()
-    ]
-    logger.debug(
-        "window of %d integers (bound %d, period %d): %d membership patterns",
-        length, bound, period, len(outcomes),
-    )
-    return _promote(np.array(outcomes, dtype=bool)[inverse], bound, period)
 
 
 def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> PeriodicSet1D:
@@ -425,45 +400,64 @@ def certify_circle_tph(
     )
 
 
-def _qualifying_set(support: SupportSet2D, axis: str) -> PeriodicSet1D:
-    """The outer values of the sufficient test, read off a periodic window of
-    the outer axis.
+def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[PeriodicSet1D, bool]:
+    """The outer values whose inner set certifies, as classes mod the lcm P of
+    the outer steps, and whether there are none.
 
-    circle-outer: the circle frequencies whose section certifies on S^m,
-    that is, holds infinitely many even and infinitely many odd degrees.  Each
-    half is an OR over the section's terms, so each parity's flags are the
-    union of the slices of the k-terms whose l-term has infinitely many
-    members of that parity, and the set is the AND of the two unions: O(terms)
-    slice writes.  sphere-outer: the degrees whose row certifies on the
-    circle.  Meeting every residue class is no union over terms, so the
-    certifier runs once per membership pattern (``_promote_periodic``).
+    circle-outer: the frequencies whose section holds infinitely many even and
+    infinitely many odd degrees, an AND of two unions of slices.  sphere-outer:
+    the degrees whose row meets every residue class, decided once per
+    membership pattern.  Past B = 1 + the largest outer base, the row of v
+    holds the inner terms of the outer progressions whose slice
+    ``base % step :: step`` holds v mod P.  The outer tests read only the
+    progressions of a set, which the classes, ``PeriodicSet1D(0, P, flags)``,
+    share with the qualifying set.  A row below B holds at most its class's
+    progressions and the singletons at its value, and both predicates only
+    gain from more terms, so when no class qualifies only the row of a
+    singleton's value can.  A P past ``MAX_PERIOD`` raises
+    ``NotApplicableError`` before anything is allocated.
     """
-    if axis == "sphere-outer":
-        rows = support.transpose()
-        inner = rows.l_terms()
+    outer = support if axis == "circle-outer" else support.transpose()
+    slices = [(kt.base % kt.step, kt.step, lt) for kt, lt in outer.terms if kt.is_progression]
+    period = lcm(*(step for _, step, _ in slices))
+    if period > MAX_PERIOD:
+        raise NotApplicableError(f"step lcm {period} is past the limit of {MAX_PERIOD}")
+    if axis == "circle-outer":
 
-        def row_ok(pattern: tuple[int, ...]) -> bool:
-            row = SupportSet1D(tuple(inner[i] for i in pattern))
-            return certify_circle(row).verdict is Verdict.SPD
+        def row_ok(row: list[Term1D]) -> bool:
+            return all(any(term_has_infinite_parity(t, p) for t in row) for p in ("even", "odd"))
 
-        return _promote_periodic(rows.k_terms(), row_ok)
-    bound, period, length = _window(support.k_terms())
-    unbounded = {
-        parity: [kt for kt, lt in support.terms if term_has_infinite_parity(lt, parity)]
-        for parity in ("even", "odd")
-    }
+        flags = np.ones(period, dtype=bool)
+        for parity in ("even", "odd"):
+            union = np.zeros(period, dtype=bool)
+            for start, step, lt in slices:
+                if term_has_infinite_parity(lt, parity):
+                    union[start::step] = True
+            flags &= union
+        detail = "two unions of slices"
+    else:
+
+        def row_ok(row: list[Term1D]) -> bool:
+            return certify_circle(SupportSet1D(tuple(row))).verdict is Verdict.SPD
+
+        codes = _membership_codes([(start, step) for start, step, _ in slices], period)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        outcomes = [row_ok([lt for a, n, lt in slices if c % n == a]) for c in first.tolist()]
+        flags = np.array(outcomes, dtype=bool)[inverse]
+        detail = f"{len(outcomes)} membership patterns"
+    empty, checked = not flags.any(), 0
+    if empty:
+        for v in sorted({kt.base for kt, _ in outer.terms if not kt.is_progression}):
+            checked += 1
+            if row_ok([lt for kt, lt in outer.terms if kt.contains(v)]):
+                empty = False
+                break
     logger.debug(
-        "window of %d integers (bound %d, period %d): of %d terms, %d with infinitely "
-        "many even and %d with infinitely many odd degrees",
-        length, bound, period, len(support.terms), len(unbounded["even"]), len(unbounded["odd"]),
+        "classes mod %d past bound %d: %d qualify (%s), %d singleton rows checked",
+        period, 1 + max((kt.base for kt, _ in outer.terms), default=0),
+        np.count_nonzero(flags), detail, checked,
     )
-    flags = np.ones(length, dtype=bool)
-    for k_terms in unbounded.values():
-        union = np.zeros(length, dtype=bool)
-        for kt in k_terms:
-            union[kt.base :: kt.step or length] = True
-        flags &= union
-    return _promote(flags, bound, period)
+    return PeriodicSet1D(0, period, flags), empty
 
 
 def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
@@ -478,17 +472,17 @@ def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
     if axis not in ("circle-outer", "sphere-outer"):
         raise ValueError(f"axis must be 'circle-outer' or 'sphere-outer', got {axis!r}")
 
-    qualifying = _qualifying_set(support, axis)
+    classes, empty = _qualifying_set(support, axis)
     if axis == "circle-outer":
-        outer = certify_circle(qualifying)
+        outer = certify_circle(classes)
         method = "sufficient-circle-outer"
         inner_desc = "sections certify on the sphere"
     else:
-        outer = certify_sphere(qualifying, m)
+        outer = certify_sphere(classes, m)
         method = "sufficient-sphere-outer"
         inner_desc = "rows certify on the circle"
     trace = (
-        TraceEntry(f"qualifying set where {inner_desc}", not qualifying.is_empty),
+        TraceEntry(f"qualifying set where {inner_desc}", not empty),
         TraceEntry("qualifying set passes the outer test", outer.verdict is Verdict.SPD),
     )
     verdict = Verdict.SUFFICIENT_ONLY if outer.verdict is Verdict.SPD else Verdict.INCONCLUSIVE

@@ -436,6 +436,9 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 def _load(args) -> SpecFile:
+    gamma_max = getattr(args, "gamma_max", None)
+    if gamma_max is not None and gamma_max < 0:
+        raise SpecFileError("--gamma-max", f"{gamma_max} must be an integer >= 0")
     return _apply_space_override(load_spec_file(args.specfile), args.space)
 
 

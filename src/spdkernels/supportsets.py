@@ -16,7 +16,8 @@ scan misses a class, an ascending walk over the divisors of L names the least
 missed one, and a concrete missed class is produced and checked exactly
 against every term before being returned.
 
-A periodic window that the certifiers promote to a set is held as a
+A periodic window that the gamma and tph loops promote to a set, and the
+classes that the sufficient tests read (with an empty prefix), are held as a
 ``PeriodicSet1D``: one flag per integer of a prefix and of one period.  The
 coverage test reads it as a residue mask, without building a term per flag.
 """
@@ -60,12 +61,12 @@ Parity = Literal["even", "odd", "any"]
 
 # The most integers a residue scan or periodic window may span: the step lcm
 # L in ``meets_every_progression`` (a bytearray of L bytes, and one of d bytes
-# per divisor d of L walked to name a missed class)
-# and the window of 1 + largest base + 2 * L in ``certify._window`` (a few bool
-# flags per integer; only the sphere-outer sufficient test adds an int64
-# membership code per integer).  Larger input is refused with
-# ``NotApplicableError`` before anything is allocated.  At the limit a residue
-# scan takes milliseconds, and a crosscheck whose window spans it (a
+# per divisor d of L walked to name a missed class), the L classes of the
+# sufficient tests (a few bool flags or an int64 membership code per class)
+# and the window of 1 + largest base + 2 * L of the gamma and tph loops in
+# ``certify._window`` (a few bool flags per integer).  Larger input is refused
+# with ``NotApplicableError`` before anything is allocated.  At the limit a
+# residue scan takes milliseconds, and a crosscheck whose window spans it (a
 # k-singleton of 2e5) about a millisecond, on two cores; the workloads'
 # windows stay near 2e4.
 MAX_PERIOD = 200_000

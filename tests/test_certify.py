@@ -156,6 +156,16 @@ def test_gamma_max_extends_the_sweep():
     assert max(gammas) >= 25
 
 
+@pytest.mark.parametrize(
+    "certifier",
+    [certify_circle_sphere, certify_circle_sphere_gamma_loop,
+     lambda support, m, gamma_max: certify_circle_tph(support, circle_tph_space("real_proj", 2), gamma_max)],
+)
+def test_negative_gamma_max_is_refused(certifier):
+    with pytest.raises(ValueError, match="gamma_max must be >= 0"):
+        certifier(SPD_PRODUCT_SUPPORTS[0], 2, -1)
+
+
 def test_sphere_specialization_of_product():
     # a support constant in k reduces to the sphere parity test
     for l_terms, expected in [
@@ -274,6 +284,36 @@ def test_spd_yet_inconclusive_examples():
         assert certify_circle_sphere(support, 2).verdict is Verdict.SPD
         for axis in ("circle-outer", "sphere-outer"):
             assert sufficient_product(support, 2, axis).verdict is Verdict.INCONCLUSIVE
+
+
+# an outer singleton of 10^6 or 3 * 10^7 beside small steps: past any window
+# limit, yet each reader takes two classes or one
+BIG_OUTER_SINGLETONS = [
+    SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(0, 1), prog(1, 2)), (prog(1, 3), one(10**6)))),
+    SupportSet2D(((prog(0, 1), prog(0, 1)), (one(30_000_000), prog(0, 1)))),
+]
+
+
+def test_sufficient_tests_read_no_window(monkeypatch):
+    import spdkernels.certify as certify_mod
+
+    supports = list(SPD_PRODUCT_SUPPORTS) + [s for s, _ in NOT_SPD_PRODUCT_SUPPORTS_G0]
+    want = {
+        (i, axis): sufficient_product(s, 2, axis)
+        for i, s in enumerate(supports) for axis in ("circle-outer", "sphere-outer")
+    }
+
+    def refuse(axis_terms):
+        raise AssertionError("a sufficient test read a window")
+
+    monkeypatch.setattr(certify_mod, "_window", refuse)
+    for (i, axis), cert in want.items():
+        assert sufficient_product(supports[i], 2, axis) == cert
+    for support in BIG_OUTER_SINGLETONS:
+        for axis in ("circle-outer", "sphere-outer"):
+            cert = sufficient_product(support, 2, axis)
+            assert cert.verdict is Verdict.SUFFICIENT_ONLY, (support, axis)
+            assert certify_circle_sphere(support, 2).verdict is Verdict.SPD
 
 
 def test_sufficient_rejects_unknown_axis():
@@ -497,19 +537,21 @@ def test_promoted_sets_are_logged(caplog):
     ]
 
 
-def test_sufficient_windows_log_their_patterns(caplog):
+def test_sufficient_tests_log_their_classes(caplog):
     support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
+    evens = SupportSet2D(((prog(0, 2), prog(0, 2)), (one(5), prog(0, 1))))
     with caplog.at_level("DEBUG", logger="spdkernels.certify"):
         sufficient_product(support, 2, "circle-outer")
         sufficient_product(support.transpose(), 2, "sphere-outer")
+        cert = sufficient_product(evens, 2, "circle-outer")
+    assert [t.outcome for t in cert.trace] == [True, False]
     messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
-    # circle-outer: both l-terms are full, so both unions hold 0, 2, 4, 5 and 6 mod 2;
-    # sphere-outer reads the same window through the patterns (), (0,) and (1,),
-    # and the rows of the last two certify on the circle
+    # the outer progression prog(0, 2) makes two classes past the bound 6, and
+    # its full inner term qualifies class 0; sphere-outer reads them through
+    # the patterns (0,) and ().  With evens alone beside prog(0, 2) no class
+    # qualifies, and the row of the singleton 5 is checked
     assert messages == [
-        "window of 10 integers (bound 6, period 2): of 2 terms, "
-        "2 with infinitely many even and 2 with infinitely many odd degrees",
-        "promoted set: period 2, 4 singletons, 1 flagged residues",
-        "window of 10 integers (bound 6, period 2): 3 membership patterns",
-        "promoted set: period 2, 4 singletons, 1 flagged residues",
+        "classes mod 2 past bound 6: 1 qualify (two unions of slices), 0 singleton rows checked",
+        "classes mod 2 past bound 6: 1 qualify (2 membership patterns), 0 singleton rows checked",
+        "classes mod 2 past bound 6: 0 qualify (two unions of slices), 1 singleton rows checked",
     ]

@@ -563,6 +563,15 @@ def test_gram_refuses_a_flag_below_its_least_before_loading(tmp_path, capsys, fl
     assert f"{flag}: {value} must be an integer >= {least}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "witness", "crosscheck"])
+def test_negative_gamma_max_is_refused_before_loading(tmp_path, capsys, command):
+    # the spec file does not exist: the flag is refused before it is read
+    assert main([command, str(tmp_path / "missing.json"), "--gamma-max", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spec error: --gamma-max: -1 must be an integer >= 0\n"
+
+
 @pytest.mark.parametrize(
     "command", [["certify"], ["crosscheck"], ["eval", "--t", "0.3"], ["gram", "--points", "4"], ["witness"]]
 )
@@ -944,6 +953,44 @@ def test_spec_fields_are_type_checked_not_coerced(tmp_path, capsys, changes, fie
     assert f"spec error: {field}:" in capsys.readouterr().err
 
 
+SPHERE_EVENS = {"space": {"kind": "sphere", "m": 2}, "support": EVENS_CIRCLE["support"]}
+PROG = {"type": "prog", "base": 0, "step": 1}
+
+
+@pytest.mark.parametrize(
+    "data, argv, field",
+    [
+        (dict(EVENS_CIRCLE, support=[5]), [], "support[0]"),
+        (dict(EVENS_CIRCLE, support=[{"type": "one", "value": 1, "base": 1}]), [], "support[0]"),
+        (dict(EVENS_CIRCLE, support=[dict(PROG, value=3)]), [], "support[0]"),
+        (dict(EVENS_CIRCLE, space="circle"), [], "space"),
+        (dict(EVENS_CIRCLE, space={"kind": "torus"}), [], "space.kind"),
+        (dict(EVENS_CIRCLE, space={"kind": "sphere", "m": 1}), [], "space"),
+        (dict(EVENS_CIRCLE, support=PROG), [], "support"),
+        (dict(EVENS_CIRCLE, scheme="geometric"), [], "scheme"),
+        (dict(EVENS_CIRCLE, scheme={"kind": "harmonic"}), [], "scheme.kind"),
+        (dict(EVENS_CIRCLE, scheme=dict(GEOMETRIC, r_k=1.5)), [], "scheme"),
+        ([EVENS_CIRCLE], [], "$"),
+        (dict(EVENS_CIRCLE, truncation={"kmax": 4, "jmax": 4}), [], "truncation"),
+        (FULL_PRODUCT, ["gram", "--trunc", "3"], "--trunc"),
+        (FULL_PRODUCT, ["gram", "--trunc", "3,x"], "--trunc"),
+        (FULL_PRODUCT, ["gram", "--trunc=-1,2"], "--trunc"),  # "--trunc -1,2" reads -1,2 as a flag
+        (SPHERE_EVENS, ["certify", "--method", "sufficient-circle-outer"], "space"),
+    ],
+)
+def test_malformed_input_is_refused_naming_its_field(tmp_path, capsys, data, argv, field):
+    path = write_spec(tmp_path, data)
+    command, *flags = argv or ["certify"]
+    try:
+        code = main([command, path, *flags])
+    except SystemExit as exc:  # argparse refuses a flag by exiting
+        code = exc.code
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field}: " in captured.err
+
+
 def test_scheme_numbers_may_be_json_integers():
     sf = parse_spec_dict(dict(FULL_PRODUCT, scheme={"kind": "constant", "scale": 2}))
     assert sf.spec.scheme.scale == 2.0
@@ -993,11 +1040,7 @@ def _run_within_budget(argv):
     return code
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["crosscheck"], ["certify", "--method", "sufficient-circle-outer"],
-     ["certify", "--space", "circle_tph:real_proj:2"]],
-)
+@pytest.mark.parametrize("command", [["crosscheck"], ["certify", "--space", "circle_tph:real_proj:2"]])
 def test_window_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
     from spdkernels.supportsets import MAX_PERIOD
 
@@ -1005,6 +1048,27 @@ def test_window_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
     assert _run_within_budget([command[0], path, *command[1:]]) == 64
     err = capsys.readouterr().err
     assert f"error: window of 30000003 integers is past the limit of {MAX_PERIOD}" in err
+
+
+# an l-singleton of 10^6: the sphere-outer test once read a window of
+# 10^6 + 5 integers, and now reads the two classes mod 2
+BIG_L_SINGLETON = _product_spec([((0, 1), (0, 2)), ((0, 1), (1, 2)), ((1, 3), 1_000_000)])
+
+
+@pytest.mark.parametrize("data", [BIG_K_SINGLETON, BIG_L_SINGLETON])
+def test_sufficient_tests_decide_a_big_outer_singleton(tmp_path, capsys, data):
+    path = write_spec(tmp_path, data)
+    for method in ("sufficient-circle-outer", "sufficient-sphere-outer"):
+        assert _run_within_budget(["certify", path, "--method", method]) == 2
+        assert capsys.readouterr().out == f"SufficientOnly ({method})\n"
+
+
+def test_crosscheck_answers_on_a_big_l_singleton(tmp_path, capsys):
+    path = write_spec(tmp_path, BIG_L_SINGLETON)
+    assert _run_within_budget(["crosscheck", path]) == 0
+    assert capsys.readouterr().out == (
+        "tail-sets=SPD gamma-loop=SPD circle-outer=SufficientOnly sphere-outer=SufficientOnly\n"
+    )
 
 
 # certify decides on the tail sets; the gamma loop would read a window of

@@ -21,6 +21,8 @@ from spdkernels import (
     ProgressionWitness,
     SupportSet1D,
     SupportSet2D,
+    certify_circle,
+    certify_sphere,
     circle_space,
     geometric_scheme,
     has_infinitely_many,
@@ -31,9 +33,9 @@ from spdkernels import (
     witness_avoids_window,
     witness_progression_circle,
 )
-from spdkernels.certify import _promote_periodic, _qualifying_set, _tail_frequency_set
+from spdkernels.certify import _qualifying_set, _tail_frequency_set
 from spdkernels.supportsets import MAX_WITNESS_WORK, PeriodicSet1D
-from test_window_equivalence import reference_meets_every_progression
+from test_window_equivalence import reference_meets_every_progression, reference_qualifying_set
 
 # bases up to 60 leave room for singletons below the window bound
 wide_term = st.one_of(
@@ -72,17 +74,26 @@ def test_promoted_sets_decide_as_their_expansion(pairs, classes):
         for parity in ("odd", "even", "any"):
             assert_same_as_expansion(_tail_frequency_set(support, gamma, parity), classes)
     for axis in ("circle-outer", "sphere-outer"):
-        assert_same_as_expansion(_qualifying_set(support, axis), classes)
+        # the reader's classes decide as their own expansion, and its
+        # emptiness and both outer verdicts are those of the exact set
+        found, empty = _qualifying_set(support, axis)
+        assert_same_as_expansion(found, classes)
+        exact = reference_qualifying_set(support, 2, axis)
+        assert empty == exact.is_empty
+        for outer in (certify_circle, lambda s: certify_sphere(s, 2)):
+            assert outer(found).verdict == outer(exact).verdict
 
 
 def test_promoted_set_reads_like_its_terms():
-    promoted = _promote_periodic([prog(0, 2), one(5)], lambda pattern: bool(pattern))
+    # every k-term has an l-tail at gamma 0, so the window flags their members
+    support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
+    promoted = _tail_frequency_set(support, 0, "any")
     assert (promoted.bound, promoted.period) == (6, 2)
     assert expand_promoted(promoted).terms == (one(0), one(2), one(4), one(5), prog(6, 2))
     assert promoted.singletons() == [0, 2, 4, 5]
     assert promoted.base_array().tolist() == [6]
     assert not promoted.is_empty
-    assert _promote_periodic([prog(0, 2)], lambda pattern: False).is_empty
+    assert _tail_frequency_set(SupportSet2D(((prog(0, 2), one(0)),)), 1, "any").is_empty
 
 
 def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
@@ -95,7 +106,7 @@ def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
     # steps 3 and 4: 0 and 1 mod 3 with their negatives cover every class mod 12
     terms = SupportSet1D((prog(0, 3), prog(1, 3), prog(2, 4)))
     # the bases 3 and 4 of period 3 past the bound 2, and -4 = 2 mod 3
-    window = _promote_periodic([prog(0, 3), prog(1, 3)], lambda pattern: bool(pattern))
+    window = PeriodicSet1D(2, 3, np.array([True, True, False, True, True]))
     assert (window.period, window.base_array().tolist()) == (3, [3, 4])
     with caplog.at_level("DEBUG", logger="spdkernels.supportsets"):
         assert meets_every_progression(terms) == (True, None)

@@ -1,19 +1,18 @@
-"""The whole-array residue scan and periodic window against the per-integer
-versions they replaced.
+"""The whole-array residue scan, the periodic window and the sufficient
+tests' class reader against the per-integer versions they replaced.
 
 ``reference_*`` below are verbatim copies of the earlier per-integer code: a
 residue scan that marks and lists classes one at a time, a window scan over
 every member, and a periodic window that calls its predicate once per
 integer.  The library must return the same decisions, the same missed
-class and the same promoted terms.  ``pattern_tail_frequency_set`` and
-``pattern_qualifying_set`` are the gamma-loop and circle-outer windows read
-through membership patterns, as the sphere-outer test still reads its own;
-the slice-union windows must match them bit for bit.
+class and the same promoted terms.  The sufficient tests read classes mod
+the outer step lcm instead of a window, so for them the reader's emptiness
+and the outer certifiers' verdicts on its classes must match those on the
+exact qualifying set of ``reference_qualifying_set``.
 """
 
-from math import gcd
+from math import gcd, lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +31,9 @@ from spdkernels import (
     stabilization_bound,
     witness_avoids_window,
 )
+import spdkernels.certify as certify_mod
 from spdkernels.certify import (
     Verdict,
-    _promote_periodic,
     _qualifying_set,
     _section_terms_have_tail,
     _tail_frequency_set,
@@ -125,25 +124,6 @@ def reference_tail_frequency_set(support, gamma, parity):
     return reference_promote_periodic(k_parts, ok)
 
 
-def pattern_tail_frequency_set(support, gamma, parity):
-    """The gamma-loop window as it was read before its flags became a union of
-    term slices: one predicate call per membership pattern."""
-    l_ok = [_section_terms_have_tail(lt, gamma, parity) for _, lt in support.terms]
-    return _promote_periodic(support.k_terms(), lambda pattern: any(l_ok[i] for i in pattern))
-
-
-def pattern_qualifying_set(support, m):
-    """The circle-outer window as it was read before its flags became two
-    unions of term slices: one sphere certifier call per membership pattern."""
-    inner_parts = support.l_terms()
-
-    def inner_ok(pattern):
-        section = SupportSet1D(tuple(inner_parts[i] for i in pattern))
-        return certify_sphere(section, m).verdict is Verdict.SPD
-
-    return _promote_periodic(support.k_terms(), inner_ok)
-
-
 def reference_qualifying_set(support, m, axis):
     working = support if axis == "circle-outer" else support.transpose()
     outer_parts = working.k_terms()
@@ -172,43 +152,40 @@ def assert_same_terms(got, want):
     assert all(type(v) is int for v in got.singletons())
 
 
-def assert_same_flags(got, want):
-    assert (got.bound, got.period) == (want.bound, want.period)
-    assert got.flags.dtype == want.flags.dtype and np.array_equal(got.flags, want.flags)
-
-
-def assert_same_flags_at_checkpoints(support):
-    """The slice-union window against the pattern window, bit for bit, at
-    every checkpoint of the sweep: 0, v + 1 per l-singleton v, the upper end."""
+def assert_same_terms_at_checkpoints(support):
+    """The gamma-loop window against the per-integer window at every
+    checkpoint of the sweep: 0, v + 1 per l-singleton v, the upper end."""
     dropouts = {lt.base + 1 for _, lt in support.terms if not lt.is_progression}
     for gamma in sorted({0, stabilization_bound(support)} | dropouts):
         for parity in ("odd", "even", "any"):
-            assert_same_flags(
+            assert_same_terms(
                 _tail_frequency_set(support, gamma, parity),
-                pattern_tail_frequency_set(support, gamma, parity),
+                reference_tail_frequency_set(support, gamma, parity),
             )
 
 
-def assert_same_circle_outer_flags(support):
-    """The two-union circle-outer window against the pattern window, bit for bit."""
-    assert_same_flags(_qualifying_set(support, "circle-outer"), pattern_qualifying_set(support, 2))
+def assert_reader_matches(support):
+    """On both axes, the reader's emptiness and both outer certifiers'
+    verdicts on its classes against those on the exact qualifying set."""
+    for axis in ("circle-outer", "sphere-outer"):
+        classes, empty = _qualifying_set(support, axis)
+        exact = reference_qualifying_set(support, 2, axis)
+        assert empty == exact.is_empty, (support, axis)
+        assert certify_circle(classes).verdict == certify_circle(exact).verdict, (support, axis)
+        assert certify_sphere(classes, 2).verdict == certify_sphere(exact, 2).verdict, (support, axis)
+        assert_same_decision(classes)
 
 
 def assert_routes_agree(support):
     """Both tail routes at every gamma up to one past the stabilization bound,
-    and both sufficient axes."""
-    assert_same_flags_at_checkpoints(support)
+    and the reader on both sufficient axes."""
     for gamma in range(stabilization_bound(support) + 2):
         for parity in ("odd", "even", "any"):
             assert_same_decision(derived_parity_tail_set(support, gamma, parity))
             freq = _tail_frequency_set(support, gamma, parity)
             assert_same_terms(freq, reference_tail_frequency_set(support, gamma, parity))
             assert_same_decision(freq)
-    assert_same_circle_outer_flags(support)
-    for axis in ("circle-outer", "sphere-outer"):
-        qualifying = _qualifying_set(support, axis)
-        assert_same_terms(qualifying, reference_qualifying_set(support, 2, axis))
-        assert_same_decision(qualifying)
+    assert_reader_matches(support)
 
 
 PRODUCT_SUPPORTS = list(ALL_FIXED_2D) + [s for s, _, _ in LATE_FAILURES] + battery_2d(2024, 80)
@@ -265,42 +242,66 @@ def test_covered_only_through_the_negative_residue():
 @pytest.mark.parametrize("terms", [[], [prog(0, 1)], [prog(0, 2), one(0)], [prog(0, 3), prog(0, 2)]])
 def test_window_with_the_smallest_bound(terms):
     # The bound is 1 + the largest base, so the shortest windows have no
-    # terms or only base-0 terms: the prefix below the bound is {0}.
-    support = SupportSet2D(tuple((t, prog(0, 1)) for t in terms))
-    for predicate_true in (True, False):
-        got = _promote_periodic(terms, lambda pattern: predicate_true and bool(pattern))
-        want = reference_promote_periodic(terms, lambda v: predicate_true and any(t.contains(v) for t in terms))
-        assert_same_terms(got, want)
-    assert_routes_agree(support)
+    # terms or only base-0 terms: the prefix below the bound is {0}.  At
+    # gamma 1 an l-term prog(0, 1) puts every k-term in the tail, one(0) none.
+    for lt in (prog(0, 1), one(0)):
+        support = SupportSet2D(tuple((t, lt) for t in terms))
+        got = _tail_frequency_set(support, 1, "any")
+        assert_same_terms(got, reference_tail_frequency_set(support, 1, "any"))
+        assert got.is_empty is (lt.step == 0 or not terms)
+        assert_routes_agree(support)
+
+
+def _rows_certified(monkeypatch):
+    """The rows the sphere-outer reader hands the circle certifier, in call
+    order, each as the bases of its terms."""
+    rows = []
+
+    def recording(row):
+        rows.append(tuple(t.base for t in row.terms))
+        return certify_circle(row)
+
+    monkeypatch.setattr(certify_mod, "certify_circle", recording)
+    return rows
 
 
 @pytest.mark.parametrize("count", [61, 62, 63, 130])
-def test_window_past_one_code_word(count):
+def test_window_past_one_code_word(count, monkeypatch):
     # as many k-terms as one int64 word of membership bits holds, and more
     k_terms = [prog(b % 7, 7 + b % 3) if b % 3 else one(b) for b in range(count)]
     support = SupportSet2D(tuple((kt, prog(i % 2, 2)) for i, kt in enumerate(k_terms)))
     for parity in ("odd", "even"):
         freq = _tail_frequency_set(support, 0, parity)
         assert_same_terms(freq, reference_tail_frequency_set(support, 0, parity))
-    assert_same_flags_at_checkpoints(support)
-    assert_same_circle_outer_flags(support)
-    length = 1 + max(t.base for t in k_terms) + 2 * 7 * 8 * 9  # bound + two periods
-    patterns = {tuple(i for i, t in enumerate(k_terms) if t.contains(v)) for v in range(length)}
-    calls = []
-    freq = _promote_periodic(k_terms, lambda pattern: calls.append(pattern) or sum(pattern) % 3 == 0)
-    assert sorted(calls) == sorted(patterns)
-    want = reference_promote_periodic(
-        k_terms, lambda v: sum(i for i, t in enumerate(k_terms) if t.contains(v)) % 3 == 0
-    )
-    assert_same_terms(freq, want)
+    assert_same_terms_at_checkpoints(support)
+    assert_reader_matches(support)
+    # read on the sphere-outer axis, with the inner term of index i
+    # prog(i, 1), the circle certifier runs once per membership pattern of the
+    # progressions over the classes mod their step lcm
+    progressions = [(i, t) for i, t in enumerate(k_terms) if t.is_progression]
+    period = lcm(*(t.step for _, t in progressions))
+    per_class = [tuple(i for i, t in progressions if t.contains(period + c)) for c in range(period)]
+    rows = _rows_certified(monkeypatch)
+    flipped = SupportSet2D(tuple((prog(i, 1), kt) for i, kt in enumerate(k_terms)))
+    classes, empty = _qualifying_set(flipped, "sphere-outer")
+    assert sorted(rows) == sorted(set(per_class))
+    # a row certifies when it holds any term; 7 mod 72 holds none
+    assert classes.flags.tolist() == [bool(pattern) for pattern in per_class]
+    assert not empty and not classes.flags[7]
 
 
-def test_predicate_runs_once_per_pattern():
-    k_terms = [prog(0, 2), prog(1, 3), one(5)]
-    seen = []
-    freq = _promote_periodic(k_terms, lambda pattern: seen.append(pattern) or 0 in pattern)
-    assert sorted(seen) == [(), (0,), (0, 1), (1,), (2,)]
-    assert_same_terms(freq, reference_promote_periodic(k_terms, lambda v: v % 2 == 0))
+def test_predicate_runs_once_per_pattern(monkeypatch):
+    # classes mod 6 hold the patterns (0,), (1,), (0,), (), (0, 1) and ();
+    # inner terms of evens alone never certify, so the singleton's row, (2,),
+    # is checked last
+    outer = [prog(0, 2), prog(1, 3), one(5)]
+    support = SupportSet2D(tuple((prog(2 * i, 2), t) for i, t in enumerate(outer)))
+    rows = _rows_certified(monkeypatch)
+    classes, empty = _qualifying_set(support, "sphere-outer")
+    assert sorted(tuple(b // 2 for b in row) for row in rows[:-1]) == [(), (0,), (0, 1), (1,)]
+    assert rows[-1] == (4,)
+    assert empty and not classes.flags.any()
+    assert_reader_matches(support)
 
 
 @given(support=support_strategy, n=st.integers(1, 30), j=st.integers(0, 29))
