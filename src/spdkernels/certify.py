@@ -11,12 +11,12 @@ coefficient support:
   circle frequencies whose section holds a degree >= gamma of that parity
   must meet every residue class.  Two implementations are kept: one derives
   the frequency sets term by term (``certify_circle_sphere``); the other
-  (``certify_circle_sphere_gamma_loop``) writes each set over a verified
-  finite window of the circle axis, as the union of the k-slices of the
-  terms whose l-term has a member >= gamma of the parity, promotes it, and
-  reads the promoted window as a residue mask.  Independent of the first
-  route are its per-term tail predicate, decided by listing members, and
-  that residue-mask reading;
+  (``certify_circle_sphere_gamma_loop``) writes each set as classes mod the
+  k-step lcm, the union of the k-slices of the terms whose l-term has a
+  member >= gamma of the parity, plus those terms' k-singletons, and reads
+  the classes as a residue mask.  Independent of the first route are its
+  per-term tail predicate, decided by listing members, and that residue-mask
+  reading;
 * circle x projective space: the same loop without the parity split;
 * sphere x sphere: each of the four parity quadrants must hold one support
   term with infinitely many members of the quadrant's parities on both axes;
@@ -30,14 +30,14 @@ drops out, so one check per checkpoint decides every gamma up to the next
 one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
 
-The gamma and tph loops read a window of the circle axis (1 + the largest
-k-base, then two periods of the k-step lcm).  An integer is flagged when some
-term containing it has a tail member of the parity, so the flags are the
-union of those terms' slices, O(terms) slice writes, promoted to a
-``PeriodicSet1D`` (one flag per integer of the prefix and of one period)
-that the residue and parity tests read as arrays.  The sufficient tests read
-no window: past the largest outer base, the row of an outer value depends
-only on its class mod the outer step lcm P, so each reads P classes, plus
+Meeting every residue class depends only on a set's classes mod the lcm P of
+its steps and on its singletons, so the gamma and tph loops and the
+sufficient tests hold their sets as a ``PeriodicSet1D`` over P classes, and
+nothing reads the size of the bases.  The gamma and tph loops flag a class mod the k-step lcm when some k-term
+holding it has a tail member of the parity: O(terms) slice writes, with the
+k-singletons of such terms kept as values.  The sufficient tests read the
+classes mod the outer step lcm P: past the largest outer base, the row of an
+outer value depends only on its class mod P, so each reads P classes, plus
 the rows at the outer singletons when no class qualifies.  The circle-outer
 row predicate is the AND of two ORs over terms; the sphere-outer one, meeting
 every residue class, is no union over terms, so the circle certifier runs
@@ -49,7 +49,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -57,7 +56,6 @@ import numpy as np
 from .errors import NotApplicableError
 from .kernels import SpaceDescriptor
 from .supportsets import (
-    MAX_PERIOD,
     Parity,
     PeriodicSet1D,
     ProgressionWitness,
@@ -65,6 +63,7 @@ from .supportsets import (
     SupportSet1D,
     SupportSet2D,
     Term1D,
+    _step_lcm,
     derived_parity_tail_set,
     has_infinitely_many,
     meets_every_progression,
@@ -187,7 +186,7 @@ TailCheck = Callable[
     [SupportSet2D, int, Parity], tuple[Set1D, bool, Optional[ProgressionWitness]]
 ]
 
-_WINDOW_LABEL = "tail frequency set ({parity}) certifies on the circle"
+_LOOP_LABEL = "tail frequency set ({parity}) certifies on the circle"
 
 
 def _gamma_upper(support: SupportSet2D, gamma_max: Optional[int]) -> int:
@@ -308,60 +307,36 @@ def _membership_codes(slices: list[tuple[int, int]], length: int) -> np.ndarray:
     return codes
 
 
-def _window(axis_terms: list[Term1D]) -> tuple[int, int, int]:
-    """The window of the circle axis: the prefix bound (1 + the largest base),
-    the period (the lcm of the progression steps) and the length, bound + two
-    periods.  A window longer than ``MAX_PERIOD`` raises
-    ``NotApplicableError`` before anything is allocated."""
-    bound = 1 + max((t.base for t in axis_terms), default=0)
-    period = lcm(*(t.step for t in axis_terms if t.is_progression))
-    length = bound + 2 * period
-    if length > MAX_PERIOD:
-        raise NotApplicableError(f"window of {length} integers is past the limit of {MAX_PERIOD}")
-    return bound, period, length
-
-
-def _promote(flags: np.ndarray, bound: int, period: int) -> PeriodicSet1D:
-    """Promote the flags of a window to a ``PeriodicSet1D``: singletons below
-    the prefix bound, progressions with the period across one period.
-    Periodicity past the bound is asserted over the second period."""
-    head, tail = flags[bound : bound + period], flags[bound + period :]
-    if not np.array_equal(head, tail):
-        v = bound + int(np.flatnonzero(head != tail)[0])
-        raise AssertionError(f"window outcome not periodic at {v} (period {period})")
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "promoted set: period %d, %d singletons, %d flagged residues",
-            period, np.count_nonzero(flags[:bound]), np.count_nonzero(head),
-        )
-    return PeriodicSet1D(bound, period, flags[: bound + period])
-
-
 def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> PeriodicSet1D:
     """Route taken by the gamma and tph loops: decide each term's l-side by
-    member listing, then read the frequency set off a verified periodic window.
+    member listing, then write the frequency set as classes mod the k-step
+    lcm P and singletons.
 
-    An integer is flagged when some k-term containing it has an l-term with a
-    tail member of the parity, so the flags are the union of those k-terms'
-    slices of the window: one slice write per such term.
+    A k-progression whose l-term has a tail member of the parity flags its
+    slice of the P classes, one slice write per term; such a k-singleton adds
+    its value.  A P past ``MAX_PERIOD`` raises ``NotApplicableError`` before
+    anything is allocated.
     """
-    bound, period, length = _window(support.k_terms())
-    flags = np.zeros(length, dtype=bool)
-    tails = 0
+    period = _step_lcm(kt.step for kt in support.k_terms() if kt.is_progression)
+    flags = np.zeros(period, dtype=bool)
+    singles = set()
     for kt, lt in support.terms:
         if _section_terms_have_tail(lt, gamma, parity):
-            flags[kt.base :: kt.step or length] = True
-            tails += 1
-    logger.debug(
-        "window of %d integers (bound %d, period %d): %d of %d terms in the tail",
-        length, bound, period, tails, len(support.terms),
-    )
-    return _promote(flags, bound, period)
+            if kt.is_progression:
+                flags[kt.base % kt.step :: kt.step] = True
+            else:
+                singles.add(kt.base)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "tail set mod %d: %d flagged classes, %d singletons",
+            period, np.count_nonzero(flags), len(singles),
+        )
+    return PeriodicSet1D(period, flags, tuple(sorted(singles)))
 
 
-def _window_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
-    """Tail check of the gamma-loop route: the frequency set read off the
-    section window, decided by the circle certifier."""
+def _loop_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
+    """Tail check of the gamma-loop route: the frequency set written as
+    classes and singletons, decided by the circle certifier."""
     freq = _tail_frequency_set(support, gamma, parity)
     sub = certify_circle(freq)
     return freq, sub.verdict is Verdict.SPD, sub.counterexample
@@ -370,9 +345,9 @@ def _window_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
 def certify_circle_sphere_gamma_loop(
     support: SupportSet2D, m: int, gamma_max: Optional[int] = None
 ) -> Certificate:
-    """Product characterization re-derived over explicit windows of the
-    circle axis: each tail frequency set is a union of term slices
-    (``_tail_frequency_set``), promoted and read as a residue mask.
+    """Product characterization re-derived over the classes of the circle
+    axis mod its step lcm: each tail frequency set is a union of term slices
+    plus singletons (``_tail_frequency_set``), read as a residue mask.
 
     Its per-term tail predicate (member listing) and its residue-mask reading
     are coded apart from ``certify_circle_sphere``, so the two can be
@@ -381,7 +356,7 @@ def certify_circle_sphere_gamma_loop(
     _check_dim(m)
     return _sweep(
         support, "circle_sphere", "product-gamma-loop", ("odd", "even"), gamma_max,
-        _window_tail_set, _WINDOW_LABEL,
+        _loop_tail_set, _LOOP_LABEL,
     )
 
 
@@ -396,7 +371,7 @@ def certify_circle_tph(
         )
     return _sweep(
         support, "circle_tph", "tph-tail-sets", ("any",), gamma_max,
-        _window_tail_set, _WINDOW_LABEL,
+        _loop_tail_set, _LOOP_LABEL,
     )
 
 
@@ -410,7 +385,7 @@ def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[PeriodicSet1D, bo
     membership pattern.  Past B = 1 + the largest outer base, the row of v
     holds the inner terms of the outer progressions whose slice
     ``base % step :: step`` holds v mod P.  The outer tests read only the
-    progressions of a set, which the classes, ``PeriodicSet1D(0, P, flags)``,
+    progressions of a set, which the classes, ``PeriodicSet1D(P, flags)``,
     share with the qualifying set.  A row below B holds at most its class's
     progressions and the singletons at its value, and both predicates only
     gain from more terms, so when no class qualifies only the row of a
@@ -419,9 +394,7 @@ def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[PeriodicSet1D, bo
     """
     outer = support if axis == "circle-outer" else support.transpose()
     slices = [(kt.base % kt.step, kt.step, lt) for kt, lt in outer.terms if kt.is_progression]
-    period = lcm(*(step for _, step, _ in slices))
-    if period > MAX_PERIOD:
-        raise NotApplicableError(f"step lcm {period} is past the limit of {MAX_PERIOD}")
+    period = _step_lcm(step for _, step, _ in slices)
     if axis == "circle-outer":
 
         def row_ok(row: list[Term1D]) -> bool:
@@ -457,7 +430,7 @@ def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[PeriodicSet1D, bo
         period, 1 + max((kt.base for kt, _ in outer.terms), default=0),
         np.count_nonzero(flags), detail, checked,
     )
-    return PeriodicSet1D(0, period, flags), empty
+    return PeriodicSet1D(period, flags), empty
 
 
 def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:

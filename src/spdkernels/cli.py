@@ -458,14 +458,21 @@ _BY_KIND = {
 
 
 def _run_certifier(sf: SpecFile, args) -> Certificate:
+    """The certificate ``certify`` and ``witness`` report.  ``--gamma-max``
+    is refused where no tail-cutoff sweep reads it: a sufficient test, or a
+    one-axis space."""
     spec = sf.spec
     method = getattr(args, "method", "auto")
+    gamma_max = getattr(args, "gamma_max", None)
+    if gamma_max is not None and (method != "auto" or not spec.space.is_product):
+        unread = f"--method {method}" if method != "auto" else f"a {spec.space.kind} space"
+        raise SpecFileError("--gamma-max", f"{unread} sweeps no tail cutoff")
     if method in ("sufficient-circle-outer", "sufficient-sphere-outer"):
         if spec.space._axes != ("circle", "sphere"):
             raise SpecFileError("space", "the sufficient test needs a circle_sphere space")
         axis = "circle-outer" if method.endswith("circle-outer") else "sphere-outer"
         return cert_mod.sufficient_product(spec.support, spec.space.m, axis)
-    return _BY_KIND[spec.space.kind][0](spec, getattr(args, "gamma_max", None))
+    return _BY_KIND[spec.space.kind][0](spec, gamma_max)
 
 
 def _cmd_certify(args) -> int:

@@ -16,10 +16,10 @@ scan misses a class, an ascending walk over the divisors of L names the least
 missed one, and a concrete missed class is produced and checked exactly
 against every term before being returned.
 
-A periodic window that the gamma and tph loops promote to a set, and the
-classes that the sufficient tests read (with an empty prefix), are held as a
-``PeriodicSet1D``: one flag per integer of a prefix and of one period.  The
-coverage test reads it as a residue mask, without building a term per flag.
+The tail sets of the gamma and tph loops and the classes that the sufficient
+tests read are held as a ``PeriodicSet1D``: one flag per class mod the step
+lcm P, and the singletons.  The coverage test reads it as a residue mask,
+without building a term per flag.
 """
 
 from __future__ import annotations
@@ -59,16 +59,14 @@ logger = logging.getLogger(__name__)
 
 Parity = Literal["even", "odd", "any"]
 
-# The most integers a residue scan or periodic window may span: the step lcm
-# L in ``meets_every_progression`` (a bytearray of L bytes, and one of d bytes
-# per divisor d of L walked to name a missed class), the L classes of the
-# sufficient tests (a few bool flags or an int64 membership code per class)
-# and the window of 1 + largest base + 2 * L of the gamma and tph loops in
-# ``certify._window`` (a few bool flags per integer).  Larger input is refused
-# with ``NotApplicableError`` before anything is allocated.  At the limit a
-# residue scan takes milliseconds, and a crosscheck whose window spans it (a
-# k-singleton of 2e5) about a millisecond, on two cores; the workloads'
-# windows stay near 2e4.
+# The largest step lcm P a residue scan or class set may span: the bytearray
+# of P bytes in ``meets_every_progression`` (and one of d bytes per divisor d
+# of P walked to name a missed class), and the P classes of the tail sets of
+# the gamma and tph loops and of the sufficient tests (a few bool flags or an
+# int64 membership code per class).  Larger input is refused with
+# ``NotApplicableError`` before anything is allocated.  At the limit a residue
+# scan takes milliseconds on two cores; the workloads' step lcms stay near
+# 1e4.
 MAX_PERIOD = 200_000
 
 # The most work the witness search may do: a trial factor p over m distinct
@@ -164,31 +162,26 @@ class SupportSet2D:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicSet1D:
-    """A set that is periodic past a bound, as one flag per integer.
+    """A set read as classes mod a period and a few singletons.
 
-    ``flags`` is a boolean array of length ``bound + period``: the flagged
-    v < bound are singletons, and each flagged v in [bound, bound + period)
-    starts the progression {v, v + period, ...}.  It is read only as these
-    flags: each reader of a ``Set1D`` branches on its type.
+    ``flags`` is a boolean array of length ``period``: a flagged class c
+    holds every large enough member of c, as a progression of the period
+    would.  ``singles`` are the singletons, ascending, kept as Python ints so
+    that any size is exact.  Its readers ask only about classes and
+    singletons, so no member below a bound is stored; each reader of a
+    ``Set1D`` branches on its type.
     """
 
-    bound: int
     period: int
     flags: np.ndarray
-
-    def singleton_array(self) -> np.ndarray:
-        return np.flatnonzero(self.flags[: self.bound])
-
-    def base_array(self) -> np.ndarray:
-        """The bases of the progressions, ascending."""
-        return self.bound + np.flatnonzero(self.flags[self.bound :])
+    singles: tuple[int, ...] = ()
 
     @property
     def is_empty(self) -> bool:
-        return not self.flags.any()
+        return not self.singles and not self.flags.any()
 
     def singletons(self) -> list[int]:
-        return self.singleton_array().tolist()
+        return list(self.singles)
 
 
 Set1D = Union[SupportSet1D, PeriodicSet1D]
@@ -237,10 +230,9 @@ def has_infinitely_many(support: Set1D, parity: Parity) -> bool:
     """
     if isinstance(support, PeriodicSet1D):
         _check_parity(parity)
-        bases = support.base_array()
         if parity == "any" or support.period % 2:
-            return bool(bases.size)
-        return bool(np.any(bases % 2 == (parity == "odd")))
+            return bool(support.flags.any())
+        return bool(support.flags[1 if parity == "odd" else 0 :: 2].any())
     return any(term_has_infinite_parity(t, parity) for t in support.terms)
 
 
@@ -277,6 +269,15 @@ def derived_parity_tail_set(support: SupportSet2D, gamma: int, parity: Parity) -
         kt for kt, lt in support.terms if _term_contributes_tail(lt, gamma, parity)
     )
     return SupportSet1D(kept)
+
+
+def _step_lcm(steps) -> int:
+    """The lcm of the steps, 1 when there are none.  One past ``MAX_PERIOD``
+    raises ``NotApplicableError``, before any class of it is allocated."""
+    period = lcm(*steps)
+    if period > MAX_PERIOD:
+        raise NotApplicableError(f"step lcm {period} is past the limit of {MAX_PERIOD}")
+    return period
 
 
 def _divisors(n: int) -> list[int]:
@@ -334,12 +335,12 @@ def witness_avoids_window(support: Set1D, witness: ProgressionWitness) -> bool:
     """
     n, j = witness.modulus, witness.residue
     if isinstance(support, PeriodicSet1D):
-        singles, bases = support.singleton_array(), support.base_array()
+        # a flagged class mod P meets +/-j mod n iff it is +/-j mod gcd(P, n)
         g = gcd(support.period, n)
-        return not (
-            np.any((singles - j) % n == 0) or np.any((singles + j) % n == 0)
-            or np.any((bases - j) % g == 0) or np.any((bases + j) % g == 0)
-        )
+        folded = support.flags.reshape(-1, g).any(axis=0)
+        if folded[j % g] or folded[-j % g]:
+            return False
+        return all((v - j) % n and (v + j) % n for v in support.singles)
     for t in support.terms:
         g = gcd(t.step, n) if t.step else n
         if (t.base - j) % g == 0 or (t.base + j) % g == 0:
@@ -402,25 +403,21 @@ def meets_every_progression(support: Set1D) -> tuple[bool, Optional[ProgressionW
     fails.  An L past ``MAX_PERIOD`` raises ``NotApplicableError`` before
     anything is allocated.
 
-    A ``PeriodicSet1D`` enters with its one step P (when it has a
-    progression) and a mask of the residues +/-base mod P: the scan reads
-    the mask, and a walked divisor d folds it into rows of d.
+    A ``PeriodicSet1D`` enters with its one step P (when it flags a class)
+    and a mask of its classes and their negatives mod P: the scan reads the
+    mask, and a walked divisor d folds it into rows of d.
     """
     if isinstance(support, PeriodicSet1D):
-        bases = support.base_array()
-        lcm_steps = support.period if bases.size else 1
-        mask = np.zeros(lcm_steps, dtype=bool)
-        mask[bases % lcm_steps] = True
-        mask[-bases % lcm_steps] = True
-        first_uncovered = partial(_first_unmasked, mask)
+        flags = support.flags
+        lcm_steps = support.period if flags.any() else 1
+        # the flag of -c mod P at c: the flags reversed, then rolled by one
+        first_uncovered = partial(_first_unmasked, flags | np.roll(flags[::-1], 1))
     else:
         steps: dict[int, set[int]] = {}
         for t in support.terms:
             if t.step:
                 steps.setdefault(t.step, set()).update((t.base % t.step, -t.base % t.step))
-        lcm_steps = lcm(*steps)
-        if lcm_steps > MAX_PERIOD:
-            raise NotApplicableError(f"step lcm {lcm_steps} is past the limit of {MAX_PERIOD}")
+        lcm_steps = _step_lcm(steps)
         first_uncovered = partial(_first_uncovered, steps)
     if first_uncovered(lcm_steps) < 0:
         logger.debug("step lcm %d: every class covered in one scan", lcm_steps)

@@ -219,12 +219,12 @@ def battery_2d(seed, count):
 # ---------------------------------------------------------------------------
 
 def expand_promoted(promoted):
-    """The ``SupportSet1D`` a promoted window stands for, read flag by flag:
-    a singleton per flagged v below the bound, then a progression of the
-    period per flagged v of the period past it, by ascending base."""
-    bound, period, flags = promoted.bound, promoted.period, promoted.flags.tolist()
-    singles = [one(v) for v in range(bound) if flags[v]]
-    progressions = [prog(v, period) for v in range(bound, bound + period) if flags[v]]
+    """The ``SupportSet1D`` a ``PeriodicSet1D`` stands for, read flag by
+    flag: a singleton per value of ``singles``, then a progression of the
+    period from each flagged class c < period, by ascending c."""
+    period, flags = promoted.period, promoted.flags.tolist()
+    singles = [one(v) for v in promoted.singles]
+    progressions = [prog(c, period) for c in range(period) if flags[c]]
     return SupportSet1D(tuple(singles + progressions))
 
 

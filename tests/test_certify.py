@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     LATE_FAILURES,
@@ -37,8 +39,9 @@ from spdkernels import (
     prog,
     stabilization_bound,
     sufficient_product,
+    witness_avoids_window,
 )
-from spdkernels.certify import _tail_frequency_set
+from spdkernels.certify import _derived_tail_set, _sweep, _tail_frequency_set
 from test_acceptance import ALL_FIXED_2D
 
 
@@ -146,6 +149,39 @@ def test_product_routes_agree_on_random_battery():
         if a.verdict is Verdict.NOT_SPD:
             fa, fb = a.counterexample, b.counterexample
             assert (fa.gamma, fa.parity) == (fb.gamma, fb.parity), support
+
+
+# bases and singletons up to 10^12, past every window the gamma loop once read
+huge_term = st.one_of(
+    st.integers(0, 10**12).map(one),
+    st.tuples(st.integers(0, 10**12), st.integers(1, 12)).map(lambda p: prog(*p)),
+    st.integers(0, 6).map(one),
+    st.tuples(st.integers(0, 6), st.integers(1, 4)).map(lambda p: prog(*p)),
+)
+
+
+def _outcomes(cert):
+    return [(e.outcome, e.gamma) for e in cert.trace]
+
+
+def _assert_loop_matches(loop, tail_sets, support):
+    assert loop.verdict == tail_sets.verdict
+    assert _outcomes(loop) == _outcomes(tail_sets)
+    if loop.verdict is Verdict.NOT_SPD:
+        fl, ft = loop.counterexample, tail_sets.counterexample
+        assert (fl.gamma, fl.parity, fl.empty) == (ft.gamma, ft.parity, ft.empty)
+        assert witness_avoids_window(derived_parity_tail_set(support, fl.gamma, fl.parity), fl.witness)
+
+
+@given(pairs=st.lists(st.tuples(huge_term, huge_term), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_loops_match_the_tail_sets_past_every_window(pairs):
+    support = SupportSet2D(tuple(pairs))
+    _assert_loop_matches(
+        certify_circle_sphere_gamma_loop(support, 2), certify_circle_sphere(support, 2), support
+    )
+    tail_sets_any = _sweep(support, "circle_tph", "tph-tail-sets", ("any",), None, _derived_tail_set, "{parity}")
+    _assert_loop_matches(certify_circle_tph(support, circle_tph_space("real_proj", 2)), tail_sets_any, support)
 
 
 def test_gamma_max_extends_the_sweep():
@@ -294,26 +330,15 @@ BIG_OUTER_SINGLETONS = [
 ]
 
 
-def test_sufficient_tests_read_no_window(monkeypatch):
-    import spdkernels.certify as certify_mod
-
-    supports = list(SPD_PRODUCT_SUPPORTS) + [s for s, _ in NOT_SPD_PRODUCT_SUPPORTS_G0]
-    want = {
-        (i, axis): sufficient_product(s, 2, axis)
-        for i, s in enumerate(supports) for axis in ("circle-outer", "sphere-outer")
-    }
-
-    def refuse(axis_terms):
-        raise AssertionError("a sufficient test read a window")
-
-    monkeypatch.setattr(certify_mod, "_window", refuse)
-    for (i, axis), cert in want.items():
-        assert sufficient_product(supports[i], 2, axis) == cert
+def test_every_route_decides_big_outer_singletons():
+    space = circle_tph_space("real_proj", 2)
     for support in BIG_OUTER_SINGLETONS:
         for axis in ("circle-outer", "sphere-outer"):
             cert = sufficient_product(support, 2, axis)
             assert cert.verdict is Verdict.SUFFICIENT_ONLY, (support, axis)
-            assert certify_circle_sphere(support, 2).verdict is Verdict.SPD
+        assert certify_circle_sphere(support, 2).verdict is Verdict.SPD
+        assert certify_circle_sphere_gamma_loop(support, 2).verdict is Verdict.SPD
+        assert certify_circle_tph(support, space).verdict is Verdict.SPD
 
 
 def test_sufficient_rejects_unknown_axis():
@@ -398,7 +423,7 @@ def _failure(cert):
 
 
 def test_sweep_matches_per_integer_reference():
-    # The window route reads its frequency set off a promoted periodic window,
+    # The gamma loop reads its frequency set as classes mod the k-step lcm,
     # whose missed class can differ from the one found on the derived set
     # (both are sound), so its witness is compared with the per-integer walk
     # of its own tail check.
@@ -513,28 +538,27 @@ def test_two_spheres_l_shape_has_a_null_vector():
 
 # --- work logged at DEBUG -----------------------------------------------------------------
 
-def test_divisors_and_windows_are_logged(caplog):
+def test_divisors_and_tail_sets_are_logged(caplog):
     support = SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(1, 6), prog(1, 2)), (prog(0, 4), prog(1, 2))))
     with caplog.at_level("DEBUG", logger="spdkernels"):
         certify_circle_sphere_gamma_loop(support, 2)
     scans = [r.getMessage() for r in caplog.records if r.name == "spdkernels.supportsets"]
-    windows = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
+    tail_sets = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
     # odd tail +-{1 mod 6} u {0 mod 4}: 2 mod 4 is missed at the fourth divisor of 12
     assert scans == ["step lcm 12: class 2 mod 4 missed, 4 of 6 divisors examined"]
-    # at gamma 0 only the two odd l-progressions have an odd tail member
-    assert windows[0] == "window of 26 integers (bound 2, period 12): 2 of 3 terms in the tail"
+    # at gamma 0 only the two odd l-progressions have an odd tail member:
+    # 1 and 7 mod 12 from prog(1, 6), 0, 4 and 8 from prog(0, 4)
+    assert tail_sets == ["tail set mod 12: 5 flagged classes, 0 singletons"]
 
 
-def test_promoted_sets_are_logged(caplog):
+def test_tail_set_singletons_are_logged(caplog):
     support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
     with caplog.at_level("DEBUG", logger="spdkernels.certify"):
         certify_circle_sphere_gamma_loop(support, 2)
     messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
-    # window of 6 + 2 * 2 integers; 0, 2, 4 and 5 flagged below it, 6 mod 2 past it
-    assert messages[:2] == [
-        "window of 10 integers (bound 6, period 2): 2 of 2 terms in the tail",
-        "promoted set: period 2, 4 singletons, 1 flagged residues",
-    ]
+    # the class 0 mod 2 of prog(0, 2) and the singleton 5: the odd tail set
+    # at gamma 0, which misses 1 mod 2 and ends the sweep
+    assert messages == ["tail set mod 2: 1 flagged classes, 1 singletons"]
 
 
 def test_sufficient_tests_log_their_classes(caplog):

@@ -1040,14 +1040,21 @@ def _run_within_budget(argv):
     return code
 
 
-@pytest.mark.parametrize("command", [["crosscheck"], ["certify", "--space", "circle_tph:real_proj:2"]])
-def test_window_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
-    from spdkernels.supportsets import MAX_PERIOD
+# a k-base of 10^12 beside a full progression: the classes mod 2 of its step
+BIG_K_BASE = _product_spec([((0, 1), (0, 1)), ((10**12, 2), (0, 1))])
 
-    path = write_spec(tmp_path, BIG_K_SINGLETON)
-    assert _run_within_budget([command[0], path, *command[1:]]) == 64
-    err = capsys.readouterr().err
-    assert f"error: window of 30000003 integers is past the limit of {MAX_PERIOD}" in err
+
+@pytest.mark.parametrize("data", [BIG_K_SINGLETON, BIG_K_BASE])
+def test_big_k_values_decide_on_every_route(tmp_path, capsys, data):
+    # the gamma loop and the tph certifier read classes mod the k-step lcm
+    # and the k-singletons' values, never a window up to the largest base
+    path = write_spec(tmp_path, data)
+    assert _run_within_budget(["crosscheck", path]) == 0
+    assert capsys.readouterr().out == (
+        "tail-sets=SPD gamma-loop=SPD circle-outer=SufficientOnly sphere-outer=SufficientOnly\n"
+    )
+    assert _run_within_budget(["certify", path, "--space", "circle_tph:real_proj:2"]) == 0
+    assert capsys.readouterr().out == "SPD (tph-tail-sets)\n"
 
 
 # an l-singleton of 10^6: the sphere-outer test once read a window of
@@ -1071,22 +1078,35 @@ def test_crosscheck_answers_on_a_big_l_singleton(tmp_path, capsys):
     )
 
 
-# certify decides on the tail sets; the gamma loop would read a window of
-# 1 + 2 * 120000 integers
+# a k-step of 120000: the gamma loop once read a window of 1 + 2 * 120000
+# integers, past the limit, and now reads the classes mod 120000
 GAMMA_LOOP_WINDOW = _product_spec([((0, 1), (0, 1)), ((0, 120_000), (0, 2))])
+
+
+def test_gamma_loop_answers_where_it_read_a_window_past_the_limit(tmp_path, capsys):
+    path = write_spec(tmp_path, GAMMA_LOOP_WINDOW)
+    assert _run_within_budget(["crosscheck", path]) == 0
+    assert capsys.readouterr().out == (
+        "tail-sets=SPD gamma-loop=SPD circle-outer=SufficientOnly sphere-outer=SufficientOnly\n"
+    )
+
+
+# the odd tail set of the tail-sets route is prog(0, 2) alone, refuted at
+# gamma 0; the gamma loop reads the classes mod the k-step lcm 300000
+ROUTE_REFUSED = _product_spec([((0, 2), (1, 2)), ((0, 300_000), 0)])
 
 
 def test_crosscheck_names_the_route_that_refused(tmp_path, capsys):
     from spdkernels.supportsets import MAX_PERIOD
 
-    path = write_spec(tmp_path, GAMMA_LOOP_WINDOW)
-    assert main(["certify", path]) == 0
-    assert capsys.readouterr().out.startswith("SPD")
+    path = write_spec(tmp_path, ROUTE_REFUSED)
+    assert main(["certify", path]) == 1
+    assert capsys.readouterr().out.startswith("NotSPD (product-parity-tail-sets): ")
     assert _run_within_budget(["crosscheck", path]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: window of 240001 integers is past the limit of {MAX_PERIOD}; the gamma-loop route refused\n"
+        f"error: step lcm 300000 is past the limit of {MAX_PERIOD}; the gamma-loop route refused\n"
     )
 
 
@@ -1110,7 +1130,7 @@ def test_step_lcm_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"past the limit of {MAX_PERIOD}" in err
-    assert "step lcm 56606581" in err or "window of 113213166 integers" in err
+    assert "step lcm 56606581" in err
 
 
 def test_circle_step_lcm_past_the_limit_exit_sixtyfour(tmp_path, capsys):
@@ -1119,6 +1139,38 @@ def test_circle_step_lcm_past_the_limit_exit_sixtyfour(tmp_path, capsys):
     path = write_spec(tmp_path, data)
     assert _run_within_budget(["certify", path]) == 64
     assert "error: step lcm 56606581 is past the limit" in capsys.readouterr().err
+
+
+TPH_PRODUCT = dict(FULL_PRODUCT, space={"kind": "circle_tph", "family": "real_proj", "d": 2})
+
+
+@pytest.mark.parametrize(
+    "data, argv, unread",
+    [
+        (EVENS_CIRCLE, ["certify"], "a circle space"),
+        (EVENS_CIRCLE, ["witness"], "a circle space"),
+        (SPHERE_EVENS, ["certify"], "a sphere space"),
+        (SPHERE_EVENS, ["witness"], "a sphere space"),
+        (FULL_PRODUCT, ["certify", "--method", "sufficient-circle-outer"], "--method sufficient-circle-outer"),
+        (FULL_PRODUCT, ["certify", "--method", "sufficient-sphere-outer"], "--method sufficient-sphere-outer"),
+    ],
+)
+def test_gamma_max_is_refused_where_no_sweep_reads_it(tmp_path, capsys, data, argv, unread):
+    path = write_spec(tmp_path, data)
+    assert main([argv[0], path, *argv[1:], "--gamma-max", "7"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spec error: --gamma-max: {unread} sweeps no tail cutoff\n"
+
+
+@pytest.mark.parametrize("data", [FULL_PRODUCT, TPH_PRODUCT])
+@pytest.mark.parametrize("command", ["certify", "witness"])
+def test_gamma_max_is_read_by_the_product_sweeps(tmp_path, capsys, data, command):
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "r.json"
+    assert main([command, path, "--gamma-max", "7", "--json", str(out), "--no-timestamp"]) == 0
+    # 7 is past the stabilization bound 0, so it is one more checkpoint
+    assert [entry["gamma"] for entry in json.loads(out.read_text())["trace"]][-1] == 7
 
 
 @pytest.mark.parametrize("command", [["certify"], ["eval", "--t", "0.5"], ["witness"], ["crosscheck"]])
@@ -1156,16 +1208,17 @@ def test_truncation_box_past_the_limit_exit_sixtyfour(tmp_path, capsys):
     assert "truncation box" in capsys.readouterr().err
 
 
-WINDOW_AT_THE_LIMIT = _product_spec([((0, 1), (0, 1)), (199_990, (0, 1))])
+# k-steps 2^6 and 5^5, whose lcm is MAX_PERIOD itself
+STEP_LCM_AT_THE_LIMIT = _product_spec([((0, 1), (0, 1)), ((1, 64), (0, 1)), ((2, 3125), (1, 2))])
 
 
-def test_crosscheck_at_the_window_limit_is_fast(tmp_path, capsys):
+def test_crosscheck_at_the_step_lcm_limit_is_fast(tmp_path, capsys):
     import time
 
     from spdkernels.supportsets import MAX_PERIOD
 
-    assert 199_990 + 1 + 2 <= MAX_PERIOD  # the window of bound + two periods of 1
-    path = write_spec(tmp_path, WINDOW_AT_THE_LIMIT)
+    assert 64 * 3125 == MAX_PERIOD
+    path = write_spec(tmp_path, STEP_LCM_AT_THE_LIMIT)
     start = time.perf_counter()
     assert main(["crosscheck", path]) == 0
     assert time.perf_counter() - start < 0.25

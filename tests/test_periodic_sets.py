@@ -1,5 +1,4 @@
-"""Promoted windows held as flags, exact class avoidance and the witness
-search.
+"""Class sets held as flags, exact class avoidance and the witness search.
 
 A ``PeriodicSet1D`` must decide exactly as the ``SupportSet1D`` of its own
 expansion; the exact avoidance check must agree with a brute scan that
@@ -37,7 +36,7 @@ from spdkernels.certify import _qualifying_set, _tail_frequency_set
 from spdkernels.supportsets import MAX_WITNESS_WORK, PeriodicSet1D
 from test_window_equivalence import reference_meets_every_progression, reference_qualifying_set
 
-# bases up to 60 leave room for singletons below the window bound
+# bases up to 60 put singletons and progression bases past the step lcm
 wide_term = st.one_of(
     st.integers(0, 60).map(one),
     st.tuples(st.integers(0, 60), st.integers(1, 12)).map(lambda p: prog(*p)),
@@ -85,15 +84,31 @@ def test_promoted_sets_decide_as_their_expansion(pairs, classes):
 
 
 def test_promoted_set_reads_like_its_terms():
-    # every k-term has an l-tail at gamma 0, so the window flags their members
+    # every k-term has an l-tail at gamma 0: the progression flags its class
+    # mod 2 and the singleton keeps its value
     support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
     promoted = _tail_frequency_set(support, 0, "any")
-    assert (promoted.bound, promoted.period) == (6, 2)
-    assert expand_promoted(promoted).terms == (one(0), one(2), one(4), one(5), prog(6, 2))
-    assert promoted.singletons() == [0, 2, 4, 5]
-    assert promoted.base_array().tolist() == [6]
+    assert promoted.period == 2
+    assert promoted.flags.tolist() == [True, False]
+    assert expand_promoted(promoted).terms == (one(5), prog(0, 2))
+    assert promoted.singletons() == [5]
     assert not promoted.is_empty
     assert _tail_frequency_set(SupportSet2D(((prog(0, 2), one(0)),)), 1, "any").is_empty
+
+
+def test_singletons_past_int64_stay_exact():
+    big = 10**30
+    support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(big + 1), prog(0, 1)), (one(big + 3), prog(0, 1))))
+    promoted = _tail_frequency_set(support, 0, "any")
+    assert promoted.singles == (big + 1, big + 3)
+    assert all(type(v) is int for v in promoted.singles)
+    ok, witness = meets_every_progression(promoted)
+    assert (ok, witness) == meets_every_progression(expand_promoted(promoted))
+    assert not ok and witness_avoids_window(promoted, witness)
+    # 10^30 + 1 = 1 mod 10 and its negative 9 mod 10 both meet the set
+    assert not witness_avoids_window(promoted, ProgressionWitness(10, 1))
+    assert not witness_avoids_window(promoted, ProgressionWitness(10, 9))
+    assert witness_avoids_window(promoted, ProgressionWitness(10, 5))
 
 
 def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
@@ -105,9 +120,8 @@ def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
     monkeypatch.setattr(supportsets_mod, "_divisors", refuse)
     # steps 3 and 4: 0 and 1 mod 3 with their negatives cover every class mod 12
     terms = SupportSet1D((prog(0, 3), prog(1, 3), prog(2, 4)))
-    # the bases 3 and 4 of period 3 past the bound 2, and -4 = 2 mod 3
-    window = PeriodicSet1D(2, 3, np.array([True, True, False, True, True]))
-    assert (window.period, window.base_array().tolist()) == (3, [3, 4])
+    # the classes 0 and 1 mod 3, and -1 = 2 mod 3
+    window = PeriodicSet1D(3, np.array([True, True, False]))
     with caplog.at_level("DEBUG", logger="spdkernels.supportsets"):
         assert meets_every_progression(terms) == (True, None)
         assert meets_every_progression(window) == (True, None)
@@ -118,22 +132,18 @@ def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize(
-    "period, bases, want",
+    "period, classes, want",
     [
-        (3, [4], {"even": True, "odd": True, "any": True}),  # odd period: both parities
-        (4, [5, 7], {"even": False, "odd": True, "any": True}),
-        (4, [6], {"even": True, "odd": False, "any": True}),
+        (3, [1], {"even": True, "odd": True, "any": True}),  # odd period: both parities
+        (4, [1, 3], {"even": False, "odd": True, "any": True}),
+        (4, [2], {"even": True, "odd": False, "any": True}),
         (4, [], {"even": False, "odd": False, "any": False}),  # singletons only
     ],
 )
-def test_promoted_parity_reads_the_flagged_bases(period, bases, want):
-    import numpy as np
-
-    bound = 4
-    flags = np.zeros(bound + period, dtype=bool)
-    flags[[1, 2]] = True
-    flags[bases] = True
-    promoted = PeriodicSet1D(bound, period, flags)
+def test_promoted_parity_reads_the_flagged_classes(period, classes, want):
+    flags = np.zeros(period, dtype=bool)
+    flags[classes] = True
+    promoted = PeriodicSet1D(period, flags, (1, 2))
     for parity, expected in want.items():
         assert has_infinitely_many(promoted, parity) is expected
         assert has_infinitely_many(expand_promoted(promoted), parity) is expected

@@ -90,7 +90,7 @@ MEMBERS = {
     "NotApplicableError": set(),
     "NumericalError": set(),
     "ParityDeficit": {"parity"},
-    "PeriodicSet1D": {"base_array", "bound", "flags", "is_empty", "period", "singleton_array", "singletons"},
+    "PeriodicSet1D": {"flags", "is_empty", "period", "singles", "singletons"},
     "ProgressionWitness": {"modulus", "residue"},
     "QuadrantDeficit": {"axis", "k_parity", "l_parity"},
     "SamplingError": set(),

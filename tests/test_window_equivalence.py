@@ -1,14 +1,18 @@
-"""The whole-array residue scan, the periodic window and the sufficient
-tests' class reader against the per-integer versions they replaced.
+"""The whole-array residue scan, the class sets of the gamma loop and the
+sufficient tests' class reader against the per-integer versions they
+replaced.
 
 ``reference_*`` below are verbatim copies of the earlier per-integer code: a
 residue scan that marks and lists classes one at a time, a window scan over
 every member, and a periodic window that calls its predicate once per
-integer.  The library must return the same decisions, the same missed
-class and the same promoted terms.  The sufficient tests read classes mod
-the outer step lcm instead of a window, so for them the reader's emptiness
-and the outer certifiers' verdicts on its classes must match those on the
-exact qualifying set of ``reference_qualifying_set``.
+integer.  The library must return the same decisions and the same missed
+class.  The gamma loop's tail sets must flag the classes mod P of the
+reference window's progression bases, and each integer the window flags
+below its bound must be a singleton of the set or lie in a flagged class.
+The sufficient tests read classes mod the outer step lcm instead of a
+window, so for them the reader's emptiness and the outer certifiers'
+verdicts on its classes must match those on the exact qualifying set of
+``reference_qualifying_set``.
 """
 
 from math import gcd, lcm
@@ -148,8 +152,20 @@ def assert_same_decision(support):
 
 
 def assert_same_terms(got, want):
-    assert expand_promoted(got).terms == want.terms
+    """A tail set against the reference window: the flagged classes are the
+    window's progression bases mod P, its singletons are flagged below the
+    window's bound, and each integer flagged there is a singleton or lies in
+    a flagged class."""
+    period = got.period
+    progressions = [t for t in want.terms if t.is_progression]
+    assert all(t.step == period for t in progressions)
+    assert got.flags.tolist() == [any(t.base % period == c for t in progressions) for c in range(period)]
+    prefix = want.singletons()
+    assert set(got.singles) <= set(prefix)
+    assert all(v in got.singles or got.flags[v % period] for v in prefix)
     assert all(type(v) is int for v in got.singletons())
+    # so the reference decides the window as the library decides the set
+    assert meets_every_progression(got) == reference_meets_every_progression(want)
 
 
 def assert_same_terms_at_checkpoints(support):
