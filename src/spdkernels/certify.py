@@ -313,19 +313,19 @@ def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> Pe
     lcm P and singletons.
 
     A k-progression whose l-term has a tail member of the parity flags its
-    slice of the P classes, one slice write per term; such a k-singleton adds
-    its value.  A P past ``MAX_PERIOD`` raises ``NotApplicableError`` before
-    anything is allocated.
+    slice of the P classes, P the lcm of their steps as on the tail-sets
+    route; such a k-singleton adds its value.  A P past ``MAX_PERIOD``
+    raises ``NotApplicableError`` before anything is allocated.
     """
-    period = _step_lcm(kt.step for kt in support.k_terms() if kt.is_progression)
+    tail = [kt for kt, lt in support.terms if _section_terms_have_tail(lt, gamma, parity)]
+    period = _step_lcm(kt.step for kt in tail if kt.is_progression)
     flags = np.zeros(period, dtype=bool)
     singles = set()
-    for kt, lt in support.terms:
-        if _section_terms_have_tail(lt, gamma, parity):
-            if kt.is_progression:
-                flags[kt.base % kt.step :: kt.step] = True
-            else:
-                singles.add(kt.base)
+    for kt in tail:
+        if kt.is_progression:
+            flags[kt.base % kt.step :: kt.step] = True
+        else:
+            singles.add(kt.base)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "tail set mod %d: %d flagged classes, %d singletons",

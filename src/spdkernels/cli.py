@@ -502,14 +502,11 @@ def _cmd_eval(args) -> int:
 
 
 def _sample_points(spec: KernelSpec, n: int, seed: int):
-    gram_mod._point_models(spec)  # refuses an axis with no point model before any draw
+    gram_mod._check_coordinates("gram", n, spec)  # refuses before any draw
     m = spec.space.m if spec.space.m is not None else 2
-    sphere = spec.space._axes[1] is not None
-    if sphere:
-        gram_mod._check_coordinates("gram", n, m)
     # the circle angles are drawn first: a spec with no sphere slot skips the
     # sphere draws, and one with no circle slot still draws (and drops) them
-    return gram_mod._join_points(spec, sample_config(m, n, n if sphere else 0, seed))
+    return gram_mod._join_points(spec, sample_config(m, n, n if spec.space._axes[1] else 0, seed))
 
 
 def _check_gram_flags(args) -> None:

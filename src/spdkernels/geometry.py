@@ -1,16 +1,19 @@
-"""Points on the circle and on spheres, and the sampler of point configurations.
+"""Points on the circle and on spheres, their point models, and the sampler.
 
-``CirclePoint`` stores a canonical angle and ``SpherePoint`` a unit vector;
+``CirclePoint`` stores a canonical angle and ``SpherePoint`` a unit vector.
+A kind's ``_PointModel`` row says how its points are drawn, screened for
+duplicates, read as an axis table's argument and checked for width, so
 ``sample_config`` draws distinct circle points and pairwise non-antipodal
-sphere points from a seed, the points of ``spdkernels gram``.
+sphere points from a seed in one loop over the rows (``spdkernels gram``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,17 +63,22 @@ class SpherePoint:
 
 class _PointModel(NamedTuple):
     """A point class and its coordinate field, an angle or a coordinate
-    tuple (``gram._POINT_CLASSES`` holds each axis kind's).  ``array`` takes
-    points to one array of their fields; ``points`` takes it back without
-    the classes' validation, for finite angles canonical in [0, 2pi) or
-    finite rows of norm 1 within 1e-12; ``jsonable`` gives a point's JSON
-    form {field: value}, a tuple written as a list."""
+    tuple; an axis kind's subclass is its row of ``gram._POINT_CLASSES``.
+    ``array`` takes points to one array of their fields, each shaped as
+    ``shape`` gives a point on S^m; ``points`` takes it back without the
+    classes' validation, for finite angles canonical in [0, 2pi) or finite
+    rows of norm 1 within 1e-12; ``jsonable`` gives a point's JSON form
+    {field: value}, a tuple written as a list.  ``draw``, ``near``, ``fits``
+    serve ``_draw``; ``gaps``, ``distance`` the duplicate screen; ``argument`` the Gram."""
 
     cls: type
     field: str
 
-    def array(self, points: Sequence) -> np.ndarray:
-        return np.array([getattr(p, self.field) for p in points])
+    def array(self, points: Sequence, space) -> np.ndarray:
+        x = np.array([getattr(p, self.field) for p in points])
+        if x.shape[1:] != self.shape(space.m):
+            raise ValueError(f"points live on S^{x.shape[1] - 1}, spec wants S^{space.m}")
+        return x
 
     def points(self, values: np.ndarray) -> list:
         points = [object.__new__(self.cls) for _ in range(len(values))]
@@ -82,19 +90,102 @@ class _PointModel(NamedTuple):
         return {self.field: getattr(point, self.field)}
 
 
-@dataclass
-class _Tally:
-    """The sampler's work: rejected candidates, batches drawn, and batches
-    decided candidate by candidate."""
+class _Angles(_PointModel):
+    kind = "circle"
 
-    resamples: int = 0
-    batches: int = 0
-    pointwise: int = 0
+    def shape(self, m: Optional[int]) -> tuple:
+        return ()
 
-    def reject(self, what: str) -> None:
-        self.resamples += 1
-        if self.resamples > _MAX_RESAMPLES:
-            raise SamplingError(f"{what} sampling failed after {_MAX_RESAMPLES} resamples")
+    def draw(self, rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+        # canonical angles, as CirclePoint stores them (a draw may round up to 2pi)
+        return np.remainder(rng.uniform(0.0, TWO_PI, size=count), TWO_PI)
+
+    def near(self, accepted: np.ndarray, batch: np.ndarray, min_gap: float) -> bool:
+        """Whether some pair of the pooled angles may lie within min_gap.
+
+        Sorted, a pair's difference is at least that of any neighbours between
+        them, and its way round the circle at least that of the outermost pair
+        (rounding is monotone), so the neighbour differences and the outermost
+        pair's gap bound every gap the pointwise test computes from below.
+        """
+        pool = np.sort(np.concatenate([accepted, batch]))
+        span = pool[-1] - pool[0]
+        return len(pool) > 1 and not (np.diff(pool).min() > min_gap and min(span, TWO_PI - span) > min_gap)
+
+    def fits(self, accepted: np.ndarray, theta: float, min_gap: float) -> bool:
+        return bool(np.all(self.distance(theta, accepted) > min_gap))
+
+    def gaps(self, x: np.ndarray) -> np.ndarray:
+        keys = np.sort(x)
+        return np.append(np.diff(keys), TWO_PI - (keys[-1] - keys[0]))  # canonical angles: < 2pi apart
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        d = np.abs(a - b) % TWO_PI
+        return np.minimum(d, TWO_PI - d)
+
+    def argument(self, x: np.ndarray):
+        return lambda i, j: np.cos(x[i] - x[j])
+
+
+class _UnitVectors(_PointModel):
+    kind = "sphere"
+
+    def shape(self, m: int) -> tuple:
+        return (m + 1,)
+
+    def draw(self, rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+        draws = rng.standard_normal((count, m + 1))
+        # each row's own dot: bit-equal to np.linalg.norm, as einsum is not;
+        # a row of norm below 1e-8 is never divided and stays NaN
+        norms = np.array([math.sqrt(r.dot(r)) for r in draws]).reshape(-1, 1)
+        return np.divide(draws, norms, out=np.full_like(draws, np.nan), where=norms >= 1e-8)
+
+    def near(self, accepted: np.ndarray, unit: np.ndarray, min_gap: float) -> bool:
+        """Whether some candidate may lie within min_gap (times 1 + 1e-9, as in
+        ``fits``) of an accepted point, an earlier candidate, or their antipodes.
+
+        For rows normalized as ``draw`` normalizes them, |a -/+ b|^2 is
+        2 -/+ 2 a.b within (m + 5) eps, and the computed a.b lies within
+        (m + 1) eps of a.b, so ``slack`` keeps every pair that ``math.dist``
+        could put within min_gap.  Rows are compared in blocks of about
+        CHUNK_PAIRS pairs.
+        """
+        slack = 16 * unit.shape[1] * np.finfo(float).eps
+        bound = 1.0 - ((min_gap * (1.0 + 1e-9)) ** 2 + slack) / 2.0
+        pool = np.concatenate([accepted, unit])
+        first = len(accepted)
+        rows = max(1, CHUNK_PAIRS // len(pool))
+        for lo in range(0, len(unit), rows):
+            block = unit[lo : lo + rows]
+            if np.any(np.abs(block @ pool[: first + lo].T) >= bound):
+                return True
+            # the pairs within the block, each twice; a row with itself is no pair
+            inner = np.abs(block @ block.T)
+            np.fill_diagonal(inner, 0.0)
+            if np.any(inner >= bound):
+                return True
+        return False
+
+    def fits(self, accepted: np.ndarray, c: np.ndarray, min_gap: float) -> bool:
+        # numpy's squared distances only clear the pairs that are farther than
+        # min_gap by far more than rounding; math.dist decides the rest
+        diff, summ = accepted - c, accepted + c
+        squared = np.minimum(np.einsum("ij,ij->i", diff, diff), np.einsum("ij,ij->i", summ, summ))
+        near = np.flatnonzero(~(squared > (min_gap * (1.0 + 1e-9)) ** 2))  # a NaN gap leaves every pair near
+        cand = tuple(c)
+        return all(math.dist(cand, a) > min_gap and math.dist(cand, -a) > min_gap for a in accepted[near])
+
+    def gaps(self, x: np.ndarray) -> np.ndarray:
+        return np.diff(np.sort(x[:, 0]))
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(a - b, axis=-1)
+
+    def argument(self, x: np.ndarray) -> np.ndarray:
+        # one matrix product, since a per-pair sum may round differently
+        s = x @ x.T
+        np.clip(s, -1.0, 1.0, out=s)
+        return s
 
 
 def sample_config(
@@ -104,127 +195,52 @@ def sample_config(
     S^m, each pair farther apart than ``_SAMPLING_GAP``: in angle mod 2pi on
     the circle, in distance to the point and to its antipode on the sphere.
 
-    Candidates are drawn a batch at a time, as many as points are still
-    missing, which consumes the generator exactly as drawing them one by
-    one does.  A batch is screened against itself and the accepted points
-    in one numpy pass; when the screen clears every pair, the whole batch is
-    accepted.  Otherwise the batch is decided candidate by candidate with
-    the pointwise angle and ``math.dist`` tests, so the accepted points,
-    resample counts and errors are those of sampling one candidate at a
-    time.
+    ``_draw`` runs the circle row, then the sphere row, on one generator;
+    one DEBUG line tallies their rejected candidates, batches drawn, and
+    batches decided candidate by candidate.
     """
     if m < 2:
         raise ValueError(f"invalid dimension m={m}: need m >= 2")
     if n_circle < 0 or n_sphere < 0:
         raise ValueError("point counts must be >= 0")
-    min_gap = _SAMPLING_GAP
-    rng = np.random.default_rng(seed)
-    tally = _Tally()
-    thetas = _sample_circle(rng, n_circle, min_gap, tally)
-    coords = _sample_sphere(rng, m, n_sphere, min_gap, tally)
+    rng, tally = np.random.default_rng(seed), Counter()
+    rows = ((_Angles(CirclePoint, "theta"), n_circle), (_UnitVectors(SpherePoint, "coords"), n_sphere))
+    points = tuple(_draw(model, rng, m, n, tally) for model, n in rows)
     logger.debug(
         "sample_config(seed=%s) used %d resamples, %d batches, %d pointwise",
-        seed, tally.resamples, tally.batches, tally.pointwise,
+        seed, tally["resamples"], tally["batches"], tally["pointwise"],
     )
-    return _PointModel(CirclePoint, "theta").points(thetas), _PointModel(SpherePoint, "coords").points(coords)
+    return points
 
 
-def _sample_circle(rng: np.random.Generator, n: int, min_gap: float, tally: _Tally) -> np.ndarray:
-    thetas = np.empty(n)
-    count = 0
+def _draw(model: _PointModel, rng: np.random.Generator, m: int, n: int, tally: Counter) -> list:
+    """n of the row's points, each pair farther apart than _SAMPLING_GAP.
+
+    Candidates are drawn a batch at a time, as many as points are still
+    missing, which consumes the generator exactly as drawing them one by
+    one does.  A batch the row's screen clears against itself and the
+    accepted points is accepted whole; any other is decided candidate by
+    candidate with the row's one-candidate test, so the accepted points,
+    resample counts and errors are those of sampling one at a time.  A
+    NaN candidate, a draw the row could not make, is resampled without the
+    limit check.
+    """
+    points = np.empty((n, *model.shape(m)))
+    count, min_gap = 0, _SAMPLING_GAP
     while count < n:
-        # canonical angles, as CirclePoint stores them (a draw may round up to 2pi)
-        batch = np.remainder(rng.uniform(0.0, TWO_PI, size=n - count), TWO_PI)
-        tally.batches += 1
-        if not _circle_batch_near(thetas[:count], batch, min_gap):
-            thetas[count:] = batch
+        batch = model.draw(rng, m, n - count)
+        tally["batches"] += 1
+        if not np.isnan(batch).any() and not model.near(points[:count], batch, min_gap):
+            points[count:] = batch
             break
-        tally.pointwise += 1
-        for theta in batch.tolist():
-            d = np.abs(theta - thetas[:count]) % TWO_PI
-            if np.all(np.minimum(d, TWO_PI - d) > min_gap):
-                thetas[count] = theta
+        tally["pointwise"] += 1
+        for cand in batch:
+            drawn = not np.isnan(cand).any()
+            if drawn and model.fits(points[:count], cand, min_gap):
+                points[count] = cand
                 count += 1
             else:
-                tally.reject("circle")
-    return thetas
-
-
-def _circle_batch_near(accepted: np.ndarray, batch: np.ndarray, min_gap: float) -> bool:
-    """Whether some pair of the pooled angles may lie within min_gap.
-
-    Sorted, a pair's difference is at least that of any neighbours between
-    them, and its way round the circle at least that of the outermost pair
-    (rounding is monotone), so the neighbour differences and the outermost
-    pair's gap bound every gap the pointwise test computes from below.
-    """
-    pool = np.sort(np.concatenate([accepted, batch]))
-    if len(pool) < 2:
-        return False
-    span = pool[-1] - pool[0]
-    return not (np.diff(pool).min() > min_gap and min(span, TWO_PI - span) > min_gap)
-
-
-def _sample_sphere(rng: np.random.Generator, m: int, n: int, min_gap: float, tally: _Tally) -> np.ndarray:
-    coords = np.empty((n, m + 1))
-    count = 0
-    # numpy's squared distances only clear the pairs that are farther than
-    # min_gap by far more than rounding; math.dist decides the rest
-    clear = (min_gap * (1.0 + 1e-9)) ** 2
-    while count < n:
-        draws = rng.standard_normal((n - count, m + 1))
-        tally.batches += 1
-        # each row's own dot: bit-equal to np.linalg.norm, as einsum is not
-        norms = [math.sqrt(r.dot(r)) for r in draws]
-        if min(norms) >= 1e-8:
-            unit = draws / np.array(norms)[:, None]
-            if not _sphere_batch_near(coords[:count], unit, clear):
-                coords[count:] = unit
-                break
-        tally.pointwise += 1
-        for vec, norm in zip(draws, norms):
-            if norm < 1e-8:
-                tally.resamples += 1
-                continue
-            c = vec / norm
-            accepted = coords[:count]
-            diff, summ = accepted - c, accepted + c
-            squared = np.minimum(np.einsum("ij,ij->i", diff, diff), np.einsum("ij,ij->i", summ, summ))
-            near = np.flatnonzero(~(squared > clear))  # a NaN gap leaves every pair near
-            cand = tuple(c)
-            if all(
-                math.dist(cand, accepted[i]) > min_gap and math.dist(cand, -accepted[i]) > min_gap
-                for i in near
-            ):
-                coords[count] = c
-                count += 1
-            else:
-                tally.reject("sphere")
-    return coords
-
-
-def _sphere_batch_near(accepted: np.ndarray, unit: np.ndarray, clear: float) -> bool:
-    """Whether some candidate may lie within sqrt(clear) of an accepted point,
-    of an earlier candidate, or of their antipodes.
-
-    For rows normalized as the sampler normalizes them, |a -/+ b|^2 is
-    2 -/+ 2 a.b within (m + 5) eps, and the computed a.b lies within
-    (m + 1) eps of a.b, so ``slack`` keeps every pair that ``math.dist``
-    could put within min_gap.  Rows are compared in blocks of about
-    CHUNK_PAIRS pairs.
-    """
-    slack = 16 * unit.shape[1] * np.finfo(float).eps
-    bound = 1.0 - (clear + slack) / 2.0
-    pool = np.concatenate([accepted, unit])
-    first = len(accepted)
-    rows = max(1, CHUNK_PAIRS // len(pool))
-    for lo in range(0, len(unit), rows):
-        block = unit[lo : lo + rows]
-        if np.any(np.abs(block @ pool[: first + lo].T) >= bound):
-            return True
-        # the pairs within the block, each twice; a row with itself is no pair
-        inner = np.abs(block @ block.T)
-        np.fill_diagonal(inner, 0.0)
-        if np.any(inner >= bound):
-            return True
-    return False
+                tally["resamples"] += 1
+                if drawn and tally["resamples"] > _MAX_RESAMPLES:
+                    raise SamplingError(f"{model.kind} sampling failed after {_MAX_RESAMPLES} resamples")
+    return model.points(points)

@@ -1,9 +1,10 @@
 """Gram matrices and constructive degeneracy witnesses for truncated kernels.
 
 The Gram matrices and positive-definiteness checks (a symmetric
-eigensolve) are numerical evidence on the truncated support.  A witness is
-exact for the full expansion: its form vanishes at every truncation.  It
-is the tensor of two axis factors:
+eigensolve) are numerical evidence on the truncated support.  A Gram reads
+its points through each slot's row of ``_POINT_CLASSES``: their width,
+duplicate screen and argument.  A witness is exact for the full expansion:
+its form vanishes at every truncation.  It is the tensor of two factors:
 
 * the circle factor (n, j): the n-th roots of unity weighted by
   cos(j * theta), whose character sums vanish at every k not +/-j mod n;
@@ -35,7 +36,7 @@ import numpy as np
 
 from .certify import Certificate, GammaFailure, Verdict
 from .errors import NotApplicableError, NumericalError
-from .geometry import TWO_PI, CirclePoint, SpherePoint, _PointModel
+from .geometry import CirclePoint, SpherePoint, _Angles, _UnitVectors
 # kernel_values stays bound here though gram contracts through _contract:
 # bench/spans.py traces the layer functions by the names each module holds
 from .kernels import (  # noqa: F401
@@ -76,12 +77,14 @@ _DUP_TOL = 1e-12
 MAX_POINTS = 2048
 
 
-def _check_coordinates(what: str, points: int, m: int) -> None:
-    """Refuse points on S^m whose coordinates, points x (m + 1), pass
-    MAX_POINTS^2, the entries of the largest Gram: before any is built."""
-    if points * (m + 1) > MAX_POINTS**2:
-        raise NotApplicableError(f"{what} needs {points} points on S^{m}, {points * (m + 1)} coordinates, "
-                                 f"past the limit of {MAX_POINTS**2}")
+def _check_coordinates(what: str, points: int, spec: KernelSpec) -> None:
+    """Refuse an axis with no point model, or points whose coordinates in a
+    slot pass MAX_POINTS^2, the entries of the largest Gram: before any is built."""
+    for model in filter(None, _point_models(spec)):
+        count = points * math.prod(model.shape(spec.space.m))
+        if count > MAX_POINTS**2:
+            raise NotApplicableError(f"{what} needs {points} points on S^{spec.space.m}, "
+                                     f"{count} coordinates, past the limit of {MAX_POINTS**2}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +99,7 @@ class WitnessReport:
 
 
 # The point model of each axis kind that has one; tph, the projective axis, has none.
-_POINT_CLASSES = {"circle": _PointModel(CirclePoint, "theta"), "sphere": _PointModel(SpherePoint, "coords")}
+_POINT_CLASSES = {"circle": _Angles(CirclePoint, "theta"), "sphere": _UnitVectors(SpherePoint, "coords")}
 
 
 def _point_models(spec: KernelSpec) -> list:
@@ -107,7 +110,8 @@ def _point_models(spec: KernelSpec) -> list:
 
 
 def _split_points(spec: KernelSpec, points: Sequence) -> list[Optional[np.ndarray]]:
-    """Each slot's array of coordinate fields, None for an empty slot; each point type-checked."""
+    """Each slot's array of coordinate fields, None for an empty slot; each
+    point type-checked, each array's width checked by its row."""
     models = _point_models(spec)
     classes = [model.cls for model in models if model]
     if not points:
@@ -119,11 +123,7 @@ def _split_points(spec: KernelSpec, points: Sequence) -> list[Optional[np.ndarra
     elif not all(isinstance(p, classes[0]) for p in points):
         raise ValueError(f"{spec.space.kind} specs take {classes[0].__name__} sequences")
     parts = iter(zip(*points) if len(classes) > 1 else [points])
-    arrays = [model.array(next(parts)) if model else None for model in models]
-    for x in arrays:
-        if x is not None and x.ndim == 2 and x.shape[1] != spec.space.m + 1:
-            raise ValueError(f"points live on S^{x.shape[1]-1}, spec wants S^{spec.space.m}")
-    return arrays
+    return [model.array(next(parts), spec.space) if model else None for model in models]
 
 
 def _join_points(spec: KernelSpec, parts: Sequence) -> list:
@@ -133,48 +133,35 @@ def _join_points(spec: KernelSpec, parts: Sequence) -> list:
     return list(zip(*used)) if len(used) > 1 else list(used[0])
 
 
-def _check_duplicates(thetas: Optional[np.ndarray], zs: Optional[np.ndarray]) -> None:
+def _check_duplicates(models: Sequence, arrays: Sequence) -> None:
     """Refuse two points that coincide within _DUP_TOL, naming the first pair
-    (i, j), i < j, in row order.
+    (i, j), i < j, in row order; a None array marks an empty slot.
 
     A sort screen clears most configurations in O(n log n): two points
-    coincide only if their canonical angles (circle and product points) or
-    their first coordinates (sphere points) do, and the closest two of those
-    are neighbours once sorted, or the ends across 2pi on the circle.  Only
-    when a gap is within _DUP_TOL * (1 + 1e-9), a margin for the rounding
-    of the gaps, are the rows compared in blocks of about CHUNK_PAIRS
-    pairs, so memory stays bounded whatever the point count.
+    coincide only if the sort keys of the first occupied slot do, canonical
+    angles or first coordinates of sphere points, and the closest two keys
+    are neighbours once sorted, or the ends across 2pi on the circle (its
+    row's ``gaps``).  Only when a gap is within _DUP_TOL * (1 + 1e-9), a
+    margin for the rounding of the gaps, are the rows compared in blocks of
+    about CHUNK_PAIRS pairs, each slot's ``distance`` ANDed, so memory
+    stays bounded whatever the point count.
     """
-    n = len(thetas) if thetas is not None else len(zs)
-    keys = np.sort(thetas if thetas is not None else zs[:, 0])
-    gaps = np.diff(keys)
-    if thetas is not None:
-        gaps = np.append(gaps, TWO_PI - (keys[-1] - keys[0]))  # canonical angles: < 2pi apart
-    if n < 2 or np.min(gaps) > _DUP_TOL * (1.0 + 1e-9):
+    slots = [(model, x) for model, x in zip(models, arrays) if x is not None]
+    first, x = slots[0]
+    n = len(x)
+    if n < 2 or np.min(first.gaps(x)) > _DUP_TOL * (1.0 + 1e-9):
         return
     rows = max(1, CHUNK_PAIRS // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         # block rows lo..hi-1 against columns lo..n-1, upper triangle only
         same = np.triu(np.ones((hi - lo, n - lo), dtype=bool), k=1)
-        if thetas is not None:
-            d = np.abs(thetas[lo:hi, None] - thetas[None, lo:]) % TWO_PI
-            same &= np.minimum(d, TWO_PI - d) <= _DUP_TOL
-        if zs is not None and same.any():
-            same &= np.linalg.norm(zs[lo:hi, None, :] - zs[None, lo:, :], axis=-1) <= _DUP_TOL
+        for model, x in slots:
+            if same.any():
+                same &= model.distance(x[lo:hi, None], x[None, lo:]) <= _DUP_TOL
         if same.any():
             i, j = np.unravel_index(np.argmax(same), same.shape)
             raise ValueError(f"invalid configuration: points {lo + i} and {lo + j} coincide")
-
-
-def _dot_products(zs: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """The n x n sphere dot products clipped to [-1, 1] in place, None for
-    no sphere slot."""
-    if zs is None:
-        return None
-    s = zs @ zs.T
-    np.clip(s, -1.0, 1.0, out=s)
-    return s
 
 
 def _upper_triangle(n: int, width: int):
@@ -240,25 +227,28 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
     The upper triangle is walked in row-major order, a slice of pairs at a
     time (CHUNK_PAIRS up to degree 120) through one contraction workspace,
     so memory is the one n x n matrix plus one chunk's tables, not the n^2
-    pairs.  Where ``_circle_features`` applies, the circle slot's rows come
-    from one matrix product a chunk and only the sphere slot is tabulated.
-    The features, folds and contraction run under ``_quiet``.
+    pairs.  Each slot's row gives its argument, a function of a chunk's
+    pairs (i, j) or an n x n matrix (a sphere slot's dot products) that the
+    Gram is written over: a chunk reads its upper-triangle entries before
+    it writes, and none below the diagonal.  Where ``_circle_features``
+    applies, its rows stand in for the circle slot's argument.  The
+    features, folds and contraction run under ``_quiet``.
     """
-    thetas, zs = _split_points(spec, points)
-    _check_duplicates(thetas, zs)
+    models = _point_models(spec)
+    arrays = _split_points(spec, points)
+    _check_duplicates(models, arrays)
     _warn_if_empty(spec)
     n = len(points)
     pairs = n * (n + 1) // 2
-    # the sphere dot products stay one matrix product, since a per-pair sum
-    # may round differently, and the Gram is written over them: a chunk reads
-    # its upper-triangle dots before it writes, and none below the diagonal
-    a = _dot_products(zs)
-    if a is None:
-        a = np.empty((n, n))
+    args = [model.argument(x) if model else None for model, x in zip(models, arrays)]
+    a = next((arg for arg in args if isinstance(arg, np.ndarray)), None)
+    a = np.empty((n, n)) if a is None else a
     flat = a.ravel()
     with _quiet():
-        features = _circle_features(spec, thetas)
+        features = _circle_features(spec, arrays[0])
         ready = () if features is None else (0,)
+        if ready:
+            args[0] = features
         width = _slice_width(spec, pairs, ready)
         logger.debug(
             "gram_matrix: %d points, %d pairs, %d contraction chunks, circle %s",
@@ -268,11 +258,8 @@ def gram_matrix(spec: KernelSpec, points: Sequence) -> np.ndarray:
         def chunks():
             for i, j in _upper_triangle(n, width):
                 upper, lower = i * n + j, j * n + i  # flat indices of (i, j) and (j, i)
-                if ready:
-                    t = features(i, j)
-                else:
-                    t = None if thetas is None else np.cos(thetas[i] - thetas[j])
-                yield (upper, lower), t, None if zs is None else flat[upper]
+                yield (upper, lower), *(None if f is None else flat[upper] if f is a else f(i, j)
+                                        for f in args)
 
         for (upper, lower), values in _contract(spec, chunks(), width, ready=ready):
             flat[upper] = values
@@ -336,7 +323,7 @@ def _tensor_witness(kind: str, spec: KernelSpec, n: int, j: int, a: Optional[int
     d = np.array([math.cos(2.0 * math.pi * j * mu / n) for mu in range(n)])
     factors, c = [thetas, None], d
     if h:
-        _check_coordinates(f"{name} witness", total, spec.space.m)
+        _check_coordinates(f"{name} witness", total, spec)
         # the points pi mu / h, mu < h, of the great circle through e0 and e1,
         # weighted (-1)^mu, then their antipodes weighted (-1)^(mu + a); an
         # antipode negates every coordinate, so a <= 1 gives e0 and -e0 exactly

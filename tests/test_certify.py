@@ -451,6 +451,21 @@ def test_sweep_matches_per_integer_reference():
     assert failures > 0
 
 
+def test_gamma_loop_reads_the_step_lcm_of_the_tail_alone():
+    # prog(0, 300000) holds no odd degree, so the odd tail at gamma 0 is
+    # prog(0, 2) alone: classes mod 2 on both routes, not mod 300000
+    support = SupportSet2D(((prog(0, 2), prog(1, 2)), (prog(0, 300_000), one(0))))
+    failure = GammaFailure(0, "odd", ProgressionWitness(2, 1), empty=False)
+    assert certify_circle_sphere(support, 2).counterexample == failure
+    loop = certify_circle_sphere_gamma_loop(support, 2)
+    assert loop.verdict is Verdict.NOT_SPD
+    assert loop.counterexample == failure
+    # a tail whose k-step lcm is past the limit is still refused
+    wide = SupportSet2D(((prog(0, 2), prog(1, 2)), (prog(0, 300_000), prog(1, 2))))
+    with pytest.raises(NotApplicableError, match="step lcm 300000 is past the limit"):
+        certify_circle_sphere_gamma_loop(wide, 2)
+
+
 def _deep_product_support(v, verdict, parity):
     """A complete core plus the l-singleton v: NotSPD supports first fail at
     (v + 1, parity), since only v completes that parity's tail."""

@@ -1091,8 +1091,9 @@ def test_gamma_loop_answers_where_it_read_a_window_past_the_limit(tmp_path, caps
     )
 
 
-# the odd tail set of the tail-sets route is prog(0, 2) alone, refuted at
-# gamma 0; the gamma loop reads the classes mod the k-step lcm 300000
+# the odd tail set of both product routes is prog(0, 2) alone, refuted at
+# gamma 0 mod the lcm 2 of its k-steps; the circle-outer test reads the
+# classes mod the lcm 300000 of every k-step
 ROUTE_REFUSED = _product_spec([((0, 2), (1, 2)), ((0, 300_000), 0)])
 
 
@@ -1106,7 +1107,7 @@ def test_crosscheck_names_the_route_that_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: step lcm 300000 is past the limit of {MAX_PERIOD}; the gamma-loop route refused\n"
+        f"error: step lcm 300000 is past the limit of {MAX_PERIOD}; the circle-outer route refused\n"
     )
 
 

@@ -3,6 +3,7 @@ harmonics and quadrature of ``conftest``."""
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,7 +111,8 @@ def _sampled_resamples(caplog):
     return int(record.getMessage().split(" used ")[1].split()[0])
 
 
-@pytest.mark.parametrize("m", [2, 5])
+# at m = 10 the batch screen's slack, 16 (m + 1) eps, is widest
+@pytest.mark.parametrize("m", [2, 5, 10])
 @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
 @pytest.mark.parametrize(
     "n_circle, n_sphere, min_gap",
@@ -128,6 +130,40 @@ def test_sample_config_matches_pointwise_reference(
     assert _sampled_resamples(caplog) == resamples
     if min_gap > 0.1:
         assert resamples > 0
+
+
+class _ZeroRow:
+    """A generator whose k-th standard normal row of ``width`` values, counted
+    over every draw, is zero: a sphere draw that cannot be normalized."""
+
+    def __init__(self, rng, k, width):
+        self.rng, self.k, self.width, self.rows = rng, k, width, 0
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def standard_normal(self, size):
+        draws = self.rng.standard_normal(size)
+        rows = draws.reshape(-1, self.width)
+        if 0 <= self.k - self.rows < len(rows):
+            rows[self.k - self.rows] = 0.0
+        self.rows += len(rows)
+        return draws
+
+
+@pytest.mark.parametrize("k", [0, 5, 11])
+def test_sample_config_resamples_a_degenerate_sphere_draw(caplog, monkeypatch, k):
+    # the sampler and the reference both draw from the wrapped generator
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroRow(real(seed), k, 3))
+    caplog.set_level(logging.DEBUG, logger="spdkernels.geometry")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, zs = sample_config(2, 4, 12, seed=11)
+    thetas, coords, resamples = _pointwise_sample_config(2, 4, 12, 11)
+    assert [x.theta for x in xs] == thetas
+    assert [z.coords for z in zs] == coords
+    assert _sampled_resamples(caplog) == resamples == 1
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])

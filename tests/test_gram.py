@@ -44,7 +44,7 @@ from spdkernels import (
     witness_product,
     witness_progression_circle,
 )
-from spdkernels.gram import _check_duplicates, _dot_products
+from spdkernels.gram import _POINT_CLASSES, _check_duplicates
 from spdkernels.kernels import _SLICE_VECTORS, _WORKSPACE, CHUNK_PAIRS, _depth
 
 FULL_2D = SupportSet2D(((prog(0, 1), prog(0, 1)),))
@@ -358,11 +358,10 @@ def test_dot_products_are_the_clipped_sphere_dot_products():
     _, zs = sample_config(3, 0, 40, seed=9)
     coords = np.array([z.coords for z in zs])
     coords = np.vstack([coords, coords[:1], -coords[:1]])  # a repeat and an antipode
-    s = _dot_products(coords)
+    s = _POINT_CLASSES["sphere"].argument(coords)
     assert s.shape == (42, 42)
     assert np.array_equal(s, np.clip(coords @ coords.T, -1.0, 1.0))
     assert np.all(np.abs(s) <= 1.0)
-    assert _dot_products(None) is None
 
 
 def _overflowing(space):
@@ -791,7 +790,7 @@ def _pairwise_duplicate(thetas, zs):
 
 def _reported_pair(thetas, zs):
     try:
-        _check_duplicates(thetas, zs)
+        _check_duplicates([_POINT_CLASSES["circle"], _POINT_CLASSES["sphere"]], (thetas, zs))
     except ValueError as exc:
         words = str(exc).split()
         return int(words[-4]), int(words[-2])

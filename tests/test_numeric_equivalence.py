@@ -77,7 +77,8 @@ from spdkernels import (
 )
 from spdkernels import geometry
 from spdkernels.geometry import TWO_PI
-from spdkernels.gram import _check_duplicates, _split_points
+from spdkernels.gram import _POINT_CLASSES, _split_points
+from spdkernels.gram import _check_duplicates as _check_slots
 from spdkernels.kernels import BETA_BY_FAMILY, CHUNK_PAIRS
 from spdkernels.orthopoly import (
     _checked_argument,
@@ -179,6 +180,12 @@ def reference_kernel_values(spec, t, s=None):
         hi = lo + REFERENCE_CHUNK
         out[lo:hi] = reference_contract(spec, t[lo:hi], None if s is None else s[lo:hi])
     return out
+
+
+def _check_duplicates(thetas, zs):
+    """The library's screen on a circle slot's angles and a sphere slot's
+    rows, None for an empty slot."""
+    _check_slots([_POINT_CLASSES["circle"], _POINT_CLASSES["sphere"]], (thetas, zs))
 
 
 def reference_dot_matrices(thetas, zs):

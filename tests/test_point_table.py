@@ -7,6 +7,12 @@ Outside ``geometry``, which defines the point classes, and the package's
 ``_POINT_CLASSES`` and its import of the classes.  Every other site reads
 an axis kind's row, so a new point model is a new row, not a new branch
 at every site.
+
+The sites that handle points read each slot's row, not a named kind: no
+``thetas`` or ``zs`` and no ``.m`` in the bodies of ``gram``'s
+``_split_points``, ``_check_duplicates`` and ``gram_matrix``, and
+``sample_config`` draws every row through the one loop ``_draw``, which
+calls no other function of ``geometry``.
 """
 
 import ast
@@ -84,3 +90,78 @@ def test_the_table_definition_is_left_out_where_it_lives():
     ])
     assert point_references(source, table=True) == [(3, "CirclePoint"), (4, "coords")]
     assert len(point_references(source)) == 6
+
+
+# --- the sites that handle points read each slot's row -------------------------------
+
+GRAM_SITES = ("_split_points", "_check_duplicates", "gram_matrix")
+KIND_NAMES = {"thetas", "zs"}
+
+
+def _functions(tree: ast.Module) -> dict:
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def kind_references(source: str, sites=GRAM_SITES) -> list:
+    """(site, name) for each ``thetas`` or ``zs``, as a name or an argument,
+    and each ``.m`` attribute in the named functions."""
+    functions = _functions(ast.parse(source))
+    found = []
+    for site in sites:
+        for node in ast.walk(functions[site]):
+            if isinstance(node, ast.Name) and node.id in KIND_NAMES:
+                found.append((site, node.id))
+            elif isinstance(node, ast.arg) and node.arg in KIND_NAMES:
+                found.append((site, node.arg))
+            elif isinstance(node, ast.Attribute) and node.attr == "m":
+                found.append((site, ".m"))
+    return found
+
+
+def module_calls(source: str) -> dict:
+    """For ``sample_config`` and ``_draw``, the module-level functions of
+    the source that each calls by name; None for one the source lacks."""
+    functions = _functions(ast.parse(source))
+    return {
+        site: sorted({node.func.id for node in ast.walk(functions[site])
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in functions}) if site in functions else None
+        for site in ("sample_config", "_draw")
+    }
+
+
+PACKAGE = Path(spdkernels.__file__).parent
+
+
+def test_gram_sites_name_no_point_kind():
+    assert kind_references((PACKAGE / "gram.py").read_text()) == []
+
+
+def test_sample_config_draws_every_row_through_one_loop():
+    assert module_calls((PACKAGE / "geometry.py").read_text()) == {"sample_config": ["_draw"], "_draw": []}
+
+
+def test_the_guards_see_the_per_kind_forms():
+    gram = "\n".join([
+        "def _split_points(spec, points):",
+        "    return [x for x in arrays if x.shape[1] != spec.space.m + 1]",
+        "def _check_duplicates(thetas, zs):",
+        "    n = len(zs)",
+        "def gram_matrix(spec, points):",
+        "    thetas, zs = _split_points(spec, points)",
+    ])
+    assert kind_references(gram) == [
+        ("_split_points", ".m"), ("_check_duplicates", "thetas"), ("_check_duplicates", "zs"),
+        ("_check_duplicates", "zs"), ("gram_matrix", "thetas"), ("gram_matrix", "zs"),
+    ]
+    geometry = "\n".join([
+        "def sample_config(m, n_circle, n_sphere, seed):",
+        "    return _sample_circle(rng, n_circle), _sample_sphere(rng, m, n_sphere), np.empty(0)",
+        "def _sample_circle(rng, n):",
+        "    return _circle_batch_near(points, batch)",
+        "def _sample_sphere(rng, m, n): pass",
+        "def _circle_batch_near(points, batch): pass",
+    ])
+    assert module_calls(geometry) == {"sample_config": ["_sample_circle", "_sample_sphere"], "_draw": None}
+    draw = "def sample_config(): return _draw()\ndef _draw(): return _circle_batch_near()\ndef _circle_batch_near(): pass"
+    assert module_calls(draw) == {"sample_config": ["_draw"], "_draw": ["_circle_batch_near"]}

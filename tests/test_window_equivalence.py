@@ -119,11 +119,12 @@ def reference_promote_periodic(axis_terms, predicate):
 
 
 def reference_tail_frequency_set(support, gamma, parity):
-    l_ok = [_section_terms_have_tail(lt, gamma, parity) for _, lt in support.terms]
-    k_parts = support.k_terms()
+    """The window over the k-terms whose l-term has a tail member: their
+    steps alone set the period, as on the tail-sets route."""
+    k_parts = [kt for kt, lt in support.terms if _section_terms_have_tail(lt, gamma, parity)]
 
     def ok(k):
-        return any(l_ok[i] and k_parts[i].contains(k) for i in range(len(k_parts)))
+        return any(kt.contains(k) for kt in k_parts)
 
     return reference_promote_periodic(k_parts, ok)
 
