@@ -17,7 +17,7 @@ coefficient support:
   the classes as a residue mask.  Independent of the first route are its
   per-term tail predicate, decided by listing members, and that residue-mask
   reading;
-* circle x projective space: the same loop without the parity split;
+* circle x projective space: the derived tail sets, with parity "any";
 * sphere x sphere: each of the four parity quadrants must hold one support
   term with infinitely many members of the quadrant's parities on both axes;
 * ``sufficient_product``: the one-axis-at-a-time sufficient test.  It can
@@ -31,17 +31,17 @@ one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
 
 Meeting every residue class depends only on a set's classes mod the lcm P of
-its steps and on its singletons, so the gamma and tph loops and the
-sufficient tests hold their sets as a ``PeriodicSet1D`` over P classes, and
-nothing reads the size of the bases.  The gamma and tph loops flag a class mod the k-step lcm when some k-term
-holding it has a tail member of the parity: O(terms) slice writes, with the
-k-singletons of such terms kept as values.  The sufficient tests read the
-classes mod the outer step lcm P: past the largest outer base, the row of an
-outer value depends only on its class mod P, so each reads P classes, plus
-the rows at the outer singletons when no class qualifies.  The circle-outer
-row predicate is the AND of two ORs over terms; the sphere-outer one, meeting
-every residue class, is no union over terms, so the circle certifier runs
-once per distinct membership pattern of the classes.
+its steps and on its singletons, so the gamma loop and the sufficient tests
+hold their sets as a ``PeriodicSet1D`` over P classes, and nothing reads the
+size of the bases.  The gamma loop flags a class mod the k-step lcm when some
+k-term holding it has a tail member of the parity: O(terms) slice writes,
+with the k-singletons of such terms kept as values.  The sufficient tests
+read the classes mod the outer step lcm P: past the largest outer base, the
+row of an outer value depends only on its class mod P, so each reads P
+classes, plus the rows at the outer singletons when no class qualifies.  The
+circle-outer row predicate is the AND of two ORs over terms; the sphere-outer
+one, meeting every residue class, is no union over terms, so the circle
+certifier runs once per distinct membership pattern of the classes.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ def _section_terms_have_tail(term: Term1D, gamma: int, parity: Parity) -> bool:
 
     Decided by listing explicit members: for a progression the first two
     members at or past gamma settle every parity case (consecutive members
-    either alternate parity or all share the base's).
+    either alternate parity or all share the base's).  Parity "any" serves
+    the tests alone, as the loop that ``certify_circle_tph`` must match.
     """
     wanted = {"any": (0, 1), "even": (0,), "odd": (1,)}[parity]
     if term.is_progression:
@@ -308,9 +309,9 @@ def _membership_codes(slices: list[tuple[int, int]], length: int) -> np.ndarray:
 
 
 def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> PeriodicSet1D:
-    """Route taken by the gamma and tph loops: decide each term's l-side by
-    member listing, then write the frequency set as classes mod the k-step
-    lcm P and singletons.
+    """Route taken by the gamma loop: decide each term's l-side by member
+    listing, then write the frequency set as classes mod the k-step lcm P
+    and singletons.
 
     A k-progression whose l-term has a tail member of the parity flags its
     slice of the P classes, P the lcm of their steps as on the tail-sets
@@ -363,7 +364,7 @@ def certify_circle_sphere_gamma_loop(
 def certify_circle_tph(
     support: SupportSet2D, space: SpaceDescriptor, gamma_max: Optional[int] = None
 ) -> Certificate:
-    """Circle x projective-space characterization: the tail loop without parity."""
+    """Circle x projective space: the derived tail sets, with parity "any"."""
     if space._axes[1] != "tph":
         raise NotApplicableError(
             f"wrong certifier for space kind {space.kind!r}; "
@@ -371,7 +372,7 @@ def certify_circle_tph(
         )
     return _sweep(
         support, "circle_tph", "tph-tail-sets", ("any",), gamma_max,
-        _loop_tail_set, _LOOP_LABEL,
+        _derived_tail_set, _LOOP_LABEL,
     )
 
 

@@ -548,11 +548,10 @@ def _cmd_gram(args) -> int:
     }
     csv_text = None
     if args.csv:
-        lines = ["n,lambda_min"]
-        for n in range(2, args.points + 1):
-            _, lam = gram_mod.check_pd(a[:n, :n], args.tol)
-            lines.append(f"{n},{lam!r}")
-        csv_text = "\n".join(lines) + "\n"
+        # the last row is the whole matrix, whose eigensolve ran above
+        lams = [gram_mod.check_pd(a[:n, :n], args.tol)[1] for n in range(2, args.points)]
+        rows = enumerate(lams + [lam_min] * (args.points > 1), 2)
+        csv_text = "n,lambda_min\n" + "".join(f"{n},{lam!r}\n" for n, lam in rows)
     _emit(report, args, csv_text)
     print(f"lambda_min = {lam_min:.6e} ({'PD' if ok else 'not PD'} at tol {args.tol})")
     return EXIT_SPD if ok else EXIT_NOT_SPD

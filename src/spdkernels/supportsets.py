@@ -16,10 +16,10 @@ scan misses a class, an ascending walk over the divisors of L names the least
 missed one, and a concrete missed class is produced and checked exactly
 against every term before being returned.
 
-The tail sets of the gamma and tph loops and the classes that the sufficient
-tests read are held as a ``PeriodicSet1D``: one flag per class mod the step
-lcm P, and the singletons.  The coverage test reads it as a residue mask,
-without building a term per flag.
+The tail sets of the gamma loop and the classes that the sufficient tests
+read are held as a ``PeriodicSet1D``: one flag per class mod the step lcm P,
+and the singletons.  The coverage test reads it as a residue mask, without
+building a term per flag.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ Parity = Literal["even", "odd", "any"]
 # The largest step lcm P a residue scan or class set may span: the bytearray
 # of P bytes in ``meets_every_progression`` (and one of d bytes per divisor d
 # of P walked to name a missed class), and the P classes of the tail sets of
-# the gamma and tph loops and of the sufficient tests (a few bool flags or an
-# int64 membership code per class).  Larger input is refused with
+# the gamma loop and of the sufficient tests (a few bool flags or an int64
+# membership code per class).  Larger input is refused with
 # ``NotApplicableError`` before anything is allocated.  At the limit a residue
 # scan takes milliseconds on two cores; the workloads' step lcms stay near
 # 1e4.

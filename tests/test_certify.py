@@ -41,7 +41,7 @@ from spdkernels import (
     sufficient_product,
     witness_avoids_window,
 )
-from spdkernels.certify import _derived_tail_set, _sweep, _tail_frequency_set
+from spdkernels.certify import _LOOP_LABEL, _loop_tail_set, _sweep, _tail_frequency_set
 from test_acceptance import ALL_FIXED_2D
 
 
@@ -173,6 +173,12 @@ def _assert_loop_matches(loop, tail_sets, support):
         assert witness_avoids_window(derived_parity_tail_set(support, fl.gamma, fl.parity), fl.witness)
 
 
+def _tph_loop(support, gamma_max=None):
+    """The gamma loop with parity "any": the route that ``certify_circle_tph``
+    must agree with, certificate for certificate."""
+    return _sweep(support, "circle_tph", "tph-tail-sets", ("any",), gamma_max, _loop_tail_set, _LOOP_LABEL)
+
+
 @given(pairs=st.lists(st.tuples(huge_term, huge_term), min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_loops_match_the_tail_sets_past_every_window(pairs):
@@ -180,8 +186,8 @@ def test_loops_match_the_tail_sets_past_every_window(pairs):
     _assert_loop_matches(
         certify_circle_sphere_gamma_loop(support, 2), certify_circle_sphere(support, 2), support
     )
-    tail_sets_any = _sweep(support, "circle_tph", "tph-tail-sets", ("any",), None, _derived_tail_set, "{parity}")
-    _assert_loop_matches(certify_circle_tph(support, circle_tph_space("real_proj", 2)), tail_sets_any, support)
+    # verdict, method, trace and counterexample alike
+    assert certify_circle_tph(support, circle_tph_space("real_proj", 2)) == _tph_loop(support)
 
 
 def test_gamma_max_extends_the_sweep():
@@ -443,11 +449,9 @@ def test_sweep_matches_per_integer_reference():
                 assert (loop[0], loop[1], loop[3]) == (want[0], want[1], want[3]), support
 
             want_any = per_integer_reference(support, ("any",), gamma_max)
-            tph = _failure(certify_circle_tph(support, space, gamma_max))
-            assert tph == per_integer_reference(support, ("any",), gamma_max, _window_check)
-            assert (tph is None) == (want_any is None), support
-            if want_any is not None:
-                assert (tph[0], tph[1], tph[3]) == (want_any[0], want_any[1], want_any[3])
+            tph = certify_circle_tph(support, space, gamma_max)
+            assert _failure(tph) == want_any, support
+            assert tph == _tph_loop(support, gamma_max), support
     assert failures > 0
 
 

@@ -484,6 +484,27 @@ def test_gram_pd_and_csv(tmp_path, capsys):
     assert csv_path.read_text() == "n,lambda_min\n"  # no block of two points
 
 
+def test_gram_csv_reads_the_last_row_from_the_report(tmp_path, monkeypatch):
+    from spdkernels import gram
+
+    sizes = []
+
+    def check_pd(a, tol):
+        sizes.append(len(a))
+        return real(a, tol)
+
+    real = gram.check_pd
+    monkeypatch.setattr(gram, "check_pd", check_pd)
+    path = write_spec(tmp_path, FULL_PRODUCT)
+    report, csv_path = tmp_path / "g.json", tmp_path / "curve.csv"
+    argv = ["gram", path, "--points", "6", "--json", str(report), "--csv", str(csv_path)]
+    assert main(argv) == 0
+    # one eigensolve of the whole matrix, then one per smaller leading block
+    assert sizes == [6, 2, 3, 4, 5]
+    last = csv_path.read_text().splitlines()[-1]
+    assert last == f"6,{json.loads(report.read_text())['lambda_min']!r}"
+
+
 def test_gram_json_report(tmp_path):
     path = write_spec(tmp_path, FULL_PRODUCT)
     out = tmp_path / "g.json"
@@ -1121,7 +1142,8 @@ def test_big_k_singleton_still_certifies(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command",
     [["certify"], ["crosscheck"], ["witness"], ["certify", "--method", "sufficient-sphere-outer"],
-     ["certify", "--method", "sufficient-circle-outer"]],
+     ["certify", "--method", "sufficient-circle-outer"],
+     ["certify", "--space", "circle_tph:real_proj:2"], ["witness", "--space", "circle_tph:real_proj:2"]],
 )
 def test_step_lcm_past_the_limit_exit_sixtyfour(tmp_path, capsys, command):
     from spdkernels.supportsets import MAX_PERIOD
@@ -1172,6 +1194,30 @@ def test_gamma_max_is_read_by_the_product_sweeps(tmp_path, capsys, data, command
     assert main([command, path, "--gamma-max", "7", "--json", str(out), "--no-timestamp"]) == 0
     # 7 is past the stabilization bound 0, so it is one more checkpoint
     assert [entry["gamma"] for entry in json.loads(out.read_text())["trace"]][-1] == 7
+
+
+# the l-singleton 2 leaves the tail at gamma 3, and prog(0, 2) alone misses 1 mod 2
+TPH_LATE_FAILURE = dict(_product_spec([((0, 1), 2), ((0, 2), (0, 1))]), space=TPH_PRODUCT["space"])
+
+
+@pytest.mark.parametrize(
+    "data, command, code, line",
+    [
+        (TPH_PRODUCT, "certify", 0, "SPD (tph-tail-sets)"),
+        (TPH_PRODUCT, "witness", 0, "SPD: no degeneracy witness to build"),
+        (TPH_LATE_FAILURE, "certify", 1, "NotSPD (tph-tail-sets): gamma=3 any-set misses class 1 mod 2"),
+        (TPH_LATE_FAILURE, "witness", 1, "no witness generator applies to this space"),
+    ],
+)
+def test_circle_tph_takes_the_tail_set_route(tmp_path, capsys, monkeypatch, data, command, code, line):
+    from spdkernels import certify
+
+    def gamma_loop(*args):
+        raise AssertionError("circle x projective swept the gamma loop")
+
+    monkeypatch.setattr(certify, "_loop_tail_set", gamma_loop)
+    assert main([command, write_spec(tmp_path, data)]) == code
+    assert capsys.readouterr().out == line + "\n"
 
 
 @pytest.mark.parametrize("command", [["certify"], ["eval", "--t", "0.5"], ["witness"], ["crosscheck"]])
