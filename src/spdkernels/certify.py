@@ -11,12 +11,10 @@ coefficient support:
   circle frequencies whose section holds a degree >= gamma of that parity
   must meet every residue class.  Two implementations are kept: one derives
   the frequency sets term by term (``certify_circle_sphere``); the other
-  (``certify_circle_sphere_gamma_loop``) writes each set as classes mod the
-  k-step lcm, the union of the k-slices of the terms whose l-term has a
-  member >= gamma of the parity, plus those terms' k-singletons, and reads
-  the classes as a residue mask.  Independent of the first route are its
-  per-term tail predicate, decided by listing members, and that residue-mask
-  reading;
+  (``certify_circle_sphere_gamma_loop``) keeps the k-terms whose l-term
+  lists a member >= gamma of the parity and hands them to the circle
+  certifier.  Its per-term tail predicate, decided by listing members, is
+  coded apart from the first route's;
 * circle x projective space: the derived tail sets, with parity "any";
 * sphere x sphere: each of the four parity quadrants must hold one support
   term with infinitely many members of the quadrant's parities on both axes;
@@ -30,18 +28,14 @@ drops out, so one check per checkpoint decides every gamma up to the next
 one, and past the bound no derived set changes.  The cost follows the number
 of distinct l-singletons, not their size.
 
-Meeting every residue class depends only on a set's classes mod the lcm P of
-its steps and on its singletons, so the gamma loop and the sufficient tests
-hold their sets as a ``PeriodicSet1D`` over P classes, and nothing reads the
-size of the bases.  The gamma loop flags a class mod the k-step lcm when some
-k-term holding it has a tail member of the parity: O(terms) slice writes,
-with the k-singletons of such terms kept as values.  The sufficient tests
-read the classes mod the outer step lcm P: past the largest outer base, the
-row of an outer value depends only on its class mod P, so each reads P
-classes, plus the rows at the outer singletons when no class qualifies.  The
-circle-outer row predicate is the AND of two ORs over terms; the sphere-outer
-one, meeting every residue class, is no union over terms, so the circle
-certifier runs once per distinct membership pattern of the classes.
+The sufficient tests read the classes mod the lcm P of the outer steps: past
+the largest outer base, the row of an outer value depends only on its class
+mod P, so each reads P classes, plus the rows at the outer singletons when no
+class qualifies, and nothing reads the size of the bases.  The circle-outer
+row predicate is the AND of two ORs over terms; the sphere-outer one, meeting
+every residue class, is no union over terms, so the circle certifier runs
+once per distinct membership pattern of the classes.  Both outer tests then
+read the flags of the classes alone.
 """
 
 from __future__ import annotations
@@ -57,9 +51,7 @@ from .errors import NotApplicableError
 from .kernels import SpaceDescriptor
 from .supportsets import (
     Parity,
-    PeriodicSet1D,
     ProgressionWitness,
-    Set1D,
     SupportSet1D,
     SupportSet2D,
     Term1D,
@@ -158,7 +150,7 @@ def _check_dim(m: int, name: str = "m") -> None:
         raise ValueError(f"invalid dimension {name}={m}: need {name} >= 2")
 
 
-def certify_circle(support: Set1D) -> Certificate:
+def certify_circle(support: SupportSet1D) -> Certificate:
     """Strict positive definiteness on the circle: +/-S meets every class."""
     ok, witness = meets_every_progression(support)
     trace = (TraceEntry("symmetrized frequency set meets every residue class", ok),)
@@ -167,7 +159,7 @@ def certify_circle(support: Set1D) -> Certificate:
     return Certificate("circle", Verdict.NOT_SPD, "circle-residue-classes", trace, witness)
 
 
-def certify_sphere(support: Set1D, m: int) -> Certificate:
+def certify_sphere(support: SupportSet1D, m: int) -> Certificate:
     """Strict positive definiteness on S^m, m >= 2: infinitely many even and odd degrees."""
     _check_dim(m)
     trace = []
@@ -183,7 +175,7 @@ def certify_sphere(support: Set1D, m: int) -> Certificate:
 
 # (support, gamma, parity) -> (tail set, whether it meets every class, missed class)
 TailCheck = Callable[
-    [SupportSet2D, int, Parity], tuple[Set1D, bool, Optional[ProgressionWitness]]
+    [SupportSet2D, int, Parity], tuple[SupportSet1D, bool, Optional[ProgressionWitness]]
 ]
 
 _LOOP_LABEL = "tail frequency set ({parity}) certifies on the circle"
@@ -308,37 +300,12 @@ def _membership_codes(slices: list[tuple[int, int]], length: int) -> np.ndarray:
     return codes
 
 
-def _tail_frequency_set(support: SupportSet2D, gamma: int, parity: Parity) -> PeriodicSet1D:
-    """Route taken by the gamma loop: decide each term's l-side by member
-    listing, then write the frequency set as classes mod the k-step lcm P
-    and singletons.
-
-    A k-progression whose l-term has a tail member of the parity flags its
-    slice of the P classes, P the lcm of their steps as on the tail-sets
-    route; such a k-singleton adds its value.  A P past ``MAX_PERIOD``
-    raises ``NotApplicableError`` before anything is allocated.
-    """
-    tail = [kt for kt, lt in support.terms if _section_terms_have_tail(lt, gamma, parity)]
-    period = _step_lcm(kt.step for kt in tail if kt.is_progression)
-    flags = np.zeros(period, dtype=bool)
-    singles = set()
-    for kt in tail:
-        if kt.is_progression:
-            flags[kt.base % kt.step :: kt.step] = True
-        else:
-            singles.add(kt.base)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "tail set mod %d: %d flagged classes, %d singletons",
-            period, np.count_nonzero(flags), len(singles),
-        )
-    return PeriodicSet1D(period, flags, tuple(sorted(singles)))
-
-
 def _loop_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
-    """Tail check of the gamma-loop route: the frequency set written as
-    classes and singletons, decided by the circle certifier."""
-    freq = _tail_frequency_set(support, gamma, parity)
+    """Tail check of the gamma-loop route: the k-terms whose l-term lists a
+    tail member of the parity, decided by the circle certifier."""
+    freq = SupportSet1D(
+        tuple(kt for kt, lt in support.terms if _section_terms_have_tail(lt, gamma, parity))
+    )
     sub = certify_circle(freq)
     return freq, sub.verdict is Verdict.SPD, sub.counterexample
 
@@ -346,13 +313,13 @@ def _loop_tail_set(support: SupportSet2D, gamma: int, parity: Parity):
 def certify_circle_sphere_gamma_loop(
     support: SupportSet2D, m: int, gamma_max: Optional[int] = None
 ) -> Certificate:
-    """Product characterization re-derived over the classes of the circle
-    axis mod its step lcm: each tail frequency set is a union of term slices
-    plus singletons (``_tail_frequency_set``), read as a residue mask.
+    """Product characterization re-derived term by term: each tail frequency
+    set holds the k-terms whose l-term lists a tail member of the parity
+    (``_section_terms_have_tail``).
 
-    Its per-term tail predicate (member listing) and its residue-mask reading
-    are coded apart from ``certify_circle_sphere``, so the two can be
-    cross-checked against each other.
+    That per-term tail predicate is coded apart from the one of
+    ``certify_circle_sphere``, so the two can be cross-checked against each
+    other.
     """
     _check_dim(m)
     return _sweep(
@@ -376,21 +343,21 @@ def certify_circle_tph(
     )
 
 
-def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[PeriodicSet1D, bool]:
-    """The outer values whose inner set certifies, as classes mod the lcm P of
-    the outer steps, and whether there are none.
+def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[np.ndarray, bool]:
+    """The outer values whose inner set certifies, as one flag per class mod
+    the lcm P of the outer steps, and whether there are none.
 
     circle-outer: the frequencies whose section holds infinitely many even and
     infinitely many odd degrees, an AND of two unions of slices.  sphere-outer:
     the degrees whose row meets every residue class, decided once per
     membership pattern.  Past B = 1 + the largest outer base, the row of v
     holds the inner terms of the outer progressions whose slice
-    ``base % step :: step`` holds v mod P.  The outer tests read only the
-    progressions of a set, which the classes, ``PeriodicSet1D(P, flags)``,
-    share with the qualifying set.  A row below B holds at most its class's
-    progressions and the singletons at its value, and both predicates only
-    gain from more terms, so when no class qualifies only the row of a
-    singleton's value can.  A P past ``MAX_PERIOD`` raises
+    ``base % step :: step`` holds v mod P.  So past B the qualifying set is
+    the progressions of step P from the flagged classes, and below B it
+    holds finitely many values, which decide neither outer test.  A row below
+    B holds at most its class's progressions and the singletons at its value,
+    and both predicates only gain from more terms, so when no class
+    qualifies only the row of a singleton's value can.  A P past ``MAX_PERIOD`` raises
     ``NotApplicableError`` before anything is allocated.
     """
     outer = support if axis == "circle-outer" else support.transpose()
@@ -431,7 +398,7 @@ def _qualifying_set(support: SupportSet2D, axis: str) -> tuple[PeriodicSet1D, bo
         period, 1 + max((kt.base for kt, _ in outer.terms), default=0),
         np.count_nonzero(flags), detail, checked,
     )
-    return PeriodicSet1D(period, flags), empty
+    return flags, empty
 
 
 def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
@@ -441,25 +408,36 @@ def sufficient_product(support: SupportSet2D, m: int, axis: str) -> Certificate:
     test that set on the circle.  sphere-outer: dually, collect the degrees
     whose row certifies on the circle and test the parity count.  SufficientOnly
     when the outer test passes, Inconclusive otherwise.
+
+    Both outer tests read the flags of ``_qualifying_set``'s classes mod P,
+    whose progressions of step P make up the qualifying set's.  The circle
+    test passes when the flagged classes and their negatives cover every
+    class mod P; the sphere test when a flagged class of each parity exists,
+    or any flagged class when P is odd, since each class of an odd modulus
+    holds both parities.
     """
     _check_dim(m)
     if axis not in ("circle-outer", "sphere-outer"):
         raise ValueError(f"axis must be 'circle-outer' or 'sphere-outer', got {axis!r}")
 
-    classes, empty = _qualifying_set(support, axis)
+    flags, empty = _qualifying_set(support, axis)
     if axis == "circle-outer":
-        outer = certify_circle(classes)
+        # the flag of -c mod P at c: the flags reversed, then rolled by one
+        passes = bool((flags | np.roll(flags[::-1], 1)).all())
         method = "sufficient-circle-outer"
         inner_desc = "sections certify on the sphere"
     else:
-        outer = certify_sphere(classes, m)
+        if flags.size % 2:
+            passes = bool(flags.any())
+        else:
+            passes = bool(flags[0::2].any() and flags[1::2].any())
         method = "sufficient-sphere-outer"
         inner_desc = "rows certify on the circle"
     trace = (
         TraceEntry(f"qualifying set where {inner_desc}", not empty),
-        TraceEntry("qualifying set passes the outer test", outer.verdict is Verdict.SPD),
+        TraceEntry("qualifying set passes the outer test", passes),
     )
-    verdict = Verdict.SUFFICIENT_ONLY if outer.verdict is Verdict.SPD else Verdict.INCONCLUSIVE
+    verdict = Verdict.SUFFICIENT_ONLY if passes else Verdict.INCONCLUSIVE
     return Certificate("circle_sphere", verdict, method, trace)
 
 

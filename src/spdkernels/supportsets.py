@@ -15,11 +15,6 @@ the steps is coverage mod every n, and one O(L) scan proves it.  When that
 scan misses a class, an ascending walk over the divisors of L names the least
 missed one, and a concrete missed class is produced and checked exactly
 against every term before being returned.
-
-The tail sets of the gamma loop and the classes that the sufficient tests
-read are held as a ``PeriodicSet1D``: one flag per class mod the step lcm P,
-and the singletons.  The coverage test reads it as a residue mask, without
-building a term per flag.
 """
 
 from __future__ import annotations
@@ -27,9 +22,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from math import gcd, lcm
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -44,7 +38,6 @@ __all__ = [
     "prog",
     "SupportSet1D",
     "SupportSet2D",
-    "PeriodicSet1D",
     "ProgressionWitness",
     "has_infinitely_many",
     "derived_parity_tail_set",
@@ -61,9 +54,8 @@ Parity = Literal["even", "odd", "any"]
 
 # The largest step lcm P a residue scan or class set may span: the bytearray
 # of P bytes in ``meets_every_progression`` (and one of d bytes per divisor d
-# of P walked to name a missed class), and the P classes of the tail sets of
-# the gamma loop and of the sufficient tests (a few bool flags or an int64
-# membership code per class).  Larger input is refused with
+# of P walked to name a missed class), and the P classes that the sufficient
+# tests read (a few bool flags or an int64 membership code per class).  Larger input is refused with
 # ``NotApplicableError`` before anything is allocated.  At the limit a residue
 # scan takes milliseconds on two cores; the workloads' step lcms stay near
 # 1e4.
@@ -160,33 +152,6 @@ class SupportSet2D:
         return [lt for _, lt in self.terms]
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicSet1D:
-    """A set read as classes mod a period and a few singletons.
-
-    ``flags`` is a boolean array of length ``period``: a flagged class c
-    holds every large enough member of c, as a progression of the period
-    would.  ``singles`` are the singletons, ascending, kept as Python ints so
-    that any size is exact.  Its readers ask only about classes and
-    singletons, so no member below a bound is stored; each reader of a
-    ``Set1D`` branches on its type.
-    """
-
-    period: int
-    flags: np.ndarray
-    singles: tuple[int, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.singles and not self.flags.any()
-
-    def singletons(self) -> list[int]:
-        return list(self.singles)
-
-
-Set1D = Union[SupportSet1D, PeriodicSet1D]
-
-
 @dataclass(frozen=True)
 class ProgressionWitness:
     """A residue class (modulus, residue) entirely missed by the symmetrized set."""
@@ -222,17 +187,12 @@ def term_has_infinite_parity(term: Term1D, parity: Parity) -> bool:
     return term_has_parity_member(term, parity)
 
 
-def has_infinitely_many(support: Set1D, parity: Parity) -> bool:
+def has_infinitely_many(support: SupportSet1D, parity: Parity) -> bool:
     """Whether the union holds infinitely many members of the parity class.
 
     Singletons never contribute; an odd-step progression meets both parity
     classes infinitely often, an even-step one stays in the class of its base.
     """
-    if isinstance(support, PeriodicSet1D):
-        _check_parity(parity)
-        if parity == "any" or support.period % 2:
-            return bool(support.flags.any())
-        return bool(support.flags[1 if parity == "odd" else 0 :: 2].any())
     return any(term_has_infinite_parity(t, parity) for t in support.terms)
 
 
@@ -315,32 +275,13 @@ def _first_uncovered(steps: dict[int, set[int]], d: int) -> int:
     return covered.find(0)
 
 
-def _first_unmasked(mask: np.ndarray, d: int) -> int:
-    """The least residue mod d, a divisor of len(mask), that no marked
-    residue mod len(mask) falls in, or -1.
-
-    A residue r mod P lies in the class r mod d, so folding the mask into
-    rows of d and or-ing the rows gives the covered classes.
-    """
-    covered = mask.reshape(-1, d).any(axis=0)
-    j = int(covered.argmin())
-    return -1 if covered[j] else j
-
-
-def witness_avoids_window(support: Set1D, witness: ProgressionWitness) -> bool:
+def witness_avoids_window(support: SupportSet1D, witness: ProgressionWitness) -> bool:
     """Whether no member of +/-S lies in the class j mod n, decided exactly.
 
     A progression {a, a + s, ...} meets +/-j mod n iff a = +/-j mod gcd(s, n);
     a singleton v iff v = +/-j mod n.
     """
     n, j = witness.modulus, witness.residue
-    if isinstance(support, PeriodicSet1D):
-        # a flagged class mod P meets +/-j mod n iff it is +/-j mod gcd(P, n)
-        g = gcd(support.period, n)
-        folded = support.flags.reshape(-1, g).any(axis=0)
-        if folded[j % g] or folded[-j % g]:
-            return False
-        return all((v - j) % n and (v + j) % n for v in support.singles)
     for t in support.terms:
         g = gcd(t.step, n) if t.step else n
         if (t.base - j) % g == 0 or (t.base + j) % g == 0:
@@ -348,7 +289,7 @@ def witness_avoids_window(support: Set1D, witness: ProgressionWitness) -> bool:
     return True
 
 
-def _search_witness(support: Set1D, lcm_steps: int, d: int, j0: int) -> ProgressionWitness:
+def _search_witness(support: SupportSet1D, lcm_steps: int, d: int, j0: int) -> ProgressionWitness:
     """Grow the modulus n = d * p (p coprime to the step lcm) until some class
     j = j0 + t * d mod n also avoids every singleton: the least such p, then
     the least t.
@@ -390,7 +331,7 @@ def _search_witness(support: Set1D, lcm_steps: int, d: int, j0: int) -> Progress
     raise RuntimeError("witness search exhausted its bound; this should be unreachable")
 
 
-def meets_every_progression(support: Set1D) -> tuple[bool, Optional[ProgressionWitness]]:
+def meets_every_progression(support: SupportSet1D) -> tuple[bool, Optional[ProgressionWitness]]:
     """Decide whether +/-S meets every residue class of every modulus.
 
     Coverage by the progressions of a class mod n only depends on its class
@@ -402,30 +343,19 @@ def meets_every_progression(support: Set1D) -> tuple[bool, Optional[ProgressionW
     support before being emitted.  A support with no progressions always
     fails.  An L past ``MAX_PERIOD`` raises ``NotApplicableError`` before
     anything is allocated.
-
-    A ``PeriodicSet1D`` enters with its one step P (when it flags a class)
-    and a mask of its classes and their negatives mod P: the scan reads the
-    mask, and a walked divisor d folds it into rows of d.
     """
-    if isinstance(support, PeriodicSet1D):
-        flags = support.flags
-        lcm_steps = support.period if flags.any() else 1
-        # the flag of -c mod P at c: the flags reversed, then rolled by one
-        first_uncovered = partial(_first_unmasked, flags | np.roll(flags[::-1], 1))
-    else:
-        steps: dict[int, set[int]] = {}
-        for t in support.terms:
-            if t.step:
-                steps.setdefault(t.step, set()).update((t.base % t.step, -t.base % t.step))
-        lcm_steps = _step_lcm(steps)
-        first_uncovered = partial(_first_uncovered, steps)
-    if first_uncovered(lcm_steps) < 0:
+    steps: dict[int, set[int]] = {}
+    for t in support.terms:
+        if t.step:
+            steps.setdefault(t.step, set()).update((t.base % t.step, -t.base % t.step))
+    lcm_steps = _step_lcm(steps)
+    if _first_uncovered(steps, lcm_steps) < 0:
         logger.debug("step lcm %d: every class covered in one scan", lcm_steps)
         return True, None
     # the walk ends at L at the latest, whose scan just missed a class
     divisors = _divisors(lcm_steps)
     for examined, d in enumerate(divisors, 1):
-        j0 = first_uncovered(d)
+        j0 = _first_uncovered(steps, d)
         if j0 >= 0:
             break
     logger.debug(

@@ -218,16 +218,6 @@ def battery_2d(seed, count):
 # oracle helpers (independent of the library's decision procedures)
 # ---------------------------------------------------------------------------
 
-def expand_promoted(promoted):
-    """The ``SupportSet1D`` a ``PeriodicSet1D`` stands for, read flag by
-    flag: a singleton per value of ``singles``, then a progression of the
-    period from each flagged class c < period, by ascending c."""
-    period, flags = promoted.period, promoted.flags.tolist()
-    singles = [one(v) for v in promoted.singles]
-    progressions = [prog(c, period) for c in range(period) if flags[c]]
-    return SupportSet1D(tuple(singles + progressions))
-
-
 def window_members(support, hi=WINDOW):
     """All members of a 1-axis support in [0, hi], computed by brute force."""
     vals = set()

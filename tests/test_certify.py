@@ -41,7 +41,7 @@ from spdkernels import (
     sufficient_product,
     witness_avoids_window,
 )
-from spdkernels.certify import _LOOP_LABEL, _loop_tail_set, _sweep, _tail_frequency_set
+from spdkernels.certify import _LOOP_LABEL, _loop_tail_set, _sweep
 from test_acceptance import ALL_FIXED_2D
 
 
@@ -167,9 +167,9 @@ def _outcomes(cert):
 def _assert_loop_matches(loop, tail_sets, support):
     assert loop.verdict == tail_sets.verdict
     assert _outcomes(loop) == _outcomes(tail_sets)
+    assert loop.counterexample == tail_sets.counterexample
     if loop.verdict is Verdict.NOT_SPD:
-        fl, ft = loop.counterexample, tail_sets.counterexample
-        assert (fl.gamma, fl.parity, fl.empty) == (ft.gamma, ft.parity, ft.empty)
+        fl = loop.counterexample
         assert witness_avoids_window(derived_parity_tail_set(support, fl.gamma, fl.parity), fl.witness)
 
 
@@ -347,6 +347,24 @@ def test_every_route_decides_big_outer_singletons():
         assert certify_circle_tph(support, space).verdict is Verdict.SPD
 
 
+def test_circle_outer_test_walks_no_divisors(monkeypatch):
+    import spdkernels.supportsets as supportsets_mod
+
+    def refuse(*args):
+        raise AssertionError("the circle-outer test walked divisors or searched a witness")
+
+    monkeypatch.setattr(supportsets_mod, "_divisors", refuse)
+    monkeypatch.setattr(supportsets_mod, "_search_witness", refuse)
+    # outer steps 2^6 and 5^5 give 200000 classes; the flagged ones, 3 mod 64
+    # and 7 mod 3125, and their negatives miss most classes
+    support = SupportSet2D((
+        (prog(0, 1), prog(0, 2)), (prog(3, 64), prog(1, 2)), (prog(7, 3125), prog(1, 2)),
+    ))
+    cert = sufficient_product(support, 2, "circle-outer")
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert [e.outcome for e in cert.trace] == [True, False]
+
+
 def test_sufficient_rejects_unknown_axis():
     with pytest.raises(ValueError):
         sufficient_product(SPD_PRODUCT_SUPPORTS[0], 2, "diagonal")
@@ -399,13 +417,7 @@ def _derived_check(support, gamma, parity):
     return ok, witness, derived.is_empty
 
 
-def _window_check(support, gamma, parity):
-    freq = _tail_frequency_set(support, gamma, parity)
-    cert = certify_circle(freq)
-    return cert.verdict is Verdict.SPD, cert.counterexample, freq.is_empty
-
-
-def per_integer_reference(support, parities, gamma_max, check=_derived_check):
+def per_integer_reference(support, parities, gamma_max):
     """Walk every integer gamma up to the sweep's upper end, one at a time.
 
     Returns None when every tail set passes, else the first failing
@@ -415,7 +427,7 @@ def per_integer_reference(support, parities, gamma_max, check=_derived_check):
         upper = max(upper, gamma_max)
     for gamma in range(upper + 1):
         for parity in parities:
-            ok, witness, empty = check(support, gamma, parity)
+            ok, witness, empty = _derived_check(support, gamma, parity)
             if not ok:
                 return gamma, parity, witness, empty
     return None
@@ -429,10 +441,6 @@ def _failure(cert):
 
 
 def test_sweep_matches_per_integer_reference():
-    # The gamma loop reads its frequency set as classes mod the k-step lcm,
-    # whose missed class can differ from the one found on the derived set
-    # (both are sound), so its witness is compared with the per-integer walk
-    # of its own tail check.
     space = circle_tph_space("real_proj", 2)
     supports = list(ALL_FIXED_2D) + [s for s, _, _ in LATE_FAILURES] + battery_2d(seed=2024, count=80)
     failures = 0
@@ -442,11 +450,8 @@ def test_sweep_matches_per_integer_reference():
             want = per_integer_reference(support, ("odd", "even"), gamma_max)
             failures += want is not None
             assert _failure(certify_circle_sphere(support, 2, gamma_max)) == want, support
-            loop = _failure(certify_circle_sphere_gamma_loop(support, 2, gamma_max))
-            assert loop == per_integer_reference(support, ("odd", "even"), gamma_max, _window_check)
-            assert (loop is None) == (want is None), support
-            if want is not None:
-                assert (loop[0], loop[1], loop[3]) == (want[0], want[1], want[3]), support
+            # the loop's whole failure, witness included
+            assert _failure(certify_circle_sphere_gamma_loop(support, 2, gamma_max)) == want, support
 
             want_any = per_integer_reference(support, ("any",), gamma_max)
             tph = certify_circle_tph(support, space, gamma_max)
@@ -557,27 +562,16 @@ def test_two_spheres_l_shape_has_a_null_vector():
 
 # --- work logged at DEBUG -----------------------------------------------------------------
 
-def test_divisors_and_tail_sets_are_logged(caplog):
+def test_the_loops_divisor_walk_is_logged(caplog):
     support = SupportSet2D(((prog(0, 1), prog(0, 2)), (prog(1, 6), prog(1, 2)), (prog(0, 4), prog(1, 2))))
     with caplog.at_level("DEBUG", logger="spdkernels"):
         certify_circle_sphere_gamma_loop(support, 2)
-    scans = [r.getMessage() for r in caplog.records if r.name == "spdkernels.supportsets"]
-    tail_sets = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
-    # odd tail +-{1 mod 6} u {0 mod 4}: 2 mod 4 is missed at the fourth divisor of 12
-    assert scans == ["step lcm 12: class 2 mod 4 missed, 4 of 6 divisors examined"]
-    # at gamma 0 only the two odd l-progressions have an odd tail member:
-    # 1 and 7 mod 12 from prog(1, 6), 0, 4 and 8 from prog(0, 4)
-    assert tail_sets == ["tail set mod 12: 5 flagged classes, 0 singletons"]
-
-
-def test_tail_set_singletons_are_logged(caplog):
-    support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
-    with caplog.at_level("DEBUG", logger="spdkernels.certify"):
-        certify_circle_sphere_gamma_loop(support, 2)
-    messages = [r.getMessage() for r in caplog.records if r.name == "spdkernels.certify"]
-    # the class 0 mod 2 of prog(0, 2) and the singleton 5: the odd tail set
-    # at gamma 0, which misses 1 mod 2 and ends the sweep
-    assert messages == ["tail set mod 2: 1 flagged classes, 1 singletons"]
+    # at gamma 0 only the two odd l-progressions have an odd tail member, so
+    # the odd tail +-{1 mod 6} u {0 mod 4} misses 2 mod 4, at the fourth
+    # divisor of 12; the loop itself logs nothing
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("spdkernels.supportsets", "step lcm 12: class 2 mod 4 missed, 4 of 6 divisors examined"),
+    ]
 
 
 def test_sufficient_tests_log_their_classes(caplog):

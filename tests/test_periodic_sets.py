@@ -1,9 +1,9 @@
-"""Class sets held as flags, exact class avoidance and the witness search.
+"""Coverage without a divisor walk, exact class avoidance and the witness search.
 
-A ``PeriodicSet1D`` must decide exactly as the ``SupportSet1D`` of its own
-expansion; the exact avoidance check must agree with a brute scan that
-reaches far past every period of the support; and the witness search must
-stay fast and bounded however many singletons the missed class holds.
+A covered set is proved in one scan; the exact avoidance check must agree
+with a brute scan that reaches far past every period of the support; and the
+witness search must stay fast and bounded however many singletons the missed
+class holds.
 """
 
 import time
@@ -13,102 +13,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_promoted, oracle_witness_sound
+from conftest import oracle_witness_sound
 from spdkernels import (
     KernelSpec,
     NotApplicableError,
     ProgressionWitness,
     SupportSet1D,
     SupportSet2D,
-    certify_circle,
-    certify_sphere,
     circle_space,
     geometric_scheme,
-    has_infinitely_many,
     meets_every_progression,
     one,
     prog,
-    stabilization_bound,
     witness_avoids_window,
     witness_progression_circle,
 )
-from spdkernels.certify import _qualifying_set, _tail_frequency_set
-from spdkernels.supportsets import MAX_WITNESS_WORK, PeriodicSet1D
-from test_window_equivalence import reference_meets_every_progression, reference_qualifying_set
-
-# bases up to 60 put singletons and progression bases past the step lcm
-wide_term = st.one_of(
-    st.integers(0, 60).map(one),
-    st.tuples(st.integers(0, 60), st.integers(1, 12)).map(lambda p: prog(*p)),
-)
-small_term = st.one_of(
-    st.integers(0, 10).map(one),
-    st.tuples(st.integers(0, 10), st.integers(1, 8)).map(lambda p: prog(*p)),
-)
+from spdkernels.certify import _loop_tail_set
+from spdkernels.supportsets import MAX_WITNESS_WORK
+from test_window_equivalence import reference_meets_every_progression, wide_term
 
 
-def assert_same_as_expansion(promoted, classes=()):
-    plain = expand_promoted(promoted)
-    assert meets_every_progression(promoted) == meets_every_progression(plain)
-    for parity in ("even", "odd", "any"):
-        assert has_infinitely_many(promoted, parity) == has_infinitely_many(plain, parity)
-    assert promoted.is_empty == plain.is_empty
-    assert promoted.singletons() == plain.singletons()
-    for n, j in classes:
-        witness = ProgressionWitness(n, j % n)
-        assert witness_avoids_window(promoted, witness) == witness_avoids_window(plain, witness)
-
-
-# --- the promoted set against its own expansion ------------------------------------------
-
-@given(
-    pairs=st.lists(st.tuples(wide_term, small_term), min_size=1, max_size=5),
-    classes=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 39)), max_size=5),
-)
-@settings(max_examples=60, deadline=None)
-def test_promoted_sets_decide_as_their_expansion(pairs, classes):
-    support = SupportSet2D(tuple(pairs))
-    dropouts = {lt.base + 1 for _, lt in support.terms if not lt.is_progression}
-    for gamma in sorted({0, stabilization_bound(support)} | dropouts):
-        for parity in ("odd", "even", "any"):
-            assert_same_as_expansion(_tail_frequency_set(support, gamma, parity), classes)
-    for axis in ("circle-outer", "sphere-outer"):
-        # the reader's classes decide as their own expansion, and its
-        # emptiness and both outer verdicts are those of the exact set
-        found, empty = _qualifying_set(support, axis)
-        assert_same_as_expansion(found, classes)
-        exact = reference_qualifying_set(support, 2, axis)
-        assert empty == exact.is_empty
-        for outer in (certify_circle, lambda s: certify_sphere(s, 2)):
-            assert outer(found).verdict == outer(exact).verdict
-
-
-def test_promoted_set_reads_like_its_terms():
-    # every k-term has an l-tail at gamma 0: the progression flags its class
-    # mod 2 and the singleton keeps its value
-    support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(5), prog(0, 1))))
-    promoted = _tail_frequency_set(support, 0, "any")
-    assert promoted.period == 2
-    assert promoted.flags.tolist() == [True, False]
-    assert expand_promoted(promoted).terms == (one(5), prog(0, 2))
-    assert promoted.singletons() == [5]
-    assert not promoted.is_empty
-    assert _tail_frequency_set(SupportSet2D(((prog(0, 2), one(0)),)), 1, "any").is_empty
-
+# --- coverage and the loop's tail set ------------------------------------------------------
 
 def test_singletons_past_int64_stay_exact():
     big = 10**30
     support = SupportSet2D(((prog(0, 2), prog(0, 1)), (one(big + 1), prog(0, 1)), (one(big + 3), prog(0, 1))))
-    promoted = _tail_frequency_set(support, 0, "any")
-    assert promoted.singles == (big + 1, big + 3)
-    assert all(type(v) is int for v in promoted.singles)
-    ok, witness = meets_every_progression(promoted)
-    assert (ok, witness) == meets_every_progression(expand_promoted(promoted))
-    assert not ok and witness_avoids_window(promoted, witness)
+    freq, ok, witness = _loop_tail_set(support, 0, "any")
+    assert freq.singletons() == [big + 1, big + 3]
+    assert not ok and witness_avoids_window(freq, witness)
     # 10^30 + 1 = 1 mod 10 and its negative 9 mod 10 both meet the set
-    assert not witness_avoids_window(promoted, ProgressionWitness(10, 1))
-    assert not witness_avoids_window(promoted, ProgressionWitness(10, 9))
-    assert witness_avoids_window(promoted, ProgressionWitness(10, 5))
+    assert not witness_avoids_window(freq, ProgressionWitness(10, 1))
+    assert not witness_avoids_window(freq, ProgressionWitness(10, 9))
+    assert witness_avoids_window(freq, ProgressionWitness(10, 5))
 
 
 def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
@@ -120,33 +56,9 @@ def test_coverage_is_proved_without_listing_divisors(monkeypatch, caplog):
     monkeypatch.setattr(supportsets_mod, "_divisors", refuse)
     # steps 3 and 4: 0 and 1 mod 3 with their negatives cover every class mod 12
     terms = SupportSet1D((prog(0, 3), prog(1, 3), prog(2, 4)))
-    # the classes 0 and 1 mod 3, and -1 = 2 mod 3
-    window = PeriodicSet1D(3, np.array([True, True, False]))
     with caplog.at_level("DEBUG", logger="spdkernels.supportsets"):
         assert meets_every_progression(terms) == (True, None)
-        assert meets_every_progression(window) == (True, None)
-    assert [r.getMessage() for r in caplog.records] == [
-        "step lcm 12: every class covered in one scan",
-        "step lcm 3: every class covered in one scan",
-    ]
-
-
-@pytest.mark.parametrize(
-    "period, classes, want",
-    [
-        (3, [1], {"even": True, "odd": True, "any": True}),  # odd period: both parities
-        (4, [1, 3], {"even": False, "odd": True, "any": True}),
-        (4, [2], {"even": True, "odd": False, "any": True}),
-        (4, [], {"even": False, "odd": False, "any": False}),  # singletons only
-    ],
-)
-def test_promoted_parity_reads_the_flagged_classes(period, classes, want):
-    flags = np.zeros(period, dtype=bool)
-    flags[classes] = True
-    promoted = PeriodicSet1D(period, flags, (1, 2))
-    for parity, expected in want.items():
-        assert has_infinitely_many(promoted, parity) is expected
-        assert has_infinitely_many(expand_promoted(promoted), parity) is expected
+    assert [r.getMessage() for r in caplog.records] == ["step lcm 12: every class covered in one scan"]
 
 
 # --- exact class avoidance ----------------------------------------------------------------

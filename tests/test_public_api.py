@@ -53,7 +53,7 @@ MODULES = {
     },
     "orthopoly": {"MAX_DEGREE", "chebyshev_table", "circle_table", "gegenbauer_table", "jacobi_table"},
     "supportsets": {
-        "MAX_PERIOD", "MAX_WITNESS_WORK", "Parity", "PeriodicSet1D", "ProgressionWitness",
+        "MAX_PERIOD", "MAX_WITNESS_WORK", "Parity", "ProgressionWitness",
         "SupportSet1D", "SupportSet2D", "Term1D", "derived_parity_tail_set",
         "has_infinitely_many", "meets_every_progression", "one", "prog",
         "stabilization_bound", "term_has_infinite_parity", "term_has_parity_member",
@@ -90,7 +90,6 @@ MEMBERS = {
     "NotApplicableError": set(),
     "NumericalError": set(),
     "ParityDeficit": {"parity"},
-    "PeriodicSet1D": {"flags", "is_empty", "period", "singles", "singletons"},
     "ProgressionWitness": {"modulus", "residue"},
     "QuadrantDeficit": {"axis", "k_parity", "l_parity"},
     "SamplingError": set(),

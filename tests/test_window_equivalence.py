@@ -1,18 +1,16 @@
-"""The whole-array residue scan, the class sets of the gamma loop and the
-sufficient tests' class reader against the per-integer versions they
-replaced.
+"""The whole-array residue scan, the tail sets of the gamma loop and the
+sufficient tests against the per-integer versions they replaced.
 
 ``reference_*`` below are verbatim copies of the earlier per-integer code: a
 residue scan that marks and lists classes one at a time, a window scan over
 every member, and a periodic window that calls its predicate once per
 integer.  The library must return the same decisions and the same missed
-class.  The gamma loop's tail sets must flag the classes mod P of the
-reference window's progression bases, and each integer the window flags
-below its bound must be a singleton of the set or lie in a flagged class.
-The sufficient tests read classes mod the outer step lcm instead of a
-window, so for them the reader's emptiness and the outer certifiers'
-verdicts on its classes must match those on the exact qualifying set of
-``reference_qualifying_set``.
+class.  The gamma loop's tail sets must equal the derived tail sets term for
+term and decide as the reference window does.  The sufficient tests read
+classes mod the outer step lcm instead of a window, so for them the first
+trace entry and the verdict must match the emptiness of the exact
+qualifying set of ``reference_qualifying_set`` and the outer certifier's
+verdict on it.
 """
 
 from math import gcd, lcm
@@ -21,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LATE_FAILURES, WINDOW, battery_1d, battery_2d, expand_promoted, term_members
+from conftest import LATE_FAILURES, WINDOW, battery_1d, battery_2d, term_members
 from spdkernels import (
     ProgressionWitness,
     SupportSet1D,
@@ -33,16 +31,17 @@ from spdkernels import (
     one,
     prog,
     stabilization_bound,
+    sufficient_product,
     witness_avoids_window,
 )
 import spdkernels.certify as certify_mod
 from spdkernels.certify import (
     Verdict,
+    _loop_tail_set,
     _qualifying_set,
     _section_terms_have_tail,
-    _tail_frequency_set,
 )
-from spdkernels.supportsets import PeriodicSet1D, _divisors
+from spdkernels.supportsets import _divisors
 from test_acceptance import ALL_FIXED_2D
 from test_supportsets import support_strategy, term_strategy
 
@@ -147,26 +146,18 @@ def reference_qualifying_set(support, m, axis):
 
 def assert_same_decision(support):
     got = meets_every_progression(support)
-    plain = expand_promoted(support) if isinstance(support, PeriodicSet1D) else support
-    assert got == reference_meets_every_progression(plain), support
+    assert got == reference_meets_every_progression(support), support
     return got
 
 
-def assert_same_terms(got, want):
-    """A tail set against the reference window: the flagged classes are the
-    window's progression bases mod P, its singletons are flagged below the
-    window's bound, and each integer flagged there is a singleton or lies in
-    a flagged class."""
-    period = got.period
-    progressions = [t for t in want.terms if t.is_progression]
-    assert all(t.step == period for t in progressions)
-    assert got.flags.tolist() == [any(t.base % period == c for t in progressions) for c in range(period)]
-    prefix = want.singletons()
-    assert set(got.singles) <= set(prefix)
-    assert all(v in got.singles or got.flags[v % period] for v in prefix)
-    assert all(type(v) is int for v in got.singletons())
-    # so the reference decides the window as the library decides the set
-    assert meets_every_progression(got) == reference_meets_every_progression(want)
+def assert_same_terms(support, gamma, parity):
+    """The gamma loop's tail set at (gamma, parity): the derived tail set term
+    for term, and its check decides as the reference window does, missed
+    class included."""
+    freq, ok, witness = _loop_tail_set(support, gamma, parity)
+    assert freq == derived_parity_tail_set(support, gamma, parity), (support, gamma, parity)
+    want = reference_meets_every_progression(reference_tail_frequency_set(support, gamma, parity))
+    assert (ok, witness) == want, (support, gamma, parity)
 
 
 def assert_same_terms_at_checkpoints(support):
@@ -175,22 +166,25 @@ def assert_same_terms_at_checkpoints(support):
     dropouts = {lt.base + 1 for _, lt in support.terms if not lt.is_progression}
     for gamma in sorted({0, stabilization_bound(support)} | dropouts):
         for parity in ("odd", "even", "any"):
-            assert_same_terms(
-                _tail_frequency_set(support, gamma, parity),
-                reference_tail_frequency_set(support, gamma, parity),
-            )
+            assert_same_terms(support, gamma, parity)
+
+
+OUTER_CERTIFIERS = {"circle-outer": certify_circle, "sphere-outer": lambda s: certify_sphere(s, 2)}
+
+
+def assert_outer_test_matches(support, axis):
+    """The sufficient test's trace and verdict against the emptiness of the
+    exact qualifying set and the outer certifier's verdict on it."""
+    cert = sufficient_product(support, 2, axis)
+    exact = reference_qualifying_set(support, 2, axis)
+    passes = OUTER_CERTIFIERS[axis](exact).verdict is Verdict.SPD
+    assert [e.outcome for e in cert.trace] == [not exact.is_empty, passes], (support, axis)
+    assert cert.verdict is (Verdict.SUFFICIENT_ONLY if passes else Verdict.INCONCLUSIVE)
 
 
 def assert_reader_matches(support):
-    """On both axes, the reader's emptiness and both outer certifiers'
-    verdicts on its classes against those on the exact qualifying set."""
-    for axis in ("circle-outer", "sphere-outer"):
-        classes, empty = _qualifying_set(support, axis)
-        exact = reference_qualifying_set(support, 2, axis)
-        assert empty == exact.is_empty, (support, axis)
-        assert certify_circle(classes).verdict == certify_circle(exact).verdict, (support, axis)
-        assert certify_sphere(classes, 2).verdict == certify_sphere(exact, 2).verdict, (support, axis)
-        assert_same_decision(classes)
+    for axis in OUTER_CERTIFIERS:
+        assert_outer_test_matches(support, axis)
 
 
 def assert_routes_agree(support):
@@ -199,9 +193,7 @@ def assert_routes_agree(support):
     for gamma in range(stabilization_bound(support) + 2):
         for parity in ("odd", "even", "any"):
             assert_same_decision(derived_parity_tail_set(support, gamma, parity))
-            freq = _tail_frequency_set(support, gamma, parity)
-            assert_same_terms(freq, reference_tail_frequency_set(support, gamma, parity))
-            assert_same_decision(freq)
+            assert_same_terms(support, gamma, parity)
     assert_reader_matches(support)
 
 
@@ -229,6 +221,50 @@ def test_residue_scan_matches_on_random_supports(support):
 @settings(max_examples=60, deadline=None)
 def test_routes_match_on_random_product_supports(pairs):
     assert_routes_agree(SupportSet2D(tuple(pairs)))
+
+
+# bases up to 60 put singletons and progression bases past the step lcm
+wide_term = st.one_of(
+    st.integers(0, 60).map(one),
+    st.tuples(st.integers(0, 60), st.integers(1, 12)).map(lambda p: prog(*p)),
+)
+small_term = st.one_of(
+    st.integers(0, 10).map(one),
+    st.tuples(st.integers(0, 10), st.integers(1, 8)).map(lambda p: prog(*p)),
+)
+
+
+@given(pairs=st.lists(st.tuples(wide_term, small_term), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_routes_match_on_wide_product_supports(pairs):
+    support = SupportSet2D(tuple(pairs))
+    assert_same_terms_at_checkpoints(support)
+    assert_reader_matches(support)
+
+
+@pytest.mark.parametrize(
+    "pairs, axis, flags",
+    [
+        # P = 1, its one class flagged and clear
+        ([(prog(0, 1), prog(0, 1))], "circle-outer", [True]),
+        ([(prog(0, 1), prog(0, 2))], "circle-outer", [False]),
+        ([(prog(0, 1), prog(0, 1))], "sphere-outer", [True]),
+        ([(prog(0, 2), prog(0, 1))], "sphere-outer", [False]),
+        # odd P: 2 mod 3 is -1 mod 3, and 1 mod 3 holds both parities
+        ([(prog(0, 3), prog(0, 1)), (prog(1, 3), prog(0, 1))], "circle-outer", [True, True, False]),
+        ([(prog(0, 1), prog(1, 3))], "sphere-outer", [False, True, False]),
+        # flagged classes of one parity only
+        ([(prog(0, 2), prog(0, 1))], "circle-outer", [True, False]),
+        ([(prog(0, 1), prog(1, 4))], "sphere-outer", [False, True, False, False]),
+        # no flagged class, but the row of an outer singleton qualifies
+        ([(prog(0, 2), prog(0, 2)), (one(5), prog(0, 1))], "circle-outer", [False, False]),
+        ([(prog(0, 1), one(3)), (prog(0, 2), prog(0, 2))], "sphere-outer", [False, False]),
+    ],
+)
+def test_outer_tests_on_the_flags_at_the_edges(pairs, axis, flags):
+    support = SupportSet2D(tuple(pairs))
+    assert _qualifying_set(support, axis)[0].tolist() == flags
+    assert_outer_test_matches(support, axis)
 
 
 @pytest.mark.parametrize(
@@ -263,9 +299,8 @@ def test_window_with_the_smallest_bound(terms):
     # gamma 1 an l-term prog(0, 1) puts every k-term in the tail, one(0) none.
     for lt in (prog(0, 1), one(0)):
         support = SupportSet2D(tuple((t, lt) for t in terms))
-        got = _tail_frequency_set(support, 1, "any")
-        assert_same_terms(got, reference_tail_frequency_set(support, 1, "any"))
-        assert got.is_empty is (lt.step == 0 or not terms)
+        assert_same_terms(support, 1, "any")
+        assert _loop_tail_set(support, 1, "any")[0].is_empty is (lt.step == 0 or not terms)
         assert_routes_agree(support)
 
 
@@ -287,9 +322,6 @@ def test_window_past_one_code_word(count, monkeypatch):
     # as many k-terms as one int64 word of membership bits holds, and more
     k_terms = [prog(b % 7, 7 + b % 3) if b % 3 else one(b) for b in range(count)]
     support = SupportSet2D(tuple((kt, prog(i % 2, 2)) for i, kt in enumerate(k_terms)))
-    for parity in ("odd", "even"):
-        freq = _tail_frequency_set(support, 0, parity)
-        assert_same_terms(freq, reference_tail_frequency_set(support, 0, parity))
     assert_same_terms_at_checkpoints(support)
     assert_reader_matches(support)
     # read on the sphere-outer axis, with the inner term of index i
@@ -300,11 +332,11 @@ def test_window_past_one_code_word(count, monkeypatch):
     per_class = [tuple(i for i, t in progressions if t.contains(period + c)) for c in range(period)]
     rows = _rows_certified(monkeypatch)
     flipped = SupportSet2D(tuple((prog(i, 1), kt) for i, kt in enumerate(k_terms)))
-    classes, empty = _qualifying_set(flipped, "sphere-outer")
+    flags, empty = _qualifying_set(flipped, "sphere-outer")
     assert sorted(rows) == sorted(set(per_class))
     # a row certifies when it holds any term; 7 mod 72 holds none
-    assert classes.flags.tolist() == [bool(pattern) for pattern in per_class]
-    assert not empty and not classes.flags[7]
+    assert flags.tolist() == [bool(pattern) for pattern in per_class]
+    assert not empty and not flags[7]
 
 
 def test_predicate_runs_once_per_pattern(monkeypatch):
@@ -314,10 +346,10 @@ def test_predicate_runs_once_per_pattern(monkeypatch):
     outer = [prog(0, 2), prog(1, 3), one(5)]
     support = SupportSet2D(tuple((prog(2 * i, 2), t) for i, t in enumerate(outer)))
     rows = _rows_certified(monkeypatch)
-    classes, empty = _qualifying_set(support, "sphere-outer")
+    flags, empty = _qualifying_set(support, "sphere-outer")
     assert sorted(tuple(b // 2 for b in row) for row in rows[:-1]) == [(), (0,), (0, 1), (1,)]
     assert rows[-1] == (4,)
-    assert empty and not classes.flags.any()
+    assert empty and not flags.any()
     assert_reader_matches(support)
 
 
